@@ -4,17 +4,19 @@ Regenerates the scheduler sweep behind the PoolScheduler (true cross-worker
 batched inference for the paper's Minigo workload):
 
 * with 8 workers and ``leaf_batch=8`` the event-driven scheduler issues at
-  least 2x fewer engine calls than the PR 2 sequential batched path and at
-  least half of its batches serve more than one worker (the acceptance
-  bars; the measured numbers are far beyond both);
+  least 2x fewer engine calls than the sequential (one ticket per call)
+  setting and at least half of its batches serve more than one worker (the
+  acceptance bars; the measured numbers are far beyond both);
 * the event-driven pool at ``leaf_batch=1`` under the ``unbatched`` flush
-  policy reproduces the sequential pool's game records move-for-move, so
-  the scheduler machinery itself (resumable searches, stepwise game
-  drivers, the virtual-time event loop) introduces zero drift.
+  policy reproduces, move-for-move, a reference that runs each worker to
+  completion in turn and serves its tickets the moment it blocks, so the
+  scheduler machinery itself (resumable searches, stepwise game drivers,
+  the virtual-time event loop) introduces zero drift.
 """
 
 from conftest import save_report
 from repro.experiments.schedsweep import run_sched_sweep
+from repro.minigo.selfplay import GameDriver
 from repro.minigo.workers import SCHEDULER_EVENT, SelfPlayPool
 
 SWEEP_LEAF_BATCHES = (1, 4, 8)
@@ -38,20 +40,35 @@ def _game_records(pool):
     ]
 
 
+def _run_reference_pool(num_workers, leaf_batch, **kwargs):
+    """Oracle: each worker runs to completion in turn, served unbatched when it blocks."""
+    pool = SelfPlayPool(num_workers, batched_inference=True, leaf_batch=leaf_batch, **kwargs)
+    pool.inference_service = pool._build_service()
+    for index in range(num_workers):
+        worker, profiler = pool._make_worker(index, None)
+        driver = GameDriver(worker, pool.games_per_worker)
+        while not driver.finished:
+            driver.step()
+            if driver.blocked:
+                pool.inference_service.serve_queued(policy="unbatched")
+        pool.runs.append(pool._finish_worker(worker, profiler, driver.result))
+    return pool
+
+
 def test_bench_scheduler_batchsweep(benchmark):
     sweep = benchmark.pedantic(
         lambda: run_sched_sweep(SWEEP_LEAF_BATCHES, num_workers=NUM_WORKERS, **POOL_KWARGS),
         rounds=1, iterations=1)
 
     # --- determinism: the event-driven machinery adds zero drift.
-    sequential = SelfPlayPool(NUM_WORKERS, profile=False, batched_inference=True,
-                              leaf_batch=1, **POOL_KWARGS)
-    sequential.run()
+    reference = _run_reference_pool(NUM_WORKERS, 1, profile=False, **POOL_KWARGS)
     event = SelfPlayPool(NUM_WORKERS, profile=False, batched_inference=True, leaf_batch=1,
                          scheduler="event", flush_policy="unbatched", **POOL_KWARGS)
     event.run()
-    assert _game_records(sequential) == _game_records(event), \
-        "event-driven pool at leaf_batch=1 must reproduce the sequential game records move-for-move"
+    assert _game_records(reference) == _game_records(event), \
+        "event-driven pool at leaf_batch=1 must reproduce the reference game records move-for-move"
+    assert [run.total_time_us for run in reference.runs] == \
+        [run.total_time_us for run in event.runs]
 
     # --- the acceptance bars: >=2x fewer engine calls, >=50% cross-worker batches.
     reduction = sweep.call_reduction(8)

@@ -6,7 +6,7 @@ produces those numbers, pinning the speedup of the three optimized hot paths:
 
 * the incremental-group Go engine + lazy MCTS child positions
   (``repro.sim.go`` / ``repro.minigo.mcts``),
-* the heap-driven :class:`~repro.minigo.workers.PoolScheduler` event loop,
+* the heap-driven :class:`~repro.rollout.scheduler.PoolScheduler` event loop,
 * the single-pass worker grouping in
   :func:`~repro.profiler.overlap.compute_overlap`.
 
@@ -42,9 +42,10 @@ from pathlib import Path
 from conftest import save_report
 from repro.minigo import mcts as mcts_mod
 from repro.minigo import selfplay as selfplay_mod
-from repro.minigo.workers import PoolScheduler, SelfPlayPool
+from repro.minigo.workers import SelfPlayPool
 from repro.profiler.events import merge_traces
 from repro.profiler.overlap import OverlapResult, compute_overlap
+from repro.rollout.scheduler import PoolScheduler
 from repro.sim.go_reference import ReferenceGoPosition
 
 QUICK = os.environ.get("WALLCLOCK_QUICK") == "1"
@@ -310,14 +311,13 @@ def test_bench_wallclock(benchmark):
     }
     trajectory_path = REPO_ROOT / "BENCH_wallclock.json"
     try:
-        # The serving, multiproc and cache benches merge their own blocks
-        # into this file; keep them.
+        # Other benches (serving, multiproc, cache, faults, ...) merge their
+        # own blocks into this file; carry forward every block not owned here.
         existing = json.loads(trajectory_path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         existing = {}
-    for block in ("serving", "multiproc", "cache"):
-        if block in existing:
-            payload[block] = existing[block]
+    for block, value in existing.items():
+        payload.setdefault(block, value)
     trajectory_path.write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -1,13 +1,14 @@
 """Scheduler sweep: sequential vs event-driven pool at each leaf batch size.
 
-PR 2's batched :class:`InferenceService` capped its win at one worker's
-``leaf_batch``: the sequential pool simulates workers one after another on
-overlapping virtual timelines, so a flush almost always serves a single
-worker's wave.  The event-driven :class:`~repro.minigo.workers.PoolScheduler`
-interleaves all workers at wave granularity and only serves the queue when
-every runnable worker is blocked on inference — one engine call then batches
-leaves from many workers at the same virtual instant, the way a real
-inference server batches across client processes.
+Both settings run the pool's workers under one
+:class:`~repro.rollout.scheduler.PoolScheduler`, which interleaves them at
+wave granularity and serves the shared :class:`InferenceService` only when
+every runnable worker is blocked on inference.  The ``sequential`` setting
+serves every ticket alone (the ``unbatched`` flush policy), so its win is
+capped at one worker's ``leaf_batch``; the ``event`` setting batches the
+queue — one engine call then carries leaves from many workers at the same
+virtual instant, the way a real inference server batches across client
+processes.
 
 This sweep runs the pool under both schedulers for each ``leaf_batch`` and
 reports, per point, the engine calls issued, the share of batches serving
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..minigo.inference import FLUSH_MAX_BATCH, ROUTING_ROUND_ROBIN
 from ..minigo.workers import SCHEDULER_EVENT, SCHEDULER_SEQUENTIAL, SelfPlayPool
+from ..rollout.inference import FLUSH_MAX_BATCH, ROUTING_ROUND_ROBIN
 
 #: The sweep the paper-style report covers.
 DEFAULT_SCHED_LEAF_BATCHES = (1, 4, 8)

@@ -6,13 +6,13 @@ policy/value network (``expand_leaf``, ML-backend + GPU time), exactly the
 annotation structure of Figure 2 in the paper.
 
 Game play is a resumable state machine: :class:`GameDriver` advances one
-worker's games step by step (one step = one MCTS wave or one move commit)
-and *suspends* at inference boundaries instead of evaluating in place.  The
-synchronous :meth:`SelfPlayWorker.play_games` drives it to completion
-immediately — reproducing the legacy inline game loop bit-for-bit — while
-the event-driven :class:`~repro.minigo.workers.PoolScheduler` interleaves
-many workers' drivers on a shared virtual timeline so one batched engine
-call can serve leaves from all of them.
+worker's games step by step (one step = one MCTS wave or one move commit).
+A worker with a private evaluator resolves every wave in place, so
+:meth:`SelfPlayWorker.play_games` simply drives it to completion; a worker
+on the shared inference service *suspends* at each inference boundary, and
+the :class:`~repro.rollout.scheduler.PoolScheduler` interleaves many
+workers' drivers on a shared virtual timeline so one batched engine call
+can serve leaves from all of them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..profiler.api import Profiler
 from ..rollout.driver import StepwiseDriver
 from ..sim.go import GoPosition
 from ..system import System
-from .inference import InferenceClient, InferenceService, InferenceTicket
+from ..rollout.inference import InferenceClient, InferenceService, InferenceTicket
 from .mcts import MCTS, LeafEvalRequest, SearchCursor
 
 OP_TREE_SEARCH = "mcts_tree_search"
@@ -113,7 +113,7 @@ class SelfPlayWorker:
         emit_state_keys: bool = False,
     ) -> None:
         """With ``inference`` set, leaf evaluation goes through the shared
-        batched :class:`~repro.minigo.inference.InferenceService` (one model
+        batched :class:`~repro.rollout.inference.InferenceService` (one model
         replica for every worker) instead of a private compiled evaluator;
         ``leaf_batch`` controls how many in-flight leaves each MCTS wave
         collects per batched call (1 reproduces the legacy per-leaf search
@@ -146,7 +146,7 @@ class SelfPlayWorker:
         self._evaluate_compiled = None
         if inference is not None:
             self._client = inference_client if inference_client is not None else \
-                inference.connect(system, engine, worker=system.worker, profiler=profiler)
+                inference.connect(system, engine, worker=system.worker)
             self.network = network if network is not None else self._client.network
         else:
             if network is None:
@@ -161,16 +161,7 @@ class SelfPlayWorker:
         return priors.numpy(), value.numpy().reshape(-1)
 
     def _profiled_evaluator(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Leaf evaluation scoped to the ``expand_leaf`` operation."""
-        if self._client is not None:
-            if self.profiler is None:
-                return self._client.evaluate(features)
-            # Batched path: the service fills the metadata dict with the
-            # serving batch shape so shared batch time stays attributable to
-            # this worker's expand_leaf annotation.
-            metadata = {"rows": int(features.shape[0]), "leaf_batch": self.leaf_batch}
-            with self.profiler.operation(OP_EXPAND_LEAF, metadata=metadata):
-                return self._client.evaluate(features, metadata=metadata)
+        """Private-evaluator leaf evaluation scoped to the ``expand_leaf`` operation."""
         if self.profiler is not None:
             with self.profiler.operation(OP_EXPAND_LEAF):
                 return self._evaluate_compiled(features)
@@ -180,18 +171,16 @@ class SelfPlayWorker:
     def play_games(self, num_games: int) -> SelfPlayResult:
         """Play ``num_games`` games of self-play, collecting training examples.
 
-        Synchronous driver of the stepwise :class:`GameDriver`: whenever the
-        driver suspends at an inference boundary, the shared service is
-        flushed immediately, so this reproduces the legacy inline game loop
-        (annotations, RNG draws and clock charges in identical order).
+        Synchronous driver of the stepwise :class:`GameDriver` for a worker
+        with a private evaluator.  A service-backed worker blocks at its
+        first inference boundary and must run under a
+        :class:`~repro.rollout.scheduler.PoolScheduler`; stepping it here
+        again raises the driver's "blocked on inference" ``RuntimeError``.
         """
         driver = GameDriver(self, num_games)
         with use_engine(self.engine):
             while not driver.finished:
                 driver.step()
-                if driver.blocked:
-                    assert self.inference is not None
-                    self.inference.flush()
         return driver.result
 
 
@@ -205,14 +194,13 @@ class GameDriver(StepwiseDriver):
     boundary the driver *suspends*: its ``mcts_tree_search`` and
     ``expand_leaf`` profiler annotations stay open across the wait, so both
     the queueing delay and the batch time the worker is later charged land
-    inside the same operation events the synchronous path records.  The
-    driver becomes runnable again once its ticket is served.
+    inside this worker's own operation events.  The driver becomes runnable
+    again once its ticket is served.
 
     Without an inference service the driver evaluates waves in place (the
-    legacy per-worker compiled evaluator); with one, :meth:`step` leaves a
-    ticket pending and the caller decides when the service runs —
-    immediately (:meth:`SelfPlayWorker.play_games`) or only once every
-    runnable worker is blocked (:class:`~repro.minigo.workers.PoolScheduler`).
+    per-worker compiled evaluator); with one, :meth:`step` leaves a ticket
+    pending and the :class:`~repro.rollout.scheduler.PoolScheduler` decides
+    when the service serves it.
     """
 
     def __init__(self, worker: SelfPlayWorker, num_games: int) -> None:

@@ -31,10 +31,10 @@ from ..hw.nvidia_smi import UtilizationReport, sample_utilization
 from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.events import EventTrace
 from ..rollout.driver import StepwiseDriver
-from ..rollout.scheduler import PoolScheduler
+from ..rollout.inference import InferenceService, InferenceStats, InferenceTicket
+from ..rollout.scheduler import PoolScheduler, SchedulerStats
 from ..sim.go import GoPosition
 from ..system import System
-from .inference import InferenceService, InferenceStats, InferenceTicket
 from .mcts import MCTS, LeafEvalRequest, SearchCursor
 from .selfplay import (
     _NULL_OPERATION,
@@ -44,7 +44,7 @@ from .selfplay import (
     SelfPlayExample,
     SelfPlayWorker,
 )
-from .workers import SCHEDULER_SEQUENTIAL, SchedulerStats, SelfPlayPool, WorkerRun
+from .workers import SCHEDULER_SEQUENTIAL, SelfPlayPool, WorkerRun
 
 
 @dataclass
@@ -68,7 +68,8 @@ class MinigoRoundResult:
     selfplay_inference_stats: Optional[InferenceStats] = None
     #: Batching behaviour of the candidate-evaluation phase's shared service.
     evaluation_inference_stats: Optional[InferenceStats] = None
-    #: Event-loop counters of the self-play phase (event scheduler only).
+    #: Event-loop counters of the self-play phase (None without batched
+    #: inference).
     scheduler_stats: Optional[SchedulerStats] = None
     #: Per-replica batching stats of the self-play service (index-aligned;
     #: None when batched inference is off).
@@ -127,10 +128,10 @@ class MinigoConfig:
     #: How batches are routed to replicas: "round-robin", "least-loaded" or
     #: "sticky" (cache-affinity: each batch host pins to one replica).
     routing: str = "round-robin"
-    #: Self-play execution model: "sequential" runs each worker to
-    #: completion on its own timeline; "event" interleaves all workers at
-    #: wave granularity so the shared service batches across workers
-    #: (requires batched_inference).
+    #: Flush policy selector of the batched self-play pool (every batched
+    #: pool runs under the PoolScheduler): "sequential" serves each ticket
+    #: alone (the "unbatched" policy); "event" applies flush_policy so the
+    #: shared service batches across workers (requires batched_inference).
     scheduler: str = SCHEDULER_SEQUENTIAL
     #: How the event-driven scheduler departs batches: "max-batch" (wait
     #: until full or everyone blocks), "timeout" (partial batches depart
@@ -344,10 +345,9 @@ class MinigoTraining:
                                                 seed=cfg.seed,
                                                 cache_capacity=cfg.cache_capacity,
                                                 cache_scope=cfg.cache_scope)
-                current_client = eval_service.connect(system, engine, worker="evaluation_current",
-                                                      profiler=profiler)
+                current_client = eval_service.connect(system, engine, worker="evaluation_current")
                 candidate_client = eval_service.connect(system, engine, worker="evaluation_candidate",
-                                                        network=candidate, profiler=profiler)
+                                                        network=candidate)
 
             eval_leaf_batch = cfg.leaf_batch if cfg.batched_inference else 1
             emit_keys = cfg.batched_inference and cfg.cache_capacity is not None

@@ -8,20 +8,24 @@ CUPTI instance — its own process, in effect — while kernels land on a shared
 context).  Worker clocks share epoch zero, so the merged device timeline is
 what an ``nvidia-smi`` sampler would observe during parallel data collection.
 
-Two schedulers simulate the parallel collection phase:
+Without batched inference each worker evaluates leaves with its own
+compiled network and simply runs to completion on its own virtual timeline
+(the per-leaf workload Figure 8 measures).  With batched inference every
+pool runs its workers under one :class:`~repro.rollout.scheduler.PoolScheduler`:
+it interleaves all workers' stepwise
+:class:`~repro.minigo.selfplay.GameDriver`s in virtual-time order and
+serves the shared :class:`~repro.rollout.inference.InferenceService` once
+every runnable worker is blocked at an inference boundary.  The
+``scheduler`` argument only picks the flush policy of that one loop:
 
-* ``sequential`` (legacy): each worker runs to completion on its own
-  virtual timeline.  A shared-service flush then almost always serves a
-  single worker's wave, so cross-worker batching never materializes.
-* ``event``: a :class:`PoolScheduler` interleaves all workers' stepwise
-  :class:`~repro.minigo.selfplay.GameDriver`s in virtual-time order and
-  serves the shared :class:`~repro.minigo.inference.InferenceService` once
-  every runnable worker is blocked at an inference boundary — so one engine
-  call batches leaves from many workers at the same virtual instant, the way
-  a real inference server batches across client processes.  With several
-  model replicas (``num_replicas > 1``) the scheduler additionally serves
-  *full* batches eagerly, so free replicas start in-flight batches while the
-  remaining workers keep running.
+* ``sequential`` serves every ticket alone on its own worker's clock (the
+  ``unbatched`` policy), so no batch ever mixes workers;
+* ``event`` applies ``flush_policy``: one engine call batches leaves from
+  many workers at the same virtual instant, the way a real inference server
+  batches across client processes.  With several model replicas
+  (``num_replicas > 1``) the scheduler additionally serves *full* batches
+  eagerly, so free replicas start in-flight batches while the remaining
+  workers keep running.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from ..tracedb.store import TraceDB
     from ..tracedb.writer import StreamingTraceWriter
-    from .inference import InferenceService
 
 from ..backend.graph import GraphEngine
 from ..backend.layers import hard_update
@@ -42,19 +45,18 @@ from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.events import EventTrace
-# The event-driven PoolScheduler and its stats live in the env-agnostic
-# rollout core since the stepwise-driver refactor; re-exported here (and in
-# repro.minigo) so existing imports keep working.
-from ..rollout.scheduler import PoolScheduler, SchedulerStats  # noqa: F401
-from ..system import System
-from .inference import (
+from ..rollout.inference import (
     FLUSH_MAX_BATCH,
     FLUSH_POLICIES,
     FLUSH_TIMEOUT,
+    FLUSH_UNBATCHED,
     ROUTING_POLICIES,
     ROUTING_ROUND_ROBIN,
+    InferenceService,
     RoutingPolicy,
 )
+from ..rollout.scheduler import PoolScheduler
+from ..system import System
 from .selfplay import GameDriver, PolicyValueNet, SelfPlayResult, SelfPlayWorker
 
 #: Scheduler modes understood by :class:`SelfPlayPool`.
@@ -82,9 +84,9 @@ class WorkerRun:
 class SelfPlayPool:
     """Pool of self-play workers that share one GPU device.
 
-    Workers are simulated sequentially but on independent virtual timelines
-    starting at zero, which is equivalent to running them in parallel on a
-    machine with enough CPU cores (the paper uses one worker per core).
+    Workers run on independent virtual timelines starting at zero, which is
+    equivalent to running them in parallel on a machine with enough CPU
+    cores (the paper uses one worker per core).
     """
 
     def __init__(
@@ -118,10 +120,10 @@ class SelfPlayPool:
         cache_scope: str = "shared",
     ) -> None:
         """With ``batched_inference=True`` the pool creates one shared
-        :class:`~repro.minigo.inference.InferenceService` holding
+        :class:`~repro.rollout.inference.InferenceService` holding
         ``num_replicas`` model replicas behind the ``routing`` policy
         (``round-robin``, ``least-loaded``, ``sticky``, or a
-        :class:`~repro.minigo.inference.RoutingPolicy` instance); replica 0
+        :class:`~repro.rollout.inference.RoutingPolicy` instance); replica 0
         shares the pool's primary GPU, further replicas each model an
         additional inference GPU.  Every worker's MCTS collects up to
         ``leaf_batch`` in-flight leaves per wave for batched evaluation
@@ -130,11 +132,13 @@ class SelfPlayPool:
         identical seeds, and at ``num_replicas=1`` (any routing) the sharded
         service reproduces the single-replica timelines bit-for-bit.
 
-        ``scheduler="event"`` (requires ``batched_inference``) replaces the
-        run-each-worker-to-completion loop with a :class:`PoolScheduler`
-        that interleaves all workers at wave granularity and serves the
-        service under ``flush_policy`` (``max-batch``, ``timeout`` with
-        ``flush_timeout_us``, or ``unbatched`` — the bit-for-bit
+        A batched pool always runs its workers under a
+        :class:`PoolScheduler` that interleaves them at wave granularity.
+        The default ``scheduler="sequential"`` serves each ticket alone
+        (the ``unbatched`` flush policy, ignoring ``flush_policy``).
+        ``scheduler="event"`` (requires ``batched_inference``) serves the
+        service under ``flush_policy`` instead (``max-batch``, ``timeout``
+        with ``flush_timeout_us``, or ``unbatched`` — the bit-for-bit
         determinism baseline), so engine calls batch leaves across
         workers; with several replicas the scheduler also serves full
         batches eagerly so free replicas overlap in-flight batches with
@@ -230,7 +234,7 @@ class SelfPlayPool:
         self.cache_scope = cache_scope
         self.trace_dir = trace_dir
         self.chunk_events = chunk_events
-        self.inference_service: Optional["InferenceService"] = None
+        self.inference_service: Optional[InferenceService] = None
         self.pool_scheduler: Optional[PoolScheduler] = None
         #: the shared accelerator all workers contend for
         self.device = GPUDevice()
@@ -279,15 +283,16 @@ class SelfPlayPool:
                 # Initial model placement: load without charging broadcast
                 # time (clocks have not started).
                 self.inference_service.update_weights(weights, charge=False)
-        if self.scheduler == SCHEDULER_EVENT:
-            # Build every worker first (same creation order as sequential, so
-            # all RNG streams are identical), then interleave their stepwise
-            # drivers on the shared virtual timeline.
+            # Build every worker first (in index order, so all RNG streams
+            # are fixed), then interleave their stepwise drivers on the
+            # shared virtual timeline.
             workers = [self._make_worker(index, weights) for index in range(self.num_workers)]
             drivers = [GameDriver(worker, self.games_per_worker) for worker, _ in workers]
+            flush_policy = (self.flush_policy if self.scheduler == SCHEDULER_EVENT
+                            else FLUSH_UNBATCHED)
             self.pool_scheduler = PoolScheduler(
                 drivers, self.inference_service,
-                flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
+                flush_policy=flush_policy, flush_timeout_us=self.flush_timeout_us)
             self.pool_scheduler.run()
             self.runs = [self._finish_worker(worker, profiler, driver.result)
                          for (worker, profiler), driver in zip(workers, drivers)]
@@ -302,7 +307,7 @@ class SelfPlayPool:
                 self._store.close()
         return self.runs
 
-    def _build_service(self, service_factory=None) -> "InferenceService":
+    def _build_service(self, service_factory=None) -> InferenceService:
         """Build the shared service: one logical model, ``num_replicas`` shards.
 
         With the same init seed as the legacy per-worker networks the shared
@@ -312,7 +317,6 @@ class SelfPlayPool:
         passes the parent-side mirror service).
         """
         from ..rollout.seeding import network_seed
-        from .inference import InferenceService
 
         factory = service_factory if service_factory is not None else InferenceService
         shared_network = PolicyValueNet(self.board_size, self.hidden,

@@ -100,8 +100,7 @@ class WorkerShard:
         self.service = service
         for windex in spec.worker_indices:
             system, engine, env, profiler = stacks[windex]
-            client = service.connect(system, engine, worker=system.worker,
-                                     profiler=profiler)
+            client = service.connect(system, engine, worker=system.worker)
             if spec.restore is not None and windex in spec.restore:
                 driver = EnvRolloutDriver.restore(env, client,
                                                   spec.restore[windex],

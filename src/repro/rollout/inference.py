@@ -37,26 +37,20 @@ with several replicas, batches fan out and overlap instead of serializing
 through one ``free_us`` horizon.  Weight updates propagate to every replica
 with a virtual-time broadcast cost (:meth:`InferenceService.update_weights`).
 
-Two serving paths exist:
-
-* :meth:`InferenceService.flush` — the synchronous path used by workers that
-  evaluate in place: everything pending is served *now* on the host worker's
-  clock, and non-host riders are charged the batch time (inside their own
-  ``expand_leaf`` annotation when they carry a profiler).
-* :meth:`InferenceService.serve_queued` — the event-driven path used by the
-  :class:`~repro.rollout.scheduler.PoolScheduler`: requests are packed in
-  **arrival order** under an explicit flush policy (``max-batch`` departs a
-  batch when it is full, ``timeout`` additionally departs a partial batch
-  ``timeout_us`` after its first request arrived, ``unbatched`` serves each
-  ticket alone — the bit-for-bit determinism baseline), each batch starts at
-  ``max(departure time, replica free time)``, and every participant is
-  charged its own queueing delay *plus* the batch time instead of batch time
-  only.
+One serving path: :meth:`InferenceService.serve_queued`, driven by the
+:class:`~repro.rollout.scheduler.PoolScheduler` and the serving tier.
+Requests are packed in **arrival order** under an explicit flush
+policy (``max-batch`` departs a batch when it is full, ``timeout``
+additionally departs a partial batch ``timeout_us`` after its first request
+arrived, ``unbatched`` serves each ticket alone on its own clock — the
+bit-for-bit determinism baseline), each batch starts at ``max(departure
+time, replica free time)``, and every participant is charged its own
+queueing delay *plus* the batch time.
 
 Attribution: every request can carry a metadata dict which the service fills
 with the serving batch shape (``batch_rows``, ``batch_clients``,
-``batch_time_us``, ``engine_calls``, ``replica`` and under the queueing
-model ``queue_delay_us``).  Workers attach that dict to their
+``batch_time_us``, ``engine_calls``, ``replica`` and, under the batching
+policies, ``queue_delay_us``).  Workers attach that dict to their
 ``expand_leaf`` operation events, so the profiler can attribute shared
 batched time back to the requesting workers without changing any overlap
 quantity — operation-event metadata takes no part in
@@ -68,7 +62,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,9 +75,6 @@ from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..system import System
 from .evalcache import CACHE_REPLICA, CACHE_SCOPES, CACHE_SHARED, CachedRow, EvalCache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
-    from ..profiler.api import Profiler
 
 #: Compiled-function name used for batched evaluations; matches the legacy
 #: per-worker evaluator so cost-model lookups and trace names stay stable.
@@ -286,9 +277,8 @@ class InferenceStats:
         (defaults p50/p95/p99), computed over the uniform
         :class:`ReservoirSample` of per-ticket arrival -> batch-start delays.
         Empty-service guard: returns ``None`` when no queued wait has been
-        measured yet (an idle service, or one only ever served through the
-        synchronous :meth:`InferenceService.flush` path, which does not model
-        queueing delay).
+        measured yet (an idle service, or one only ever served under the
+        ``unbatched`` policy, which does not model queueing delay).
         """
         values = self.queue_delay_samples.sample
         if not values:
@@ -546,10 +536,10 @@ class InferenceTicket:
         return self.priors is not None
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The (priors, values) rows for this request; flushes if pending."""
+        """The (priors, values) rows for this request, once it was served."""
         if not self.done:
-            self.client.service.flush()
-        assert self.priors is not None and self.values is not None
+            raise RuntimeError(f"ticket of {self.client.worker!r} was not served yet; "
+                               "serve the queue (serve_queued) before reading it")
         return self.priors, self.values
 
 
@@ -560,30 +550,19 @@ class InferenceClient:
     latency), engine (on which batches hosted by this client execute), and
     optionally the network its rows must be evaluated with (candidate
     evaluation serves two models from one queue; rows of different networks
-    never share a matmul) and the worker's profiler (so rider wait time can
-    be charged inside an ``expand_leaf`` annotation instead of showing up as
-    untracked time).
+    never share a matmul).
     """
 
     def __init__(self, service: "InferenceService", system: System,
-                 engine: BackendEngine, worker: str, *,
-                 network=None, profiler: Optional["Profiler"] = None) -> None:
+                 engine: BackendEngine, worker: str, *, network=None) -> None:
         self.service = service
         self.system = system
         self.engine = engine
         self.worker = worker
         self.network = network if network is not None else service.network
-        self.profiler = profiler
 
     def submit(self, features: np.ndarray, *, metadata: Optional[dict] = None) -> InferenceTicket:
         return self.service.submit(self, features, metadata=metadata)
-
-    def evaluate(self, features: np.ndarray, *, metadata: Optional[dict] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Synchronous evaluation: submit, flush the queue, return our rows."""
-        ticket = self.submit(features, metadata=metadata)
-        self.service.flush()
-        return ticket.result()
 
 
 class InferenceService:
@@ -592,10 +571,9 @@ class InferenceService:
     The service owns ``num_replicas`` :class:`ModelReplica`\\ s sharing one
     logical model (``network``; a client may override the network, e.g. the
     candidate model during evaluation — batches never mix rows of different
-    networks).  Requests queue up via :meth:`submit`; :meth:`flush` serves
-    everything synchronously on the host worker's clock, while
-    :meth:`serve_queued` applies the arrival-order queueing model used by
-    the event-driven pool scheduler.  Each batch is routed to a replica by
+    networks).  Requests queue up via :meth:`submit` and are served by
+    :meth:`serve_queued` under the arrival-order queueing model and the
+    caller's flush policy.  Each batch is routed to a replica by
     the service's :class:`RoutingPolicy`; per-replica stats roll up into the
     service-level :attr:`stats`.
     """
@@ -615,7 +593,7 @@ class InferenceService:
         so adding replicas never perturbs single-replica timelines).
 
         ``function_name`` names the compiled batched evaluator (cost-model
-        lookups, trace events and rider annotations all carry it); it
+        lookups and trace events carry it); it
         defaults to the Minigo ``expand_leaf``.  ``forward`` replaces the
         default policy/value head: a callable ``(network, features) ->
         (out_rows, value_rows)`` mapping a [rows, features] array to a
@@ -727,11 +705,10 @@ class InferenceService:
 
     # ---------------------------------------------------------------- clients
     def connect(self, system: System, engine: BackendEngine,
-                *, worker: Optional[str] = None, network=None,
-                profiler: Optional["Profiler"] = None) -> InferenceClient:
+                *, worker: Optional[str] = None, network=None) -> InferenceClient:
         """Register a worker; returns its client handle."""
         return InferenceClient(self, system, engine, worker or system.worker,
-                               network=network, profiler=profiler)
+                               network=network)
 
     def _forward(self, network, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         logits, value = network(Tensor(features))
@@ -1163,83 +1140,6 @@ class InferenceService:
             groups.setdefault(id(ticket.client.network), []).append(ticket)
         return list(groups.values())
 
-    # ------------------------------------------------------ synchronous flush
-    def flush(self) -> int:
-        """Evaluate everything pending on the host's clock, immediately.
-
-        This is the synchronous serving path: chunks execute *now* on the
-        engine of each chunk's first requester, and non-host riders are
-        charged the batch time.  The event-driven scheduler uses
-        :meth:`serve_queued` instead, which models arrival-order queueing
-        delay.  Returns the number of engine calls issued.
-        """
-        calls = 0
-        for tickets in self._take_pending():
-            # Flatten tickets into (ticket, row-within-ticket) spans and cut
-            # the row stream into chunks of at most max_batch rows.
-            spans: List[Tuple[InferenceTicket, int, int]] = []  # (ticket, lo, hi)
-            for ticket in tickets:
-                spans.append((ticket, 0, ticket.num_rows))
-            while spans:
-                chunk: List[Tuple[InferenceTicket, int, int]] = []
-                rows = 0
-                while spans and rows < self.max_batch:
-                    ticket, lo, hi = spans[0]
-                    take = min(hi - lo, self.max_batch - rows)
-                    chunk.append((ticket, lo, lo + take))
-                    rows += take
-                    if lo + take == hi:
-                        spans.pop(0)
-                    else:
-                        spans[0] = (ticket, lo + take, hi)
-                self._evaluate_chunk(chunk, rows)
-                calls += 1
-        return calls
-
-    def _evaluate_chunk(self, chunk: List[Tuple[InferenceTicket, int, int]], rows: int) -> None:
-        """Run one batched engine call now and scatter rows back to its tickets."""
-        host = chunk[0][0].client
-        now_us = host.system.clock.now_us
-        if self.fault_injector is None:
-            replica = self.routing.choose(self.replicas, host_worker=host.worker,
-                                          depart_us=now_us)
-        else:
-            self.apply_due_faults(now_us)
-            replica, _ = self._route_around_crashes(host.worker, now_us, rows)
-        priors, values, batch_time_us, engine_rows = self._run_batch(host, chunk, rows, replica)
-        replica.free_us = max(replica.free_us, host.system.clock.now_us)
-        replica.busy_us += batch_time_us
-
-        clients = {id(t.client): t.client for t, _, _ in chunk}
-        # Everyone who rode the batch waits for it; the host's clock already
-        # advanced while the engine executed.  Non-host riders advance here,
-        # inside an expand_leaf annotation of their own when they carry a
-        # profiler (without one the wait would show as untracked time).
-        for client in clients.values():
-            if client is not host:
-                self._charge_rider(client, batch_time_us, rows, len(clients))
-        self._scatter(chunk, rows, priors, values, batch_time_us, len(clients), replica,
-                      engine_rows=engine_rows)
-
-    def _charge_rider(self, client: InferenceClient, batch_time_us: float,
-                      rows: int, num_clients: int) -> None:
-        """Advance a non-host rider's clock by the batch time it waited for."""
-        profiler = client.profiler
-        if profiler is None or not profiler.config.annotations:
-            client.system.clock.advance(batch_time_us)
-            return
-        if profiler.current_operation is not None:
-            # Already suspended inside its own annotation (the event-driven
-            # driver holds expand_leaf open across the wait); the open
-            # operation covers the advance.
-            client.system.clock.advance(batch_time_us)
-            return
-        with profiler.operation(self.function_name, metadata={
-                "batch_rider": True, "inference_service": self.name,
-                "batch_rows": rows, "batch_clients": num_clients,
-                "batch_time_us": batch_time_us}):
-            client.system.clock.advance(batch_time_us)
-
     # ------------------------------------------------------- queued serving
     def serve_queued(self, *, policy: str = FLUSH_MAX_BATCH,
                      timeout_us: Optional[float] = None,
@@ -1275,9 +1175,10 @@ class InferenceService:
         deadlines.
 
         ``unbatched`` serves each ticket on its own, on its own clock, with
-        no queueing — the determinism baseline: per-worker timelines are
-        bit-for-bit those of the synchronous sequential pool.  Returns the
-        number of engine calls issued.
+        no queueing — the determinism baseline: no ticket waits on another,
+        so (cache off) each worker's timeline does not depend on how the
+        scheduler interleaved the workers.  Returns the number of engine
+        calls issued.
         """
         if policy not in FLUSH_POLICIES:
             raise ValueError(f"unknown flush policy {policy!r}; expected one of {FLUSH_POLICIES}")
@@ -1390,6 +1291,22 @@ class InferenceService:
         if chunk:
             close(first_arrival + timeout_us if timeout_us is not None else last_arrival)
         return batches
+
+    def _evaluate_chunk(self, chunk: List[Tuple[InferenceTicket, int, int]], rows: int) -> None:
+        """Serve one ticket's rows unbatched: now, on its own clock, no queueing."""
+        host = chunk[0][0].client
+        now_us = host.system.clock.now_us
+        if self.fault_injector is None:
+            replica = self.routing.choose(self.replicas, host_worker=host.worker,
+                                          depart_us=now_us)
+        else:
+            self.apply_due_faults(now_us)
+            replica, _ = self._route_around_crashes(host.worker, now_us, rows)
+        priors, values, batch_time_us, engine_rows = self._run_batch(host, chunk, rows, replica)
+        replica.free_us = max(replica.free_us, host.system.clock.now_us)
+        replica.busy_us += batch_time_us
+        self._scatter(chunk, rows, priors, values, batch_time_us, 1, replica,
+                      engine_rows=engine_rows)
 
     def _serve_chunk_queued(self, chunk: List[Tuple[InferenceTicket, int, int]],
                             rows: int, depart_us: float) -> None:

@@ -274,8 +274,7 @@ class EnvRolloutPool:
         profilers: List[Optional[Profiler]] = []
         for index, (system, engine, env, profiler) in enumerate(stacks):
             client = self.inference_service.connect(system, engine,
-                                                    worker=system.worker,
-                                                    profiler=profiler)
+                                                    worker=system.worker)
             policy = self._make_policy(env, index)
             drivers.append(EnvRolloutDriver(
                 env, client, policy, self.steps_per_worker,

@@ -6,8 +6,8 @@ ever needed the :class:`~repro.rollout.driver.StepwiseDriver` contract —
 ``finished``/``blocked``/``runnable``/``now_us``/``worker_name``/``step()``
 — so it now accepts any driver (Go self-play, env rollouts, synthetic test
 drivers) over any shared :class:`~repro.rollout.inference.InferenceService`.
-Minigo pools keep importing it from its old home; schedules, stats and
-game records are bit-for-bit those of the pre-refactor scheduler.
+Schedules, stats and game records are bit-for-bit those of the
+pre-refactor scheduler.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """repro.serving: the networked inference tier.
 
-A message-based serving layer over :mod:`repro.minigo.inference`: a framed
+A message-based serving layer over :mod:`repro.rollout.inference`: a framed
 wire protocol, a virtual-time server with per-client admission control and a
 bounded ingress queue (block / shed-newest / shed-oldest / deadline-drop),
 retrying clients, open-loop traffic models (Poisson / bursty MMPP / trace

@@ -4,7 +4,7 @@ Turns the three stats sources of a run — per-client
 :class:`~repro.serving.client.ClientStats` (end-to-end latency, retries,
 timeout misses), the server's
 :class:`~repro.serving.server.ServerStats` (admission decisions), and the
-underlying service's :class:`~repro.minigo.inference.InferenceStats`
+underlying service's :class:`~repro.rollout.inference.InferenceStats`
 (reservoir-sampled queue delays, batch shapes) — into the numbers an SLO
 states: p50/p95/p99 latency and queue delay, shed/timeout/retry rates, and
 goodput (requests completed *within their deadline* per virtual second).

@@ -116,7 +116,7 @@ def test_submit_time_hit_skips_queue_and_is_bitwise_identical():
 
     first = client.submit(features.copy(), metadata={"state_keys": [key]})
     assert not first.done
-    service.flush()
+    service.serve_queued(policy="max-batch")
     priors_1, values_1 = first.result()
 
     # Same key again: answered at submit, never enters the queue.
@@ -140,7 +140,7 @@ def test_weight_version_bump_makes_stale_hits_impossible():
     key = position.transposition_key()
 
     client.submit(features.copy(), metadata={"state_keys": [key]})
-    service.flush()
+    service.serve_queued(policy="max-batch")
     warm = client.submit(features.copy(), metadata={"state_keys": [key]})
     assert warm.done and service.stats.cache_hits == 1
 
@@ -152,7 +152,7 @@ def test_weight_version_bump_makes_stale_hits_impossible():
 
     cold = client.submit(features.copy(), metadata={"state_keys": [key]})
     assert not cold.done  # no stale hit — the old-version key is unreachable
-    service.flush()
+    service.serve_queued(policy="max-batch")
     assert service.stats.cache_hits == 1  # unchanged: that was a real miss
 
     # The same position re-caches under the new version.
@@ -171,7 +171,7 @@ def test_in_batch_dedupe_fans_one_engine_row_out_to_all_riders():
     ticket_a = client_a.submit(features.copy(), metadata={"state_keys": [key]})
     ticket_b = client_b.submit(features.copy(), metadata={"state_keys": [key]})
     assert not ticket_a.done and not ticket_b.done
-    service.flush()
+    service.serve_queued(policy="max-batch")
 
     priors_a, values_a = ticket_a.result()
     priors_b, values_b = ticket_b.result()
@@ -337,7 +337,7 @@ def test_permuted_move_orders_share_cache_rows_bitwise(points):
 
     first = client.submit(via_a.features()[None, :],
                           metadata={"state_keys": [via_a.transposition_key()]})
-    service.flush()
+    service.serve_queued(policy="max-batch")
     priors_a, values_a = first.result()
 
     second = client.submit(via_b.features()[None, :],

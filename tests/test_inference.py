@@ -32,6 +32,13 @@ def make_client(service, device, *, worker, seed=0, stream=0):
     return service.connect(system, engine, worker=worker)
 
 
+def serve_now(client, features, *, metadata=None):
+    """Submit one request and serve the queue at once; returns its rows."""
+    ticket = client.submit(features, metadata=metadata)
+    client.service.serve_queued(policy="max-batch")
+    return ticket.result()
+
+
 def uniform_evaluator(features):
     batch = features.shape[0]
     priors = np.full((batch, NUM_MOVES), 1.0 / NUM_MOVES, dtype=np.float32)
@@ -50,7 +57,7 @@ def test_service_coalesces_cross_worker_requests():
     ticket_a = client_a.submit(features_a)
     ticket_b = client_b.submit(features_b)
     assert service.pending_rows == 5
-    calls = service.flush()
+    calls = service.serve_queued(policy="max-batch")
 
     assert calls == 1, "both workers' rows must ride one batched engine call"
     stats = service.stats
@@ -67,7 +74,7 @@ def test_service_coalesces_cross_worker_requests():
     priors_b, values_b = ticket_b.result()
     solo = InferenceService(make_network(), max_batch=64)
     solo_client = make_client(solo, GPUDevice(), worker="solo")
-    solo_priors, solo_values = solo_client.evaluate(features_a)
+    solo_priors, solo_values = serve_now(solo_client, features_a)
     np.testing.assert_allclose(priors_a, solo_priors, atol=1e-6)
     np.testing.assert_allclose(values_a, solo_values, atol=1e-6)
     assert priors_b.shape == (2, NUM_MOVES) and values_b.shape == (2,)
@@ -82,7 +89,7 @@ def test_service_splits_oversized_requests_across_batches():
     client = make_client(service, GPUDevice(), worker="big")
     features = np.random.default_rng(2).normal(size=(10, 75)).astype(np.float32)
     metadata = {}
-    priors, values = client.evaluate(features, metadata=metadata)
+    priors, values = serve_now(client, features, metadata=metadata)
 
     assert priors.shape == (10, NUM_MOVES) and values.shape == (10,)
     assert service.stats.engine_calls == 3          # 4 + 4 + 2 rows
@@ -128,37 +135,17 @@ def test_batch_size_stats_memory_is_bounded():
     assert other.sample == stats.sample
 
 
-def test_rider_wait_time_is_charged_inside_expand_leaf():
-    """Non-host batch riders must not advance their clock as untracked time."""
-    from repro.profiler import Profiler, ProfilerConfig
-
-    device = GPUDevice()
-    service = InferenceService(make_network(), max_batch=64)
-    systems, clients = [], []
-    for i, worker in enumerate(("host", "rider")):
-        system = System.create(seed=i, device=device, worker=worker)
-        system.cuda.default_stream = i
-        engine = GraphEngine(system, flavor="tensorflow")
-        profiler = Profiler(system, ProfilerConfig.full(), worker=worker)
-        profiler.attach(engine=engine)
-        clients.append(service.connect(system, engine, worker=worker, profiler=profiler))
-        systems.append((system, profiler))
-
-    rng = np.random.default_rng(0)
-    clients[0].submit(rng.normal(size=(2, 75)).astype(np.float32))
-    clients[1].submit(rng.normal(size=(1, 75)).astype(np.float32))
-    service.flush()
-
-    rider_system, rider_profiler = systems[1]
-    trace = rider_profiler.finalize()
-    rider_ops = [op for op in trace.operations if op.name == OP_EXPAND_LEAF]
-    assert rider_ops, "the rider's batch wait must be recorded as an expand_leaf operation"
-    op = rider_ops[0]
-    assert op.metadata is not None and op.metadata["batch_rider"] is True
-    assert op.metadata["batch_clients"] == 2
-    # The operation covers (at least) the whole batch time charged to the rider.
-    assert op.end_us - op.start_us >= op.metadata["batch_time_us"]
-    assert rider_system.clock.now_us >= op.end_us
+def test_unserved_ticket_result_raises():
+    """Reading a ticket before any serve is a caller bug, not a hidden serve."""
+    service = InferenceService(make_network(), max_batch=8)
+    client = make_client(service, GPUDevice(), worker="w")
+    ticket = client.submit(np.random.default_rng(0).normal(size=(2, 75)).astype(np.float32))
+    with pytest.raises(RuntimeError, match="not served"):
+        ticket.result()
+    assert service.pending_tickets == 1 and service.stats.engine_calls == 0
+    service.serve_queued(policy="unbatched")
+    priors, values = ticket.result()
+    assert priors.shape == (2, NUM_MOVES) and values.shape == (2,)
 
 
 def test_serve_queued_charges_wait_plus_batch_and_times_out_partial_batches():
@@ -345,7 +332,7 @@ def test_idle_service_statistics_never_divide_by_zero():
     assert stats.mean_occupancy == 0.0
     assert stats.mean_queue_delay_us == 0.0
     assert stats.cross_worker_share == 0.0
-    assert service.flush() == 0
+    assert service.serve_queued(policy="unbatched") == 0
     assert service.serve_queued(policy="max-batch") == 0
     assert service.serve_queued(policy="timeout", timeout_us=5.0) == 0
     # Still all zeros after serving an empty queue.
@@ -386,7 +373,7 @@ def test_queue_delay_percentiles_match_observed_delays():
 
 
 def test_queue_delay_reservoir_is_bounded_and_deterministic():
-    from repro.minigo.inference import ReservoirSample
+    from repro.rollout.inference import ReservoirSample
     a = ReservoirSample(capacity=32, seed=3)
     b = ReservoirSample(capacity=32, seed=3)
     for value in range(1000):

@@ -39,6 +39,13 @@ def make_client(service, device, *, worker, seed=0, stream=0):
     return service.connect(system, engine, worker=worker)
 
 
+def serve_now(client, features):
+    """Submit one request and serve the queue at once; returns its rows."""
+    ticket = client.submit(features)
+    client.service.serve_queued(policy="max-batch")
+    return ticket.result()
+
+
 def _game_records(pool):
     return [
         [(ex.features.tobytes(), ex.policy_target.tobytes(), ex.value_target)
@@ -121,7 +128,7 @@ def test_unpinned_service_keeps_kernels_on_the_client_device():
     service = InferenceService(make_network(), max_batch=8)
     assert not service.replicas[0].pinned
     client = make_client(service, device, worker="w")
-    client.evaluate(np.random.default_rng(0).normal(size=(2, 75)).astype(np.float32))
+    serve_now(client, np.random.default_rng(0).normal(size=(2, 75)).astype(np.float32))
     assert device.kernels(), "inference kernels must land on the client's device"
     assert not service.replicas[0].device.kernels()
     # With a primary device, replica 0 is pinned to it (and replicas beyond
@@ -141,7 +148,7 @@ def test_replicas_have_private_devices_and_results_match_solo():
 
     client = make_client(service, device, worker="w")
     features = np.random.default_rng(2).normal(size=(10, 75)).astype(np.float32)
-    priors, values = client.evaluate(features)
+    priors, values = serve_now(client, features)
     assert priors.shape == (10, NUM_MOVES) and values.shape == (10,)
     assert service.stats.engine_calls == 3               # 4 + 4 + 2 rows
     # Round-robin fanned the three chunks across both replicas.
@@ -153,7 +160,7 @@ def test_replicas_have_private_devices_and_results_match_solo():
 
     solo = InferenceService(make_network(), max_batch=64)
     solo_client = make_client(solo, GPUDevice(), worker="solo")
-    solo_priors, solo_values = solo_client.evaluate(features[:4])
+    solo_priors, solo_values = serve_now(solo_client, features[:4])
     np.testing.assert_allclose(priors[:4], solo_priors, atol=1e-6)
     np.testing.assert_allclose(values[:4], solo_values, atol=1e-6)
 
@@ -232,7 +239,7 @@ def test_update_weights_broadcasts_to_every_replica():
     device = GPUDevice()
     client = make_client(service, device, worker="w")
     features = np.random.default_rng(3).normal(size=(1, 75)).astype(np.float32)
-    before, _ = client.evaluate(features)
+    before, _ = serve_now(client, features)
 
     new_weights = make_network(seed=99).state_dict()
     horizons = [replica.free_us for replica in service.replicas]
@@ -245,7 +252,7 @@ def test_update_weights_broadcasts_to_every_replica():
     assert service.stats.weight_broadcasts == 1
     assert service.stats.weight_broadcast_us == pytest.approx(span)
 
-    after, _ = client.evaluate(features)
+    after, _ = serve_now(client, features)
     assert not np.allclose(before, after), "new weights must actually load"
 
     # charge=False is placement only: no horizon movement, no stats.
@@ -265,7 +272,6 @@ def test_empty_service_stats_are_zero_division_safe():
     assert stats.calls_saved == 0
 
     service = InferenceService(make_network(), max_batch=8, num_replicas=2)
-    assert service.flush() == 0
     assert service.serve_queued(policy="max-batch") == 0
     assert service.earliest_pending_arrival_us() is None
     for source in (service.stats, service.rolled_up_stats(),

@@ -101,7 +101,7 @@ def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False,
             profiler = Profiler(system, ProfilerConfig.full(),
                                 worker=system.worker)
             profiler.attach(engine=engine)
-        client = service.connect(system, engine, profiler=profiler)
+        client = service.connect(system, engine)
         us = compute_us[index] if compute_us is not None else 10.0 * (index + 1)
         drivers.append(SyntheticDriver(system, client, rounds, us,
                                        profiler=profiler))
@@ -258,10 +258,14 @@ def test_minigo_drivers_and_shims_are_the_rollout_core():
     assert issubclass(GameDriver, StepwiseDriver)
     assert minigo.InferenceService is rollout.InferenceService
     assert minigo.PoolScheduler is rollout.PoolScheduler
-    from repro.minigo import inference as shim
-    from repro.rollout import inference as core
-    for name in shim.__all__:
-        assert getattr(shim, name) is getattr(core, name)
+    # The package-level service and scheduler names are the core's objects.
+    from repro.rollout import inference, scheduler
+    shared = [name for name in minigo.__all__
+              if hasattr(inference, name) or hasattr(scheduler, name)]
+    assert {"InferenceService", "InferenceTicket", "PoolScheduler", "SchedulerStats"} <= set(shared)
+    for name in shared:
+        core = inference if hasattr(inference, name) else scheduler
+        assert getattr(minigo, name) is getattr(core, name)
 
 
 # --------------------------------------------------------------- rl attachment
@@ -333,8 +337,7 @@ def _env_driver_stack(seed=5, num_steps=6):
                           profile=True)
     system, engine, env, profiler = pool._make_worker_stack(0)
     service = pool._build_service(env)
-    client = service.connect(system, engine, worker=system.worker,
-                             profiler=profiler)
+    client = service.connect(system, engine, worker=system.worker)
     driver = EnvRolloutDriver(env, client, pool._make_policy(env, 0), num_steps,
                               seed=driver_seed(seed, 0), profiler=profiler)
     return driver, service, profiler
@@ -380,8 +383,7 @@ def test_env_driver_snapshot_restore_roundtrip_mid_annotation():
     pool = EnvRolloutPool("Pong", 1, steps_per_worker=6, seed=5, profile=True)
     system, engine, env, profiler = pool._make_worker_stack(0)
     service = pool._build_service(env)
-    client = service.connect(system, engine, worker=system.worker,
-                             profiler=profiler)
+    client = service.connect(system, engine, worker=system.worker)
     restored = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
     assert restored.blocked and restored.now_us == snap_us
     _drive(restored, service)
@@ -456,8 +458,7 @@ def test_env_driver_snapshot_restores_served_ticket():
     pool = EnvRolloutPool("Pong", 1, steps_per_worker=6, seed=5, profile=True)
     system, engine, env, profiler = pool._make_worker_stack(0)
     fresh_service = pool._build_service(env)
-    client = fresh_service.connect(system, engine, worker=system.worker,
-                                   profiler=profiler)
+    client = fresh_service.connect(system, engine, worker=system.worker)
     restored = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
     assert restored._ticket is not None and restored._ticket.done
     assert not restored.blocked

@@ -70,29 +70,60 @@ def test_search_steps_rejects_unfulfilled_resume():
 
 
 # ---------------------------------------------------- bit-for-bit determinism
+def _run_reference_pool(num_workers, leaf_batch, **kwargs):
+    """Test oracle: a batched pool run one worker at a time.
+
+    Every worker's driver runs to completion in turn, and its ticket is
+    served alone (``unbatched``) the moment it blocks, so no worker's
+    timeline can depend on how any scheduler interleaves the others.
+    """
+    pool = SelfPlayPool(num_workers, batched_inference=True, leaf_batch=leaf_batch, **kwargs)
+    pool.inference_service = pool._build_service()
+    for index in range(num_workers):
+        worker, profiler = pool._make_worker(index, None)
+        driver = GameDriver(worker, pool.games_per_worker)
+        while not driver.finished:
+            driver.step()
+            if driver.blocked:
+                pool.inference_service.serve_queued(policy="unbatched")
+        pool.runs.append(pool._finish_worker(worker, profiler, driver.result))
+    return pool
+
+
 @pytest.mark.parametrize("leaf_batch", [1, 4])
 def test_event_unbatched_pool_is_bitwise_identical_to_sequential(leaf_batch):
     """The scheduler machinery itself introduces zero drift.
 
     Under the ``unbatched`` flush policy every ticket is served on its own
-    worker's clock exactly as the sequential pool serves it, so game
-    records, per-worker clocks and overlap summaries must all be
-    bit-for-bit identical — only the execution order interleaves.
+    worker's clock exactly as the one-worker-at-a-time reference serves it,
+    so game records, per-worker clocks and overlap summaries must all be
+    bit-for-bit identical — only the execution order interleaves.  The
+    default ``sequential`` scheduler is that same loop and policy.
     """
-    sequential = SelfPlayPool(3, profile=True, batched_inference=True,
-                              leaf_batch=leaf_batch, **POOL_KWARGS)
-    sequential.run()
-    event = SelfPlayPool(3, profile=True, batched_inference=True, leaf_batch=leaf_batch,
-                         scheduler="event", flush_policy="unbatched", **POOL_KWARGS)
-    event.run()
+    reference = _run_reference_pool(3, leaf_batch, profile=True, **POOL_KWARGS)
+    for overrides in (dict(scheduler="event", flush_policy="unbatched"), {}):
+        pool = SelfPlayPool(3, profile=True, batched_inference=True, leaf_batch=leaf_batch,
+                            **overrides, **POOL_KWARGS)
+        pool.run()
 
-    assert _game_records(event) == _game_records(sequential)
-    assert [run.total_time_us for run in event.runs] == \
-        [run.total_time_us for run in sequential.runs]
-    assert multi_process_summary(event.traces()) == multi_process_summary(sequential.traces())
-    # The event pool really ran through the scheduler.
-    stats = event.pool_scheduler.stats
-    assert stats.steps > 0 and stats.serves > 0
+        assert _game_records(pool) == _game_records(reference)
+        assert [run.total_time_us for run in pool.runs] == \
+            [run.total_time_us for run in reference.runs]
+        assert multi_process_summary(pool.traces()) == multi_process_summary(reference.traces())
+        # The pool really ran through the scheduler.
+        stats = pool.pool_scheduler.stats
+        assert stats.steps > 0 and stats.serves > 0
+
+
+def test_service_backed_worker_cannot_play_games_synchronously():
+    """play_games has no serve path: a blocked driver must not be stepped."""
+    pool = SelfPlayPool(1, profile=False, batched_inference=True, leaf_batch=2,
+                        **POOL_KWARGS)
+    pool.inference_service = pool._build_service()
+    worker, _ = pool._make_worker(0, None)
+    with pytest.raises(RuntimeError, match="blocked on inference"):
+        worker.play_games(1)
+    assert pool.inference_service.pending_tickets == 1
 
 
 def test_event_scheduler_leaf_batch_one_reproduces_legacy_records():
@@ -151,7 +182,6 @@ def test_event_scheduler_profiled_run_attributes_wait_inside_operations():
 
 # ------------------------------------------------------- heap vs linear scan
 def _run_event_pool(use_heap, **overrides):
-    from repro.minigo.workers import PoolScheduler
     kwargs = dict(profile=False, batched_inference=True, scheduler="event")
     kwargs.update(overrides)
     saved = PoolScheduler.default_use_heap
