@@ -4,7 +4,7 @@ Every previous benchmark measures *virtual-time* quantities — engine calls,
 batch sizes, collection spans.  This one times the **Python harness** that
 produces those numbers, pinning the speedup of the three optimized hot paths:
 
-* the incremental-group Go engine + lazy MCTS child positions
+* the incremental-group Go engine + the array-of-children MCTS
   (``repro.sim.go`` / ``repro.minigo.mcts``),
 * the heap-driven :class:`~repro.rollout.scheduler.PoolScheduler` event loop,
 * the single-pass worker grouping in
@@ -12,8 +12,8 @@ produces those numbers, pinning the speedup of the three optimized hot paths:
 
 The pre-optimization baseline is not a hard-coded number (machine-dependent
 and unverifiable) but the *preserved original code*: the reference flood-fill
-Go engine (:mod:`repro.sim.go_reference`), eager MCTS child materialization
-(``MCTS.eager_child_positions``), and the linear-scan scheduler loop
+Go engine (:mod:`repro.sim.go_reference`), the scalar one-object-per-child
+MCTS (``tests/oracles/scalar_mcts.py``), and the linear-scan scheduler loop
 (``PoolScheduler.default_use_heap = False``).  Both harnesses run the same
 8-worker / ``leaf_batch=8`` event-scheduler pool on the same seed; the
 acceptance bar is a **>=3x end-to-end wall-clock speedup** with game records
@@ -35,12 +35,12 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import save_report
-from repro.minigo import mcts as mcts_mod
 from repro.minigo import selfplay as selfplay_mod
 from repro.minigo.workers import SelfPlayPool
 from repro.profiler.events import merge_traces
@@ -50,6 +50,9 @@ from repro.sim.go_reference import ReferenceGoPosition
 
 QUICK = os.environ.get("WALLCLOCK_QUICK") == "1"
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.scalar_mcts import ScalarMCTS, ScalarSearchCursor  # noqa: E402
 
 NUM_WORKERS = 8
 LEAF_BATCH = 8
@@ -85,15 +88,16 @@ MIN_OVERLAP_VECTOR_SPEEDUP = 5.0
 @contextmanager
 def pre_optimization_harness():
     """Swap the preserved original implementations in for one run."""
-    saved = (selfplay_mod.GoPosition, mcts_mod.MCTS.eager_child_positions,
+    saved = (selfplay_mod.GoPosition, selfplay_mod.MCTS, selfplay_mod.SearchCursor,
              PoolScheduler.default_use_heap)
     selfplay_mod.GoPosition = ReferenceGoPosition
-    mcts_mod.MCTS.eager_child_positions = True
+    selfplay_mod.MCTS = ScalarMCTS
+    selfplay_mod.SearchCursor = ScalarSearchCursor
     PoolScheduler.default_use_heap = False
     try:
         yield
     finally:
-        (selfplay_mod.GoPosition, mcts_mod.MCTS.eager_child_positions,
+        (selfplay_mod.GoPosition, selfplay_mod.MCTS, selfplay_mod.SearchCursor,
          PoolScheduler.default_use_heap) = saved
 
 

@@ -7,6 +7,13 @@ follows the PUCT formulation of AlphaGoZero: child selection by
 ``Q + U`` where ``U`` is proportional to the network prior and the parent
 visit count.
 
+The tree stores each expanded node's children **as arrays** (priors, visit
+counts, values, virtual losses; one slot per move index), as Minigo's own
+``mcts.py`` does: expansion is a handful of array ops instead of one Python
+object per legal move, and selection is one vectorized PUCT evaluation plus
+an ``argmax`` per tree level.  A child object exists only once a simulation
+selects it.
+
 With ``leaf_batch > 1`` the search runs in *waves*: up to ``leaf_batch``
 leaves are selected per wave under a virtual loss (each in-flight leaf is
 temporarily scored as a loss along its path, steering later selections away
@@ -34,6 +41,10 @@ from ..sim.go import GoPosition, Move
 
 #: Evaluates a batch of positions -> (policy priors [N, num_moves], values [N]).
 NetworkEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+#: One selected leaf of a wave: (node, terminal value or None if it needs
+#: network evaluation).
+WaveEntry = Tuple["MCTSNode", Optional[float]]
 
 
 class LeafEvalRequest:
@@ -75,85 +86,90 @@ class LeafEvalRequest:
 
 
 class MCTSNode:
-    """One node of the search tree.
+    """One node of the search tree, holding its children as arrays.
 
-    Child positions are **materialized lazily**: expansion records only the
-    (parent, move, prior) triple, and :attr:`position` replays the move on
-    the parent's board the first time it is read.  Selection touches only
-    visit counts and priors, so the vast majority of children — the ones a
-    search never descends into — never pay for a board copy or legality
-    bookkeeping at all.  Game records are unchanged: boards carry no RNG,
-    and every node the search *does* visit materializes the identical
-    position the eager path would have built (pinned by
-    ``tests/test_go_oracle.py``).
+    An expanded node stores four arrays with one slot per move index
+    (row-major points, then pass): :attr:`child_prior`, :attr:`child_N`
+    (visits), :attr:`child_W` (total value, from each child's own to-play
+    perspective) and :attr:`child_VL` (in-flight virtual losses), plus the
+    position's shared legality mask :attr:`legal`.  :attr:`children` holds
+    only the children some simulation has *selected*; a node reads its own
+    statistics from its parent's arrays at :attr:`index`, and only the root
+    keeps them as scalars.
+
+    A child's :attr:`position` is derived as ``parent.position.play(move)``
+    the first time it is read.
     """
 
-    __slots__ = ("_position", "parent", "move", "prior", "visit_count",
-                 "total_value", "children", "is_expanded", "virtual_loss")
+    __slots__ = ("_position", "parent", "index", "children", "legal",
+                 "child_prior", "child_N", "child_W", "child_VL",
+                 "_root_N", "_root_W", "_root_VL")
 
-    def __init__(
-        self,
-        position: Optional[GoPosition] = None,
-        parent: Optional["MCTSNode"] = None,
-        move: Move = None,                #: move that led here from the parent
-        prior: float = 0.0,
-        visit_count: int = 0,
-        total_value: float = 0.0,
-        children: Optional[Dict[int, "MCTSNode"]] = None,
-        is_expanded: bool = False,
-        virtual_loss: int = 0,            #: in-flight selections counted as losses
-    ) -> None:
+    def __init__(self, position: Optional[GoPosition] = None,
+                 parent: Optional["MCTSNode"] = None, index: int = -1) -> None:
         if position is None and parent is None:
             raise ValueError("a node needs a position or a parent to derive one from")
         self._position = position
         self.parent = parent
-        self.move = move
-        self.prior = prior
-        self.visit_count = visit_count
-        self.total_value = total_value
-        self.children = {} if children is None else children
-        self.is_expanded = is_expanded
-        self.virtual_loss = virtual_loss
+        self.index = index  #: this node's slot in the parent's child arrays
+        self.children: Dict[int, MCTSNode] = {}
+        self.legal: Optional[np.ndarray] = None
+        self.child_prior: Optional[np.ndarray] = None
+        self.child_N: Optional[np.ndarray] = None
+        self.child_W: Optional[np.ndarray] = None
+        self.child_VL: Optional[np.ndarray] = None
+        self._root_N = 0
+        self._root_W = 0.0
+        self._root_VL = 0
 
     @property
     def position(self) -> GoPosition:
         position = self._position
         if position is None:
-            position = self.parent.position.play(self.move)
+            parent_position = self.parent.position
+            position = parent_position.play(parent_position.index_to_move(self.index))
             self._position = position
         return position
 
     @property
-    def has_position(self) -> bool:
-        """True once the position has been materialized (testing hook)."""
-        return self._position is not None
+    def visit_count(self) -> int:
+        parent = self.parent
+        return self._root_N if parent is None else int(parent.child_N[self.index])
+
+    @property
+    def total_value(self) -> float:
+        parent = self.parent
+        return self._root_W if parent is None else float(parent.child_W[self.index])
+
+    @property
+    def virtual_loss(self) -> int:
+        parent = self.parent
+        return self._root_VL if parent is None else int(parent.child_VL[self.index])
 
     @property
     def mean_value(self) -> float:
-        return self.total_value / self.visit_count if self.visit_count > 0 else 0.0
+        visits = self.visit_count
+        return self.total_value / visits if visits > 0 else 0.0
 
-    def ucb_score(self, c_puct: float) -> float:
-        if self.parent is None:
-            return self.mean_value
-        # total_value is from this node's own to-play perspective (backup
-        # flips sign per ply), so the parent choosing among children must
-        # negate it; in-flight virtual losses count as parent-perspective
-        # losses, steering concurrent wave selections apart.
-        visits = self.visit_count + self.virtual_loss
-        mean = (-self.total_value - self.virtual_loss) / visits if visits > 0 else 0.0
-        parent_visits = self.parent.visit_count + self.parent.virtual_loss
-        exploration = c_puct * self.prior * math.sqrt(parent_visits) / (1 + visits)
-        return mean + exploration
+    def puct_scores(self, c_puct: float) -> np.ndarray:
+        """PUCT score of every move from this (expanded) node; illegal moves -inf.
+
+        ``child_W`` is from each child's own to-play perspective (backup
+        flips sign per ply), so the parent choosing among children negates
+        it; in-flight virtual losses count as parent-perspective losses,
+        steering concurrent wave selections apart.
+        """
+        child_VL = self.child_VL
+        visits = self.child_N + child_VL
+        mean = np.divide(-self.child_W - child_VL, visits,
+                         out=np.zeros(visits.shape), where=visits > 0)
+        parent_visits = self.visit_count + self.virtual_loss
+        scores = mean + c_puct * self.child_prior * math.sqrt(parent_visits) / (1 + visits)
+        return np.where(self.legal, scores, -math.inf)
 
 
 class MCTS:
     """PUCT tree search over Go positions."""
-
-    #: When True, expansion materializes every child's position immediately
-    #: (the pre-optimization behaviour).  The wall-clock benchmark flips this
-    #: to reproduce the old allocation pattern; searches are decision-
-    #: identical either way (boards carry no RNG).
-    eager_child_positions: bool = False
 
     def __init__(
         self,
@@ -234,120 +250,125 @@ class MCTS:
         return state
 
     def _select_wave(self, root: MCTSNode, target: int
-                     ) -> Tuple[List[Tuple[MCTSNode, Optional[float]]], List[MCTSNode]]:
+                     ) -> Tuple[List[WaveEntry], List[int]]:
         """Select up to ``target`` leaves under virtual loss.
 
         Returns ``(wave, pending)`` where ``wave`` is (leaf, terminal value or
-        None) in selection order and ``pending`` the subset needing network
-        evaluation."""
-        wave: List[Tuple[MCTSNode, Optional[float]]] = []
-        pending: List[MCTSNode] = []
-        pending_ids: set = set()
-        c_puct = self.c_puct
+        None) in selection order and ``pending`` the wave slots (indices into
+        ``wave``) needing network evaluation.
 
-        def ucb_key(child: MCTSNode) -> float:
-            return child.ucb_score(c_puct)
+        Each level scores every move with :meth:`MCTSNode.puct_scores` and
+        takes the first maximum, which is the same child ``max()`` over the
+        children in ascending move-index order would pick."""
+        wave: List[WaveEntry] = []
+        pending: List[int] = []
+        selected: set = set()
+        c_puct = self.c_puct
 
         for _ in range(target):
             node = root
-            # Selection: descend to a leaf.
-            while node.is_expanded and node.children:
-                node = max(node.children.values(), key=ucb_key)
-            if node.position.is_over:
-                value = node.position.result()
+            # Selection: descend to a leaf, materializing selected children.
+            while node.child_prior is not None:
+                index = int(node.puct_scores(c_puct).argmax())
+                child = node.children.get(index)
+                if child is None:
+                    child = node.children[index] = MCTSNode(parent=node, index=index)
+                node = child
+            position = node.position
+            if position.is_over:
+                value = position.result()
                 # result() is from Black's perspective; convert to the player to move.
-                value = value if node.position.to_play == 1 else -value
+                value = value if position.to_play == 1 else -value
                 wave.append((node, value))
                 self._add_virtual_loss(node)
                 continue
-            if id(node) in pending_ids:
+            if node in selected:
                 # Virtual loss could not steer the search away from an
                 # already-selected leaf (tiny tree); flush what we have.
                 break
-            pending_ids.add(id(node))
-            pending.append(node)
+            selected.add(node)
+            pending.append(len(wave))
             wave.append((node, None))
             self._add_virtual_loss(node)
         return wave, pending
 
-    def _finish_wave(self, wave: List[Tuple[MCTSNode, Optional[float]]],
+    def _finish_wave(self, wave: List[WaveEntry],
                      evaluated: Dict[int, Tuple[np.ndarray, float]]) -> int:
-        """Revert virtual losses, expand evaluated leaves, back values up."""
-        for node, value in wave:
+        """Revert virtual losses, expand evaluated leaves, back values up.
+
+        ``evaluated`` maps each pending wave slot to its (priors, value)."""
+        for slot, (node, value) in enumerate(wave):
             self._remove_virtual_loss(node)
             if value is None:
-                node_priors, value = evaluated[id(node)]
+                node_priors, value = evaluated[slot]
                 self._expand_with_priors(node, node_priors, add_noise=False)
             self._backup(node, value)
         return len(wave)
 
     @staticmethod
     def _add_virtual_loss(node: MCTSNode) -> None:
-        current: Optional[MCTSNode] = node
-        while current is not None:
-            current.virtual_loss += 1
-            current = current.parent
+        parent = node.parent
+        while parent is not None:
+            parent.child_VL[node.index] += 1
+            node, parent = parent, parent.parent
+        node._root_VL += 1
 
     @staticmethod
     def _remove_virtual_loss(node: MCTSNode) -> None:
-        current: Optional[MCTSNode] = node
-        while current is not None:
-            current.virtual_loss -= 1
-            current = current.parent
+        parent = node.parent
+        while parent is not None:
+            parent.child_VL[node.index] -= 1
+            node, parent = parent, parent.parent
+        node._root_VL -= 1
 
     def _expand_with_priors(self, node: MCTSNode, priors: np.ndarray, *, add_noise: bool) -> None:
-        """Create the node's children from an already-computed prior row.
+        """Store the node's child arrays from an already-computed prior row.
 
-        Children are created *without* positions: a child's board is only
-        materialized if a later simulation actually descends into it (see
-        :class:`MCTSNode`), which skips the dominant cost of expansion — one
-        board copy plus capture bookkeeping per legal move.
+        No child object and no child board is built here: a child exists
+        only once selection picks it (see :class:`MCTSNode`).
         """
-        position = node.position
-        legal = position.legal_moves()
-        move_to_index = position.move_to_index
-        legal_indices = [move_to_index(move) for move in legal]
-        masked = np.zeros_like(priors)
-        masked[legal_indices] = np.maximum(priors[legal_indices], 1e-8)
+        legal = node.position.legal_mask()
+        masked = np.where(legal, np.maximum(priors, 1e-8), 0.0)
         masked /= masked.sum()
 
-        if add_noise and len(legal_indices) > 1:
-            noise = self.rng.dirichlet([self.dirichlet_alpha] * len(legal_indices))
-            masked[legal_indices] = (
-                (1 - self.exploration_fraction) * masked[legal_indices]
-                + self.exploration_fraction * noise
-            )
+        if add_noise:
+            num_legal = int(np.count_nonzero(legal))
+            if num_legal > 1:
+                noise = self.rng.dirichlet([self.dirichlet_alpha] * num_legal)
+                masked[legal] = (
+                    (1 - self.exploration_fraction) * masked[legal]
+                    + self.exploration_fraction * noise
+                )
 
-        eager = self.eager_child_positions
-        children = node.children
-        for move, index in zip(legal, legal_indices):
-            child = MCTSNode(
-                position=position.play(move) if eager else None,
-                parent=node,
-                move=move,
-                prior=float(masked[index]),
-            )
-            children[index] = child
-        node.is_expanded = True
+        num_moves = len(masked)
+        node.legal = legal
+        node.child_prior = masked
+        node.child_N = np.zeros(num_moves, dtype=np.int64)
+        node.child_W = np.zeros(num_moves, dtype=np.float64)
+        node.child_VL = np.zeros(num_moves, dtype=np.int64)
 
     @staticmethod
     def _backup(node: MCTSNode, value: float) -> None:
         """Propagate the leaf value up the tree, flipping sign per ply."""
-        current: Optional[MCTSNode] = node
         sign = 1.0
-        while current is not None:
-            current.visit_count += 1
-            current.total_value += sign * value
+        parent = node.parent
+        while parent is not None:
+            index = node.index
+            parent.child_N[index] += 1
+            parent.child_W[index] += sign * value
             sign = -sign
-            current = current.parent
+            node, parent = parent, parent.parent
+        node._root_N += 1
+        node._root_W += sign * value
 
     # ------------------------------------------------------------- move choice
     def policy_from_visits(self, root: MCTSNode, *, temperature: float = 1.0) -> np.ndarray:
         """Normalised visit-count distribution over all moves (including pass)."""
-        size = root.position.size
-        policy = np.zeros(size * size + 1, dtype=np.float64)
-        for index, child in root.children.items():
-            policy[index] = child.visit_count
+        if root.child_N is None:
+            size = root.position.size
+            policy = np.zeros(size * size + 1, dtype=np.float64)
+        else:
+            policy = root.child_N.astype(np.float64)
         if policy.sum() == 0:
             policy[-1] = 1.0
             return policy
@@ -382,6 +403,8 @@ class SearchCursor:
     the fulfilled :attr:`request` and runs until the next boundary;
     RNG draws and tree decisions happen in exactly the order the generator
     produced them (``search_steps`` is now a thin wrapper over this class).
+    In-wave results are keyed by wave slot, never by object identity, so
+    they survive the pickle round trip.
     """
 
     __slots__ = ("mcts", "root", "add_noise", "remaining", "wave", "pending",
@@ -392,14 +415,15 @@ class SearchCursor:
         self.root = MCTSNode(position=position)
         self.add_noise = add_noise
         self.remaining = mcts.num_simulations
-        self.wave: Optional[List[Tuple[MCTSNode, Optional[float]]]] = None
-        self.pending: Optional[List[MCTSNode]] = None
+        self.wave: Optional[List[WaveEntry]] = None
+        #: wave slots of the leaves in the outstanding request, in row order
+        self.pending: Optional[List[int]] = None
         #: per-search transposition table: Zobrist key -> raw (priors64, value)
         self.table: Optional[Dict[int, Tuple[np.ndarray, float]]] = (
             {} if mcts.transposition else None)
         self.table_hits = 0
-        #: table entries for the current wave's hit leaves, merged into the
-        #: evaluated results when the outstanding request is fulfilled
+        #: wave slot -> table entry for the current wave's hit leaves, merged
+        #: into the evaluated results when the outstanding request is fulfilled
         self._pending_hits: Optional[Dict[int, Tuple[np.ndarray, float]]] = None
         #: The outstanding inference boundary; None once the search completed.
         self.request: Optional[LeafEvalRequest] = LeafEvalRequest(
@@ -427,11 +451,12 @@ class SearchCursor:
             # One dtype conversion per wave; per-leaf rows are views into
             # it, bit-identical to converting each row on its own.
             priors64 = np.asarray(priors, dtype=np.float64)
-            evaluated = {id(node): (priors64[i], float(values[i]))
-                         for i, node in enumerate(self.pending)}
+            evaluated = {slot: (priors64[i], float(values[i]))
+                         for i, slot in enumerate(self.pending)}
             if self.table is not None:
-                for i, node in enumerate(self.pending):
-                    self.table[node.position.transposition_key()] = evaluated[id(node)]
+                wave = self.wave
+                for slot in self.pending:
+                    self.table[wave[slot][0].position.transposition_key()] = evaluated[slot]
                 if self._pending_hits:
                     evaluated.update(self._pending_hits)
             self.remaining -= mcts._finish_wave(self.wave, evaluated)
@@ -448,13 +473,13 @@ class SearchCursor:
                 # in-wave from the stored raw outputs; only the misses join
                 # the network request.
                 hits = {}
-                misses: List[MCTSNode] = []
-                for node in pending:
-                    entry = self.table.get(node.position.transposition_key())
+                misses: List[int] = []
+                for slot in pending:
+                    entry = self.table.get(wave[slot][0].position.transposition_key())
                     if entry is not None:
-                        hits[id(node)] = entry
+                        hits[slot] = entry
                     else:
-                        misses.append(node)
+                        misses.append(slot)
                 if hits:
                     self.table_hits += len(hits)
                     mcts.transposition_hits += len(hits)
@@ -463,9 +488,10 @@ class SearchCursor:
                 self.wave = wave
                 self.pending = pending
                 self._pending_hits = hits or None
+                leaves = [wave[slot][0].position for slot in pending]
                 self.request = LeafEvalRequest(
-                    np.stack([node.position.features() for node in pending]),
-                    [node.position.transposition_key() for node in pending]
+                    np.stack([position.features() for position in leaves]),
+                    [position.transposition_key() for position in leaves]
                     if mcts.emit_state_keys else None)
                 return self.request
             self.remaining -= mcts._finish_wave(wave, hits or {})

@@ -275,6 +275,9 @@ class SelfPlayPool:
         self.runs = []
         self.inference_service = None
         self.pool_scheduler = None
+        # A rerun restarts every worker clock at zero, so it also starts on
+        # an idle device: its kernels must not queue behind the last run's.
+        self.device = GPUDevice()
         if self.num_processes is not None:
             return self._run_parallel(weights)
         if self.batched_inference:

@@ -263,6 +263,9 @@ class EnvRolloutPool:
             raise RuntimeError("this pool already streamed a run into its trace store; "
                                "create a new pool (or trace_dir) for another run")
         self.runs = []
+        # A rerun restarts every worker clock at zero, so it also starts on
+        # an idle device: its kernels must not queue behind the last run's.
+        self.device = GPUDevice()
         if self.num_processes is not None:
             return self._run_parallel()
         # Build every worker's system/engine/env first (fixed creation order

@@ -13,10 +13,13 @@ incrementally-maintained Zobrist hash of the stone configuration.  Legality
 is therefore an O(neighbors) lookup instead of the flood-fill-per-candidate
 scan of the original implementation (preserved verbatim as
 :mod:`repro.sim.go_reference` and pinned equivalent by the random-game oracle
-in ``tests/test_go_oracle.py``).  :class:`GoPosition` is immutable, so its
-``legal_moves()``/``features()`` are computed once and cached per instance —
-MCTS expansion and self-play record collection hit the cache instead of
-re-deriving them per call.
+in ``tests/test_go_oracle.py``).  :meth:`GoBoard.legal_mask` computes the
+whole legal-move mask with one array op (plus an O(neighbors) check of the
+few fully surrounded empty points), and ``legal_moves`` is a view of it.
+:class:`GoPosition` is immutable, so its ``legal_mask()``/``legal_moves()``/
+``features()`` are computed once and cached per instance — MCTS expansion and
+self-play record collection hit the cache instead of re-deriving them per
+call.
 """
 
 from __future__ import annotations
@@ -96,6 +99,15 @@ def _zobrist_tables(size: int) -> Tuple[List[List[int]], List[int], int]:
     return tables
 
 
+def _mask_moves(mask: np.ndarray, points: Tuple[Tuple[int, int], ...],
+                include_pass: bool) -> List[Move]:
+    """The moves a legality mask marks, in index order (pass last)."""
+    moves: List[Move] = [points[index] for index in np.flatnonzero(mask[:-1]).tolist()]
+    if include_pass:
+        moves.append(None)
+    return moves
+
+
 class _Group:
     """One connected group of stones with its liberties — immutable.
 
@@ -119,8 +131,9 @@ class GoBoard:
     Public surface (``board`` array, ``ko_point``, ``copy``, ``is_legal``,
     ``play``, ``legal_moves``, ``group_and_liberties``, ``area_score``) is
     identical to the reference implementation; the random-game oracle test
-    pins the two move-for-move.  Additionally :attr:`zobrist` exposes the
-    incrementally-maintained hash of the stone configuration.
+    pins the two move-for-move.  Additionally :meth:`legal_mask` gives the
+    legal moves as a bool mask over move indices, and :attr:`zobrist` exposes
+    the incrementally-maintained hash of the stone configuration.
     """
 
     def __init__(self, size: int = 9, komi: float = 6.5) -> None:
@@ -319,18 +332,34 @@ class GoBoard:
                 self.ko_point = captured[0]
         return captured
 
+    def legal_mask(self, color: int) -> np.ndarray:
+        """Legality of every move index for ``color``: row-major points, then pass.
+
+        One padded-shift array op marks each empty point that has an empty
+        neighbor (always legal: the neighbor is a liberty of the new stone).
+        Only the few fully surrounded empty points fall back to
+        :meth:`_legal_at_empty`, and the ko point is cleared.
+        """
+        size = self.size
+        empty = self.board == EMPTY
+        padded = np.zeros((size + 2, size + 2), dtype=bool)
+        padded[1:-1, 1:-1] = empty
+        open_neighbor = (padded[:-2, 1:-1] | padded[2:, 1:-1]
+                         | padded[1:-1, :-2] | padded[1:-1, 2:])
+        mask = np.empty(size * size + 1, dtype=bool)
+        points = mask[:-1].reshape(size, size)
+        np.logical_and(empty, open_neighbor, out=points)
+        for row, col in zip(*np.nonzero(empty & ~open_neighbor)):
+            point = (int(row), int(col))
+            points[point] = self._legal_at_empty(point, color)
+        if self.ko_point is not None:
+            points[self.ko_point] = False
+        mask[-1] = True  # passing is always legal
+        return mask
+
     def legal_moves(self, color: int, *, include_pass: bool = True) -> List[Move]:
-        group_at = self._group_at
-        ko_point = self.ko_point
-        legal_at_empty = self._legal_at_empty
-        moves: List[Move] = [
-            point for point in self._points
-            if point not in group_at and point != ko_point
-            and legal_at_empty(point, color)
-        ]
-        if include_pass:
-            moves.append(None)
-        return moves
+        """The legal moves in :meth:`legal_mask` order (pass last, if included)."""
+        return _mask_moves(self.legal_mask(color), self._points, include_pass)
 
     # ---------------------------------------------------------------- scoring
     def area_score(self) -> float:
@@ -376,9 +405,9 @@ class GoPosition:
     """Immutable game position for tree search: board + whose turn + pass count.
 
     Positions never change after construction, so the expensive derived
-    quantities — the legal-move list and the network feature planes — are
-    computed once and cached on the instance.  Callers treat the returned
-    list/array as read-only.
+    quantities — the legality mask, the legal-move list and the network
+    feature planes — are computed once and cached on the instance.  Callers
+    treat the returned list/arrays as read-only (the mask is flagged so).
     """
 
     board: GoBoard
@@ -389,6 +418,7 @@ class GoPosition:
     def __post_init__(self) -> None:
         self._size = self.board.size
         self._pass_index = self._size * self._size
+        self._legal_mask: Optional[np.ndarray] = None
         self._legal_moves: Optional[List[Move]] = None
         self._features: Optional[np.ndarray] = None
 
@@ -400,10 +430,19 @@ class GoPosition:
     def size(self) -> int:
         return self._size
 
+    def legal_mask(self) -> np.ndarray:
+        """Read-only bool legality mask over move indices (cached)."""
+        mask = self._legal_mask
+        if mask is None:
+            mask = self.board.legal_mask(self.to_play)
+            mask.flags.writeable = False
+            self._legal_mask = mask
+        return mask
+
     def legal_moves(self) -> List[Move]:
         moves = self._legal_moves
         if moves is None:
-            moves = self.board.legal_moves(self.to_play)
+            moves = _mask_moves(self.legal_mask(), self.board._points, True)
             self._legal_moves = moves
         return moves
 

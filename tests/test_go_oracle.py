@@ -11,7 +11,10 @@ implementation (:mod:`repro.sim.go_reference`):
   incremental liberty bookkeeping against a from-scratch flood fill after
   every move — capture cascades included;
 * Zobrist consistency (incremental == recomputed, repeats collide);
-* determinism of the lazily-materialized MCTS child positions.
+* the one-op legality mask (``legal_mask``) against the reference legal
+  moves on every position, ko, suicide and capture-to-live points included;
+* the MCTS materializes only the children it selects, each equal to the
+  parent position played forward.
 """
 
 import numpy as np
@@ -31,6 +34,14 @@ ORACLE_BOARD_SIZE = 9
 ORACLE_PASS_PROBABILITY = 0.15
 
 
+def _mask_of(moves, size: int) -> np.ndarray:
+    """The move-index legality mask a legal-move list describes."""
+    mask = np.zeros(size * size + 1, dtype=bool)
+    for move in moves:
+        mask[size * size if move is None else move[0] * size + move[1]] = True
+    return mask
+
+
 def _random_playout(board_new: GoBoard, board_ref: ReferenceGoBoard,
                     rng: np.random.Generator):
     """Play one full random game on both boards, asserting parity per move."""
@@ -43,6 +54,9 @@ def _random_playout(board_new: GoBoard, board_ref: ReferenceGoBoard,
         legal_ref = board_ref.legal_moves(to_play)
         assert legal_new == legal_ref, \
             f"legal-move sets diverged at move {moves}: {set(legal_new) ^ set(legal_ref)}"
+        assert np.array_equal(board_new.legal_mask(to_play),
+                              _mask_of(legal_ref, board_new.size)), \
+            f"legality mask diverged at move {moves}"
         assert board_new.ko_point == board_ref.ko_point, \
             f"ko verdicts diverged at move {moves}"
 
@@ -218,7 +232,90 @@ def test_position_caches_are_stable_and_correct():
         assert position.move_to_index(move) == reference.move_to_index(move)
 
 
-# ------------------------------------------------------- lazy MCTS positions
+# ------------------------------------------------------------ legality mask
+def _surrounded_empty(board: np.ndarray) -> np.ndarray:
+    """Empty points whose every on-board neighbor is a stone."""
+    size = board.shape[0]
+    result = np.zeros_like(board, dtype=bool)
+    for row in range(size):
+        for col in range(size):
+            if board[row, col] != EMPTY:
+                continue
+            result[row, col] = all(
+                board[r, c] != EMPTY
+                for r, c in ((row + 1, col), (row - 1, col), (row, col + 1), (row, col - 1))
+                if 0 <= r < size and 0 <= c < size)
+    return result
+
+
+@pytest.mark.parametrize("size", [5, 7, 9])
+def test_legal_mask_matches_reference_on_every_position(size):
+    """Random games on GoPosition and ReferenceGoPosition side by side: on
+    every position legal_mask() equals the masks built from legal_moves()
+    and from the reference engine, through ko, suicide and capture points."""
+    rng = np.random.default_rng(7000 + size)
+    ko_points = suicides = captures_to_live = 0
+    for _ in range(10):
+        position = GoPosition.initial(size)
+        reference = ReferenceGoPosition.initial(size)
+        while not position.is_over:
+            mask = position.legal_mask()
+            assert mask is position.legal_mask()          # cached
+            assert not mask.flags.writeable              # shared, read-only
+            assert np.array_equal(mask, _mask_of(position.legal_moves(), size))
+            assert np.array_equal(mask, _mask_of(reference.legal_moves(), size))
+            surrounded = _surrounded_empty(position.board.board).reshape(-1)
+            ko = position.board.ko_point
+            if ko is not None:
+                ko_points += 1
+                surrounded[ko[0] * size + ko[1]] = False
+            suicides += int(np.count_nonzero(surrounded & ~mask[:-1]))
+            captures_to_live += int(np.count_nonzero(surrounded & mask[:-1]))
+
+            board_moves = position.legal_moves()[:-1]
+            if not board_moves or rng.random() < 0.03:
+                move = None
+            else:
+                move = board_moves[rng.integers(0, len(board_moves))]
+            position, reference = position.play(move), reference.play(move)
+    assert ko_points > 0 and suicides > 0 and captures_to_live > 0
+
+
+def test_legal_mask_ko_suicide_and_capture_to_live_points():
+    # Ko: Black captures the white stone at (1, 1) by playing (1, 2); White
+    # may not retake at once, though the retake would capture.
+    board = GoBoard(5)
+    for point in [(0, 1), (1, 0), (2, 1)]:
+        board.play(point, BLACK)
+    for point in [(0, 2), (1, 1), (2, 2), (1, 3)]:
+        board.play(point, WHITE)
+    assert board.play((1, 2), BLACK) == [(1, 1)]
+    assert board.ko_point == (1, 1)
+    assert not board.legal_mask(WHITE)[1 * 5 + 1]
+    assert np.array_equal(board.legal_mask(WHITE), _mask_of(board.legal_moves(WHITE), 5))
+
+    # (0, 0) is surrounded by two black stones whose only liberty it is:
+    # suicide for Black, a capture (so legal) for White.
+    board = GoBoard(5)
+    for point in [(0, 1), (1, 0)]:
+        board.play(point, BLACK)
+    for point in [(0, 2), (1, 1), (2, 0)]:
+        board.play(point, WHITE)
+    assert not board.legal_mask(BLACK)[0]
+    assert board.legal_mask(WHITE)[0]
+    for color in (BLACK, WHITE):
+        mask = board.legal_mask(color)
+        assert mask[-1]  # pass
+        assert np.array_equal(mask, _mask_of(board.legal_moves(color), 5))
+
+    # Suicide into stones that keep other liberties.
+    board = GoBoard(5)
+    for point in [(0, 1), (1, 0)]:
+        board.play(point, BLACK)
+    assert not board.legal_mask(WHITE)[0]
+
+
+# ------------------------------------------------------ selected MCTS children
 def _uniform_evaluator(num_moves):
     def evaluate(features):
         batch = features.shape[0]
@@ -227,34 +324,24 @@ def _uniform_evaluator(num_moves):
     return evaluate
 
 
-def test_lazy_child_positions_match_eager_search():
-    """Lazy materialization changes no search decision and skips most boards."""
+def test_only_selected_children_are_materialized():
+    """Expansion builds no child objects: only children a simulation selected
+    exist, and each one's position equals ``parent.position.play(move)``."""
     from repro.minigo.mcts import MCTS
 
-    def run_search():
-        mcts = MCTS(_uniform_evaluator(26), num_simulations=24, leaf_batch=4,
-                    rng=np.random.default_rng(11))
-        return mcts.search(GoPosition.initial(5))
+    mcts = MCTS(_uniform_evaluator(26), num_simulations=24, leaf_batch=4,
+                rng=np.random.default_rng(11))
+    root = mcts.search(GoPosition.initial(5))
 
-    lazy_root = run_search()
-    assert MCTS.eager_child_positions is False
-    try:
-        MCTS.eager_child_positions = True
-        eager_root = run_search()
-    finally:
-        MCTS.eager_child_positions = False
+    assert 0 < len(root.children) < int(np.count_nonzero(root.legal))
+    assert sorted(root.children) == np.flatnonzero(root.child_N).tolist()
 
-    def visits(node):
-        return sorted((index, child.visit_count) for index, child in node.children.items())
-    assert visits(lazy_root) == visits(eager_root)
-
-    # Most children were never visited, so they never built a board...
-    materialized = sum(child.has_position for child in lazy_root.children.values())
-    assert materialized < len(lazy_root.children)
-    assert all(child.has_position for child in eager_root.children.values())
-    # ...and materializing one on demand reproduces the eager board exactly.
-    index, lazy_child = next((i, c) for i, c in sorted(lazy_root.children.items())
-                             if not c.has_position)
-    assert np.array_equal(lazy_child.position.board.board,
-                          eager_root.children[index].position.board.board)
-    assert lazy_child.position.to_play == eager_root.children[index].position.to_play
+    def check(node):
+        for index, child in node.children.items():
+            assert child.parent is node and child.index == index
+            expected = node.position.play(node.position.index_to_move(index))
+            assert np.array_equal(child.position.board.board, expected.board.board)
+            assert child.position.to_play == expected.to_play
+            assert child.position.transposition_key() == expected.transposition_key()
+            check(child)
+    check(root)

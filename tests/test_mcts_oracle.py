@@ -1,0 +1,168 @@
+"""Oracle tests: the array-of-children MCTS vs the preserved scalar search.
+
+:mod:`repro.minigo.mcts` keeps each expanded node's children as arrays and
+selects with one vectorized PUCT evaluation per tree level.  The scalar
+search it replaced (one Python object per child, ``max(key=ucb_score)``) is
+kept as a test oracle in ``tests/oracles/scalar_mcts.py``; these tests pin the
+two bit for bit on seeded random positions — openings, middle games and
+positions next to the end of the game, where terminal leaves and the
+tiny-tree early stop of a wave come into play.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from oracles.scalar_mcts import ScalarMCTS, root_visits
+from repro.minigo.mcts import MCTS, SearchCursor
+from repro.sim.go import GoPosition
+
+#: Random positions searched per (board size, leaf_batch, transposition,
+#: add_noise) combination.
+POSITIONS_PER_CASE = 5
+
+
+def _linear_evaluator(size: int, seed: int):
+    """A fixed random policy/value network: deterministic in the features."""
+    rng = np.random.default_rng(seed)
+    num_features = 3 * size * size
+    policy_weights = rng.normal(size=(num_features, size * size + 1)).astype(np.float32)
+    value_weights = rng.normal(scale=0.2, size=num_features).astype(np.float32)
+
+    def evaluate(features):
+        logits = features @ policy_weights
+        logits -= logits.max(axis=1, keepdims=True)
+        priors = np.exp(logits)
+        priors /= priors.sum(axis=1, keepdims=True)
+        return priors.astype(np.float32), np.tanh(features @ value_weights)
+    return evaluate
+
+
+def _random_position(rng: np.random.Generator, size: int) -> GoPosition:
+    """A seeded random non-terminal position: opening, middle or end game."""
+    limit = 2 * size * size
+    stage = rng.integers(0, 3)
+    target = (0, int(rng.integers(1, limit - 2)), limit - int(rng.integers(1, 3)))[stage]
+    position = GoPosition.initial(size)
+    while position.move_count < target:
+        board_moves = position.legal_moves()[:-1]
+        if not board_moves or rng.random() < 0.1:
+            successor = position.play(None)
+        else:
+            successor = position.play(board_moves[rng.integers(0, len(board_moves))])
+        if successor.is_over:
+            break
+        position = successor
+    return position
+
+
+class _Recorder:
+    """Counts terminal leaves and waves cut short by an already-pending leaf."""
+
+    def __init__(self, mcts):
+        self.terminal_leaves = 0
+        self.early_stops = 0
+        select = mcts._select_wave
+
+        def recording(root, target):
+            wave, pending = select(root, target)
+            self.terminal_leaves += sum(value is not None for _, value in wave)
+            self.early_stops += len(wave) < target
+            return wave, pending
+        mcts._select_wave = recording
+
+
+def _search(mcts_cls, position, *, size, seed, add_noise, **kwargs):
+    evaluate = _linear_evaluator(size, seed)
+    requests = []
+
+    def recording_evaluate(features):
+        requests.append(features.tobytes())
+        return evaluate(features)
+
+    mcts = mcts_cls(recording_evaluate, rng=np.random.default_rng(seed), **kwargs)
+    recorder = _Recorder(mcts)
+    root = mcts.search(position, add_noise=add_noise)
+    return mcts, root, requests, recorder
+
+
+@pytest.mark.parametrize("size,num_simulations", [(5, 40), (9, 24)])
+def test_array_search_matches_scalar_oracle(size, num_simulations):
+    rng = np.random.default_rng(1000 + size)
+    terminal_leaves = early_stops = transposition_hits = 0
+    for leaf_batch in (1, 3, 8):
+        for transposition in (False, True):
+            for add_noise in (False, True):
+                for _ in range(POSITIONS_PER_CASE):
+                    position = _random_position(rng, size)
+                    seed = int(rng.integers(0, 2 ** 31))
+                    kwargs = dict(size=size, seed=seed, add_noise=add_noise,
+                                  num_simulations=num_simulations,
+                                  leaf_batch=leaf_batch, transposition=transposition)
+                    mcts, root, requests, recorder = _search(MCTS, position, **kwargs)
+                    oracle, oracle_root, oracle_requests, _ = _search(
+                        ScalarMCTS, position, **kwargs)
+
+                    assert requests == oracle_requests
+                    assert np.array_equal(root_visits(root), root_visits(oracle_root))
+                    assert np.array_equal(root.child_N, root_visits(oracle_root))
+                    for temperature in (1.0, 0.5, 1e-6):
+                        assert (mcts.policy_from_visits(root, temperature=temperature)
+                                .tobytes()
+                                == oracle.policy_from_visits(
+                                    oracle_root, temperature=temperature).tobytes())
+                    assert mcts.choose_move(root) == oracle.choose_move(oracle_root)
+                    assert mcts.rng.bit_generator.state == oracle.rng.bit_generator.state
+                    assert mcts.transposition_hits == oracle.transposition_hits
+                    terminal_leaves += recorder.terminal_leaves
+                    early_stops += recorder.early_stops
+                    transposition_hits += mcts.transposition_hits
+    # The seeded positions really reach the rarely-taken paths.
+    assert terminal_leaves > 0
+    assert early_stops > 0
+    assert transposition_hits > 0
+
+
+def _peaked_evaluator(num_moves: int, seed: int):
+    """The same peaked Dirichlet(0.05) prior for every position, value 0.
+
+    Every position favours the same few moves, so the search reaches one
+    position through several move orders and waves mix transposition hits
+    with network misses."""
+    prior = np.random.default_rng(seed).dirichlet([0.05] * num_moves).astype(np.float32)
+
+    def evaluate(features):
+        rows = features.shape[0]
+        return np.tile(prior, (rows, 1)), np.zeros(rows, dtype=np.float32)
+    return evaluate
+
+
+def test_cursor_resumes_after_pickling_with_pending_transposition_hits():
+    """A cursor snapshotted while in-wave transposition hits are pending
+    resumes and finishes the same search as an uninterrupted cursor."""
+    evaluate = _peaked_evaluator(26, seed=0)
+
+    def new_cursor():
+        mcts = MCTS(evaluate, num_simulations=400, leaf_batch=8, transposition=True,
+                    rng=np.random.default_rng(0))
+        return SearchCursor(mcts, GoPosition.initial(5))
+
+    def run(cursor, snapshot_on_hits):
+        snapshots = 0
+        while cursor.request is not None:
+            if snapshot_on_hits and cursor._pending_hits:
+                cursor = pickle.loads(pickle.dumps(cursor))
+                snapshots += 1
+            cursor.request.fulfill(*evaluate(cursor.request.features))
+            cursor.advance()
+        return cursor, snapshots
+
+    straight, _ = run(new_cursor(), snapshot_on_hits=False)
+    resumed, snapshots = run(new_cursor(), snapshot_on_hits=True)
+    assert snapshots > 0
+    assert np.array_equal(resumed.root.child_N, straight.root.child_N)
+    assert resumed.root.child_W.tobytes() == straight.root.child_W.tobytes()
+    assert resumed.table_hits == straight.table_hits
+    assert (resumed.mcts.rng.bit_generator.state
+            == straight.mcts.rng.bit_generator.state)

@@ -67,12 +67,20 @@ def test_mcts_rejects_bad_configuration():
 
 def test_mcts_backup_alternates_sign():
     position = GoPosition.initial(size=5)
-    mcts = MCTS(uniform_evaluator(26), num_simulations=5, rng=np.random.default_rng(1))
+    def hopeful_evaluator(features):
+        priors, _ = uniform_evaluator(26)(features)
+        return priors, np.full(features.shape[0], 0.25, dtype=np.float32)
+
+    mcts = MCTS(hopeful_evaluator, num_simulations=5, rng=np.random.default_rng(1))
     root = mcts.search(position, add_noise=False)
+    assert root.total_value != 0.0
     # Values propagated from children are negated relative to the child's own perspective.
     for child in root.children.values():
         if child.visit_count > 0:
             assert np.isfinite(child.mean_value)
+            assert child.mean_value == child.total_value / child.visit_count
+    assert root.total_value == pytest.approx(
+        -sum(child.total_value for child in root.children.values()))
 
 
 # ------------------------------------------------------------------- selfplay
@@ -122,6 +130,18 @@ def test_selfplay_pool_shares_one_device():
     assert len(pool.all_examples()) > 0
 
 
+def test_selfplay_pool_rerun_starts_on_an_idle_device():
+    """A rerun restarts the worker clocks at zero, so its device timeline
+    must restart too: the same kernels at the same virtual times."""
+    pool = SelfPlayPool(num_workers=2, board_size=5, num_simulations=3, games_per_worker=1,
+                        max_moves=4, hidden=(8,), seed=0, batched_inference=True,
+                        leaf_batch=2, scheduler="event")
+    pool.run()
+    first = pool.device.activity
+    pool.run()
+    assert first and pool.device.activity == first
+
+
 def test_minigo_round_produces_figure8_quantities():
     config = MinigoConfig(num_workers=3, board_size=5, num_simulations=3, games_per_worker=1,
                           max_moves=6, sgd_steps=4, evaluation_games=1, hidden=(16, 16), seed=0)
@@ -169,16 +189,22 @@ def test_ucb_selection_is_minimax_correct():
     from repro.minigo.mcts import MCTSNode
 
     position = GoPosition.initial(size=5)
-    parent = MCTSNode(position=position, visit_count=4)
-    opponent_winning = MCTSNode(position=position, parent=parent, prior=0.5,
-                                visit_count=2, total_value=2.0)
-    opponent_losing = MCTSNode(position=position, parent=parent, prior=0.5,
-                               visit_count=2, total_value=-2.0)
-    assert opponent_losing.ucb_score(1.5) > opponent_winning.ucb_score(1.5)
+    mcts = MCTS(uniform_evaluator(26), rng=np.random.default_rng(0))
+    parent = MCTSNode(position=position)
+    priors = np.zeros(26)
+    winning, losing = 6, 18  # opponent_winning / opponent_losing children
+    priors[[winning, losing]] = 0.5
+    mcts._expand_with_priors(parent, priors, add_noise=False)
+    parent._root_N = 4
+    parent.child_N[[winning, losing]] = 2
+    parent.child_W[winning] = 2.0
+    parent.child_W[losing] = -2.0
+    scores = parent.puct_scores(1.5)
+    assert scores[losing] > scores[winning]
     # Virtual loss makes an in-flight child strictly less attractive.
-    before = opponent_losing.ucb_score(1.5)
-    opponent_losing.virtual_loss = 1
-    assert opponent_losing.ucb_score(1.5) < before
+    before = scores[losing]
+    parent.child_VL[losing] = 1
+    assert parent.puct_scores(1.5)[losing] < before
 
 
 # ------------------------------------------------------- concurrent evaluation

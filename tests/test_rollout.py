@@ -186,6 +186,14 @@ def test_env_rollout_pool_batches_across_workers():
         assert len(run.result.transitions) == 6
 
 
+def test_env_rollout_pool_rerun_starts_on_an_idle_device():
+    pool = EnvRolloutPool("Pong", 4, steps_per_worker=6, seed=0)
+    pool.run()
+    first = pool.device.activity
+    pool.run()
+    assert first and pool.device.activity == first
+
+
 def test_env_rollout_unbatched_control_serves_serially():
     pool = EnvRolloutPool("Pong", 4, steps_per_worker=6, seed=0,
                           flush_policy=FLUSH_UNBATCHED)
