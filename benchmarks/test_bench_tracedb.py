@@ -4,7 +4,7 @@ Regenerates the scaling argument behind the TraceDB subsystem on a
 16-worker Minigo trace (the paper's Figure 8 workload shape):
 
 * write volume — dump-at-end uncompressed JSON vs streaming
-  gzip-compressed JSONL shards;
+  compressed columnar shards;
 * peak buffered records — whole trace in memory vs at most one chunk;
 * overlap wall time — single-pass over the merged trace vs the
   shard-parallel map-reduce pass (which must stay byte-identical).
@@ -91,7 +91,7 @@ def test_bench_tracedb_streaming_and_mapreduce(benchmark, tmp_path):
         f"  events in store:            {db.num_events():,}",
         f"  chunks:                     {len(db.chunks())} (chunk_events={CHUNK_EVENTS:,})",
         f"  dump-at-end JSON:           {json_bytes:,} bytes, peak {peak_dump_records:,} records buffered",
-        f"  streaming gzip JSONL:       {stream_bytes:,} bytes, peak {peak_stream_records:,} records buffered",
+        f"  streaming columnar chunks:  {stream_bytes:,} bytes, peak {peak_stream_records:,} records buffered",
         f"  compression ratio:          {json_bytes / max(stream_bytes, 1):.1f}x",
         f"  overlap single-pass:        {single_sec * 1e3:8.1f} ms",
     ]

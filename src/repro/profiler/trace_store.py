@@ -3,8 +3,8 @@
 The original tool aggregates trace records in a C++ library and flushes them
 to Protobuf files of ~20 MB off the critical path.  Historically this module
 implemented a dump-at-end JSON container per chunk; trace storage now lives
-in the :mod:`repro.tracedb` subsystem (streaming writes, gzip-compressed
-JSONL shards, an indexed store with a query engine).  :class:`TraceDumper`
+in the :mod:`repro.tracedb` subsystem (streaming writes, compressed
+columnar chunks, an indexed store with a query engine).  :class:`TraceDumper`
 and :class:`TraceReader` keep their old surface for existing callers and
 tests: dumps are written in the new store format, and reads transparently
 handle both the new format and directories written by older versions of

@@ -6,10 +6,13 @@ of that pipeline:
 
 * :class:`StreamingTraceWriter` / :class:`ShardWriter` — incremental,
   bounded-memory trace writing: events are buffered per worker shard and
-  flushed as gzip-compressed JSONL chunks *during* profiling instead of one
+  flushed as compressed columnar chunks *during* profiling instead of one
   dump-at-end.  Flushes never touch the virtual clock, so streaming adds
   zero virtual time (the flush happens off the critical path, as in the
   original tool).
+* :mod:`repro.tracedb.format` — the on-disk format: a chunk interns its
+  strings once and stores records as NumPy columns in one zlib stream, so
+  encoding and decoding work column by column, not record by record.
 * :class:`ChunkMeta` — per-chunk index entries recording time ranges,
   phases, categories and record counts, so queries can skip whole shards.
 * :class:`TraceDB` — the query/aggregation engine: lazy chunk loading with
@@ -25,7 +28,8 @@ of that pipeline:
   ``compact`` commands over a store directory.
 
 The legacy :mod:`repro.profiler.trace_store` API is a thin wrapper over
-this package; stores written by older versions of the code still load.
+this package; stores written by older versions of the code (``tracedb-v1``
+JSONL chunks, ``rlscope_index.json`` JSON chunks) still load, read-only.
 """
 
 from .format import (

@@ -9,8 +9,9 @@ Examples::
     repro-trace compact traces/ --out traces_compacted/ --chunk-events 100000
 
 ``compact`` rewrites a store with a fresh chunking (merging many small
-chunks into full-size compressed ones); it also converts legacy
-``rlscope_index.json`` stores into the indexed TraceDB format.
+chunks into full-size columnar ones); it also converts ``tracedb-v1``
+JSONL stores and legacy ``rlscope_index.json`` stores into the current
+indexed TraceDB format.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--limit", type=int, default=None)
     query.add_argument("--count", action="store_true", help="print only the number of matches")
 
-    compact = sub.add_parser("compact", help="rewrite a store with fresh chunking/compression")
+    compact = sub.add_parser("compact", help="rewrite a store with fresh chunking in the "
+                                             "current format")
     compact.add_argument("directory")
     compact.add_argument("--out", required=True, help="output store directory")
     compact.add_argument("--chunk-events", type=int, default=None,
                          help="records per chunk in the output store (default: store default)")
-    compact.add_argument("--no-compress", action="store_true",
-                         help="write plain JSONL chunks instead of gzip")
     return parser
 
 
@@ -118,8 +118,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
                          "would overwrite chunks before they are read")
     db = TraceDB(args.directory)
     chunk_events = args.chunk_events if args.chunk_events is not None else DEFAULT_CHUNK_EVENTS
-    writer = StreamingTraceWriter(args.out, chunk_events=chunk_events,
-                                  compress=not args.no_compress)
+    writer = StreamingTraceWriter(args.out, chunk_events=chunk_events)
     in_chunks = 0
     for worker in db.workers():
         shard = writer.shard(worker)

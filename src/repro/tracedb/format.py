@@ -6,39 +6,63 @@ A store directory contains
   the ordered list of chunk files with their :class:`ChunkMeta` (record
   counts, covered time range, phases and categories present), plus the
   worker's trace metadata.
-* ``shard_<worker>_<seq>.jsonl.gz`` — gzip-compressed JSONL chunk files.
-  Each line is one record: ``{"t": "e"|"o"|"m", ...}`` for stack events,
-  operation annotations and overhead markers respectively.
+* ``shard_<worker>_<seq>.tdbc`` — columnar chunk files, one zlib stream
+  each (fixed level, no timestamp, so identical records give identical
+  bytes).  Decompressed, a chunk is
 
-Stores written by the legacy :mod:`repro.profiler.trace_store` module
-(``rlscope_index.json`` plus plain-JSON chunks) are also readable: their
-chunks carry no per-chunk statistics, so queries simply cannot skip them.
+  - the magic ``b"TDBC"`` and the ``uint32`` length of a JSON header;
+  - the JSON header: record counts, the string table (every category, name,
+    worker, phase, marker kind and ``api_name`` interned once, in
+    first-seen order) and a sparse metadata table of ``[record index,
+    metadata]`` pairs for the intervals that carry metadata;
+  - the interval columns — stack events followed by operations — as
+    little-endian ``uint32`` category / name / worker / phase string ids
+    then ``float64`` ``start_us`` / ``end_us``;
+  - the marker columns: ``uint32`` kind / ``api_name`` / worker / phase ids
+    (``0xFFFFFFFF`` for ``api_name=None``) then ``float64`` ``time_us``.
+
+Metadata is JSON-encoded, so it round-trips exactly as it did in the
+per-record JSONL chunks of ``tracedb-v1`` stores.  Those chunks
+(``.jsonl`` / ``.jsonl.gz``) and stores written by the legacy
+:mod:`repro.profiler.trace_store` module (``rlscope_index.json`` plus
+plain-JSON chunks) stay readable; legacy chunks carry no per-chunk
+statistics, so queries simply cannot skip them.  ``repro-trace compact``
+rewrites either kind as a ``tracedb-v2`` store.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import os
+import struct
+import zlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..profiler.events import Event, OverheadMarker
 
 INDEX_FILE = "tracedb_index.json"
 LEGACY_INDEX_FILE = "rlscope_index.json"
-STORE_FORMAT = "tracedb-v1"
+STORE_FORMAT = "tracedb-v2"
+#: Index formats :func:`read_index` accepts (v1 stores hold JSONL chunks).
+READABLE_FORMATS = ("tracedb-v1", STORE_FORMAT)
 CHUNK_PREFIX = "shard"
+CHUNK_SUFFIX = ".tdbc"
 
 #: Default number of buffered records before a shard flushes a chunk.
 DEFAULT_CHUNK_EVENTS = 50_000
 
-# Record type tags (one JSONL line per record).
-RECORD_EVENT = "e"
-RECORD_OPERATION = "o"
-RECORD_MARKER = "m"
+_MAGIC = b"TDBC"
+_PREAMBLE = struct.Struct("<4sI")
+_ID = "<u4"
+_TIME = "<f8"
+_NO_STRING = 0xFFFFFFFF
+_ZLIB_LEVEL = 6
 
 
 @dataclass(frozen=True)
@@ -137,52 +161,109 @@ class ChunkPayload:
 
 
 # ------------------------------------------------------------------- chunks
-def chunk_filename(worker: str, seq: int, *, compress: bool = True) -> str:
-    suffix = ".jsonl.gz" if compress else ".jsonl"
-    return f"{CHUNK_PREFIX}_{worker}_{seq:05d}{suffix}"
+def chunk_filename(worker: str, seq: int) -> str:
+    return f"{CHUNK_PREFIX}_{worker}_{seq:05d}{CHUNK_SUFFIX}"
 
 
-def _open_chunk_for_write(path: Path, compress: bool):
-    if not compress:
-        return open(path, "wt", encoding="utf-8")
-    # Pin the gzip header mtime so identical payloads produce identical
-    # bytes — recovery paths compare stores byte-for-byte.
-    return io.TextIOWrapper(
-        gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8")
+def _column(records: Sequence[object], field_name: str) -> List[object]:
+    return list(map(attrgetter(field_name), records))
 
 
-def write_chunk(path: Path, payload: ChunkPayload, *, compress: bool = True) -> None:
-    with _open_chunk_for_write(path, compress) as handle:
-        for event in payload.events:
-            handle.write(json.dumps({"t": RECORD_EVENT, **event.to_dict()}) + "\n")
-        for op in payload.operations:
-            handle.write(json.dumps({"t": RECORD_OPERATION, **op.to_dict()}) + "\n")
-        for marker in payload.markers:
-            handle.write(json.dumps({"t": RECORD_MARKER, **marker.to_dict()}) + "\n")
+def _times(records: Sequence[object], *field_names: str) -> bytes:
+    return np.array([_column(records, name) for name in field_names], dtype=_TIME).tobytes()
+
+
+def encode_chunk(payload: ChunkPayload) -> bytes:
+    """Encode one chunk's records as compressed columns (see the module docstring)."""
+    intervals = payload.events + payload.operations
+    markers = payload.markers
+    table: Dict[object, int] = {}
+
+    def intern(column: Sequence[object]) -> List[int]:
+        for value in dict.fromkeys(column):
+            table.setdefault(value, len(table))
+        return list(map(table.__getitem__, column))
+
+    interval_ids = [intern(_column(intervals, name))
+                    for name in ("category", "name", "worker", "phase")]
+    kind_ids = intern(_column(markers, "kind"))
+    api_names = _column(markers, "api_name")
+    intern([api_name for api_name in api_names if api_name is not None])
+    api_ids = list(map({**table, None: _NO_STRING}.__getitem__, api_names))
+    marker_ids = [kind_ids, api_ids,
+                  intern(_column(markers, "worker")), intern(_column(markers, "phase"))]
+
+    header = json.dumps({
+        "events": len(payload.events),
+        "operations": len(payload.operations),
+        "markers": len(markers),
+        "strings": [str(value) for value in table],
+        "metadata": [[index, dict(event.metadata)] for index, event in enumerate(intervals)
+                     if event.metadata is not None],
+    }, separators=(",", ":")).encode("utf-8")
+    raw = b"".join((
+        _PREAMBLE.pack(_MAGIC, len(header)),
+        header,
+        np.array(interval_ids, dtype=_ID).tobytes(),
+        _times(intervals, "start_us", "end_us"),
+        np.array(marker_ids, dtype=_ID).tobytes(),
+        _times(markers, "time_us"),
+    ))
+    return zlib.compress(raw, _ZLIB_LEVEL)
+
+
+def decode_chunk(data: bytes) -> ChunkPayload:
+    """Decode bytes produced by :func:`encode_chunk`."""
+    raw = zlib.decompress(data)
+    magic, header_len = _PREAMBLE.unpack_from(raw)
+    if magic != _MAGIC:
+        raise ValueError(f"not a TraceDB columnar chunk (magic {magic!r})")
+    offset = _PREAMBLE.size + header_len
+    header = json.loads(raw[_PREAMBLE.size:offset])
+    num_events = header["events"]
+    num_intervals = num_events + header["operations"]
+    num_markers = header["markers"]
+    # Index slot len(strings) decodes the api_name sentinel to None.
+    lookup = np.array(header["strings"] + [None], dtype=object)
+    sentinel = len(lookup) - 1
+
+    def take(dtype: str, rows: int, count: int) -> np.ndarray:
+        nonlocal offset
+        column = np.frombuffer(raw, dtype, rows * count, offset).reshape(rows, count)
+        offset += column.nbytes
+        return column
+
+    category, name, worker, phase = lookup[take(_ID, 4, num_intervals)].tolist()
+    start, end = take(_TIME, 2, num_intervals).tolist()
+    marker_ids = take(_ID, 4, num_markers)
+    kind, api_name, m_worker, m_phase = lookup[
+        np.where(marker_ids == _NO_STRING, sentinel, marker_ids)].tolist()
+    (m_time,) = take(_TIME, 1, num_markers).tolist()
+    if offset != len(raw):
+        raise ValueError(f"columnar chunk has {len(raw) - offset} trailing bytes")
+
+    metadata: List[Optional[Dict[str, object]]] = [None] * num_intervals
+    for index, meta in header["metadata"]:
+        metadata[index] = meta
+    intervals = list(map(Event, category, name, start, end, worker, phase, metadata))
+    return ChunkPayload(
+        events=intervals[:num_events],
+        operations=intervals[num_events:],
+        markers=list(map(OverheadMarker, kind, m_time, api_name, m_worker, m_phase)),
+    )
+
+
+def write_chunk(path: Path, payload: ChunkPayload) -> None:
+    path.write_bytes(encode_chunk(payload))
 
 
 def read_chunk(path: Path) -> ChunkPayload:
-    """Decode one chunk file (new JSONL format or a legacy JSON container)."""
+    """Decode one chunk file: columnar, or a read-only legacy JSONL / JSON chunk."""
     name = path.name
+    if name.endswith(CHUNK_SUFFIX):
+        return decode_chunk(path.read_bytes())
     if name.endswith(".jsonl") or name.endswith(".jsonl.gz"):
-        payload = ChunkPayload()
-        opener = gzip.open if name.endswith(".gz") else open
-        with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.pop("t")
-                if kind == RECORD_EVENT:
-                    payload.events.append(Event.from_dict(record))
-                elif kind == RECORD_OPERATION:
-                    payload.operations.append(Event.from_dict(record))
-                elif kind == RECORD_MARKER:
-                    payload.markers.append(OverheadMarker.from_dict(record))
-                else:  # pragma: no cover - future format versions
-                    raise ValueError(f"unknown record type {kind!r} in {path}")
-        return payload
+        return _read_jsonl_chunk(path)
     # Legacy chunk: one JSON object holding flat record lists.
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -191,6 +272,28 @@ def read_chunk(path: Path) -> ChunkPayload:
         operations=[Event.from_dict(d) for d in data.get("operations", [])],
         markers=[OverheadMarker.from_dict(d) for d in data.get("markers", [])],
     )
+
+
+def _read_jsonl_chunk(path: Path) -> ChunkPayload:
+    """Decode a ``tracedb-v1`` chunk: one JSON record per line, optionally gzipped."""
+    payload = ChunkPayload()
+    opener = gzip.open if path.name.endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            kind = record.pop("t")
+            if kind == "e":
+                payload.events.append(Event.from_dict(record))
+            elif kind == "o":
+                payload.operations.append(Event.from_dict(record))
+            elif kind == "m":
+                payload.markers.append(OverheadMarker.from_dict(record))
+            else:
+                raise ValueError(f"unknown record type {kind!r} in {path}")
+    return payload
 
 
 def build_meta(file: str, worker: str, seq: int, payload: ChunkPayload) -> ChunkMeta:
@@ -249,12 +352,16 @@ def write_index(directory: Path, workers: Mapping[str, WorkerEntry]) -> None:
 def read_index(directory: Path) -> Dict[str, WorkerEntry]:
     """Read a store index, falling back to the legacy RL-Scope index format.
 
-    Raises :class:`FileNotFoundError` when the directory holds neither.
+    Raises :class:`FileNotFoundError` when the directory holds neither, and
+    :class:`ValueError` for an index format outside :data:`READABLE_FORMATS`.
     """
     index_path = directory / INDEX_FILE
     if index_path.exists():
         with open(index_path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+        if raw.get("format") not in READABLE_FORMATS:
+            raise ValueError(f"unsupported trace store format {raw.get('format')!r} "
+                             f"in {index_path}")
         workers: Dict[str, WorkerEntry] = {}
         for worker, entry in raw.get("workers", {}).items():
             workers[worker] = WorkerEntry(

@@ -2,9 +2,9 @@
 
 The writer mirrors the paper's off-critical-path trace aggregation: the
 profiler appends records as they are produced; whenever a shard's buffer
-reaches ``chunk_events`` records it is flushed to a compressed chunk file
-and the buffer is emptied, so at most one chunk of records is ever held in
-memory per worker.  Flushing performs only host-side I/O — it never touches
+reaches ``chunk_events`` records it is flushed to a compressed columnar
+chunk file and the buffer is emptied, so at most one chunk of records is
+ever held in memory per worker.  Flushing performs only host-side I/O — it never touches
 the virtual clock, so streaming adds zero virtual time to the profiled
 workload.
 
@@ -43,7 +43,6 @@ class ShardWriter:
         worker: str,
         *,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        compress: bool = True,
         start_seq: int = 0,
         on_chunk: Optional[Callable[[ChunkMeta], None]] = None,
     ) -> None:
@@ -52,12 +51,12 @@ class ShardWriter:
         self.directory = Path(directory)
         self.worker = worker
         self.chunk_events = chunk_events
-        self.compress = compress
         self.seq = start_seq
         self.chunks: List[ChunkMeta] = []
         self.closed = False
         self._on_chunk = on_chunk
         self._buffer = ChunkPayload()
+        self._buffered = 0
         # Totals across the whole shard (buffered + flushed).
         self.total_events = 0
         self.total_operations = 0
@@ -69,30 +68,39 @@ class ShardWriter:
     # ------------------------------------------------------------------- add
     @property
     def buffered_records(self) -> int:
-        buf = self._buffer
-        return len(buf.events) + len(buf.operations) + len(buf.markers)
+        return self._buffered
 
+    # A closed shard rejects a record before touching the buffer or totals.
     def add_event(self, event: Event) -> None:
+        if self.closed:
+            self._reject()
         self._buffer.events.append(event)
         self.total_events += 1
-        self.max_end_us = max(self.max_end_us, event.end_us)
+        if event.end_us > self.max_end_us:
+            self.max_end_us = event.end_us
         self._after_add()
 
     def add_operation(self, operation: Event) -> None:
+        if self.closed:
+            self._reject()
         self._buffer.operations.append(operation)
         self.total_operations += 1
-        self.max_end_us = max(self.max_end_us, operation.end_us)
+        if operation.end_us > self.max_end_us:
+            self.max_end_us = operation.end_us
         self._after_add()
 
     def add_marker(self, marker: OverheadMarker) -> None:
+        if self.closed:
+            self._reject()
         self._buffer.markers.append(marker)
         self.total_markers += 1
         self._after_add()
 
+    def _reject(self) -> None:
+        raise RuntimeError(f"shard for worker {self.worker!r} is closed")
+
     def _after_add(self) -> None:
-        if self.closed:
-            raise RuntimeError(f"shard for worker {self.worker!r} is closed")
-        buffered = self.buffered_records
+        self._buffered = buffered = self._buffered + 1
         if buffered > self.peak_buffered:
             self.peak_buffered = buffered
         if buffered >= self.chunk_events:
@@ -101,14 +109,15 @@ class ShardWriter:
     # ----------------------------------------------------------------- flush
     def flush(self) -> Optional[ChunkMeta]:
         """Write the buffered records as one chunk; no-op on an empty buffer."""
-        if self.buffered_records == 0:
+        if self._buffered == 0:
             return None
-        name = chunk_filename(self.worker, self.seq, compress=self.compress)
-        write_chunk(self.directory / name, self._buffer, compress=self.compress)
+        name = chunk_filename(self.worker, self.seq)
+        write_chunk(self.directory / name, self._buffer)
         meta = build_meta(name, self.worker, self.seq, self._buffer)
         self.seq += 1
         self.chunks.append(meta)
         self._buffer = ChunkPayload()
+        self._buffered = 0
         if self._on_chunk is not None:
             self._on_chunk(meta)
         return meta
@@ -129,14 +138,12 @@ class StreamingTraceWriter:
         directory: str,
         *,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        compress: bool = True,
     ) -> None:
         if chunk_events <= 0:
             raise ValueError("chunk_events must be positive")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.chunk_events = chunk_events
-        self.compress = compress
         self.closed = False
         self._open_shards: Dict[str, ShardWriter] = {}
         self._metas: Dict[str, List[ChunkMeta]] = {}
@@ -157,7 +164,6 @@ class StreamingTraceWriter:
             self.directory,
             worker,
             chunk_events=self.chunk_events,
-            compress=self.compress,
             start_seq=self._next_seq.get(worker, 0),
             on_chunk=metas.append,
         )

@@ -8,10 +8,17 @@ from repro.minigo.workers import SelfPlayPool, WorkerRun
 from repro.minigo.selfplay import SelfPlayResult
 from repro.profiler import analyze, analyze_db, multi_process_summary, multi_process_summary_db
 from repro.profiler.api import Profiler, ProfilerConfig
-from repro.profiler.events import CATEGORY_BACKEND, CATEGORY_GPU, Event, EventTrace
+from repro.profiler.events import (
+    CATEGORY_BACKEND,
+    CATEGORY_GPU,
+    OVERHEAD_ANNOTATION,
+    Event,
+    EventTrace,
+    OverheadMarker,
+)
 from repro.profiler.overlap import OverlapResult, compute_overlap
 from repro.system import System
-from repro.tracedb import StreamingTraceWriter, TraceDB, parallel_overlap
+from repro.tracedb import SpillingEventTrace, StreamingTraceWriter, TraceDB, parallel_overlap
 from repro.tracedb.cli import main as trace_main
 
 
@@ -255,6 +262,30 @@ def test_on_c_exit_warns_once_on_underflow():
         warnings.simplefilter("error")
         profiler.on_c_enter()
         profiler.on_c_exit()
+
+
+def test_closed_shard_rejects_records_without_counting_them(tmp_path):
+    writer = StreamingTraceWriter(str(tmp_path))
+    trace = SpillingEventTrace(writer.shard("w0"))
+    shard = trace.shard
+    trace.add_event(Event(category=CATEGORY_BACKEND, name="run", start_us=0.0, end_us=10.0,
+                          worker="w0"))
+    trace.add_event(Event(category="Operation", name="step", start_us=0.0, end_us=12.0,
+                          worker="w0"))
+    trace.add_marker(OverheadMarker(kind=OVERHEAD_ANNOTATION, time_us=1.0, worker="w0"))
+    shard.close()
+    late = Event(category=CATEGORY_BACKEND, name="late", start_us=50.0, end_us=99.0, worker="w0")
+    with pytest.raises(RuntimeError, match="closed"):
+        trace.add_event(late)
+    with pytest.raises(RuntimeError, match="closed"):
+        shard.add_operation(Event(category="Operation", name="late", start_us=50.0,
+                                  end_us=99.0, worker="w0"))
+    with pytest.raises(RuntimeError, match="closed"):
+        trace.add_marker(OverheadMarker(kind=OVERHEAD_ANNOTATION, time_us=99.0, worker="w0"))
+    assert (shard.total_events, shard.total_operations, shard.total_markers) == (1, 1, 1)
+    assert shard.max_end_us == 12.0 and shard.buffered_records == 0
+    assert trace.total_events() == 2 and trace.span_us() == 12.0
+    assert shard.peak_buffered == 3 and len(shard.chunks) == 1
 
 
 def test_worker_run_system_is_optional():
