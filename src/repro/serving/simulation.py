@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from ..faults.plan import FRAME_CORRUPT, FRAME_DROP
 from .client import ServingClient
 from .loadgen import LoadGenerator
-from .protocol import EvalReply, decode_message
+from .protocol import STATUS_OK, peek_reply
 from .server import InferenceServer
 
 _ARRIVE = 0
@@ -136,9 +136,9 @@ def run_serving(server: InferenceServer, loadgen: LoadGenerator,
             push_timer()
         else:  # _REPLY
             assert isinstance(payload, bytes)
-            message, _ = decode_message(payload)
-            assert isinstance(message, EvalReply)
-            retry = clients[message.client_id].deliver(payload, now_us)
+            # Route by the header alone: the client decodes the frame once.
+            client_id, _ = peek_reply(payload)
+            retry = clients[client_id].deliver(payload, now_us)
             if retry is not None:
                 resend_us, frame = retry
                 push(resend_us + wire_latency_us, _SEND, frame)
@@ -147,12 +147,12 @@ def run_serving(server: InferenceServer, loadgen: LoadGenerator,
     # the blocked backlog.  Drain replies are all OK (nothing sheds while
     # draining) so they cannot schedule retries.
     for frame, at_us in server.drain(end_us):
-        message, _ = decode_message(frame)
-        assert isinstance(message, EvalReply) and message.ok
+        client_id, status = peek_reply(frame)
+        assert status == STATUS_OK
         delivered_us = at_us + wire_latency_us
         end_us = max(end_us, delivered_us)
         events += 1
-        clients[message.client_id].deliver(frame, delivered_us)
+        clients[client_id].deliver(frame, delivered_us)
     loadgen.close()
     return ServingRunResult(server=server, loadgen=loadgen,
                             horizon_us=horizon_us, end_us=end_us, events=events)

@@ -147,10 +147,11 @@ def test_message_stream_reassembles_split_and_coalesced_frames():
 
 # ------------------------------------------- malformed frames / resync (fuzz)
 def _corrupt_header(frame):
-    """Break the frame's JSON header while leaving the magic intact.
+    """Break the frame's checksummed preamble while leaving the magic intact.
 
-    The fixed struct header is 18 bytes (``<4sBBIQ``); flipping the first
-    JSON byte guarantees a decode failure without touching the magic.
+    Byte 18 is the first byte of the preamble CRC32, which covers the 18
+    bytes of magic, version, type and lengths before it; flipping it fails
+    the checksum, so the frame is rejected without touching the magic.
     """
     return frame[:18] + bytes([frame[18] ^ 0xFF]) + frame[19:]
 
@@ -199,6 +200,44 @@ def test_resync_survives_byte_at_a_time_delivery():
         seen.extend(stream.feed(blob[i:i + 1]))
     assert [m.request_id for m in seen] == [0, 2]
     assert stream.corrupt_frames == 1
+
+
+def _bit_flip_frames(kind):
+    """Three frames of ``kind`` (request ids 1, 2, 3) for the bit-flip sweep."""
+    if kind == "request":
+        return [encode_request(request(rid, 40.0, client="client-017",
+                                       deadline=900.0, meta={"attempt": 1}))
+                for rid in (1, 2, 3)]
+    if kind == "shed":
+        return [encode_reply(EvalReply(request_id=rid, client_id="client-017",
+                                       status="shed-queue", completion_us=40.0,
+                                       detail="queue full"))
+                for rid in (1, 2, 3)]
+    return [encode_reply(EvalReply(
+        request_id=rid, client_id="client-017", status="ok",
+        priors=np.full((2, NUM_MOVES), 1.0 / NUM_MOVES, dtype=np.float32),
+        values=np.array([0.5, -0.25], dtype=np.float32),
+        queue_delay_us=12.5, completion_us=80.0, replica=1))
+        for rid in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind", ["request", "shed", "ok"])
+def test_every_single_bit_flip_costs_exactly_that_frame(kind):
+    """Flip each bit of the middle frame in turn: the stream must return
+    exactly the two good frames around it and count one corrupt frame —
+    never a different valid message, never a stall on a corrupted length."""
+    before, target, after = _bit_flip_frames(kind)
+    failures = []
+    for bit in range(8 * len(target)):
+        corrupted = bytearray(target)
+        corrupted[bit // 8] ^= 1 << (bit % 8)
+        stream = MessageStream()
+        seen = stream.feed(before + bytes(corrupted) + after)
+        if ([m.request_id for m in seen] != [1, 3] or stream.corrupt_frames != 1
+                or stream.buffered_bytes != 0):
+            failures.append(bit)
+    assert not failures, \
+        f"{len(failures)} of {8 * len(target)} single-bit flips: first bits {failures[:10]}"
 
 
 def test_stream_fuzz_never_raises_and_never_hoards():
@@ -666,9 +705,10 @@ def test_state_key_roundtrips_and_keyless_frames_are_unchanged():
     assert decoded.features.tobytes() == keyed.features.tobytes()
     keyless = request(5, 10.0)
     assert keyless.state_key is None
-    frame = encode_request(keyless)
-    assert b"state_key" not in frame, "keyless frames carry no cache field"
-    assert decode_message(frame)[0].state_key is None
+    assert decode_message(encode_request(keyless))[0].state_key is None
+    zero = keyed_request(6, 10.0, key=0)
+    assert decode_message(encode_request(zero))[0].state_key == 0, \
+        "key 0 is a key, not an absent one"
 
 
 def test_keyed_run_decision_log_replays_with_cache_hits():

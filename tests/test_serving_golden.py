@@ -1,0 +1,86 @@
+"""Golden digests of the serving tier's deterministic outputs.
+
+Each test reruns one seeded serving workload and compares the SHA-256 of its
+rendered output against a digest recorded before the wire codec changed.
+The wire format is internal to a run, so any codec change must leave every
+one of these byte-identical:
+
+* the quick ``servesweep`` report, written through the experiment CLI
+  exactly as the CI smoke step writes it (the step re-checks the file's
+  digest against :data:`SERVESWEEP_QUICK_SHA256`);
+* the quick ``cachesweep`` report;
+* ``asdict(server.stats)`` plus the SLO report of one overloaded, keyed run
+  with frame drop and frame corrupt faults, so sheds, retries, admission
+  cache hits and stream resynchronization all cross the wire.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import asdict
+
+import numpy as np
+
+from repro.experiments import cli
+from repro.faults import FRAME_CORRUPT, FRAME_DROP, FaultEvent, FaultPlan
+from repro.minigo import PolicyValueNet
+from repro.serving import (
+    InferenceServer,
+    LoadGenerator,
+    PoissonProcess,
+    build_slo_report,
+    run_serving,
+)
+
+#: SHA-256 of the file ``servesweep --quick --out FILE`` writes.
+SERVESWEEP_QUICK_SHA256 = (
+    "4e6c103072297fbb359c9516ca02bae94d37122d246a5952615cadc97b9083e9")
+#: SHA-256 of the file ``cachesweep --quick --out FILE`` writes.
+CACHESWEEP_QUICK_SHA256 = (
+    "9a85bb08d6a917684985fab6e32ce122cedd95285534ceb1dd30b77bc13fa24b")
+#: SHA-256 of ``repr(asdict(server.stats))`` + newline + the SLO report.
+FAULTED_RUN_SHA256 = (
+    "28512da10fbb3e82d87a4250449691c4b390a12835c85e065d29c30b0a28a0f4")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_report_digest(tmp_path, experiment: str) -> str:
+    out = tmp_path / f"{experiment}.txt"
+    assert cli.main([experiment, "--quick", "--out", str(out)]) == 0
+    return _sha256(out.read_bytes())
+
+
+def faulted_run_text() -> str:
+    board = 5
+    server = InferenceServer(
+        PolicyValueNet(board, (16,), rng=np.random.default_rng(3)),
+        num_replicas=2, max_batch=8, queue_capacity=24,
+        overload="shed-newest", rate_limit_per_sec=6_000.0, rate_burst=2.0,
+        flush_policy="timeout", flush_timeout_us=300.0, cache_capacity=16,
+        keep_decision_log=True, seed=3,
+        fault_plan=FaultPlan(events=(
+            FaultEvent(1_500.0, FRAME_DROP),
+            FaultEvent(2_500.0, FRAME_CORRUPT),
+            FaultEvent(4_000.0, FRAME_CORRUPT),
+            FaultEvent(5_500.0, FRAME_DROP),
+        )))
+    loadgen = LoadGenerator(PoissonProcess(250_000.0), 24,
+                            feature_dim=3 * board * board,
+                            request_deadline_us=1_500.0, key_space=300, seed=3)
+    result = run_serving(server, loadgen, 8_000.0)
+    return repr(asdict(server.stats)) + "\n" + build_slo_report(result).format()
+
+
+def test_quick_servesweep_report_is_golden(tmp_path):
+    assert _cli_report_digest(tmp_path, "servesweep") == SERVESWEEP_QUICK_SHA256
+
+
+def test_quick_cachesweep_report_is_golden(tmp_path):
+    assert _cli_report_digest(tmp_path, "cachesweep") == CACHESWEEP_QUICK_SHA256
+
+
+def test_faulted_serving_run_is_golden():
+    assert _sha256(faulted_run_text().encode("utf-8")) == FAULTED_RUN_SHA256
