@@ -136,9 +136,7 @@ class BackendEngine:
         if inflation != 1.0:
             dispatch *= inflation
         self.system.clock.advance(dispatch)
-        for kernel in kernels:
-            self.system.cuda.launch_kernel(kernel)
-            self.kernel_launch_count += 1
+        self.kernel_launch_count += len(self.system.cuda.launch_kernels(kernels))
 
     def execute_op(self, op_name: str, inputs: Sequence[np.ndarray], attrs: Mapping[str, object]) -> np.ndarray:
         """Run one primitive op: numeric forward plus cost accounting."""

@@ -8,18 +8,20 @@ by an amount that depends on the API (Appendix C.2 of the paper).
 This module reproduces both behaviours.  The inflation amounts come from the
 cost model but are *not* visible to the profiler: RL-Scope has to recover
 them through difference-of-average calibration.
+
+Activity records are named field rows (:class:`~typing.NamedTuple`), built
+once per API call or kernel on the launch path and read by field name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from ..hw.gpu import GPUActivity
 
 
-@dataclass(frozen=True)
-class CuptiApiRecord:
+class CuptiApiRecord(NamedTuple):
     """Activity record for one CUDA API call (CPU side)."""
 
     api_name: str
@@ -33,8 +35,7 @@ class CuptiApiRecord:
         return self.end_us - self.start_us
 
 
-@dataclass(frozen=True)
-class CuptiKernelRecord:
+class CuptiKernelRecord(NamedTuple):
     """Activity record for one kernel execution (device side)."""
 
     kernel_name: str
@@ -49,8 +50,7 @@ class CuptiKernelRecord:
         return self.end_us - self.start_us
 
 
-@dataclass(frozen=True)
-class CuptiMemcpyRecord:
+class CuptiMemcpyRecord(NamedTuple):
     """Activity record for one memory copy (device side)."""
 
     direction: str
@@ -111,8 +111,7 @@ class Cupti:
                    correlation_id: Optional[int] = None) -> CuptiApiRecord:
         if correlation_id is None:
             correlation_id = self.next_correlation_id()
-        record = CuptiApiRecord(api_name=api_name, start_us=start_us, end_us=end_us,
-                                worker=worker, correlation_id=correlation_id)
+        record = CuptiApiRecord(api_name, start_us, end_us, worker, correlation_id)
         if self.enabled:
             self.api_records.append(record)
             for callback in self._api_callbacks:
@@ -122,27 +121,15 @@ class Cupti:
     def record_kernel(self, activity: GPUActivity, correlation_id: int) -> Optional[CuptiKernelRecord]:
         if not self.enabled:
             return None
-        record = CuptiKernelRecord(
-            kernel_name=activity.name,
-            start_us=activity.start_us,
-            end_us=activity.end_us,
-            stream=activity.stream,
-            worker=activity.worker,
-            correlation_id=correlation_id,
-        )
+        record = CuptiKernelRecord(activity.name, activity.start_us, activity.end_us,
+                                   activity.stream, activity.worker, correlation_id)
         self.kernel_records.append(record)
         return record
 
     def record_memcpy(self, activity: GPUActivity, correlation_id: int) -> Optional[CuptiMemcpyRecord]:
         if not self.enabled:
             return None
-        record = CuptiMemcpyRecord(
-            direction=activity.name,
-            start_us=activity.start_us,
-            end_us=activity.end_us,
-            stream=activity.stream,
-            worker=activity.worker,
-            correlation_id=correlation_id,
-        )
+        record = CuptiMemcpyRecord(activity.name, activity.start_us, activity.end_us,
+                                   activity.stream, activity.worker, correlation_id)
         self.memcpy_records.append(record)
         return record

@@ -14,13 +14,20 @@ External profilers attach through two mechanisms, mirroring the real stack:
   notified with the completed API record.
 * :class:`~repro.cuda.cupti.Cupti` activity records — enabled separately,
   and adding its own closed-source inflation to each API call.
+
+A backend op launches all of its kernels with one
+:meth:`CudaRuntime.launch_kernels` call (:meth:`CudaRuntime.launch_kernel`
+is its one-kernel case).  Each kernel is still its own ``cudaLaunchKernel``
+API call, accounted in this order: the ``cuda_api`` draw, the CUPTI
+inflation draw (when CUPTI is enabled), each hook's overhead draw, the clock
+advance over the call, ``Cupti.record_api``, each hook's ``on_api``, the
+``kernel_duration`` draw, the device enqueue and ``Cupti.record_kernel``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Optional, Protocol
+from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..hw.clock import VirtualClock
 from ..hw.costmodel import CostModel
@@ -39,8 +46,7 @@ class CudaApiHook(Protocol):
         """Notification after the API call completes (no time cost)."""
 
 
-@dataclass(frozen=True)
-class ApiCallResult:
+class ApiCallResult(NamedTuple):
     """Outcome of one simulated CUDA API call."""
 
     record: CuptiApiRecord
@@ -83,41 +89,54 @@ class CudaRuntime:
     def _api_call(self, api_name: str) -> CuptiApiRecord:
         """Advance the clock across one CPU-side CUDA API call and record it."""
         self.api_call_counts[api_name] += 1
-        duration = self.cost_model.cuda_api(api_name)
-        if self.cupti.enabled:
-            duration += self.cost_model.cupti_inflation(api_name)
-        for hook in self._hooks:
+        cost_model = self.cost_model
+        cupti = self.cupti
+        hooks = self._hooks
+        clock = self.clock
+        duration = cost_model.cuda_api(api_name)
+        if cupti.enabled:
+            duration += cost_model.cupti_inflation(api_name)
+        for hook in hooks:
             duration += hook.api_overhead_us(api_name)
-        start = self.clock.now_us
-        self.clock.advance(duration)
-        end = self.clock.now_us
-        record = self.cupti.record_api(api_name, start, end, self.worker)
-        for hook in self._hooks:
+        start = clock.now_us
+        end = clock.advance(duration)
+        record = cupti.record_api(api_name, start, end, self.worker)
+        for hook in hooks:
             hook.on_api(record)
         return record
 
     def launch_kernel(self, kernel: KernelSpec, *, stream: Optional[int] = None) -> ApiCallResult:
         """``cudaLaunchKernel``: CPU-side launch, asynchronous device execution."""
+        return ApiCallResult(*self.launch_kernels((kernel,), stream=stream)[0])
+
+    def launch_kernels(self, kernels: Sequence[KernelSpec], *, stream: Optional[int] = None
+                       ) -> List[Tuple[CuptiApiRecord, GPUActivity]]:
+        """One ``cudaLaunchKernel`` per kernel, in order (see the module docstring).
+
+        Returns each kernel's API record and device activity.
+        """
         if stream is None:
             stream = self.default_stream
-        record = self._api_call("cudaLaunchKernel")
-        self.kernel_launch_count += 1
-        activity = self.device.launch_kernel(
-            kernel.name,
-            flops=kernel.flops,
-            bytes_accessed=kernel.bytes_accessed,
-            launch_complete_us=record.end_us,
-            stream=stream,
-            worker=self.worker,
-            # Sample the duration from this worker's own cost model: a
-            # kernel's execution time must not depend on how other workers'
-            # launches interleave on the shared device (whose cost model has
-            # one shared jitter RNG), and the per-worker model is the one
-            # carrying the workload's CostModelConfig.
-            duration_us=self.cost_model.kernel_duration(kernel.flops, kernel.bytes_accessed),
-        )
-        self.cupti.record_kernel(activity, record.correlation_id)
-        return ApiCallResult(record=record, activity=activity)
+        api_call = self._api_call
+        # Sample each duration from this worker's own cost model: a kernel's
+        # execution time must not depend on how other workers' launches
+        # interleave on the shared device (whose cost model has one shared
+        # jitter RNG), and the per-worker model is the one carrying the
+        # workload's CostModelConfig.
+        kernel_duration = self.cost_model.kernel_duration
+        enqueue = self.device.enqueue
+        record_kernel = self.cupti.record_kernel
+        worker = self.worker
+        launched = []
+        for kernel in kernels:
+            record = api_call("cudaLaunchKernel")
+            activity = enqueue("kernel", kernel.name,
+                               kernel_duration(kernel.flops, kernel.bytes_accessed),
+                               record.end_us, stream, worker)
+            record_kernel(activity, record.correlation_id)
+            launched.append((record, activity))
+        self.kernel_launch_count += len(launched)
+        return launched
 
     def memcpy_async(self, direction: str, num_bytes: float, *, stream: Optional[int] = None) -> ApiCallResult:
         """``cudaMemcpyAsync``: CPU-side call, asynchronous copy-engine transfer."""

@@ -9,14 +9,27 @@ The model is intentionally simple — a catalogue of base durations plus a
 seeded multiplicative jitter — but it is the *only* source of time in the
 system.  The profiler never reads it; overhead correction has to recover the
 book-keeping durations through calibration, as in the paper (Appendix C).
+
+Jitter is drawn in blocks: each model takes :data:`JITTER_BLOCK` standard
+normals from its generator at a time and consumes them one per draw, as
+``1.0 + (0.0 + jitter * z)`` — the exact arithmetic of a scalar
+``Generator.normal(0.0, jitter)`` call, so every duration is bit-identical to
+drawing one normal per call.  The generator therefore runs up to a block
+ahead of the draws, and its state alone no longer says where the next draw
+comes from: snapshot and restore a model's random stream only through
+:meth:`CostModel.rng_state` / :meth:`CostModel.set_rng_state`, which carry
+the block and its cursor along with the generator state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
+
+#: Standard normals a :class:`CostModel` draws from its generator at a time.
+JITTER_BLOCK = 1024
 
 #: Default CPU-side cost (microseconds) of each simulated CUDA API call.
 DEFAULT_CUDA_API_US: Dict[str, float] = {
@@ -144,17 +157,43 @@ class CostModel:
 
     def __init__(self, config: Optional[CostModelConfig] = None, seed: Optional[int] = None) -> None:
         self.config = config if config is not None else CostModelConfig()
-        self._rng = np.random.default_rng(self.config.seed if seed is None else seed)
+        #: The seed this model's generator started from (``seed``, else ``config.seed``).
+        self.seed = self.config.seed if seed is None else seed
+        self._rng = np.random.default_rng(self.seed)
+        # Drawn standard normals; ``_block[_cursor:]`` are still unused.
+        self._block: List[float] = []
+        self._cursor = 0
 
     # ------------------------------------------------------------------ util
     def _jittered(self, base_us: float) -> float:
         """Apply multiplicative jitter; durations never go negative."""
         if base_us <= 0:
             return 0.0
-        if self.config.jitter <= 0:
+        jitter = self.config.jitter
+        if jitter <= 0:
             return float(base_us)
-        factor = 1.0 + self._rng.normal(0.0, self.config.jitter)
-        return float(base_us * max(factor, 0.05))
+        cursor = self._cursor
+        if cursor == len(self._block):
+            self._block = self._rng.standard_normal(JITTER_BLOCK).tolist()
+            cursor = 0
+        self._cursor = cursor + 1
+        # ``normal(loc, scale)`` computes ``loc + scale * z``; keep its rounding.
+        factor = 1.0 + (0.0 + jitter * self._block[cursor])
+        return float(base_us * (factor if factor >= 0.05 else 0.05))
+
+    def rng_state(self) -> Dict[str, object]:
+        """Snapshot of the jitter stream: generator state, drawn block and cursor."""
+        return {
+            "bit_generator": self._rng.bit_generator.state,
+            "block": list(self._block),
+            "cursor": self._cursor,
+        }
+
+    def set_rng_state(self, state: Mapping[str, object]) -> None:
+        """Resume the jitter stream from a :meth:`rng_state` snapshot."""
+        self._rng.bit_generator.state = state["bit_generator"]
+        self._block = list(state["block"])  # type: ignore[call-overload]
+        self._cursor = int(state["cursor"])  # type: ignore[call-overload]
 
     # ---------------------------------------------------------------- python
     def python_work(self, units: float = 1.0) -> float:
@@ -243,9 +282,13 @@ class CostModel:
 
     # ---------------------------------------------------------------- variants
     def with_overrides(self, **overrides: object) -> "CostModel":
-        """Return a new :class:`CostModel` with config fields replaced."""
+        """Return a new :class:`CostModel` with config fields replaced.
+
+        The new model starts from this model's seed unless ``seed`` is one of
+        the overrides.
+        """
         new_config = replace(self.config, **overrides)  # type: ignore[arg-type]
-        return CostModel(new_config)
+        return CostModel(new_config, seed=None if "seed" in overrides else self.seed)
 
 
 def scaled_sim_costs(scale: float, base: Optional[Mapping[str, float]] = None) -> Dict[str, float]:

@@ -15,7 +15,7 @@ kernels from multiple processes share a real GPU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .costmodel import CostModel
 
@@ -23,9 +23,11 @@ DEFAULT_STREAM = 0
 COPY_STREAM = 1
 
 
-@dataclass(frozen=True)
-class GPUActivity:
-    """One completed unit of device work (kernel execution or memcpy)."""
+class GPUActivity(NamedTuple):
+    """One completed unit of device work (kernel execution or memcpy).
+
+    A named field row: cheap to build once per launch, read by field name.
+    """
 
     kind: str          #: ``"kernel"`` or ``"memcpy"``
     name: str          #: kernel name, or memcpy direction (``"HtoD"`` / ``"DtoH"``)
@@ -63,7 +65,7 @@ class GPUDevice:
         """Enqueue a kernel; returns its device-side activity record."""
         if duration_us is None:
             duration_us = self.cost_model.kernel_duration(flops, bytes_accessed)
-        return self._enqueue("kernel", name, duration_us, launch_complete_us, stream, worker)
+        return self.enqueue("kernel", name, duration_us, launch_complete_us, stream, worker)
 
     def enqueue_memcpy(
         self,
@@ -80,9 +82,9 @@ class GPUDevice:
             raise ValueError(f"unknown memcpy direction: {direction!r}")
         if duration_us is None:
             duration_us = self.cost_model.memcpy_duration(num_bytes)
-        return self._enqueue("memcpy", direction, duration_us, launch_complete_us, stream, worker)
+        return self.enqueue("memcpy", direction, duration_us, launch_complete_us, stream, worker)
 
-    def _enqueue(
+    def enqueue(
         self,
         kind: str,
         name: str,
@@ -91,13 +93,14 @@ class GPUDevice:
         stream: int,
         worker: str,
     ) -> GPUActivity:
+        """Queue ``duration_us`` of device work behind ``stream``'s earlier work."""
         if duration_us < 0:
             raise ValueError("device work cannot have a negative duration")
         free_at = self._stream_free_us.get(stream, 0.0)
         start = max(launch_complete_us, free_at)
         end = start + duration_us
         self._stream_free_us[stream] = end
-        activity = GPUActivity(kind=kind, name=name, start_us=start, end_us=end, stream=stream, worker=worker)
+        activity = GPUActivity(kind, name, start, end, stream, worker)
         self._activity.append(activity)
         return activity
 

@@ -400,7 +400,7 @@ class GameDriver(StepwiseDriver):
             "pending": pending,
             "worker_rng": worker.rng,
             "clock_us": worker.system.clock.now_us,
-            "cost_rng_state": worker.system.cost_model._rng.bit_generator.state,
+            "cost_rng_state": worker.system.cost_model.rng_state(),
             "profiler": prof_state,
             "search_open": self._search_op is not None,
             "leaf_open": self._leaf_op is not None,
@@ -442,7 +442,7 @@ class GameDriver(StepwiseDriver):
             driver._mcts.evaluator = worker._profiled_evaluator
         system = worker.system
         system.clock.advance_to(state["clock_us"])
-        system.cost_model._rng.bit_generator.state = state["cost_rng_state"]
+        system.cost_model.set_rng_state(state["cost_rng_state"])
         profiler = worker.profiler
         prof_state = state["profiler"]
         pending = state["pending"]

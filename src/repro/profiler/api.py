@@ -305,22 +305,16 @@ class Profiler:
         self._flush_python(self.system.clock.now_us)
         if self.config.cupti:
             cupti = self.system.cuda.cupti
-            for record in cupti.kernel_records:
-                if record.worker != self.worker:
-                    continue
-                self.trace.add_event(Event(
-                    category=CATEGORY_GPU, name=record.kernel_name,
-                    start_us=record.start_us, end_us=record.end_us,
-                    worker=self.worker, phase=self.phase,
-                ))
-            for record in cupti.memcpy_records:
-                if record.worker != self.worker:
-                    continue
-                self.trace.add_event(Event(
-                    category=CATEGORY_GPU, name=f"memcpy_{record.direction}",
-                    start_us=record.start_us, end_us=record.end_us,
-                    worker=self.worker, phase=self.phase,
-                ))
+            add_interval = self.trace.add_interval
+            worker = self.worker
+            phase = self.phase
+            for name, start_us, end_us, _, record_worker, _ in cupti.kernel_records:
+                if record_worker == worker:
+                    add_interval(CATEGORY_GPU, name, start_us, end_us, worker, phase)
+            for direction, start_us, end_us, _, record_worker, _ in cupti.memcpy_records:
+                if record_worker == worker:
+                    add_interval(CATEGORY_GPU, f"memcpy_{direction}", start_us, end_us,
+                                 worker, phase)
         self.trace.metadata.setdefault("total_time_us", self.system.clock.now_us)
         self.detach()
         self._finalized = True

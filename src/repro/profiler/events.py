@@ -164,6 +164,18 @@ class EventTrace:
     def add_marker(self, marker: OverheadMarker) -> None:
         self.markers.append(marker)
 
+    # Field-wise adds for the per-CUDA-call records: this trace builds the
+    # objects, while a streaming trace appends the fields as a row instead.
+    def add_interval(self, category: str, name: str, start_us: float, end_us: float,
+                     worker: str, phase: str) -> None:
+        """Record an interval event without metadata, given by its fields."""
+        self.add_event(Event(category, name, start_us, end_us, worker, phase))
+
+    def add_marker_at(self, kind: str, time_us: float, api_name: Optional[str],
+                      worker: str, phase: str) -> None:
+        """Record an overhead marker, given by its fields."""
+        self.markers.append(OverheadMarker(kind, time_us, api_name, worker, phase))
+
     def extend(self, other: "EventTrace") -> None:
         """Merge another trace (e.g. another worker's) into this one."""
         self.events.extend(other.events)

@@ -98,19 +98,14 @@ class CudaInterceptionHook:
 
     def on_api(self, record: CuptiApiRecord) -> None:
         profiler = self.profiler
-        if record.worker != profiler.worker:
+        worker = profiler.worker
+        if record.worker != worker:
             return
-        profiler.record_event(Event(
-            category=CATEGORY_CUDA_API, name=record.api_name,
-            start_us=record.start_us, end_us=record.end_us,
-            worker=profiler.worker, phase=profiler.phase,
-        ))
-        profiler.record_marker(OverheadMarker(
-            kind=OVERHEAD_CUDA_INTERCEPTION, time_us=record.end_us,
-            api_name=record.api_name, worker=profiler.worker, phase=profiler.phase,
-        ))
+        trace = profiler.trace
+        phase = profiler.phase
+        api_name = record.api_name
+        end_us = record.end_us
+        trace.add_interval(CATEGORY_CUDA_API, api_name, record.start_us, end_us, worker, phase)
+        trace.add_marker_at(OVERHEAD_CUDA_INTERCEPTION, end_us, api_name, worker, phase)
         if profiler.system.cuda.cupti.enabled:
-            profiler.record_marker(OverheadMarker(
-                kind=OVERHEAD_CUPTI, time_us=record.end_us,
-                api_name=record.api_name, worker=profiler.worker, phase=profiler.phase,
-            ))
+            trace.add_marker_at(OVERHEAD_CUPTI, end_us, api_name, worker, phase)

@@ -235,7 +235,7 @@ class EnvRolloutDriver(StepwiseDriver):
             "env_state": env_state,
             "pending": pending,
             "clock_us": self.system.clock.now_us,
-            "cost_rng_state": self.system.cost_model._rng.bit_generator.state,
+            "cost_rng_state": self.system.cost_model.rng_state(),
             "profiler": prof_state,
             "infer_open": self._infer_op is not None,
         }
@@ -267,7 +267,7 @@ class EnvRolloutDriver(StepwiseDriver):
         driver._finished = state["finished"]
         env.__dict__.update(state["env_state"])
         driver.system.clock.advance_to(state["clock_us"])
-        driver.system.cost_model._rng.bit_generator.state = state["cost_rng_state"]
+        driver.system.cost_model.set_rng_state(state["cost_rng_state"])
         prof_state = state["profiler"]
         pending = state["pending"]
         if profiler is not None and prof_state is not None:

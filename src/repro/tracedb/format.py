@@ -38,9 +38,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,6 +151,31 @@ class ChunkMeta:
         )
 
 
+#: An interval (stack event or operation) as a field row, in
+#: :class:`~repro.profiler.events.Event` field order.
+IntervalRow = Tuple[str, str, float, float, str, str, Optional[Mapping[str, object]]]
+#: An overhead marker as a field row, in
+#: :class:`~repro.profiler.events.OverheadMarker` field order.
+MarkerRow = Tuple[str, float, Optional[str], str, str]
+
+#: The field row of an :class:`~repro.profiler.events.Event`.
+interval_row = attrgetter("category", "name", "start_us", "end_us", "worker", "phase", "metadata")
+#: The field row of an :class:`~repro.profiler.events.OverheadMarker`.
+marker_row = attrgetter("kind", "time_us", "api_name", "worker", "phase")
+
+
+@dataclass
+class ChunkRows:
+    """One chunk's records as field rows: what a shard buffers and encodes."""
+
+    events: List[IntervalRow] = field(default_factory=list)
+    operations: List[IntervalRow] = field(default_factory=list)
+    markers: List[MarkerRow] = field(default_factory=list)
+
+    def to_rows(self) -> "ChunkRows":
+        return self
+
+
 @dataclass
 class ChunkPayload:
     """Decoded contents of one chunk file."""
@@ -159,24 +184,34 @@ class ChunkPayload:
     operations: List[Event] = field(default_factory=list)
     markers: List[OverheadMarker] = field(default_factory=list)
 
+    def to_rows(self) -> ChunkRows:
+        return ChunkRows(
+            events=list(map(interval_row, self.events)),
+            operations=list(map(interval_row, self.operations)),
+            markers=list(map(marker_row, self.markers)),
+        )
+
+
+Chunk = Union[ChunkRows, ChunkPayload]
+
 
 # ------------------------------------------------------------------- chunks
 def chunk_filename(worker: str, seq: int) -> str:
     return f"{CHUNK_PREFIX}_{worker}_{seq:05d}{CHUNK_SUFFIX}"
 
 
-def _column(records: Sequence[object], field_name: str) -> List[object]:
-    return list(map(attrgetter(field_name), records))
+def _columns(rows: Sequence[tuple], width: int) -> List[List[object]]:
+    """Transpose field rows into ``width`` columns."""
+    # Not ``zip(*rows)``: that allocates one iterator per row.
+    return [list(map(itemgetter(index), rows)) for index in range(width)]
 
 
-def _times(records: Sequence[object], *field_names: str) -> bytes:
-    return np.array([_column(records, name) for name in field_names], dtype=_TIME).tobytes()
-
-
-def encode_chunk(payload: ChunkPayload) -> bytes:
+def encode_chunk(chunk: Chunk) -> bytes:
     """Encode one chunk's records as compressed columns (see the module docstring)."""
-    intervals = payload.events + payload.operations
-    markers = payload.markers
+    rows = chunk.to_rows()
+    intervals = rows.events + rows.operations
+    category, name, start, end, worker, phase, metadata = _columns(intervals, 7)
+    kind, time, api_names, m_worker, m_phase = _columns(rows.markers, 5)
     table: Dict[object, int] = {}
 
     def intern(column: Sequence[object]) -> List[int]:
@@ -184,30 +219,27 @@ def encode_chunk(payload: ChunkPayload) -> bytes:
             table.setdefault(value, len(table))
         return list(map(table.__getitem__, column))
 
-    interval_ids = [intern(_column(intervals, name))
-                    for name in ("category", "name", "worker", "phase")]
-    kind_ids = intern(_column(markers, "kind"))
-    api_names = _column(markers, "api_name")
+    interval_ids = [intern(category), intern(name), intern(worker), intern(phase)]
+    kind_ids = intern(kind)
     intern([api_name for api_name in api_names if api_name is not None])
     api_ids = list(map({**table, None: _NO_STRING}.__getitem__, api_names))
-    marker_ids = [kind_ids, api_ids,
-                  intern(_column(markers, "worker")), intern(_column(markers, "phase"))]
+    marker_ids = [kind_ids, api_ids, intern(m_worker), intern(m_phase)]
 
     header = json.dumps({
-        "events": len(payload.events),
-        "operations": len(payload.operations),
-        "markers": len(markers),
+        "events": len(rows.events),
+        "operations": len(rows.operations),
+        "markers": len(rows.markers),
         "strings": [str(value) for value in table],
-        "metadata": [[index, dict(event.metadata)] for index, event in enumerate(intervals)
-                     if event.metadata is not None],
+        "metadata": [[index, dict(meta)] for index, meta in enumerate(metadata)
+                     if meta is not None],
     }, separators=(",", ":")).encode("utf-8")
     raw = b"".join((
         _PREAMBLE.pack(_MAGIC, len(header)),
         header,
         np.array(interval_ids, dtype=_ID).tobytes(),
-        _times(intervals, "start_us", "end_us"),
+        np.array([start, end], dtype=_TIME).tobytes(),
         np.array(marker_ids, dtype=_ID).tobytes(),
-        _times(markers, "time_us"),
+        np.array([time], dtype=_TIME).tobytes(),
     ))
     return zlib.compress(raw, _ZLIB_LEVEL)
 
@@ -253,8 +285,8 @@ def decode_chunk(data: bytes) -> ChunkPayload:
     )
 
 
-def write_chunk(path: Path, payload: ChunkPayload) -> None:
-    path.write_bytes(encode_chunk(payload))
+def write_chunk(path: Path, chunk: Chunk) -> None:
+    path.write_bytes(encode_chunk(chunk))
 
 
 def read_chunk(path: Path) -> ChunkPayload:
@@ -296,28 +328,25 @@ def _read_jsonl_chunk(path: Path) -> ChunkPayload:
     return payload
 
 
-def build_meta(file: str, worker: str, seq: int, payload: ChunkPayload) -> ChunkMeta:
+def build_meta(file: str, worker: str, seq: int, chunk: Chunk) -> ChunkMeta:
     """Compute the index statistics for one chunk's records."""
-    starts: List[float] = [e.start_us for e in payload.events]
-    ends: List[float] = [e.end_us for e in payload.events]
-    starts += [op.start_us for op in payload.operations]
-    ends += [op.end_us for op in payload.operations]
-    starts += [m.time_us for m in payload.markers]
-    ends += [m.time_us for m in payload.markers]
-    phases = {e.phase for e in payload.events} | {op.phase for op in payload.operations}
-    phases |= {m.phase for m in payload.markers}
-    categories = {e.category for e in payload.events}
+    rows = chunk.to_rows()
+    intervals = rows.events + rows.operations
+    times = list(map(itemgetter(1), rows.markers))
+    starts = list(map(itemgetter(2), intervals)) + times
+    ends = list(map(itemgetter(3), intervals)) + times
+    phases = set(map(itemgetter(5), intervals)) | set(map(itemgetter(4), rows.markers))
     return ChunkMeta(
         file=file,
         worker=worker,
         seq=seq,
-        num_events=len(payload.events),
-        num_operations=len(payload.operations),
-        num_markers=len(payload.markers),
+        num_events=len(rows.events),
+        num_operations=len(rows.operations),
+        num_markers=len(rows.markers),
         start_us=min(starts) if starts else None,
         end_us=max(ends) if ends else None,
         phases=tuple(sorted(phases)),
-        categories=tuple(sorted(categories)),
+        categories=tuple(sorted(set(map(itemgetter(0), rows.events)))),
     )
 
 

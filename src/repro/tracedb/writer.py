@@ -8,6 +8,17 @@ ever held in memory per worker.  Flushing performs only host-side I/O — it nev
 the virtual clock, so streaming adds zero virtual time to the profiled
 workload.
 
+A shard buffers field rows, not record objects: each interval is a plain
+``(category, name, start_us, end_us, worker, phase, metadata)`` tuple and
+each marker a ``(kind, time_us, api_name, worker, phase)`` tuple, held in a
+:class:`~repro.tracedb.format.ChunkRows` that the chunk encoder reads column
+by column.  :meth:`SpillingEventTrace.add_interval` /
+:meth:`SpillingEventTrace.add_marker_at` append such rows directly, so the
+profiler's per-CUDA-call records never become objects in streaming mode;
+records that arrive as :class:`~repro.profiler.events.Event` /
+:class:`~repro.profiler.events.OverheadMarker` objects are converted to rows
+on the way in.
+
 Several profilers (e.g. the 16 Minigo self-play workers plus the trainer
 and evaluator) can share one :class:`StreamingTraceWriter`, each writing its
 own shard into the same store directory; the index is merged incrementally
@@ -24,10 +35,14 @@ from ..profiler.events import CATEGORY_OPERATION, Event, EventTrace, OverheadMar
 from .format import (
     DEFAULT_CHUNK_EVENTS,
     ChunkMeta,
-    ChunkPayload,
+    ChunkRows,
+    IntervalRow,
+    MarkerRow,
     WorkerEntry,
     build_meta,
     chunk_filename,
+    interval_row,
+    marker_row,
     read_index,
     write_chunk,
     write_index,
@@ -55,7 +70,7 @@ class ShardWriter:
         self.chunks: List[ChunkMeta] = []
         self.closed = False
         self._on_chunk = on_chunk
-        self._buffer = ChunkPayload()
+        self._buffer = ChunkRows()
         self._buffered = 0
         # Totals across the whole shard (buffered + flushed).
         self.total_events = 0
@@ -70,29 +85,38 @@ class ShardWriter:
     def buffered_records(self) -> int:
         return self._buffered
 
-    # A closed shard rejects a record before touching the buffer or totals.
     def add_event(self, event: Event) -> None:
-        if self.closed:
-            self._reject()
-        self._buffer.events.append(event)
-        self.total_events += 1
-        if event.end_us > self.max_end_us:
-            self.max_end_us = event.end_us
-        self._after_add()
+        self.add_event_row(interval_row(event))
 
     def add_operation(self, operation: Event) -> None:
-        if self.closed:
-            self._reject()
-        self._buffer.operations.append(operation)
-        self.total_operations += 1
-        if operation.end_us > self.max_end_us:
-            self.max_end_us = operation.end_us
-        self._after_add()
+        self.add_operation_row(interval_row(operation))
 
     def add_marker(self, marker: OverheadMarker) -> None:
+        self.add_marker_row(marker_row(marker))
+
+    # A closed shard rejects a row before touching the buffer or totals.
+    def add_event_row(self, row: IntervalRow) -> None:
         if self.closed:
             self._reject()
-        self._buffer.markers.append(marker)
+        self._buffer.events.append(row)
+        self.total_events += 1
+        if row[3] > self.max_end_us:
+            self.max_end_us = row[3]
+        self._after_add()
+
+    def add_operation_row(self, row: IntervalRow) -> None:
+        if self.closed:
+            self._reject()
+        self._buffer.operations.append(row)
+        self.total_operations += 1
+        if row[3] > self.max_end_us:
+            self.max_end_us = row[3]
+        self._after_add()
+
+    def add_marker_row(self, row: MarkerRow) -> None:
+        if self.closed:
+            self._reject()
+        self._buffer.markers.append(row)
         self.total_markers += 1
         self._after_add()
 
@@ -116,7 +140,7 @@ class ShardWriter:
         meta = build_meta(name, self.worker, self.seq, self._buffer)
         self.seq += 1
         self.chunks.append(meta)
-        self._buffer = ChunkPayload()
+        self._buffer = ChunkRows()
         self._buffered = 0
         if self._on_chunk is not None:
             self._on_chunk(meta)
@@ -254,6 +278,21 @@ class SpillingEventTrace(EventTrace):
 
     def add_marker(self, marker: OverheadMarker) -> None:
         self._shard.add_marker(marker)
+
+    def add_interval(self, category: str, name: str, start_us: float, end_us: float,
+                     worker: str, phase: str) -> None:
+        if end_us < start_us:
+            raise ValueError("event ends before it starts: "
+                             f"{Event(category, name, start_us, end_us, worker, phase)}")
+        row = (category, name, start_us, end_us, worker, phase, None)
+        if category == CATEGORY_OPERATION:
+            self._shard.add_operation_row(row)
+        else:
+            self._shard.add_event_row(row)
+
+    def add_marker_at(self, kind: str, time_us: float, api_name: Optional[str],
+                      worker: str, phase: str) -> None:
+        self._shard.add_marker_row((kind, time_us, api_name, worker, phase))
 
     # Counting queries reflect everything spilled so far; the record lists
     # themselves are on disk — query them through :class:`~repro.tracedb.TraceDB`.

@@ -108,3 +108,12 @@ def test_scaled_sim_costs():
     base = CostModelConfig().sim_step_us
     assert scaled["Pong"] == pytest.approx(2.0 * base["Pong"])
     assert scaled["Walker2D"] == pytest.approx(2.0 * base["Walker2D"])
+
+
+def test_with_overrides_keeps_the_effective_seed():
+    # ``System.create(seed=...)`` builds every worker's model as CostModel(cfg, seed=...).
+    seeded = CostModel(seed=5)
+    modified = CostModel(seed=5).with_overrides(python_op_us=0.9)
+    assert [modified.python_work(1.0) for _ in range(20)] == \
+        [seeded.python_work(1.0) for _ in range(20)]
+    assert CostModel(seed=5).with_overrides(seed=9).seed == 9
