@@ -114,11 +114,6 @@ def run_fig8(
         config = replace(config, num_replicas=num_replicas)
     if routing is not None:
         config = replace(config, routing=routing)
-    if config.num_replicas > 1 and not config.batched_inference:
-        # Without batched inference there is no service to shard — silently
-        # returning single-device numbers would be misleading.
-        raise ValueError("num_replicas > 1 requires batched inference; pass "
-                         "scheduler='event' (or a config with batched_inference=True)")
     training = MinigoTraining(config)
     round_result = training.run_round()
     if round_result.trace_dir is not None:

@@ -6,9 +6,9 @@ simulate ``num_workers`` parallel worker "processes" inside one interpreter
 simulation on real OS processes without changing a single scheduling or
 timing decision:
 
-* each shard process (:mod:`~repro.parallel.shard`) owns a subset of fully
-  built worker stacks and advances their drivers independently between
-  inference serves;
+* each shard process (:mod:`~repro.parallel.shard`) builds a subset of the
+  pool's worker stacks through the single-process run's own build path and
+  advances their drivers independently between inference serves;
 * the parent (:mod:`~repro.parallel.proxy`, :mod:`~repro.parallel.runner`)
   replays the shards' per-step clock records through proxy drivers under
   the real :class:`~repro.rollout.scheduler.PoolScheduler` and the real
@@ -19,7 +19,8 @@ timing decision:
 event loop bit-for-bit — game records, per-worker clocks, scheduler
 decisions, service stats; ``num_processes=N`` changes nothing but the
 wall-clock. Enabled via ``SelfPlayPool(..., num_processes=N)`` and
-``EnvRolloutPool(..., num_processes=N)``.
+``EnvRolloutPool(..., num_processes=N)``, whose shared core
+(:class:`~repro.rollout.pool.WorkerPool`) drives the parent side.
 """
 
 from .proxy import MirrorInferenceService, ProxyDriver

@@ -321,14 +321,14 @@ class ParallelRunner:
         return blobs
 
     # -------------------------------------------------------------- teardown
-    def finalize(self) -> Dict[int, dict]:
-        """Finalize every shard *serially* and merge per-worker results.
+    def finalize(self) -> Dict[int, object]:
+        """Finalize every shard *serially* and merge their per-worker runs.
 
         Serial on purpose: in streaming mode each shard's finalize merges
         its trace shards into the store index read-modify-write, so two
         shards must never write the index concurrently.
         """
-        finals: Dict[int, dict] = {}
+        finals: Dict[int, object] = {}
         for channel in self.channels:
             channel.send(("finalize",))
             _, shard_finals = channel.recv()

@@ -1,11 +1,12 @@
 """Child-process side of the multiprocess pool: one shard of worker stacks.
 
 A :class:`WorkerShard` owns a subset of a pool's workers inside one OS
-process.  It rebuilds those workers from a picklable :class:`ShardSpec`
-(pool constructor kwargs + owned worker indices) — every per-worker RNG
-stream is derived explicitly from ``(seed, worker_index)`` (see
-:mod:`repro.rollout.seeding`), so a stack built here is bit-identical to
-the one the single-process pool would have built.
+process.  It rebuilds the pool from a picklable :class:`ShardSpec` (pool
+class key, constructor kwargs, owned worker indices) and builds those
+workers through the pool's own ``_build_workers`` — the method the
+single-process run uses.  Every per-worker RNG stream is derived from
+``(seed, worker_index)`` (see :mod:`repro.rollout.seeding`), so a stack
+built here is bit-identical to the single-process pool's.
 
 Between inference serves the shard advances each owned driver on its own —
 :meth:`run_segment` steps a driver until it suspends at an inference
@@ -21,7 +22,7 @@ run's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ class ShardSpec:
     ``policy_factory``/``forward`` callables cannot run multiprocess.
     """
 
-    kind: str                       #: "selfplay" | "envrollout"
+    kind: str                       #: pool class key: "selfplay" | "envrollout"
     pool_config: dict
     worker_indices: List[int]       #: global worker indices owned by this shard
     weights: Optional[list] = field(default=None, repr=False)
@@ -45,76 +46,29 @@ class ShardSpec:
     restore: Optional[Dict[int, bytes]] = field(default=None, repr=False)
 
 
+def _pool_class(kind: str):
+    """The pool class a :class:`ShardSpec` of ``kind`` rebuilds (imported lazily)."""
+    if kind == "selfplay":
+        from ..minigo.workers import SelfPlayPool
+        return SelfPlayPool
+    if kind == "envrollout":
+        from ..rollout.pool import EnvRolloutPool
+        return EnvRolloutPool
+    raise ValueError(f"unknown shard kind {kind!r}")
+
+
 class WorkerShard:
-    """One process's batch of fully-built worker stacks and their drivers."""
+    """One process's fully-built worker stacks (restored from ``spec.restore``
+    snapshots where listed) and their drivers."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.drivers: Dict[int, object] = {}
-        self.systems: Dict[int, object] = {}
-        self.host_clients: Dict[int, object] = {}
-        self.profilers: Dict[int, object] = {}
+        self.pool = _pool_class(spec.kind)(**spec.pool_config)
+        built = self.pool._build_workers(spec.worker_indices, spec.weights, spec.restore)
+        #: windex -> :class:`~repro.rollout.pool.WorkerStack`
+        self.stacks = dict(zip(spec.worker_indices, built))
+        self.service = self.pool.inference_service
         self.tickets: Dict[int, object] = {}
-        if spec.kind == "selfplay":
-            self._build_selfplay(spec)
-        elif spec.kind == "envrollout":
-            self._build_envrollout(spec)
-        else:
-            raise ValueError(f"unknown shard kind {spec.kind!r}")
-
-    # ---------------------------------------------------------------- build
-    def _build_selfplay(self, spec: ShardSpec) -> None:
-        from ..minigo.selfplay import GameDriver
-        from ..minigo.workers import SelfPlayPool
-
-        pool = SelfPlayPool(**spec.pool_config)
-        self.pool = pool
-        service = pool._build_service()
-        if spec.weights is not None:
-            service.update_weights(spec.weights, charge=False)
-        pool.inference_service = service
-        self.service = service
-        for windex in spec.worker_indices:
-            worker, profiler = pool._make_worker(windex, spec.weights)
-            if spec.restore is not None and windex in spec.restore:
-                driver = GameDriver.restore(worker, spec.restore[windex])
-            else:
-                driver = GameDriver(worker, pool.games_per_worker)
-            self.drivers[windex] = driver
-            self.systems[windex] = worker.system
-            self.host_clients[windex] = worker._client
-            self.profilers[windex] = profiler
-
-    def _build_envrollout(self, spec: ShardSpec) -> None:
-        from ..rollout.envdriver import EnvRolloutDriver
-        from ..rollout.pool import EnvRolloutPool
-        from ..rollout.seeding import driver_seed
-
-        pool = EnvRolloutPool(**spec.pool_config)
-        self.pool = pool
-        stacks = {windex: pool._make_worker_stack(windex)
-                  for windex in spec.worker_indices}
-        probe_env = stacks[spec.worker_indices[0]][2]
-        service = pool._build_service(probe_env)
-        pool.inference_service = service
-        self.service = service
-        for windex in spec.worker_indices:
-            system, engine, env, profiler = stacks[windex]
-            client = service.connect(system, engine, worker=system.worker)
-            if spec.restore is not None and windex in spec.restore:
-                driver = EnvRolloutDriver.restore(env, client,
-                                                  spec.restore[windex],
-                                                  profiler=profiler)
-            else:
-                policy = pool._make_policy(env, windex)
-                driver = EnvRolloutDriver(
-                    env, client, policy, pool.steps_per_worker,
-                    seed=driver_seed(pool.seed, windex), profiler=profiler,
-                    collect_transitions=pool.collect_transitions)
-            self.drivers[windex] = driver
-            self.systems[windex] = system
-            self.host_clients[windex] = client
-            self.profilers[windex] = profiler
 
     # ------------------------------------------------------------- segments
     def build(self) -> Dict[int, dict]:
@@ -133,7 +87,7 @@ class WorkerShard:
         metadata ride along; the local service queue is drained (the parent
         mirror owns all queueing and batching decisions).
         """
-        driver = self.drivers[windex]
+        driver = self.stacks[windex].driver
         records: List[tuple] = []
         while driver.runnable:
             pre = driver.now_us
@@ -163,7 +117,7 @@ class WorkerShard:
         if metadata is not None and ticket.metadata is not None:
             ticket.metadata.clear()
             ticket.metadata.update(metadata)
-        self.systems[windex].clock.advance_to(end_us)
+        self.stacks[windex].system.clock.advance_to(end_us)
         ticket.priors = priors
         ticket.values = values
         return self.run_segment(windex)
@@ -183,7 +137,7 @@ class WorkerShard:
         """
         from ..rollout.inference import InferenceTicket
 
-        host = self.host_clients[windex]
+        host = self.stacks[windex].client
         host.system.clock.advance_to(start_us)
         ticket = InferenceTicket(host, features, None)
         replica = self.service.replicas[replica_index]
@@ -192,25 +146,19 @@ class WorkerShard:
         return priors, values, host.system.clock.now_us
 
     # ------------------------------------------------------------- finalize
-    def finalize(self) -> Dict[int, dict]:
-        """Finalize owned profilers and return per-worker results.
+    def finalize(self) -> Dict[int, object]:
+        """Finalize owned profilers and return per-worker runs.
 
-        When the pool streams traces, each shard closes its own writer —
-        shard index merges are read-modify-write, so the parent serializes
-        finalize calls across shards and closes its own (workerless) writer
-        last.
+        Each run is the pool's own :class:`~repro.rollout.pool.WorkerRun`,
+        without its live system.  When the pool streams traces, each shard
+        closes its own writer — shard index merges are read-modify-write, so
+        the parent serializes finalize calls across shards and closes its own
+        (workerless) writer last.
         """
-        out: Dict[int, dict] = {}
-        for windex in self.spec.worker_indices:
-            profiler = self.profilers[windex]
-            trace = profiler.finalize() if profiler is not None else None
-            if self.pool.streaming:
-                trace = None  # the trace lives in the store's shard
-            out[windex] = {"result": self.drivers[windex].result,
-                           "total_time_us": self.systems[windex].clock.now_us,
-                           "trace": trace}
-        if self.pool.streaming and self.pool._owns_store:
-            self.pool._store.close()
+        out = {windex: replace(self.pool._finish_worker(stack, stack.profiler,
+                                                        stack.driver.result), system=None)
+               for windex, stack in self.stacks.items()}
+        self.pool._close_store()
         return out
 
 
@@ -231,8 +179,8 @@ def handle_message(state, msg: tuple) -> tuple:
         return ("exec", exec_id, priors, values, end_us)
     if tag == "snap":
         shard = state.shard
-        return ("snapped", {windex: shard.drivers[windex].snapshot()
-                            for windex in shard.spec.worker_indices})
+        return ("snapped", {windex: stack.driver.snapshot()
+                            for windex, stack in shard.stacks.items()})
     if tag == "finalize":
         return ("final", state.shard.finalize())
     raise ValueError(f"unknown shard message {tag!r}")

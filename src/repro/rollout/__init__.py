@@ -44,7 +44,7 @@ from .inference import (
     StickyRouting,
     make_routing_policy,
 )
-from .pool import EnvRolloutPool, RolloutWorkerRun
+from .pool import EnvRolloutPool, WorkerPool, WorkerRun
 from .scheduler import PoolScheduler, SchedulerStats
 
 __all__ = [
@@ -81,7 +81,8 @@ __all__ = [
     "StickyRouting",
     "make_routing_policy",
     "EnvRolloutPool",
-    "RolloutWorkerRun",
+    "WorkerPool",
+    "WorkerRun",
     "PoolScheduler",
     "SchedulerStats",
 ]

@@ -1,22 +1,28 @@
-"""Worker pool running any registered simulator through the batched stack.
+"""Worker pools sharing one GPU and one batched inference service.
 
-:class:`EnvRolloutPool` is the env-agnostic sibling of
-:class:`~repro.minigo.workers.SelfPlayPool`: ``num_workers`` independent
-"processes" (each with its own virtual clock, cost model, CUDA runtime and
-stream on one shared :class:`~repro.hw.gpu.GPUDevice`) each run one
-``repro.sim.registry`` environment behind a shared policy network, with
-every per-step policy evaluation routed through one batched/sharded
-:class:`~repro.rollout.inference.InferenceService` and the workers
-interleaved by the :class:`~repro.rollout.scheduler.PoolScheduler`.  One
-engine call serves the pending steps of many workers — the cross-worker
-batching the Minigo pool demonstrated, now available to every sim and
-algorithm in the zoo.
+A pool runs ``num_workers`` independent "processes" (each with its own
+virtual clock, cost model, CUDA runtime and stream on one shared
+:class:`~repro.hw.gpu.GPUDevice`) whose policy evaluations all go through
+one batched/sharded :class:`~repro.rollout.inference.InferenceService`,
+interleaved by the :class:`~repro.rollout.scheduler.PoolScheduler`.
+
+:class:`WorkerPool` is the core of :class:`EnvRolloutPool` (any
+``repro.sim.registry`` environment behind a shared policy network) and of
+:class:`~repro.minigo.workers.SelfPlayPool`.  It owns argument validation
+(one table of rules, checked at construction), the trace-store lifecycle,
+the scheduler run loop and the multiprocess path: shard processes
+(:mod:`repro.parallel`) rebuild the pool from ``_child_config()`` and build
+their workers through the same ``_build_workers()`` the single-process run
+uses.  A pool class supplies only its service and how it builds a worker's
+driver, in its own order (self-play: service, then workers; env rollout:
+every worker's env, then the service sized from it) — the order fixes
+every RNG stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +39,10 @@ from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.events import EventTrace
 from ..sim import registry
 from ..system import System
+from .driver import StepwiseDriver
 from .envdriver import (
     ActionPolicy,
     EnvRolloutDriver,
-    EnvRolloutResult,
     GaussianNoisePolicy,
     SampledDiscretePolicy,
 )
@@ -44,7 +50,10 @@ from .inference import (
     FLUSH_MAX_BATCH,
     FLUSH_POLICIES,
     FLUSH_TIMEOUT,
+    FLUSH_UNBATCHED,
+    ROUTING_POLICIES,
     ROUTING_ROUND_ROBIN,
+    InferenceClient,
     InferenceService,
 )
 from .scheduler import PoolScheduler
@@ -53,6 +62,13 @@ from .seeding import driver_seed
 #: Compiled-function name for zoo policy evaluations (mirrors the per-step
 #: inference functions the serial ``repro.rl`` collection loops compile).
 POLICY_FUNCTION_NAME = "policy_forward"
+
+#: Scheduler modes: ``sequential`` serves every ticket alone on its own
+#: worker's clock (the ``unbatched`` flush policy); ``event`` applies the
+#: pool's ``flush_policy``, batching across workers.
+SCHEDULER_SEQUENTIAL = "sequential"
+SCHEDULER_EVENT = "event"
+SCHEDULERS = (SCHEDULER_SEQUENTIAL, SCHEDULER_EVENT)
 
 
 class RolloutPolicyNet(Module):
@@ -94,18 +110,331 @@ def continuous_actor_forward(network, features: np.ndarray) -> Tuple[np.ndarray,
 
 
 @dataclass
-class RolloutWorkerRun:
-    """Output of one zoo worker (mirrors the Minigo pool's ``WorkerRun``)."""
+class WorkerRun:
+    """Output of one pool worker.
+
+    ``result`` is the worker's driver result (a
+    :class:`~repro.minigo.selfplay.SelfPlayResult` or an
+    :class:`~repro.rollout.envdriver.EnvRolloutResult`).  ``trace`` is
+    ``None`` when profiling is off or when the pool streams traces into a
+    shared store (query them via :meth:`WorkerPool.tracedb`); ``system`` is
+    ``None`` for runs a shard process sent back.
+    """
 
     worker: str
-    result: EnvRolloutResult
+    result: Any
     trace: Optional[EventTrace]
     total_time_us: float
     system: Optional[System] = field(repr=False, default=None)
 
 
-class EnvRolloutPool:
+class WorkerStack(NamedTuple):
+    """One built worker: its driver and what the pool and a shard reach into."""
+
+    driver: StepwiseDriver
+    system: System
+    #: the worker's service connection; batches it departs run on its system
+    client: Optional[InferenceClient]
+    profiler: Optional[Profiler]
+
+
+class WorkerPool:
+    """Core of a pool of workers sharing one GPU and one inference service.
+
+    Subclasses set :attr:`kind` and :attr:`worker_prefix`, assign their own
+    attributes before calling this constructor, implement
+    :meth:`_build_workers` and extend :meth:`_child_config`.
+    """
+
+    #: :attr:`~repro.parallel.shard.ShardSpec.kind` naming this pool class
+    kind = ""
+    #: worker ``i`` is named ``f"{worker_prefix}_{i}"``
+    worker_prefix = ""
+
+    def __init__(self, num_workers: int, *, profile: bool,
+                 cost_config: Optional[CostModelConfig], seed: int,
+                 trace_dir: Optional[str], store: Optional["StreamingTraceWriter"],
+                 chunk_events: int, inference_max_batch: Optional[int], num_replicas: int,
+                 routing, flush_policy: str, flush_timeout_us: Optional[float],
+                 num_processes: Optional[int], process_backend: str, fault_plan,
+                 cache_capacity: Optional[int], cache_scope: str,
+                 batched_inference: bool = True, scheduler: str = SCHEDULER_EVENT) -> None:
+        self.num_workers = num_workers
+        self.profile = profile
+        self.cost_config = cost_config
+        self.seed = seed
+        self.trace_dir = trace_dir
+        self.chunk_events = chunk_events
+        self.inference_max_batch = inference_max_batch
+        self.num_replicas = num_replicas
+        self.routing = routing
+        self.flush_policy = flush_policy
+        self.flush_timeout_us = flush_timeout_us
+        self.num_processes = num_processes
+        self.process_backend = process_backend
+        #: optional :class:`~repro.faults.plan.FaultPlan` for the multiprocess
+        #: tier (shard crashes -> respawn + journal replay).  Excluded from
+        #: :meth:`_child_config`: the parent injects faults, respawned shards
+        #: must never re-inject them.
+        self.fault_plan = fault_plan
+        self.cache_capacity = cache_capacity
+        self.cache_scope = cache_scope
+        self.batched_inference = batched_inference
+        self.scheduler = scheduler
+        for violated, message in self._rules(store):
+            if violated:
+                raise ValueError(message)
+        #: the shared accelerator all workers contend for
+        self.device = GPUDevice()
+        self.inference_service: Optional[InferenceService] = None
+        self.pool_scheduler: Optional[PoolScheduler] = None
+        self.runs: List[WorkerRun] = []
+        # Streaming trace store: every worker writes its own shard into one
+        # store (either a shared writer passed in, or one owned by the pool).
+        self._store = store
+        self._owns_store = False
+        self._streamed = False
+        if store is None and trace_dir is not None:
+            from ..tracedb.writer import StreamingTraceWriter
+            self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
+            self._owns_store = True
+
+    def _rules(self, store) -> List[Tuple[bool, str]]:
+        """Every argument check of the pool, as ``(violated, message)`` rows."""
+        from .evalcache import CACHE_SCOPES
+
+        parallel = self.num_processes is not None
+        choices = [("scheduler", self.scheduler, SCHEDULERS),
+                   ("flush policy", self.flush_policy, FLUSH_POLICIES),
+                   ("cache scope", self.cache_scope, CACHE_SCOPES)]
+        if isinstance(self.routing, str):
+            choices.append(("routing policy", self.routing, ROUTING_POLICIES))
+        if parallel:
+            from ..parallel.runner import BACKENDS
+            choices.append(("process backend", self.process_backend, BACKENDS))
+        unbatched = not self.batched_inference
+        return [
+            (self.num_workers <= 0, "num_workers must be positive"),
+            (self.num_replicas <= 0, "num_replicas must be positive"),
+            (parallel and self.num_processes <= 0, "num_processes must be positive"),
+            *((value not in known, f"unknown {what} {value!r}; expected one of {known}")
+              for what, value, known in choices),
+            (self.flush_policy == FLUSH_TIMEOUT
+             and (self.flush_timeout_us is None or self.flush_timeout_us < 0),
+             "the timeout flush policy requires a non-negative flush_timeout_us"),
+            (unbatched and self.num_replicas > 1,
+             "num_replicas > 1 requires batched_inference=True "
+             "(there is no inference service to shard otherwise)"),
+            (unbatched and self.scheduler == SCHEDULER_EVENT,
+             "the event-driven scheduler requires batched_inference=True "
+             "(workers must block on a shared InferenceService)"),
+            (unbatched and self.cache_capacity is not None,
+             "cache_capacity requires batched_inference=True "
+             "(the evaluation cache lives in the shared service)"),
+            (parallel and self.scheduler != SCHEDULER_EVENT,
+             "num_processes requires the event scheduler "
+             "(shards are merged at serve boundaries)"),
+            (parallel and self.cache_capacity is not None,
+             "num_processes cannot be combined with the service evaluation "
+             "cache: shards replay engine calls from their own pre-run "
+             "timelines, so parent-side cache hits would desynchronize the "
+             "shard replicas; run the cache single-process"),
+            (parallel and store is not None,
+             "num_processes cannot share a live store object "
+             "across processes; pass trace_dir instead"),
+        ]
+
+    # ----------------------------------------------------------- trace store
+    @property
+    def streaming(self) -> bool:
+        return self._store is not None
+
+    @property
+    def store(self) -> Optional["StreamingTraceWriter"]:
+        return self._store
+
+    def tracedb(self) -> "TraceDB":
+        """Open the streamed trace store for querying/map-reduce analysis."""
+        if self._store is None:
+            raise ValueError("pool was not created with trace_dir/store; no trace store to open")
+        from ..tracedb.store import TraceDB
+        return TraceDB(str(self._store.directory))
+
+    def _close_store(self) -> None:
+        """Seal the store after a run (shard processes seal their own)."""
+        if self.streaming:
+            self._streamed = True
+            if self._owns_store:
+                self._store.close()
+
+    # ------------------------------------------------------------------ run
+    def _run(self, weights: Optional[list]) -> List[WorkerRun]:
+        if self.streaming and self._streamed:
+            # A rerun restarts every worker clock at zero; appending it to the
+            # same shards would double-count time in store-derived summaries.
+            raise RuntimeError("this pool already streamed a run into its trace store; "
+                               "create a new pool (or trace_dir) for another run")
+        self.runs = []
+        self.inference_service = None
+        self.pool_scheduler = None
+        # A rerun restarts every worker clock at zero, so it also starts on
+        # an idle device: its kernels must not queue behind the last run's.
+        self.device = GPUDevice()
+        if self.num_processes is not None:
+            self.runs = self._run_parallel(weights)
+        else:
+            self.runs = self._run_workers(weights)
+        self._close_store()
+        return self.runs
+
+    def _run_workers(self, weights: Optional[list]) -> List[WorkerRun]:
+        """Build every worker, then interleave their drivers under one scheduler."""
+        stacks = self._build_workers(range(self.num_workers), weights)
+        self._schedule([stack.driver for stack in stacks])
+        return [self._finish_worker(stack, stack.profiler, stack.driver.result)
+                for stack in stacks]
+
+    def _schedule(self, drivers: Sequence[StepwiseDriver]) -> None:
+        flush_policy = (self.flush_policy if self.scheduler == SCHEDULER_EVENT
+                        else FLUSH_UNBATCHED)
+        self.pool_scheduler = PoolScheduler(drivers, self.inference_service,
+                                            flush_policy=flush_policy,
+                                            flush_timeout_us=self.flush_timeout_us)
+        self.pool_scheduler.run()
+
+    def _run_parallel(self, weights: Optional[list]) -> List[WorkerRun]:
+        """Run the pool sharded over ``num_processes`` OS processes.
+
+        Shards build and advance the real worker stacks; the parent replays
+        their timelines through proxy drivers under the real scheduler and
+        the mirror service, so every scheduling/batching/routing decision —
+        and therefore every record and clock — matches the single-process
+        event loop bit-for-bit.
+        """
+        from functools import partial
+
+        from ..parallel.proxy import MirrorInferenceService, ProxyDriver
+        from ..parallel.runner import ParallelRunner, assign_workers
+        from ..parallel.shard import ShardSpec
+
+        config = self._child_config()
+        specs = [ShardSpec(kind=self.kind, pool_config=config,
+                           worker_indices=indices, weights=weights)
+                 for indices in assign_workers(self.num_workers, self.num_processes)]
+        runner = ParallelRunner(specs, backend=self.process_backend,
+                                fault_plan=self.fault_plan)
+        self.parallel_runner = runner
+        try:
+            self._build_workers((), weights, service_factory=partial(MirrorInferenceService,
+                                                                     runner=runner))
+            segments = runner.build()
+            proxies = [ProxyDriver(runner, index, self._worker_name(index),
+                                   self.inference_service, segments[index])
+                       for index in range(self.num_workers)]
+            runner.attach(proxies)
+            self._schedule(proxies)
+            finals = runner.finalize()
+        finally:
+            runner.stop()
+        return [finals[index] for index in range(self.num_workers)]
+
+    # ----------------------------------------------------------- pool hooks
+    def _build_workers(self, indices: Sequence[int], weights: Optional[list] = None,
+                       restore: Optional[Dict[int, bytes]] = None,
+                       service_factory=None) -> List[WorkerStack]:
+        """Build the shared service and the workers ``indices``, in pool order.
+
+        A worker whose index is in ``restore`` gets its driver rebuilt from
+        that snapshot blob (mid-run shard recovery) instead of a fresh one.
+        With no ``indices`` only the service is built: the parent of a
+        multiprocess run, whose shards own every worker, passes the mirror
+        service as ``service_factory``.  Sets :attr:`inference_service`.
+        """
+        raise NotImplementedError
+
+    def _child_config(self) -> dict:
+        """Constructor kwargs a shard process rebuilds this pool from."""
+        return dict(
+            num_workers=self.num_workers,
+            profile=self.profile,
+            cost_config=self.cost_config,
+            seed=self.seed,
+            trace_dir=self.trace_dir,
+            chunk_events=self.chunk_events,
+            inference_max_batch=self.inference_max_batch,
+            num_replicas=self.num_replicas,
+            routing=self.routing,
+            flush_policy=self.flush_policy,
+            flush_timeout_us=self.flush_timeout_us,
+        )
+
+    # ---------------------------------------------------------- worker parts
+    def _worker_name(self, index: int) -> str:
+        return f"{self.worker_prefix}_{index}"
+
+    def _worker_system(self, index: int) -> Tuple[System, GraphEngine]:
+        """One worker's system and engine: its own "process" on the shared GPU."""
+        from .seeding import system_seed
+
+        system = System.create(
+            seed=system_seed(self.seed, index),
+            config=self.cost_config,
+            device=self.device,
+            worker=self._worker_name(index),
+        )
+        system.cuda.default_stream = index
+        return system, GraphEngine(system, flavor="tensorflow")
+
+    def _worker_profiler(self, system: System, engine: GraphEngine,
+                         envs: Sequence[object] = ()) -> Optional[Profiler]:
+        if not self.profile:
+            return None
+        profiler = Profiler(system, ProfilerConfig.full(), worker=system.worker,
+                            store=self._store)
+        profiler.attach(engine=engine, envs=envs)
+        return profiler
+
+    def _new_service(self, network, service_factory=None, **kwargs) -> InferenceService:
+        """The shared service around ``network``: ``num_replicas`` shards,
+        replica 0 on the pool's primary GPU.  ``service_factory`` substitutes
+        the class (the multiprocess path passes the parent-side mirror)."""
+        factory = service_factory if service_factory is not None else InferenceService
+        if self.cache_capacity is not None:
+            kwargs.update(cache_capacity=self.cache_capacity, cache_scope=self.cache_scope)
+        return factory(
+            network,
+            max_batch=self.inference_max_batch,
+            num_replicas=self.num_replicas,
+            routing=self.routing,
+            primary_device=self.device,
+            cost_config=self.cost_config,
+            seed=self.seed,
+            **kwargs,
+        )
+
+    def _finish_worker(self, worker, profiler: Optional[Profiler], result) -> WorkerRun:
+        """One worker's run record; ``worker`` is anything carrying its ``system``."""
+        trace = profiler.finalize() if profiler is not None else None
+        if self.streaming:
+            # The trace lives in the store's shard; keep runs lightweight.
+            trace = None
+        return WorkerRun(worker=worker.system.worker, result=result, trace=trace,
+                         total_time_us=worker.system.clock.now_us, system=worker.system)
+
+    # ------------------------------------------------------------- reporting
+    def traces(self) -> Dict[str, EventTrace]:
+        return {run.worker: run.trace for run in self.runs if run.trace is not None}
+
+    def collection_span_us(self) -> float:
+        """Wall-clock span of the parallel collection phase (slowest worker)."""
+        return max((run.total_time_us for run in self.runs), default=0.0)
+
+
+class EnvRolloutPool(WorkerPool):
     """Pool of env-rollout workers sharing one GPU and one inference service."""
+
+    kind = "envrollout"
+    worker_prefix = "rollout_worker"
 
     def __init__(
         self,
@@ -164,142 +493,36 @@ class EnvRolloutPool:
         keyless envs bypass it row-by-row.  ``cache_scope`` is ``"shared"``
         (one cache over all replicas) or ``"replica"``.
         """
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if steps_per_worker <= 0:
-            raise ValueError("steps_per_worker must be positive")
-        if num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
-        if flush_policy not in FLUSH_POLICIES:
-            raise ValueError(f"unknown flush policy {flush_policy!r}; "
-                             f"expected one of {FLUSH_POLICIES}")
-        if flush_policy == FLUSH_TIMEOUT and (flush_timeout_us is None or flush_timeout_us < 0):
-            raise ValueError("the timeout flush policy requires a non-negative flush_timeout_us")
-        if num_processes is not None:
-            from ..parallel.runner import BACKENDS
-            if num_processes <= 0:
-                raise ValueError("num_processes must be positive")
-            if store is not None:
-                raise ValueError("num_processes cannot share a live store object "
-                                 "across processes; pass trace_dir instead")
-            if network is not None or forward is not None or policy_factory is not None:
-                raise ValueError("num_processes requires the default network/forward/"
-                                 "policy (live objects cannot cross the process boundary)")
-            if process_backend not in BACKENDS:
-                raise ValueError(f"unknown process backend {process_backend!r}; "
-                                 f"expected one of {BACKENDS}")
-        if cache_capacity is not None:
-            from .evalcache import CACHE_SCOPES
-            if cache_scope not in CACHE_SCOPES:
-                raise ValueError(f"unknown cache scope {cache_scope!r}; "
-                                 f"expected one of {CACHE_SCOPES}")
-            if num_processes is not None:
-                raise ValueError(
-                    "num_processes cannot be combined with the service evaluation "
-                    "cache: shards replay engine calls from their own pre-run "
-                    "timelines, so parent-side cache hits would desynchronize the "
-                    "shard replicas; run the cache single-process")
         self.sim = sim
-        self.num_workers = num_workers
         self.steps_per_worker = steps_per_worker
         self.hidden = hidden
-        self.profile = profile
-        self.cost_config = cost_config
-        self.seed = seed
-        self.num_replicas = num_replicas
-        self.routing = routing
-        self.flush_policy = flush_policy
-        self.flush_timeout_us = flush_timeout_us
         self.collect_transitions = collect_transitions
         self.env_kwargs = dict(env_kwargs or {})
-        self.num_processes = num_processes
-        self.process_backend = process_backend
-        #: optional :class:`~repro.faults.plan.FaultPlan` for the multiprocess
-        #: tier (shard crashes -> respawn + journal replay).  Deliberately
-        #: excluded from :meth:`_child_config`: faults are injected by the
-        #: parent, never re-injected inside a respawned shard.
-        self.fault_plan = fault_plan
-        self.cache_capacity = cache_capacity
-        self.cache_scope = cache_scope
-        self.trace_dir = trace_dir
-        self.chunk_events = chunk_events
-        self.inference_max_batch = (inference_max_batch if inference_max_batch is not None
-                                    else max(1, num_workers // num_replicas))
         self._network = network
         self._forward = forward
         self._policy_factory = policy_factory
-        #: the shared accelerator all workers contend for
-        self.device = GPUDevice()
-        self.inference_service: Optional[InferenceService] = None
-        self.pool_scheduler: Optional[PoolScheduler] = None
-        self.runs: List[RolloutWorkerRun] = []
-        self._store = store
-        self._owns_store = False
-        self._streamed = False
-        if self._store is None and trace_dir is not None:
-            from ..tracedb.writer import StreamingTraceWriter
-            self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
-            self._owns_store = True
+        super().__init__(
+            num_workers, profile=profile, cost_config=cost_config, seed=seed,
+            trace_dir=trace_dir, store=store, chunk_events=chunk_events,
+            inference_max_batch=inference_max_batch, num_replicas=num_replicas,
+            routing=routing, flush_policy=flush_policy, flush_timeout_us=flush_timeout_us,
+            num_processes=num_processes, process_backend=process_backend,
+            fault_plan=fault_plan, cache_capacity=cache_capacity, cache_scope=cache_scope)
+        if inference_max_batch is None:
+            self.inference_max_batch = max(1, num_workers // num_replicas)
 
-    @property
-    def streaming(self) -> bool:
-        return self._store is not None
+    def _rules(self, store) -> List[Tuple[bool, str]]:
+        live = (self._network, self._forward, self._policy_factory)
+        return super()._rules(store) + [
+            (self.steps_per_worker <= 0, "steps_per_worker must be positive"),
+            (self.num_processes is not None and any(obj is not None for obj in live),
+             "num_processes requires the default network/forward/"
+             "policy (live objects cannot cross the process boundary)"),
+        ]
 
-    @property
-    def store(self) -> Optional["StreamingTraceWriter"]:
-        return self._store
-
-    def tracedb(self) -> "TraceDB":
-        """Open the streamed trace store for querying/map-reduce analysis."""
-        if self._store is None:
-            raise ValueError("pool was not created with trace_dir/store; no trace store to open")
-        from ..tracedb.store import TraceDB
-        return TraceDB(str(self._store.directory))
-
-    # ------------------------------------------------------------------ run
-    def run(self) -> List[RolloutWorkerRun]:
+    def run(self) -> List[WorkerRun]:
         """Drive every worker's rollout to completion; returns per-worker runs."""
-        if self.streaming and self._streamed:
-            raise RuntimeError("this pool already streamed a run into its trace store; "
-                               "create a new pool (or trace_dir) for another run")
-        self.runs = []
-        # A rerun restarts every worker clock at zero, so it also starts on
-        # an idle device: its kernels must not queue behind the last run's.
-        self.device = GPUDevice()
-        if self.num_processes is not None:
-            return self._run_parallel()
-        # Build every worker's system/engine/env first (fixed creation order
-        # keeps every RNG stream independent of pool configuration).
-        stacks = [self._make_worker_stack(index) for index in range(self.num_workers)]
-        probe_env = stacks[0][2]
-        self.inference_service = self._build_service(probe_env)
-        drivers: List[EnvRolloutDriver] = []
-        profilers: List[Optional[Profiler]] = []
-        for index, (system, engine, env, profiler) in enumerate(stacks):
-            client = self.inference_service.connect(system, engine,
-                                                    worker=system.worker)
-            policy = self._make_policy(env, index)
-            drivers.append(EnvRolloutDriver(
-                env, client, policy, self.steps_per_worker,
-                seed=driver_seed(self.seed, index), profiler=profiler,
-                collect_transitions=self.collect_transitions))
-            profilers.append(profiler)
-        self.pool_scheduler = PoolScheduler(
-            drivers, self.inference_service,
-            flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
-        self.pool_scheduler.run()
-        for (system, _, _, profiler), driver in zip(stacks, drivers):
-            trace = profiler.finalize() if profiler is not None else None
-            if self.streaming:
-                trace = None  # the trace lives in the store's shard
-            self.runs.append(RolloutWorkerRun(
-                worker=system.worker, result=driver.result, trace=trace,
-                total_time_us=system.clock.now_us, system=system))
-        if self.streaming:
-            self._streamed = True
-            if self._owns_store:
-                self._store.close()
-        return self.runs
+        return self._run(None)
 
     def _build_service(self, probe_env, service_factory=None) -> InferenceService:
         """Build the shared service for a fleet of ``probe_env``-shaped workers.
@@ -307,12 +530,9 @@ class EnvRolloutPool:
         ``probe_env`` supplies the observation/action dims and the
         discrete/continuous forward choice — identical for every worker of
         one sim, so any worker's env (or a throwaway probe) works.
-        ``service_factory`` substitutes the class (the multiprocess path
-        passes the parent-side mirror service).
         """
         from .seeding import network_seed
 
-        factory = service_factory if service_factory is not None else InferenceService
         network = self._network
         if network is None:
             network = RolloutPolicyNet(
@@ -323,119 +543,52 @@ class EnvRolloutPool:
         forward = self._forward
         if forward is None and not probe_env.is_discrete:
             forward = continuous_actor_forward
-        cache_kwargs = {}
-        if self.cache_capacity is not None:
-            cache_kwargs.update(cache_capacity=self.cache_capacity,
-                                cache_scope=self.cache_scope)
-        return factory(
-            network,
-            max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
-            primary_device=self.device,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            function_name=POLICY_FUNCTION_NAME,
-            forward=forward,
-            **cache_kwargs,
-        )
+        return self._new_service(network, service_factory,
+                                 function_name=POLICY_FUNCTION_NAME, forward=forward)
+
+    def _build_workers(self, indices, weights=None, restore=None,
+                       service_factory=None) -> List[WorkerStack]:
+        # Every worker's system/engine/env first (fixed creation order keeps
+        # every RNG stream independent of pool configuration), then the
+        # service sized from the first env (a probe env if there is none).
+        stacks = [self._make_worker_stack(index) for index in indices]
+        probe_env = stacks[0][2] if stacks else self._probe_env()
+        self.inference_service = self._build_service(probe_env, service_factory)
+        built = []
+        for index, (system, engine, env, profiler) in zip(indices, stacks):
+            client = self.inference_service.connect(system, engine, worker=system.worker)
+            blob = (restore or {}).get(index)
+            if blob is not None:
+                driver = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
+            else:
+                driver = EnvRolloutDriver(
+                    env, client, self._make_policy(env, index), self.steps_per_worker,
+                    seed=driver_seed(self.seed, index), profiler=profiler,
+                    collect_transitions=self.collect_transitions)
+            built.append(WorkerStack(driver, system, client, profiler))
+        return built
 
     def _child_config(self) -> dict:
-        """Constructor kwargs a shard process rebuilds this pool from."""
-        return dict(
-            sim=self.sim,
-            num_workers=self.num_workers,
-            steps_per_worker=self.steps_per_worker,
-            hidden=self.hidden,
-            profile=self.profile,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            trace_dir=self.trace_dir,
-            chunk_events=self.chunk_events,
-            inference_max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
-            flush_policy=self.flush_policy,
-            flush_timeout_us=self.flush_timeout_us,
-            collect_transitions=self.collect_transitions,
-            env_kwargs=self.env_kwargs,
-        )
+        return dict(super()._child_config(),
+                    sim=self.sim,
+                    steps_per_worker=self.steps_per_worker,
+                    hidden=self.hidden,
+                    collect_transitions=self.collect_transitions,
+                    env_kwargs=self.env_kwargs)
 
     def _probe_env(self):
         """A throwaway env instance for shapes only — no worker stream touched."""
         return registry.make(self.sim, System.create(seed=0, worker="probe"),
                              seed=0, **self.env_kwargs)
 
-    def _run_parallel(self) -> List[RolloutWorkerRun]:
-        """Run the pool sharded over ``num_processes`` OS processes.
-
-        Same merge architecture as :meth:`SelfPlayPool._run_parallel`:
-        shards own the real worker stacks, the parent owns the schedule.
-        """
-        from functools import partial
-
-        from ..parallel.proxy import MirrorInferenceService, ProxyDriver
-        from ..parallel.runner import ParallelRunner, assign_workers
-        from ..parallel.shard import ShardSpec
-
-        config = self._child_config()
-        specs = [ShardSpec(kind="envrollout", pool_config=config,
-                           worker_indices=indices)
-                 for indices in assign_workers(self.num_workers, self.num_processes)]
-        runner = ParallelRunner(specs, backend=self.process_backend,
-                                fault_plan=self.fault_plan)
-        self.parallel_runner = runner
-        try:
-            service = self._build_service(
-                self._probe_env(),
-                service_factory=partial(MirrorInferenceService, runner=runner))
-            self.inference_service = service
-            segments = runner.build()
-            proxies = [ProxyDriver(runner, index, f"rollout_worker_{index}",
-                                   service, segments[index])
-                       for index in range(self.num_workers)]
-            runner.attach(proxies)
-            self.pool_scheduler = PoolScheduler(
-                proxies, service,
-                flush_policy=self.flush_policy, flush_timeout_us=self.flush_timeout_us)
-            self.pool_scheduler.run()
-            finals = runner.finalize()
-        finally:
-            runner.stop()
-        self.runs = [RolloutWorkerRun(worker=f"rollout_worker_{index}",
-                                      result=finals[index]["result"],
-                                      trace=finals[index]["trace"],
-                                      total_time_us=finals[index]["total_time_us"])
-                     for index in range(self.num_workers)]
-        if self.streaming:
-            self._streamed = True
-            if self._owns_store:
-                # The shards already merged their trace shards; closing the
-                # parent's (shard-less) writer just seals the store index.
-                self._store.close()
-        return self.runs
-
     def _make_worker_stack(self, index: int):
         """Build one worker's system/engine/env/profiler (its "process")."""
-        from .seeding import system_seed, worker_seed
+        from .seeding import worker_seed
 
-        worker_name = f"rollout_worker_{index}"
-        system = System.create(
-            seed=system_seed(self.seed, index),
-            config=self.cost_config,
-            device=self.device,
-            worker=worker_name,
-        )
-        system.cuda.default_stream = index
-        engine = GraphEngine(system, flavor="tensorflow")
+        system, engine = self._worker_system(index)
         env = registry.make(self.sim, system, seed=worker_seed(self.seed, index),
                             **self.env_kwargs)
-        profiler: Optional[Profiler] = None
-        if self.profile:
-            profiler = Profiler(system, ProfilerConfig.full(), worker=worker_name,
-                                store=self._store)
-            profiler.attach(engine=engine, envs=(env,))
-        return system, engine, env, profiler
+        return system, engine, env, self._worker_profiler(system, engine, envs=(env,))
 
     def _make_policy(self, env, index: int) -> ActionPolicy:
         if self._policy_factory is not None:
@@ -443,12 +596,5 @@ class EnvRolloutPool:
         return SampledDiscretePolicy() if env.is_discrete else GaussianNoisePolicy()
 
     # ------------------------------------------------------------- reporting
-    def traces(self) -> Dict[str, EventTrace]:
-        return {run.worker: run.trace for run in self.runs if run.trace is not None}
-
     def total_steps(self) -> int:
         return sum(run.result.steps for run in self.runs)
-
-    def collection_span_us(self) -> float:
-        """Wall-clock span of the parallel collection phase (slowest worker)."""
-        return max((run.total_time_us for run in self.runs), default=0.0)

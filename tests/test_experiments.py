@@ -126,6 +126,21 @@ def test_fig8_utilization_vs_true_gpu_time():
     assert "Figure 8" in result.report()
 
 
+def test_fig8_replicas_without_batched_inference_rejected_by_the_pool(monkeypatch):
+    # run_fig8 carries no check of its own: the SelfPlayPool constructor
+    # rejects the combination before any self-play or training work runs.
+    from repro.minigo.training import MinigoTraining
+    from repro.minigo.workers import SelfPlayPool
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the pool validated its arguments")
+
+    monkeypatch.setattr(SelfPlayPool, "run", no_work)
+    monkeypatch.setattr(MinigoTraining, "_train_candidate", no_work)
+    with pytest.raises(ValueError, match=r"num_replicas > 1 requires batched_inference=True"):
+        run_fig8(num_replicas=2)
+
+
 # ------------------------------------------------------------------- figure 11
 def test_fig11_correction_within_tolerance_single_workload():
     validation = validate_workload(WorkloadSpec(algo="PPO2", simulator="Hopper",

@@ -281,6 +281,9 @@ def test_event_scheduler_requires_batched_inference():
     with pytest.raises(ValueError):
         SelfPlayPool(2, batched_inference=True, scheduler="event",
                      flush_policy="timeout", **POOL_KWARGS)  # missing timeout_us
+    with pytest.raises(ValueError):
+        # validated under the default sequential scheduler too
+        SelfPlayPool(2, batched_inference=True, flush_policy="bogus", **POOL_KWARGS)
 
 
 def test_game_driver_guards_misuse():
