@@ -11,10 +11,13 @@ produces those numbers, pinning the speedup of the three optimized hot paths:
   :func:`~repro.profiler.overlap.compute_overlap`.
 
 The pre-optimization baseline is not a hard-coded number (machine-dependent
-and unverifiable) but the *preserved original code*: the reference flood-fill
-Go engine (:mod:`repro.sim.go_reference`), the scalar one-object-per-child
-MCTS (``tests/oracles/scalar_mcts.py``), and the linear-scan scheduler loop
-(``PoolScheduler.default_use_heap = False``).  Both harnesses run the same
+and unverifiable) but the *preserved original code*, kept as test oracles in
+``tests/oracles/`` and swapped in for one run: the reference flood-fill Go
+engine (``go_reference.py``), the scalar one-object-per-child MCTS
+(``scalar_mcts.py``) and the linear-scan scheduler loop
+(``scan_scheduler.py``, swapped in as ``PoolScheduler.run``); the overlap
+sweep bar times the original Python loop (``overlap_loop.py``) against the
+vectorized sweep.  Both harnesses run the same
 8-worker / ``leaf_batch=8`` event-scheduler pool on the same seed; the
 acceptance bar is a **>=3x end-to-end wall-clock speedup** with game records
 and per-worker virtual clocks **bit-for-bit identical** — fast must also mean
@@ -46,13 +49,15 @@ from repro.minigo.workers import SelfPlayPool
 from repro.profiler.events import merge_traces
 from repro.profiler.overlap import OverlapResult, compute_overlap
 from repro.rollout.scheduler import PoolScheduler
-from repro.sim.go_reference import ReferenceGoPosition
 
 QUICK = os.environ.get("WALLCLOCK_QUICK") == "1"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.go_reference import ReferenceGoPosition  # noqa: E402
+from oracles.overlap_loop import accumulate_worker_loop  # noqa: E402
 from oracles.scalar_mcts import ScalarMCTS, ScalarSearchCursor  # noqa: E402
+from oracles.scan_scheduler import run_scan  # noqa: E402
 
 NUM_WORKERS = 8
 LEAF_BATCH = 8
@@ -89,16 +94,16 @@ MIN_OVERLAP_VECTOR_SPEEDUP = 5.0
 def pre_optimization_harness():
     """Swap the preserved original implementations in for one run."""
     saved = (selfplay_mod.GoPosition, selfplay_mod.MCTS, selfplay_mod.SearchCursor,
-             PoolScheduler.default_use_heap)
+             PoolScheduler.run)
     selfplay_mod.GoPosition = ReferenceGoPosition
     selfplay_mod.MCTS = ScalarMCTS
     selfplay_mod.SearchCursor = ScalarSearchCursor
-    PoolScheduler.default_use_heap = False
+    PoolScheduler.run = run_scan
     try:
         yield
     finally:
         (selfplay_mod.GoPosition, selfplay_mod.MCTS, selfplay_mod.SearchCursor,
-         PoolScheduler.default_use_heap) = saved
+         PoolScheduler.run) = saved
 
 
 def _run_pool(**overrides):
@@ -139,7 +144,7 @@ def _overlap_metrics():
       many-worker trace: one profiled worker shard cloned across
       ``OVERLAP_WORKERS`` synthetic workers.
     * **vectorized sweep vs the preserved Python loop**
-      (``_accumulate_worker_loop``) — the win is per worker *slice*, so
+      (``tests/oracles/overlap_loop.py``) — the win is per worker *slice*, so
       each worker's clone is additionally tiled in time until it holds at
       least ``OVERLAP_MIN_INTERVALS_PER_WORKER`` intervals.  Both sweeps
       must produce byte-identical regions (same key order, same float
@@ -190,16 +195,16 @@ def _overlap_metrics():
         "per-worker re-filtered overlap must stay byte-identical to the single pass"
 
     # The second preserved baseline: the per-boundary Python sweep
-    # (_accumulate_worker_loop).  Timed on pre-grouped per-worker slices so
-    # the bar isolates exactly what was vectorized; byte-identity is
-    # asserted end to end through compute_overlap.
-    assert overlap_mod.USE_VECTORIZED_ACCUMULATE, \
-        "the repo must ship with the vectorized sweep on"
-    overlap_mod.USE_VECTORIZED_ACCUMULATE = False
+    # (accumulate_worker_loop), swapped in for the vectorized one.  Timed on
+    # pre-grouped per-worker slices so the bar isolates exactly what was
+    # vectorized; byte-identity is asserted end to end through
+    # compute_overlap.
+    vectorized_sweep = overlap_mod._accumulate_worker
+    overlap_mod._accumulate_worker = accumulate_worker_loop
     try:
         loop_result = compute_overlap(wide)
     finally:
-        overlap_mod.USE_VECTORIZED_ACCUMULATE = True
+        overlap_mod._accumulate_worker = vectorized_sweep
     assert list(loop_result.regions) == list(single_pass.regions) and all(
         loop_result.regions[key].hex() == single_pass.regions[key].hex()
         for key in loop_result.regions), \
@@ -216,10 +221,10 @@ def _overlap_metrics():
                        defaultdict(float))
 
     vec_sweep_s = min(
-        _timed(lambda: sweep_all(overlap_mod._accumulate_worker_vectorized))
+        _timed(lambda: sweep_all(vectorized_sweep))
         for _ in range(OVERLAP_REPEATS))
     loop_sweep_s = min(
-        _timed(lambda: sweep_all(overlap_mod._accumulate_worker_loop))
+        _timed(lambda: sweep_all(accumulate_worker_loop))
         for _ in range(OVERLAP_REPEATS))
     vector_speedup = loop_sweep_s / vec_sweep_s if vec_sweep_s > 0 else float("inf")
     assert vector_speedup >= MIN_OVERLAP_VECTOR_SPEEDUP, (

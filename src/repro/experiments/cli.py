@@ -29,52 +29,39 @@ Examples::
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import Optional, Sequence
 
 
-def _positive_int_list(noun: str):
-    """argparse type: a comma-separated list of positive integers."""
+def _number_list(convert, noun: str, *, allow_zero: bool = False):
+    """argparse type: a comma-separated list of positive (or, with
+    ``allow_zero``, non-negative) ``int`` or ``float`` values."""
+    kind = "integers" if convert is int else "numbers"
+    sign = "non-negative" if allow_zero else "positive"
+
     def parse(text: str) -> tuple:
         try:
-            values = tuple(int(value) for value in text.split(","))
+            values = tuple(convert(value) for value in text.split(","))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-        if not values or any(value <= 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{noun} must be positive, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}")
+        if not values or any(value < 0 or (value == 0 and not allow_zero) for value in values):
+            raise argparse.ArgumentTypeError(f"{noun} must be {sign}, got {text!r}")
         return values
     return parse
 
 
-def _positive_float_list(noun: str):
-    """argparse type: a comma-separated list of positive floats."""
-    def parse(text: str) -> tuple:
-        try:
-            values = tuple(float(value) for value in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-        if not values or any(value <= 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{noun} must be positive, got {text!r}")
-        return values
-    return parse
+_leaf_batch_list = _number_list(int, "leaf batch sizes")
+_replica_list = _number_list(int, "replica counts")
+_rate_list = _number_list(float, "rate multipliers")
+_fault_rate_list = _number_list(float, "fault rates", allow_zero=True)
 
 
-def _nonnegative_float_list(noun: str):
-    """argparse type: a comma-separated list of non-negative floats."""
-    def parse(text: str) -> tuple:
-        try:
-            values = tuple(float(value) for value in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-        if not values or any(value < 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{noun} must be non-negative, got {text!r}")
-        return values
-    return parse
-
-
-_leaf_batch_list = _positive_int_list("leaf batch sizes")
-_replica_list = _positive_int_list("replica counts")
-_rate_list = _positive_float_list("rate multipliers")
-_fault_rate_list = _nonnegative_float_list("fault rates")
+def _write_report(text: str, out: Optional[str], default: str) -> None:
+    """Print a sweep report and write it to ``out`` (or ``default``)."""
+    print(text)
+    path = Path(out or default)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
 
 
 def _name_list(text: str) -> tuple:
@@ -142,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algos", type=_name_list, default=None,
                         help="zoosweep algorithm families, comma-separated from "
                              "DQN,PPO,DDPG (default: all)")
-    parser.add_argument("--worker-counts", type=_positive_int_list("worker counts"),
+    parser.add_argument("--worker-counts", type=_number_list(int, "worker counts"),
                         default=None,
                         help="zoosweep worker-count grid, comma-separated "
                              "(default: 4,8)")
     parser.add_argument("--trace-dir", default=None,
                         help="zoosweep: stream every batched cell's profiler trace "
                              "into per-cell TraceDB directories under this path")
-    parser.add_argument("--eval-games", type=_positive_int_list("evaluation game counts"),
+    parser.add_argument("--eval-games", type=_number_list(int, "evaluation game counts"),
                         default=None,
                         help="cachesweep: evaluation-round sizes, comma-separated "
                              "(default: 2,4)")
@@ -259,12 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sweep_kwargs.setdefault("num_clients", 64)
             sweep_kwargs["horizon_us"] = 10_000.0
         result = run_serve_sweep(seed=args.seed, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/serve_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write_report(result.report(), args.out, "results/serve_sweep.txt")
     elif args.experiment == "zoosweep":
         from .zoosweep import DEFAULT_ZOO_STEPS
         sweep_kwargs = {}
@@ -286,12 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         steps_per_worker = args.timesteps if args.timesteps is not None else quick_steps
         result = run_zoo_sweep(seed=args.seed, steps_per_worker=steps_per_worker,
                                trace_dir=args.trace_dir, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/zoo_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write_report(result.report(), args.out, "results/zoo_sweep.txt")
     elif args.experiment == "cachesweep":
         from . import run_cache_sweep
         sweep_kwargs = {}
@@ -309,12 +286,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sweep_kwargs.setdefault("evaluation_games", (2,))
             sweep_kwargs.setdefault("max_moves", 4)
         result = run_cache_sweep(seed=args.seed, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/cache_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write_report(result.report(), args.out, "results/cache_sweep.txt")
     elif args.experiment == "faultsweep":
         from . import run_fault_sweep
         sweep_kwargs = {}
@@ -338,12 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result = run_fault_sweep(crash_rates, seed=args.seed, **sweep_kwargs)
         else:
             result = run_fault_sweep(seed=args.seed, **sweep_kwargs)
-        text = result.report()
-        print(text)
-        import pathlib
-        out = pathlib.Path(args.out) if args.out else pathlib.Path("results/fault_sweep.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        _write_report(result.report(), args.out, "results/fault_sweep.txt")
     elif args.experiment == "findings":
         fig4_td3 = run_fig4("TD3", timesteps=steps, seed=args.seed)
         fig4_ddpg = run_fig4("DDPG", timesteps=steps, seed=args.seed)

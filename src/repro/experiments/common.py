@@ -86,7 +86,8 @@ def run_workload(
     With ``streaming=True`` (requires ``trace_dir``) the profiler flushes
     events incrementally into a :mod:`repro.tracedb` store and the analysis
     is computed from that store (shard-parallel overlap); flushes add zero
-    virtual time, so every reported quantity is unchanged.
+    virtual time, so every reported quantity is unchanged.  Without
+    streaming, a ``trace_dir`` receives the in-memory trace at finalize.
     """
     profiler_config = profiler_config if profiler_config is not None else ProfilerConfig.full()
     system = System.create(seed=spec.seed, config=cost_config)

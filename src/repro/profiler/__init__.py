@@ -11,9 +11,11 @@ Public surface:
 * :func:`analyze` / :class:`WorkloadAnalysis` — offline analysis producing
   the breakdowns, transition counts and multi-process summaries reported in
   the paper's figures.
-* :class:`TraceDumper` / :class:`TraceReader` — chunked trace storage
-  (thin wrappers over the :mod:`repro.tracedb` streaming store, which also
-  provides the shard-parallel analysis engine used by :func:`analyze_db`).
+
+Traces are stored in :mod:`repro.tracedb`: a :class:`Profiler` given a
+``trace_dir`` writes a store (streamed during the run, or at finalize), and
+:class:`~repro.tracedb.TraceDB` reads it back, also serving the
+shard-parallel analysis behind :func:`analyze_db`.
 """
 
 from .analysis import (
@@ -60,7 +62,6 @@ from .overlap import (
     OverlapResult,
     compute_overlap,
 )
-from .trace_store import TraceDumper, TraceReader, load_trace
 from . import report
 
 __all__ = [
@@ -99,8 +100,5 @@ __all__ = [
     "UNTRACKED",
     "OverlapResult",
     "compute_overlap",
-    "TraceDumper",
-    "TraceReader",
-    "load_trace",
     "report",
 ]

@@ -95,12 +95,17 @@ class Profiler:
         store instead of holding the whole trace in memory: at most one
         chunk of records stays buffered, and flushes cost zero virtual time.
         The finalized analysis is then read back through
-        :meth:`open_tracedb` / :class:`repro.tracedb.TraceDB`.
+        :meth:`open_tracedb` / :class:`repro.tracedb.TraceDB`.  Without
+        streaming, a ``trace_dir`` receives the whole in-memory trace at
+        :meth:`finalize`, in chunks of ``chunk_events`` records.
         """
         self.system = system
         self.config = config if config is not None else ProfilerConfig.full()
         self.worker = worker if worker is not None else system.worker
+        if trace_dir is not None and chunk_events <= 0:
+            raise ValueError("chunk_events must be positive")
         self.trace_dir = trace_dir
+        self._chunk_events = chunk_events
         self.streaming = bool(streaming or store is not None)
         self._store = store
         self._owns_store = False
@@ -324,9 +329,9 @@ class Profiler:
             if self._owns_store:
                 self._store.close()
         elif self.trace_dir is not None:
-            from .trace_store import TraceDumper
-            dumper = TraceDumper(self.trace_dir, worker=self.worker)
-            dumper.dump(self.trace)
+            from ..tracedb.writer import StreamingTraceWriter
+            StreamingTraceWriter(self.trace_dir, chunk_events=self._chunk_events).write_trace(
+                self.worker, self.trace)
         return self.trace
 
     @property

@@ -48,7 +48,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..experiments.common import WorkloadSpec, run_workload
     from ..profiler.api import ProfilerConfig
     from ..profiler import report as report_mod
-    from ..profiler.trace_store import TraceDumper
 
     spec = WorkloadSpec(
         algo=args.algo.upper(),
@@ -62,7 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profiler_config = ProfilerConfig.uninstrumented() if args.uninstrumented else ProfilerConfig.full()
     run = run_workload(spec, profiler_config=profiler_config,
                        use_ground_truth_calibration=not args.no_correction,
-                       trace_dir=args.trace_dir if args.streaming else None,
+                       trace_dir=args.trace_dir,
                        streaming=args.streaming)
 
     print(f"workload: {spec.label}  ({args.steps} steps, seed {args.seed})")
@@ -82,7 +81,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.streaming:
             print(f"\ntrace streamed to {args.trace_dir} (inspect with: repro-trace summarize {args.trace_dir})")
         else:
-            TraceDumper(args.trace_dir).dump(run.trace)
             print(f"\ntrace written to {args.trace_dir}")
     return 0
 

@@ -10,6 +10,10 @@ trace boundaries left-to-right and, for every elementary region, records
 
 and sums the region durations per ``(operation, category-set)`` key.  All of
 the paper's breakdowns (Figures 4, 5, 7, 8) are reductions of this map.
+
+The walk is one vectorized numpy sweep per worker.  The per-boundary Python
+loop it replaced is kept as a test oracle (``tests/oracles/overlap_loop.py``)
+and pinned byte-identical to it, region order and float bits included.
 """
 
 from __future__ import annotations
@@ -154,14 +158,6 @@ class OverlapResult:
         return total
 
 
-def _innermost_operation(active_ops: List[Event]) -> str:
-    """The innermost of a set of properly-nested active operation events."""
-    if not active_ops:
-        return UNTRACKED
-    # Operations nest properly, so the one that started last is the innermost.
-    return max(active_ops, key=lambda op: op.start_us).name
-
-
 def compute_overlap(
     trace: EventTrace,
     *,
@@ -204,14 +200,6 @@ def compute_overlap(
     return OverlapResult.merge(per_worker)
 
 
-#: Dispatch flag for :func:`_accumulate_worker`.  The vectorized sweep is the
-#: default; the original per-boundary Python loop is preserved as
-#: :func:`_accumulate_worker_loop` and is both the byte-identity oracle the
-#: property tests compare against and the pre-optimization baseline
-#: ``benchmarks/test_bench_wallclock.py`` times.
-USE_VECTORIZED_ACCUMULATE = True
-
-
 def _accumulate_worker(events: List[Event], operations: List[Event],
                        regions: Dict[OverlapKey, float]) -> None:
     """Accumulate overlap regions for one worker's (pre-filtered) slice.
@@ -219,18 +207,12 @@ def _accumulate_worker(events: List[Event], operations: List[Event],
     ``events``/``operations`` must contain only that worker's non-empty
     intervals, in trace order — :func:`compute_overlap` groups them in a
     single pass over the full trace.
-    """
-    if USE_VECTORIZED_ACCUMULATE:
-        _accumulate_worker_vectorized(events, operations, regions)
-    else:
-        _accumulate_worker_loop(events, operations, regions)
 
-
-def _accumulate_worker_vectorized(events: List[Event], operations: List[Event],
-                                  regions: Dict[OverlapKey, float]) -> None:
-    """Numpy sweep line, byte-identical to :func:`_accumulate_worker_loop`.
-
-    Identity argument, piece by piece:
+    A numpy sweep line, byte-identical to the original per-boundary Python
+    loop it replaced (kept as the test oracle
+    ``tests/oracles/overlap_loop.py``, which the overlap tests and the
+    wall-clock benchmark swap in for this function).  Identity argument,
+    piece by piece:
 
     * **Boundaries** — ``np.unique`` over all interval endpoints produces the
       same sorted points as the loop's ``sorted(set(...))``, and
@@ -324,68 +306,3 @@ def _accumulate_worker_vectorized(events: List[Event], operations: List[Event],
         seed = regions.get(key, 0.0)
         chain = np.concatenate(([seed], durations[splits[group]]))
         regions[key] = float(np.add.accumulate(chain)[-1])
-
-
-def _accumulate_worker_loop(events: List[Event], operations: List[Event],
-                            regions: Dict[OverlapKey, float]) -> None:
-    """The original per-boundary Python sweep (preserved byte-identity oracle)."""
-    if not events and not operations:
-        return
-
-    # Sweep line over every interval boundary.
-    boundaries: set = set()
-    for event in events:
-        boundaries.add(event.start_us)
-        boundaries.add(event.end_us)
-    for op in operations:
-        boundaries.add(op.start_us)
-        boundaries.add(op.end_us)
-    points = sorted(boundaries)
-    if len(points) < 2:
-        return
-
-    # Build per-point deltas for efficiency: category -> count changes.
-    starts: Dict[float, List[Event]] = defaultdict(list)
-    ends: Dict[float, List[Event]] = defaultdict(list)
-    for event in events:
-        starts[event.start_us].append(event)
-        ends[event.end_us].append(event)
-    op_starts: Dict[float, List[Event]] = defaultdict(list)
-    op_ends: Dict[float, List[Event]] = defaultdict(list)
-    for op in operations:
-        op_starts[op.start_us].append(op)
-        op_ends[op.end_us].append(op)
-
-    active_counts: Dict[str, int] = defaultdict(int)
-    active_ops: List[Event] = []
-
-    for i, point in enumerate(points):
-        # Process interval [previous point, point) before applying changes at `point`.
-        for op in op_ends.get(point, ()):  # closing before opening keeps zero-length ops out
-            # Evict by identity, not equality: two annotations with the same
-            # name/start/end are equal as dataclasses, and list.remove would
-            # evict whichever instance comes first — corrupting the active
-            # set when duplicate identical operations are open at once.
-            for j in range(len(active_ops) - 1, -1, -1):
-                if active_ops[j] is op:
-                    del active_ops[j]
-                    break
-        for event in ends.get(point, ()):
-            active_counts[event.category] -= 1
-
-        for op in op_starts.get(point, ()):
-            active_ops.append(op)
-        for event in starts.get(point, ()):
-            active_counts[event.category] += 1
-
-        if i + 1 >= len(points):
-            break
-        segment = points[i + 1] - point
-        categories = frozenset(cat for cat, count in active_counts.items() if count > 0 and cat != CATEGORY_OPERATION)
-        if not categories and not active_ops:
-            continue
-        operation = _innermost_operation(active_ops)
-        if not categories:
-            # Operation open but nothing measured (should not normally happen).
-            continue
-        regions[(operation, categories)] += segment

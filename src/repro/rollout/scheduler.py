@@ -32,11 +32,12 @@ from .inference import (
 class SchedulerStats:
     """Counters describing one event-driven scheduling run.
 
-    The heap counters are zero under the legacy linear-scan loop
-    (``use_heap=False``), which lets tests assert both that the heap is
-    actually exercised and that every scheduling *decision* counter
-    (``steps``, ``serves``, ``timeout_serves``, ``eager_serves``,
-    ``steps_per_worker``) is identical between the two loops.
+    The heap counters stay zero under the linear-scan loop kept as a test
+    oracle (``tests/oracles/scan_scheduler.py``), which lets tests assert
+    both that the heap is actually exercised and that every scheduling
+    *decision* counter (``steps``, ``serves``, ``timeout_serves``,
+    ``eager_serves``, ``steps_per_worker``) is identical between the two
+    loops.
     """
 
     steps: int = 0            #: driver steps executed
@@ -74,28 +75,22 @@ class PoolScheduler:
     replica the eager path is disabled, so single-replica runs reproduce
     the all-blocked barrier schedule bit-for-bit.
 
-    **Event-loop cost.**  By default the runnable driver with the minimum
-    clock comes off a lazy min-heap of ``(now_us, index)`` entries: a
-    driver is (re-)pushed whenever it becomes runnable or its clock
-    advances, and entries superseded by a newer push are discarded on pop
+    **Event-loop cost.**  The runnable driver with the minimum clock comes
+    off a lazy min-heap of ``(now_us, index)`` entries: a driver is
+    (re-)pushed whenever it becomes runnable or its clock advances, and
+    entries superseded by a newer push are discarded on pop
     (invalidate-on-advance) — O(log workers) per event instead of the
     original rebuild-the-runnable-list-and-``min()`` scan, which cost
     O(workers) *per event* and dominated interpreter time at high worker
-    counts.  The legacy scan loop is kept behind ``use_heap=False`` (or the
-    :attr:`default_use_heap` class switch) as the pinned pre-optimization
-    baseline; both loops produce identical schedules, stats and game
-    records (``tests/test_scheduler.py``).
+    counts.  The scan loop lives on as a test oracle
+    (``tests/oracles/scan_scheduler.py``) and the wall-clock benchmark's
+    pre-optimization baseline; both loops produce identical schedules,
+    stats and game records (``tests/test_scheduler.py``).
     """
-
-    #: Default for ``use_heap`` — the wall-clock benchmark flips this to
-    #: time the pre-optimization linear-scan loop without threading a knob
-    #: through every pool constructor.
-    default_use_heap: bool = True
 
     def __init__(self, drivers: Sequence["StepwiseDriver"], service: "InferenceService", *,
                  flush_policy: str = FLUSH_MAX_BATCH,
-                 flush_timeout_us: Optional[float] = None,
-                 use_heap: Optional[bool] = None) -> None:
+                 flush_timeout_us: Optional[float] = None) -> None:
         if not drivers:
             raise ValueError("scheduler needs at least one driver")
         if flush_policy not in FLUSH_POLICIES:
@@ -106,7 +101,6 @@ class PoolScheduler:
         self.service = service
         self.flush_policy = flush_policy
         self.flush_timeout_us = flush_timeout_us
-        self.use_heap = self.default_use_heap if use_heap is None else use_heap
         self.stats = SchedulerStats()
         # Signature of the pending queue after a fruitless eager attempt
         # plus the virtual time at which retrying could first succeed (the
@@ -171,31 +165,26 @@ class PoolScheduler:
         self._eager_retry_at_us = self.service.last_undue_full_depart_us
         return False
 
-    def run(self) -> SchedulerStats:
-        """Drive every worker to completion; returns scheduling stats."""
-        if self.use_heap:
-            return self._run_heap()
-        return self._run_scan()
-
     def _step(self, driver: "StepwiseDriver") -> None:
         self.stats.steps += 1
         worker = driver.worker_name
         self.stats.steps_per_worker[worker] = self.stats.steps_per_worker.get(worker, 0) + 1
         driver.step()
 
-    def _run_heap(self) -> SchedulerStats:
-        """Heap-driven event loop: O(log workers) per event.
+    def run(self) -> SchedulerStats:
+        """Drive every worker to completion; returns scheduling stats.
 
-        The heap holds ``(now_us, index)`` entries; ``queued_key[index]``
-        remembers the clock of a driver's most recent push.  A popped entry
-        whose clock no longer matches was superseded by a later push
-        (invalidate-on-advance) and is discarded.  Drivers are pushed when
-        they become runnable — at the start, after a step that leaves them
-        runnable, and after any serve (only a serve can un-block a driver;
-        blocked drivers' clocks never move, so a sweep over the drivers per
-        *serve* keeps the heap complete without touching it per event).
-        Ties pop the lowest index first — exactly the driver ``min()``
-        returned in the linear scan, so schedules are identical.
+        A heap-driven event loop, O(log workers) per event. The heap holds
+        ``(now_us, index)`` entries; ``queued_key[index]`` remembers the clock
+        of a driver's most recent push. A popped entry whose clock no longer
+        matches was superseded by a later push (invalidate-on-advance) and is
+        discarded. Drivers are pushed when they become runnable — at the
+        start, after a step that leaves them runnable, and after any serve
+        (only a serve can un-block a driver; blocked drivers' clocks never
+        move, so a sweep over the drivers per *serve* keeps the heap complete
+        without touching it per event). Ties pop the lowest index first —
+        exactly the driver ``min()`` returned in the linear scan, so schedules
+        are identical.
         """
         stats = self.stats
         drivers = self.drivers
@@ -268,30 +257,3 @@ class PoolScheduler:
             self._step(nxt)
             if nxt.runnable:
                 push(index)
-
-    def _run_scan(self) -> SchedulerStats:
-        """Original linear-scan loop: rebuilds the runnable list per event.
-
-        O(workers) per event; preserved as the pinned pre-optimization
-        baseline for the wall-clock benchmark and as the oracle the heap
-        loop's schedules are asserted against.
-        """
-        while True:
-            runnable = [driver for driver in self.drivers if driver.runnable]
-            if not runnable:
-                if self.service.pending_tickets:
-                    self._serve()
-                    continue
-                if all(driver.finished for driver in self.drivers):
-                    return self.stats
-                raise RuntimeError("scheduler deadlock: unfinished workers but "
-                                   "nothing runnable and nothing pending")
-            nxt = min(runnable, key=lambda driver: driver.now_us)
-            if self._try_eager_serve(nxt.now_us):
-                continue
-            deadline = self._pending_deadline_us()
-            if deadline is not None and nxt.now_us >= deadline:
-                self.stats.timeout_serves += 1
-                self._serve(arrival_cutoff_us=deadline)
-                continue
-            self._step(nxt)

@@ -11,9 +11,9 @@ occupied point maps to an immutable group record (color, stones, liberties)
 that is updated in place as stones are played and captures cascade, plus an
 incrementally-maintained Zobrist hash of the stone configuration.  Legality
 is therefore an O(neighbors) lookup instead of the flood-fill-per-candidate
-scan of the original implementation (preserved verbatim as
-:mod:`repro.sim.go_reference` and pinned equivalent by the random-game oracle
-in ``tests/test_go_oracle.py``).  :meth:`GoBoard.legal_mask` computes the
+scan of the original implementation (preserved verbatim as a test oracle
+in ``tests/oracles/`` and pinned equivalent by the random-game oracle in
+``tests/test_go_oracle.py``).  :meth:`GoBoard.legal_mask` computes the
 whole legal-move mask with one array op (plus an O(neighbors) check of the
 few fully surrounded empty points), and ``legal_moves`` is a view of it.
 :class:`GoPosition` is immutable, so its ``legal_mask()``/``legal_moves()``/

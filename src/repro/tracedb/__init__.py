@@ -27,8 +27,10 @@ of that pipeline:
 * ``repro-trace`` (:mod:`repro.tracedb.cli`) — ``summarize`` / ``query`` /
   ``compact`` commands over a store directory.
 
-The legacy :mod:`repro.profiler.trace_store` API is a thin wrapper over
-this package; stores written by older versions of the code (``tracedb-v1``
+This package is the profiler's only trace store: a non-streaming
+:class:`~repro.profiler.api.Profiler` with a ``trace_dir`` writes its
+in-memory trace through :meth:`StreamingTraceWriter.write_trace` at
+finalize.  Stores written by older versions of the code (``tracedb-v1``
 JSONL chunks, ``rlscope_index.json`` JSON chunks) still load, read-only.
 """
 

@@ -125,13 +125,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         # Stream one input chunk at a time so compaction stays bounded-memory.
         for meta in db.chunks(worker):
             in_chunks += 1
-            payload = db.chunk_payload(meta)
-            for event in payload.events:
-                shard.add_event(event)
-            for op in payload.operations:
-                shard.add_operation(op)
-            for marker in payload.markers:
-                shard.add_marker(marker)
+            shard.add_records(db.chunk_payload(meta))
         writer.close_shard(worker, metadata=db.metadata(worker))
     writer.close()
     out_db = TraceDB(args.out)

@@ -23,11 +23,11 @@ A store directory contains
 
 Metadata is JSON-encoded, so it round-trips exactly as it did in the
 per-record JSONL chunks of ``tracedb-v1`` stores.  Those chunks
-(``.jsonl`` / ``.jsonl.gz``) and stores written by the legacy
-:mod:`repro.profiler.trace_store` module (``rlscope_index.json`` plus
-plain-JSON chunks) stay readable; legacy chunks carry no per-chunk
-statistics, so queries simply cannot skip them.  ``repro-trace compact``
-rewrites either kind as a ``tracedb-v2`` store.
+(``.jsonl`` / ``.jsonl.gz``) and stores written by the profiler's original
+dump-at-end writer (``rlscope_index.json`` plus plain-JSON chunks) stay
+readable; legacy chunks carry no per-chunk statistics, so queries simply
+cannot skip them.  ``repro-trace compact`` rewrites either kind as a
+``tracedb-v2`` store.
 """
 
 from __future__ import annotations

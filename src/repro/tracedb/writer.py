@@ -29,12 +29,13 @@ same directory (read-modify-write index merging).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from ..profiler.events import CATEGORY_OPERATION, Event, EventTrace, OverheadMarker
 from .format import (
     DEFAULT_CHUNK_EVENTS,
     ChunkMeta,
+    ChunkPayload,
     ChunkRows,
     IntervalRow,
     MarkerRow,
@@ -93,6 +94,15 @@ class ShardWriter:
 
     def add_marker(self, marker: OverheadMarker) -> None:
         self.add_marker_row(marker_row(marker))
+
+    def add_records(self, records: Union[EventTrace, ChunkPayload]) -> None:
+        """Append every event, then every operation, then every marker."""
+        for event in records.events:
+            self.add_event(event)
+        for operation in records.operations:
+            self.add_operation(operation)
+        for marker in records.markers:
+            self.add_marker(marker)
 
     # A closed shard rejects a row before touching the buffer or totals.
     def add_event_row(self, row: IntervalRow) -> None:
@@ -193,6 +203,15 @@ class StreamingTraceWriter:
         )
         self._open_shards[worker] = shard
         return shard
+
+    def write_trace(self, worker: str, trace: EventTrace) -> None:
+        """Write an in-memory trace as ``worker``'s next chunks and index it.
+
+        The one path from a finished :class:`EventTrace` to a store; calling
+        it again for the same worker appends further chunks.
+        """
+        self.shard(worker).add_records(trace)
+        self.close_shard(worker, metadata=dict(trace.metadata))
 
     def set_metadata(self, worker: str, metadata: Dict[str, object]) -> None:
         self._metadata[worker] = dict(metadata)

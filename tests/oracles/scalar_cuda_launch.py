@@ -171,7 +171,7 @@ class ObjectProfiler(Profiler):
             if self._owns_store:
                 self._store.close()
         elif self.trace_dir is not None:
-            from repro.profiler.trace_store import TraceDumper
-            dumper = TraceDumper(self.trace_dir, worker=self.worker)
-            dumper.dump(self.trace)
+            from repro.tracedb.writer import StreamingTraceWriter
+            StreamingTraceWriter(self.trace_dir, chunk_events=self._chunk_events).write_trace(
+                self.worker, self.trace)
         return self.trace

@@ -3,7 +3,7 @@
 The optimized :class:`repro.sim.go.GoBoard` replaces flood-fill-per-query
 with incrementally-maintained group/liberty maps and an incremental Zobrist
 hash.  These tests pin it against the verbatim pre-optimization
-implementation (:mod:`repro.sim.go_reference`):
+implementation (``tests/oracles/go_reference.py``):
 
 * hundreds of seeded random 9x9 games with *identical* legal-move sets,
   captures, ko verdicts, board arrays and final scores at every step;
@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.go_reference import ReferenceGoBoard, ReferenceGoPosition
 from repro.sim.go import BLACK, EMPTY, WHITE, GoBoard, GoPosition
-from repro.sim.go_reference import ReferenceGoBoard, ReferenceGoPosition
 
 #: The acceptance bar: at least this many full 9x9 oracle games.
 ORACLE_GAMES = 200

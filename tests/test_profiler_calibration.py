@@ -8,10 +8,7 @@ from repro.profiler import (
     CalibrationResult,
     Profiler,
     ProfilerConfig,
-    TraceDumper,
-    TraceReader,
     analyze,
-    load_trace,
     multi_process_summary,
 )
 from repro.profiler.calibration import CalibrationRun, calibrate
@@ -32,6 +29,7 @@ from repro.profiler.events import (
     OverheadMarker,
 )
 from repro.hw.costmodel import CostModelConfig
+from repro.tracedb import StreamingTraceWriter, TraceDB
 
 #: A small, fast workload reused by the calibration tests.
 SMALL_SPEC = WorkloadSpec(algo="PPO2", simulator="Hopper", total_timesteps=64)
@@ -168,15 +166,13 @@ def test_multi_process_summary_totals():
 # ----------------------------------------------------------------- trace store
 def test_trace_dump_and_reload_roundtrip(tmp_path):
     run = run_workload(SMALL_SPEC)
-    dumper = TraceDumper(str(tmp_path), worker="worker_0", chunk_events=500)
-    chunks = dumper.dump(run.trace)
-    assert len(chunks) >= 1
-    reader = TraceReader(str(tmp_path))
-    assert reader.workers() == ["worker_0"]
-    loaded = reader.read_worker("worker_0")
+    StreamingTraceWriter(str(tmp_path), chunk_events=500).write_trace("worker_0", run.trace)
+    db = TraceDB(str(tmp_path))
+    assert len(db.chunks()) >= 1
+    assert db.workers() == ["worker_0"]
+    loaded = db.read_worker("worker_0")
     assert loaded.total_events() == run.trace.total_events()
     assert len(loaded.markers) == len(run.trace.markers)
-    assert load_trace(str(tmp_path)).total_events() == run.trace.total_events()
     # The reloaded trace analyses identically.
     original = analyze(run.trace).category_breakdown_us(corrected=False)
     reloaded = analyze(loaded).category_breakdown_us(corrected=False)
@@ -187,12 +183,12 @@ def test_trace_dump_and_reload_roundtrip(tmp_path):
 
 def test_trace_reader_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
-        TraceReader(str(tmp_path / "does_not_exist"))
+        TraceDB(str(tmp_path / "does_not_exist"))
 
 
 def test_trace_dumper_validates_chunk_size(tmp_path):
     with pytest.raises(ValueError):
-        TraceDumper(str(tmp_path), chunk_events=0)
+        StreamingTraceWriter(str(tmp_path), chunk_events=0)
 
 
 # ------------------------------------------------------- correction locator

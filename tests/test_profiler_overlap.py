@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.overlap_loop import accumulate_worker_loop
 from repro.profiler.events import (
     CATEGORY_BACKEND,
     CATEGORY_CUDA_API,
@@ -241,14 +242,16 @@ def _regions_bits(result):
 
 
 def _compute_with(vectorized: bool, trace, **kwargs):
+    """compute_overlap on the shipped sweep, or with the loop oracle swapped in."""
     from repro.profiler import overlap as overlap_mod
 
-    saved = overlap_mod.USE_VECTORIZED_ACCUMULATE
-    overlap_mod.USE_VECTORIZED_ACCUMULATE = vectorized
+    saved = overlap_mod._accumulate_worker
+    if not vectorized:
+        overlap_mod._accumulate_worker = accumulate_worker_loop
     try:
         return compute_overlap(trace, **kwargs)
     finally:
-        overlap_mod.USE_VECTORIZED_ACCUMULATE = saved
+        overlap_mod._accumulate_worker = saved
 
 
 @st.composite

@@ -9,6 +9,7 @@ heap-vs-scan scheduler identity.
 import numpy as np
 import pytest
 
+from oracles.scan_scheduler import run_scan
 from repro.backend.graph import GraphEngine
 from repro.hw.gpu import GPUDevice
 from repro.profiler.api import Profiler, ProfilerConfig
@@ -82,8 +83,7 @@ class SyntheticDriver(StepwiseDriver):
         return True
 
 
-def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False,
-                    use_heap=None, seed=0):
+def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False, seed=0):
     """num_workers synthetic drivers sharing one service on one device."""
     device = GPUDevice()
     network = RolloutPolicyNet(FEATURE_DIM, 3, (8,),
@@ -106,8 +106,7 @@ def _synthetic_pool(num_workers, rounds, *, compute_us=None, profile=False,
         drivers.append(SyntheticDriver(system, client, rounds, us,
                                        profiler=profiler))
         profilers.append(profiler)
-    kwargs = {} if use_heap is None else {"use_heap": use_heap}
-    scheduler = PoolScheduler(drivers, service, **kwargs)
+    scheduler = PoolScheduler(drivers, service)
     return scheduler, drivers, profilers, service
 
 
@@ -159,9 +158,8 @@ def test_heap_and_scan_schedules_identical():
     compute = (7.0, 19.0, 3.0, 11.0)
     runs = {}
     for use_heap in (False, True):
-        scheduler, drivers, _, _ = _synthetic_pool(
-            4, rounds=5, compute_us=compute, use_heap=use_heap)
-        scheduler.run()
+        scheduler, drivers, _, _ = _synthetic_pool(4, rounds=5, compute_us=compute)
+        (PoolScheduler.run if use_heap else run_scan)(scheduler)
         stats = scheduler.stats
         runs[use_heap] = (
             [d.results for d in drivers],

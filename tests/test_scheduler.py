@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.scan_scheduler import run_scan
 from repro.minigo import (
     GameDriver,
     MinigoConfig,
@@ -182,15 +183,17 @@ def test_event_scheduler_profiled_run_attributes_wait_inside_operations():
 
 # ------------------------------------------------------- heap vs linear scan
 def _run_event_pool(use_heap, **overrides):
+    """Run a pool on the heap loop, or with the scan-loop oracle swapped in."""
     kwargs = dict(profile=False, batched_inference=True, scheduler="event")
     kwargs.update(overrides)
-    saved = PoolScheduler.default_use_heap
-    PoolScheduler.default_use_heap = use_heap
+    saved = PoolScheduler.run
+    if not use_heap:
+        PoolScheduler.run = run_scan
     try:
         pool = SelfPlayPool(**kwargs)
         pool.run()
     finally:
-        PoolScheduler.default_use_heap = saved
+        PoolScheduler.run = saved
     return pool
 
 

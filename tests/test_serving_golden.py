@@ -9,6 +9,9 @@ one of these byte-identical:
   exactly as the CI smoke step writes it (the step re-checks the file's
   digest against :data:`SERVESWEEP_QUICK_SHA256`);
 * the quick ``cachesweep`` report;
+* the quick ``faultsweep`` report: only its digest,
+  :data:`FAULTSWEEP_QUICK_SHA256`, lives here; a CI step checks it, since
+  the run takes a few seconds;
 * ``asdict(server.stats)`` plus the SLO report of one overloaded, keyed run
   with frame drop and frame corrupt faults, so sheds, retries, admission
   cache hits and stream resynchronization all cross the wire.
@@ -38,6 +41,9 @@ SERVESWEEP_QUICK_SHA256 = (
 #: SHA-256 of the file ``cachesweep --quick --out FILE`` writes.
 CACHESWEEP_QUICK_SHA256 = (
     "9a85bb08d6a917684985fab6e32ce122cedd95285534ceb1dd30b77bc13fa24b")
+#: SHA-256 of the file ``faultsweep --quick --out FILE`` writes.
+FAULTSWEEP_QUICK_SHA256 = (
+    "b8f7695ac9cf2305b3b3610dff13b9546e3429779c3c00166eca943091ea3a95")
 #: SHA-256 of ``repr(asdict(server.stats))`` + newline + the SLO report.
 FAULTED_RUN_SHA256 = (
     "28512da10fbb3e82d87a4250449691c4b390a12835c85e065d29c30b0a28a0f4")

@@ -1,12 +1,11 @@
-"""Round-trip tests for the legacy trace_store wrappers over TraceDB."""
+"""Round trips of in-memory traces through StreamingTraceWriter and TraceDB."""
 
 import json
 
 import pytest
 
 from repro.profiler.events import Event, EventTrace, OverheadMarker
-from repro.profiler.trace_store import TraceDumper, TraceReader, load_trace
-from repro.tracedb import TraceDB
+from repro.tracedb import StreamingTraceWriter, TraceDB
 
 
 def make_trace(worker: str, *, num_events: int = 10, phase: str = "default") -> EventTrace:
@@ -23,29 +22,30 @@ def make_trace(worker: str, *, num_events: int = 10, phase: str = "default") -> 
 
 # ----------------------------------------------------------------- roundtrip
 def test_multi_worker_index_merging(tmp_path):
-    """Separate dumpers for separate workers merge into one store index."""
+    """Separate writers for separate workers merge into one store index."""
     trace_a = make_trace("worker_a", num_events=7)
     trace_b = make_trace("worker_b", num_events=5)
-    TraceDumper(str(tmp_path), worker="worker_a").dump(trace_a)
-    TraceDumper(str(tmp_path), worker="worker_b").dump(trace_b)
+    StreamingTraceWriter(str(tmp_path)).write_trace("worker_a", trace_a)
+    StreamingTraceWriter(str(tmp_path)).write_trace("worker_b", trace_b)
 
-    reader = TraceReader(str(tmp_path))
-    assert reader.workers() == ["worker_a", "worker_b"]
-    loaded = reader.read_all()
+    db = TraceDB(str(tmp_path))
+    assert db.workers() == ["worker_a", "worker_b"]
+    loaded = db.read_all()
     assert loaded["worker_a"].total_events() == trace_a.total_events()
     assert loaded["worker_b"].total_events() == trace_b.total_events()
     assert loaded["worker_b"].metadata["worker"] == "worker_b"
-    # The second dump must not clobber the first worker's entry.
+    # The second write must not clobber the first worker's entry.
     assert len(loaded["worker_a"].markers) == 1
 
 
 def test_empty_trace_roundtrip(tmp_path):
-    """Dumping an empty trace still registers the worker in the index."""
-    chunks = TraceDumper(str(tmp_path), worker="worker_0").dump(EventTrace(metadata={"worker": "worker_0"}))
-    assert chunks == []
-    reader = TraceReader(str(tmp_path))
-    assert reader.workers() == ["worker_0"]
-    loaded = reader.read_worker("worker_0")
+    """Writing an empty trace still registers the worker in the index."""
+    StreamingTraceWriter(str(tmp_path)).write_trace(
+        "worker_0", EventTrace(metadata={"worker": "worker_0"}))
+    db = TraceDB(str(tmp_path))
+    assert db.chunks() == []
+    assert db.workers() == ["worker_0"]
+    loaded = db.read_worker("worker_0")
     assert loaded.total_events() == 0
     assert loaded.markers == []
     assert loaded.metadata["worker"] == "worker_0"
@@ -54,26 +54,28 @@ def test_empty_trace_roundtrip(tmp_path):
 def test_chunk_boundary_splits(tmp_path):
     """chunk_events smaller than the record count produces multiple chunks."""
     trace = make_trace("worker_0", num_events=25)
-    dumper = TraceDumper(str(tmp_path), worker="worker_0", chunk_events=8)
-    chunks = dumper.dump(trace)
+    StreamingTraceWriter(str(tmp_path), chunk_events=8).write_trace("worker_0", trace)
+    db = TraceDB(str(tmp_path))
+    chunks = db.chunks()
     assert len(chunks) > 1
     # Record counts across chunks add up to the full trace.
     assert sum(c.num_events for c in chunks) == len(trace.events)
     assert sum(c.num_operations for c in chunks) == len(trace.operations)
     assert sum(c.num_markers for c in chunks) == len(trace.markers)
-    loaded = load_trace(str(tmp_path))
+    loaded = db.read_worker("worker_0")
     assert loaded.total_events() == trace.total_events()
     assert sorted(e.name for e in loaded.events) == sorted(e.name for e in trace.events)
 
 
 def test_repeat_dump_appends_chunks(tmp_path):
-    """A dumper reused for the same worker keeps earlier chunks readable."""
-    dumper = TraceDumper(str(tmp_path), worker="worker_0", chunk_events=100)
-    dumper.dump(make_trace("worker_0", num_events=4))
-    dumper.dump(make_trace("worker_0", num_events=6))
-    loaded = load_trace(str(tmp_path))
+    """A writer reused for the same worker keeps earlier chunks readable."""
+    writer = StreamingTraceWriter(str(tmp_path), chunk_events=100)
+    writer.write_trace("worker_0", make_trace("worker_0", num_events=4))
+    writer.write_trace("worker_0", make_trace("worker_0", num_events=6))
+    db = TraceDB(str(tmp_path))
+    assert [meta.seq for meta in db.chunks("worker_0")] == [0, 1]
     # 4 + 6 backend events + 2 operation events.
-    assert loaded.total_events() == 12
+    assert db.read_worker("worker_0").total_events() == 12
 
 
 # -------------------------------------------------------------------- legacy
@@ -92,21 +94,21 @@ def test_legacy_store_still_loads(tmp_path):
         "workers": {"worker_0": {"chunks": [chunk_name], "metadata": dict(trace.metadata)}},
     }), encoding="utf-8")
 
-    loaded = load_trace(str(tmp_path))
+    db = TraceDB(str(tmp_path))
+    loaded = db.read_worker("worker_0")
     assert loaded.total_events() == trace.total_events()
     assert len(loaded.markers) == len(trace.markers)
     assert loaded.metadata["worker"] == "worker_0"
     # Legacy chunks have no index statistics, so queries scan them.
-    db = TraceDB(str(tmp_path))
     assert all(meta.legacy for meta in db.chunks())
     assert db.count_events(category="Backend") == 6
 
 
 def test_reader_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
-        TraceReader(str(tmp_path / "does_not_exist"))
+        TraceDB(str(tmp_path / "does_not_exist"))
 
 
 def test_dumper_validates_chunk_size(tmp_path):
     with pytest.raises(ValueError):
-        TraceDumper(str(tmp_path), chunk_events=0)
+        StreamingTraceWriter(str(tmp_path), chunk_events=0)

@@ -79,6 +79,23 @@ def test_streaming_requires_trace_dir():
         Profiler(System.create(seed=0), streaming=True)
 
 
+def test_in_memory_profiler_dump_honours_chunk_events(tmp_path):
+    """Without streaming, finalize writes the trace in ``chunk_events`` chunks too."""
+    dumped = run_profiled_session(System.create(seed=0), trace_dir=str(tmp_path / "dump"),
+                                  chunk_events=8)
+    streamed = run_profiled_session(System.create(seed=0), trace_dir=str(tmp_path / "stream"),
+                                    streaming=True, chunk_events=8)
+    db = TraceDB(str(tmp_path / "dump"))
+    assert len(db.chunks()) == len(streamed.open_tracedb().chunks()) > 1
+    assert all(meta.num_records <= 8 for meta in db.chunks())
+    loaded = db.read_worker(dumped.worker)
+    assert loaded.total_events() == dumped.trace.total_events()
+    assert len(loaded.markers) == len(dumped.trace.markers)
+    # A bad chunk size fails at construction, not after the whole run.
+    with pytest.raises(ValueError):
+        Profiler(System.create(seed=0), trace_dir=str(tmp_path / "bad"), chunk_events=0)
+
+
 def test_analyze_db_matches_in_memory_analysis(tmp_path):
     sys_a = System.create(seed=0)
     prof_a = run_profiled_session(sys_a)
