@@ -55,7 +55,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 from oracles.go_reference import ReferenceGoPosition  # noqa: E402
-from oracles.overlap_loop import accumulate_worker_loop  # noqa: E402
+from oracles.overlap_loop import accumulate_columns_loop, accumulate_worker_loop  # noqa: E402
 from oracles.scalar_mcts import ScalarMCTS, ScalarSearchCursor  # noqa: E402
 from oracles.scan_scheduler import run_scan  # noqa: E402
 
@@ -156,6 +156,7 @@ def _overlap_metrics():
     from dataclasses import replace
 
     from repro.profiler import overlap as overlap_mod
+    from repro.profiler.columns import TraceColumns
     from repro.profiler.events import EventTrace
 
     pool, _ = _run_pool(profile=True)
@@ -200,7 +201,7 @@ def _overlap_metrics():
     # vectorized; byte-identity is asserted end to end through
     # compute_overlap.
     vectorized_sweep = overlap_mod._accumulate_worker
-    overlap_mod._accumulate_worker = accumulate_worker_loop
+    overlap_mod._accumulate_worker = accumulate_columns_loop
     try:
         loop_result = compute_overlap(wide)
     finally:
@@ -214,18 +215,22 @@ def _overlap_metrics():
 
     events_by_worker = {w: [e for e in wide.events if e.worker == w] for w in workers}
     ops_by_worker = {w: [op for op in wide.operations if op.worker == w] for w in workers}
-
-    def sweep_all(accumulate):
+    # The sweep runs on each worker's columns (built from the same objects
+    # inside the timed region), the loop on the objects themselves.
+    def sweep_all_columns():
         for worker in workers:
-            accumulate(events_by_worker[worker], ops_by_worker[worker],
-                       defaultdict(float))
+            table = TraceColumns(source=EventTrace(events=events_by_worker[worker],
+                                                   operations=ops_by_worker[worker]))
+            vectorized_sweep(table.strings, table.events, table.operations,
+                             defaultdict(float))
 
-    vec_sweep_s = min(
-        _timed(lambda: sweep_all(vectorized_sweep))
-        for _ in range(OVERLAP_REPEATS))
-    loop_sweep_s = min(
-        _timed(lambda: sweep_all(accumulate_worker_loop))
-        for _ in range(OVERLAP_REPEATS))
+    def sweep_all_loop():
+        for worker in workers:
+            accumulate_worker_loop(events_by_worker[worker], ops_by_worker[worker],
+                                   defaultdict(float))
+
+    vec_sweep_s = min(_timed(sweep_all_columns) for _ in range(OVERLAP_REPEATS))
+    loop_sweep_s = min(_timed(sweep_all_loop) for _ in range(OVERLAP_REPEATS))
     vector_speedup = loop_sweep_s / vec_sweep_s if vec_sweep_s > 0 else float("inf")
     assert vector_speedup >= MIN_OVERLAP_VECTOR_SPEEDUP, (
         f"expected >= {MIN_OVERLAP_VECTOR_SPEEDUP}x vectorized overlap sweep on "

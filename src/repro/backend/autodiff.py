@@ -97,7 +97,8 @@ class Tape:
                         grads[tensor.id] = grads[tensor.id] + grad
                     else:
                         grads[tensor.id] = grad
-        return [grads.get(src.id, np.zeros_like(src.data)) for src in sources]
+        return [grads[src.id] if src.id in grads else np.zeros_like(src.data)
+                for src in sources]
 
 
 def apply_op(

@@ -4,7 +4,8 @@ Two implementations of Adam matter for the paper:
 
 * :class:`Adam` — the "fused" GPU implementation every modern backend
   provides: one update kernel per parameter tensor, applied inside a single
-  backend call.
+  backend call.  The host-side arithmetic is fused as well: one pass over
+  flat moment vectors updates every parameter at once.
 * :class:`MPIAdam` — stable-baselines' MPI-friendly Adam, which flattens the
   gradients, copies them to the host, performs the Adam update in Python, and
   writes the result back to the device.  During single-node training this is
@@ -62,7 +63,9 @@ class SGD(Optimizer):
                 engine.account_op("sgd_update", [optimizer_kernel(param.size, name="sgd_update")])
                 grad = np.asarray(grad, dtype=np.float32)
                 if self.momentum > 0:
-                    vel = self._velocity.setdefault(param.id, np.zeros_like(param.data))
+                    vel = self._velocity.get(param.id)
+                    if vel is None:
+                        vel = self._velocity[param.id] = np.zeros_like(param.data)
                     vel *= self.momentum
                     vel += grad
                     update = vel
@@ -72,7 +75,19 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Fused Adam: one device kernel per parameter tensor, one backend call."""
+    """Fused Adam: one device kernel per parameter tensor, one backend call.
+
+    The host arithmetic is fused too: the first and second moments, the
+    gathered gradients and a scratch buffer are one contiguous float32
+    vector each, over all the optimizer's parameters.  A step gathers the
+    gradients once, updates both moments in place and computes the new
+    parameter vector in one pass; each :class:`Parameter` is then rebound to
+    its slice of that fresh vector, so no array a caller holds is mutated.
+    The parameter values are gathered only when some parameter is no longer
+    bound to the previous step's slice.  The updates are elementwise, so
+    every value is bit-identical to updating one parameter at a time (the
+    per-parameter loop is the test oracle ``tests/oracles/adam_loop.py``).
+    """
 
     def __init__(
         self,
@@ -86,27 +101,61 @@ class Adam(Optimizer):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        self._offsets = np.cumsum([0] + [p.size for p in self.params]).tolist()
+        size = self._offsets[-1]
+        self._m = np.zeros(size, dtype=np.float32)
+        self._v = np.zeros(size, dtype=np.float32)
+        self._grad = np.empty(size, dtype=np.float32)
+        self._scratch = np.empty(size, dtype=np.float32)
+        #: The parameter vector of the last step and the views handed out.
+        self._flat = np.empty(0, dtype=np.float32)
+        self._views: List[np.ndarray] = []
 
-    def _adam_update(self, param: Parameter, grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=np.float32)
-        m = self._m.setdefault(param.id, np.zeros_like(param.data))
-        v = self._v.setdefault(param.id, np.zeros_like(param.data))
-        m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-        v[...] = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1 ** self.step_count)
-        v_hat = v / (1.0 - self.beta2 ** self.step_count)
-        param.assign(param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+    def _fused_update(self, grads: Sequence[np.ndarray]) -> None:
+        """One Adam step over every parameter (``step_count`` already advanced).
+
+        The same float32 operations, in the same order, as updating each
+        parameter on its own: ``m = beta1 * m + (1 - beta1) * g``,
+        ``v = beta2 * v + (1 - beta2) * g * g``, then
+        ``p - lr * m_hat / (sqrt(v_hat) + eps)``.
+        """
+        if not self.params:
+            return
+        g, tmp, m, v = self._grad, self._scratch, self._m, self._v
+        np.concatenate([np.asarray(grad, dtype=np.float32).reshape(-1) for grad in grads],
+                       out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, 1.0 - self.beta2 ** self.step_count, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step = np.divide(m, 1.0 - self.beta1 ** self.step_count, out=g)
+        step *= self.lr
+        step /= tmp
+        # Parameters still bound to the last step's views need no gather.
+        flat = self._flat
+        if len(self._views) != len(self.params) or any(
+                param.data is not view for param, view in zip(self.params, self._views)):
+            flat = np.concatenate([param.data.reshape(-1) for param in self.params])
+        self._flat = new = np.subtract(flat, step)
+        self._views = [new[lo:hi].reshape(param.shape) for param, lo, hi
+                       in zip(self.params, self._offsets, self._offsets[1:])]
+        for param, view in zip(self.params, self._views):
+            param.data = view
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         self._check_grads(grads)
         engine = current_engine()
         self.step_count += 1
         with engine.native_scope("adam_step"):
-            for param, grad in zip(self.params, grads):
+            for param in self.params:
                 engine.account_op("adam_update", [optimizer_kernel(param.size, name="adam_update")])
-                self._adam_update(param, grad)
+            self._fused_update(grads)
 
 
 class MPIAdam(Adam):
@@ -146,8 +195,7 @@ class MPIAdam(Adam):
         # (2) Host-side Adam update in Python.
         total_params = sum(p.size for p in self.params)
         system.cpu_work(self.PYTHON_UNITS_PER_KPARAM * total_params / 1000.0)
-        for param, grad in zip(self.params, grads):
-            self._adam_update(param, grad)
+        self._fused_update(grads)
 
         # (3) Push the updated flat parameter vector back to the device and
         #     scatter it into each variable.

@@ -15,7 +15,7 @@ Examples::
     rls-experiment fig8 --scheduler event --replicas 2
     rls-experiment servesweep --rates 0.5,2.0 --clients 256 --replicas 1,2
     rls-experiment servesweep --arrival bursty --overloads shed-newest,block
-    rls-experiment servesweep --quick   # CI smoke: small trace, fast
+    rls-experiment servesweep --quick   # CI smoke: small trace, fast (prints only)
     rls-experiment zoosweep --sims Pong,Hopper --algos DQN,PPO
     rls-experiment zoosweep --worker-counts 4,8 --replicas 1,2
     rls-experiment zoosweep --quick     # CI smoke: 2 sims, 1 worker count
@@ -56,10 +56,17 @@ _rate_list = _number_list(float, "rate multipliers")
 _fault_rate_list = _number_list(float, "fault rates", allow_zero=True)
 
 
-def _write_report(text: str, out: Optional[str], default: str) -> None:
-    """Print a sweep report and write it to ``out`` (or ``default``)."""
+def _write_report(text: str, args: argparse.Namespace, default: str) -> None:
+    """Print a sweep report and write it to ``--out``, else to ``default``.
+
+    A ``--quick`` report goes only where ``--out`` says: ``default`` holds
+    the full grid's committed report.
+    """
     print(text)
-    path = Path(out or default)
+    out = args.out if args.out is not None or args.quick else default
+    if out is None:
+        return
+    path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 
@@ -149,12 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "degrade,full (default: both)")
     parser.add_argument("--quick", action="store_true",
                         help="servesweep/zoosweep/cachesweep/faultsweep smoke "
-                             "mode: a small grid (the CI configuration)")
+                             "mode: a small grid (the CI configuration); its "
+                             "report is written only to --out")
     parser.add_argument("--out", default=None,
                         help="servesweep/zoosweep/cachesweep/faultsweep: also "
-                             "write the report to this path (default: "
-                             "results/serve_sweep.txt / results/zoo_sweep.txt / "
-                             "results/cache_sweep.txt / results/fault_sweep.txt)")
+                             "write the report to this path (default without "
+                             "--quick: results/serve_sweep.txt / "
+                             "results/zoo_sweep.txt / results/cache_sweep.txt / "
+                             "results/fault_sweep.txt)")
     return parser
 
 
@@ -246,7 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sweep_kwargs.setdefault("num_clients", 64)
             sweep_kwargs["horizon_us"] = 10_000.0
         result = run_serve_sweep(seed=args.seed, **sweep_kwargs)
-        _write_report(result.report(), args.out, "results/serve_sweep.txt")
+        _write_report(result.report(), args, "results/serve_sweep.txt")
     elif args.experiment == "zoosweep":
         from .zoosweep import DEFAULT_ZOO_STEPS
         sweep_kwargs = {}
@@ -268,7 +277,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         steps_per_worker = args.timesteps if args.timesteps is not None else quick_steps
         result = run_zoo_sweep(seed=args.seed, steps_per_worker=steps_per_worker,
                                trace_dir=args.trace_dir, **sweep_kwargs)
-        _write_report(result.report(), args.out, "results/zoo_sweep.txt")
+        _write_report(result.report(), args, "results/zoo_sweep.txt")
     elif args.experiment == "cachesweep":
         from . import run_cache_sweep
         sweep_kwargs = {}
@@ -286,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sweep_kwargs.setdefault("evaluation_games", (2,))
             sweep_kwargs.setdefault("max_moves", 4)
         result = run_cache_sweep(seed=args.seed, **sweep_kwargs)
-        _write_report(result.report(), args.out, "results/cache_sweep.txt")
+        _write_report(result.report(), args, "results/cache_sweep.txt")
     elif args.experiment == "faultsweep":
         from . import run_fault_sweep
         sweep_kwargs = {}
@@ -310,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result = run_fault_sweep(crash_rates, seed=args.seed, **sweep_kwargs)
         else:
             result = run_fault_sweep(seed=args.seed, **sweep_kwargs)
-        _write_report(result.report(), args.out, "results/fault_sweep.txt")
+        _write_report(result.report(), args, "results/fault_sweep.txt")
     elif args.experiment == "findings":
         fig4_td3 = run_fig4("TD3", timesteps=steps, seed=args.seed)
         fig4_ddpg = run_fig4("DDPG", timesteps=steps, seed=args.seed)

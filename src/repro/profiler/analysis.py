@@ -12,27 +12,22 @@ This module turns raw traces into the quantities the paper reports:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from .calibration import CalibrationResult
+from .columns import ColumnarTrace, groups_first_seen, trace_columns
 from .correction import (
-    OperationLocator,
     corrected_category_breakdown,
     corrected_total_us,
+    locate_operations,
     overhead_by_operation_category,
+    trace_total_us,
 )
-from .events import (
-    CATEGORY_BACKEND,
-    CATEGORY_CUDA_API,
-    CATEGORY_GPU,
-    CATEGORY_PYTHON,
-    CATEGORY_SIMULATOR,
-    Event,
-    EventTrace,
-)
-from .overlap import RESOURCE_CPU, RESOURCE_CPU_GPU, RESOURCE_GPU, UNTRACKED, OverlapResult, compute_overlap
+from .events import CATEGORY_BACKEND, CATEGORY_CUDA_API, CATEGORY_SIMULATOR, EventTrace
+from .overlap import RESOURCE_GPU, OverlapResult, compute_overlap
 
 #: Transition categories reported in Figures 4c/4d.
 TRANSITION_CATEGORIES = (CATEGORY_SIMULATOR, CATEGORY_BACKEND, CATEGORY_CUDA_API)
@@ -42,7 +37,7 @@ TRANSITION_CATEGORIES = (CATEGORY_SIMULATOR, CATEGORY_BACKEND, CATEGORY_CUDA_API
 class WorkloadAnalysis:
     """Analysis of one profiled workload run."""
 
-    trace: EventTrace
+    trace: Union[EventTrace, ColumnarTrace]
     overlap: OverlapResult
     calibration: Optional[CalibrationResult] = None
     iterations: Optional[int] = None
@@ -75,7 +70,7 @@ class WorkloadAnalysis:
 
     # ----------------------------------------------------------------- totals
     def total_time_us(self, *, corrected: bool = True) -> float:
-        total = float(self.trace.metadata.get("total_time_us", self.trace.span_us()))
+        total = trace_total_us(self.trace)
         if corrected and self.calibration is not None:
             return corrected_total_us(self.trace, self.calibration, total_us=total)
         return total
@@ -113,16 +108,22 @@ class WorkloadAnalysis:
 
     # ------------------------------------------------------------ transitions
     def transition_counts(self) -> Dict[str, Dict[str, int]]:
-        """operation -> transition category -> number of native calls."""
-        locators = _build_locators(self.trace)
-        counts: Dict[str, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        for event in self.trace.events:
-            if event.category not in TRANSITION_CATEGORIES:
-                continue
-            locator = locators.get(event.worker)
-            operation = locator.locate(event.start_us) if locator is not None else UNTRACKED
-            counts[operation][event.category] += 1
-        return {op: dict(cats) for op, cats in counts.items()}
+        """operation -> transition category -> number of native calls.
+
+        Operations appear in the order of their first transition event, and
+        each operation's categories in the order of their first event there.
+        """
+        columns = trace_columns(self.trace)
+        events = columns.events
+        categories = [columns.id_of(category) for category in TRANSITION_CATEGORIES]
+        selected = np.flatnonzero(np.isin(events.label, categories))
+        operations = locate_operations(columns, events.worker[selected], events.start[selected])
+        width = len(columns.strings)
+        counts: Dict[str, Dict[str, int]] = {}
+        for code, positions in groups_first_seen(operations * width + events.label[selected]):
+            operation, category = divmod(code, width)
+            counts.setdefault(columns.strings[operation], {})[columns.strings[category]] = len(positions)
+        return counts
 
     def transitions_per_iteration(self, iterations: Optional[int] = None) -> Dict[str, Dict[str, float]]:
         """operation -> transition category -> transitions per training iteration."""
@@ -146,15 +147,6 @@ def analyze(
     return WorkloadAnalysis(trace=trace, overlap=overlap, calibration=calibration, iterations=iterations)
 
 
-def _build_locators(trace: EventTrace) -> Dict[str, OperationLocator]:
-    """One interval-indexed innermost-operation locator per worker, so
-    transition counting stays O((events + operations) log operations)."""
-    return {
-        worker: OperationLocator([op for op in trace.operations if op.worker == worker])
-        for worker in trace.workers()
-    }
-
-
 # --------------------------------------------------------------- multi-process
 @dataclass(frozen=True)
 class WorkerSummary:
@@ -174,10 +166,10 @@ class WorkerSummary:
         return self.gpu_time_us / 1e6
 
 
-def summarize_worker_trace(worker: str, trace: EventTrace) -> WorkerSummary:
+def summarize_worker_trace(worker: str, trace: Union[EventTrace, ColumnarTrace]) -> WorkerSummary:
     """One worker's Figure 8 summary: total span, CPU-bound time, GPU time."""
     overlap = compute_overlap(trace)
-    total = float(trace.metadata.get("total_time_us", trace.span_us()))
+    total = trace_total_us(trace)
     gpu = overlap.gpu_time_us()
     gpu_only = overlap.resource_time_us(RESOURCE_GPU)
     cpu = max(total - gpu_only, 0.0)
@@ -209,16 +201,18 @@ def analyze_db(
 ) -> WorkloadAnalysis:
     """Build a :class:`WorkloadAnalysis` from a TraceDB store handle.
 
-    :class:`WorkloadAnalysis` needs the full record lists for its marker and
-    transition queries, so the store is materialised once and the overlap is
-    computed from that trace — decoding every chunk a second time through
-    the map phase would only add work.  The result is byte-identical to
-    :func:`repro.tracedb.parallel_overlap`, which remains the right tool for
-    summaries that never need the materialised trace (e.g.
-    :func:`multi_process_summary_db`).
+    The store's chunks are decoded into column arrays once
+    (:meth:`repro.tracedb.TraceDB.columnar_trace`), and the overlap sweep,
+    the overhead correction, the transition counts and the totals all run
+    on those arrays.  ``analysis.trace`` is a
+    :class:`~repro.profiler.columns.ColumnarTrace`: ``len()`` of its
+    ``events`` / ``operations`` / ``markers`` costs nothing, and the record
+    objects are built only if a caller reads them.  The result is
+    byte-identical to :func:`analyze` of the same records in memory, and its
+    overlap to :func:`repro.tracedb.parallel_overlap`.
     """
     from ..tracedb.store import TraceDB
     db = source if isinstance(source, TraceDB) else TraceDB(str(source))
-    trace = db.to_event_trace()
+    trace = db.columnar_trace()
     return WorkloadAnalysis(trace=trace, overlap=compute_overlap(trace),
                             calibration=calibration, iterations=iterations)

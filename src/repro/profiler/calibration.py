@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
+
+import numpy as np
 
 from .api import ProfilerConfig
+from .columns import ColumnarTrace, TraceColumns, groups_first_seen, sequential_sum, trace_columns
 from .events import (
     CATEGORY_CUDA_API,
     OVERHEAD_ANNOTATION,
@@ -61,27 +64,51 @@ class CalibrationResult:
 
     def overhead_for_marker(self, marker: OverheadMarker) -> float:
         """Estimated duration of the book-keeping behind one overhead marker."""
-        if marker.kind == OVERHEAD_PYPROF:
+        return self.overhead_for(marker.kind, marker.api_name)
+
+    def overhead_for(self, kind: str, api_name: Optional[str] = None) -> float:
+        """Estimated duration of one ``kind`` book-keeping (CUPTI: of ``api_name``)."""
+        if kind == OVERHEAD_PYPROF:
             return self.pyprof_us
-        if marker.kind == OVERHEAD_ANNOTATION:
+        if kind == OVERHEAD_ANNOTATION:
             return self.annotation_us
-        if marker.kind == OVERHEAD_CUDA_INTERCEPTION:
+        if kind == OVERHEAD_CUDA_INTERCEPTION:
             return self.cuda_interception_us
-        if marker.kind == OVERHEAD_CUPTI:
-            if marker.api_name is not None and marker.api_name in self.cupti_per_api_us:
-                return self.cupti_per_api_us[marker.api_name]
+        if kind == OVERHEAD_CUPTI:
+            if api_name is not None and api_name in self.cupti_per_api_us:
+                return self.cupti_per_api_us[api_name]
             return self.details.get("cupti_default_us", 0.0)
-        raise ValueError(f"unknown overhead marker kind: {marker.kind!r}")
+        raise ValueError(f"unknown overhead marker kind: {kind!r}")
 
-    def total_overhead_us(self, trace: EventTrace) -> float:
+    def marker_overheads_us(self, trace: Union[EventTrace, ColumnarTrace, TraceColumns]) -> np.ndarray:
+        """:meth:`overhead_for_marker` of every marker of ``trace``, in marker order.
+
+        Evaluated once per distinct ``(kind, api_name)``, in first-occurrence
+        order, so an unknown kind raises for the first marker that has it.
+        """
+        columns = trace_columns(trace)
+        markers = columns.markers
+        # api ids run from NO_ID (-1), hence the +1.
+        pairs = markers.kind * (len(columns.strings) + 1) + (markers.api + 1)
+        groups = groups_first_seen(pairs)
+        values = np.empty(pairs.size, dtype=np.float64)
+        for code, positions in groups:
+            kind, api = divmod(code, len(columns.strings) + 1)
+            values[positions] = self.overhead_for(
+                columns.strings[kind], None if api == 0 else columns.strings[api - 1])
+        return values
+
+    def total_overhead_us(self, trace: Union[EventTrace, ColumnarTrace]) -> float:
         """Total estimated book-keeping time contained in ``trace``."""
-        return sum(self.overhead_for_marker(marker) for marker in trace.markers)
+        # The builtin sum over the values in marker order: the same sum, float
+        # for float, as summing overhead_for_marker over the markers.
+        return sum(self.marker_overheads_us(trace).tolist())
 
-    def overhead_by_kind_us(self, trace: EventTrace) -> Dict[str, float]:
-        totals: Dict[str, float] = defaultdict(float)
-        for marker in trace.markers:
-            totals[marker.kind] += self.overhead_for_marker(marker)
-        return dict(totals)
+    def overhead_by_kind_us(self, trace: Union[EventTrace, ColumnarTrace]) -> Dict[str, float]:
+        columns = trace_columns(trace)
+        values = self.marker_overheads_us(columns)
+        return {columns.strings[kind]: sequential_sum(values[positions])
+                for kind, positions in groups_first_seen(columns.markers.kind)}
 
     @classmethod
     def from_ground_truth(cls, cost_model_config) -> "CalibrationResult":

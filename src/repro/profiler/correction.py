@@ -7,100 +7,148 @@ that moment, and subtracts the estimate from the stack category the
 book-keeping time landed in (Python for interception wrappers and
 annotations, CUDA API for the librlscope hook and CUPTI inflation) — i.e. the
 time is removed "at the precise point when it occurs" (Section 3.4).
+
+All markers are attributed at once, from the trace's column arrays
+(:mod:`repro.profiler.columns`): one calibrated duration per distinct
+``(kind, api_name)``, one :func:`numpy.searchsorted` per worker into that
+worker's :class:`OperationLocator`, and one sequential sum per
+``(operation, category)`` key in first-occurrence order.  The per-marker
+loop this replaced is kept as the test oracle
+``tests/oracles/correction_loop.py`` and pinned bit-identical to it.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .calibration import CalibrationResult
+from .columns import (
+    NO_ID,
+    ColumnarTrace,
+    IntervalColumns,
+    TraceColumns,
+    groups_first_seen,
+    sequential_sum,
+    trace_columns,
+)
 from .events import OVERHEAD_CATEGORY, Event, EventTrace
 from .overlap import UNTRACKED, OverlapResult
 
+Trace = Union[EventTrace, ColumnarTrace]
+
 
 class OperationLocator:
-    """Finds the innermost operation active at a given time for one worker.
+    """Finds the innermost operation active at given times for one worker.
 
     The innermost operation at time ``t`` is the one with the latest start
     among all operations with ``start_us <= t <= end_us`` (ties broken toward
-    the later entry in start-sorted order).  A linear scan per query makes
-    overhead correction O(markers x operations); instead we sweep the
-    interval boundaries once and precompute the answer for every elementary
-    segment, so each query is a single binary search.
+    the later entry in trace order).  The answer for every elementary
+    segment between interval boundaries is precomputed once, so a batch of
+    queries is a single :func:`numpy.searchsorted`.
 
     Because an operation is active on the *closed* interval
     ``[start_us, end_us]``, the answer exactly at a boundary point can differ
     from the answer in the open segment that follows it; both are stored.
     """
 
-    def __init__(self, operations: List[Event]) -> None:
-        ops = sorted(operations, key=lambda op: op.start_us)
-        points: List[float] = sorted({p for op in ops for p in (op.start_us, op.end_us)})
+    def __init__(self, operations: Sequence[Event]) -> None:
+        columns = TraceColumns(source=EventTrace(operations=list(operations)))
+        self._index(columns.strings, columns.operations)
+
+    @classmethod
+    def from_columns(cls, strings: Sequence[str],
+                     operations: IntervalColumns) -> "OperationLocator":
+        """A locator over one worker's operation columns (names index ``strings``)."""
+        locator = cls.__new__(cls)
+        locator._index(strings, operations)
+        return locator
+
+    def _index(self, strings: Sequence[str], operations: IntervalColumns) -> None:
+        self._strings = strings
+        points = np.unique(np.concatenate((operations.start, operations.end)))
         self._points = points
-        self._at_point: List[str] = []
-        self._after_point: List[str] = []
-        if not points:
-            return
+        self._at_point = np.full(points.size, NO_ID, dtype=np.int64)
+        self._after_point = np.full(max(points.size - 1, 0), NO_ID, dtype=np.int64)
+        # Paint in (start, trace index) order: the last painter of a point or
+        # segment is the innermost operation there.  An operation covers the
+        # points [start, end] and the open segments between them.
+        first = np.searchsorted(points, operations.start).tolist()
+        last = np.searchsorted(points, operations.end).tolist()
+        names = operations.label.tolist()
+        for i in np.lexsort((np.arange(len(names)), operations.start)).tolist():
+            self._at_point[first[i]:last[i] + 1] = names[i]
+            self._after_point[first[i]:last[i]] = names[i]
 
-        starts_at: Dict[float, List[int]] = defaultdict(list)
-        for index, op in enumerate(ops):
-            starts_at[op.start_us].append(index)
-
-        # Max-heap over (start, sorted-index) with lazy deletion: the top
-        # entry still active is the innermost operation.  Each op is pushed
-        # and popped at most once, so the whole sweep is O(n log n).
-        heap: List[Tuple[float, int]] = []
-
-        def innermost(active_threshold: float) -> str:
-            """Name of the top op whose end_us >= active_threshold."""
-            while heap and ops[-heap[0][1]].end_us < active_threshold:
-                heapq.heappop(heap)
-            return ops[-heap[0][1]].name if heap else UNTRACKED
-
-        for i, point in enumerate(points):
-            for index in starts_at.get(point, ()):
-                heapq.heappush(heap, (-ops[index].start_us, -index))
-            # Queries exactly at `point` see ops with end_us >= point ...
-            self._at_point.append(innermost(point))
-            # ... while queries strictly between this point and the next see
-            # only ops that survive past `point`.
-            if i + 1 < len(points):
-                self._after_point.append(innermost(points[i + 1]))
+    def locate_ids(self, times: np.ndarray) -> np.ndarray:
+        """String id of the innermost operation at each time (:data:`NO_ID`: none)."""
+        points = self._points
+        out = np.full(times.size, NO_ID, dtype=np.int64)
+        if not points.size:
+            return out
+        index = np.searchsorted(points, times, side="right") - 1
+        seen = index >= 0
+        at = seen & (points[np.maximum(index, 0)] == times)
+        out[at] = self._at_point[index[at]]
+        between = seen & ~at & (index < points.size - 1)
+        out[between] = self._after_point[index[between]]
+        return out
 
     def locate(self, time_us: float) -> str:
-        points = self._points
-        index = bisect.bisect_right(points, time_us) - 1
-        if index < 0:
-            return UNTRACKED
-        if points[index] == time_us:
-            return self._at_point[index]
-        if index >= len(self._after_point):
-            return UNTRACKED
-        return self._after_point[index]
+        (name,) = self.locate_ids(np.array([time_us], dtype=np.float64)).tolist()
+        return UNTRACKED if name == NO_ID else self._strings[name]
+
+
+def locate_operations(columns: TraceColumns, workers: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    """Innermost operation of each ``(worker id, time)`` query, as a name id.
+
+    Every worker's operations get one :class:`OperationLocator`; a query on
+    a worker without operations, or at a time no operation covers, is the id
+    of :data:`UNTRACKED`.
+    """
+    operations = columns.operations
+    by_worker = dict(groups_first_seen(operations.worker))
+    untracked = int(columns.intern([UNTRACKED])[0])
+    out = np.full(times.size, untracked, dtype=np.int64)
+    for worker, positions in groups_first_seen(workers):
+        if worker in by_worker:
+            locator = OperationLocator.from_columns(
+                columns.strings, operations.take(by_worker[worker]))
+            names = locator.locate_ids(times[positions])
+            out[positions] = np.where(names == NO_ID, untracked, names)
+    return out
 
 
 def overhead_by_operation_category(
-    trace: EventTrace,
+    trace: Trace,
     calibration: CalibrationResult,
 ) -> Dict[Tuple[str, str], float]:
-    """Estimated book-keeping time per (operation, category) bucket."""
-    locators = {
-        worker: OperationLocator([op for op in trace.operations if op.worker == worker])
-        for worker in trace.workers()
-    }
-    totals: Dict[Tuple[str, str], float] = defaultdict(float)
-    for marker in trace.markers:
-        duration = calibration.overhead_for_marker(marker)
-        if duration <= 0:
-            continue
-        locator = locators.get(marker.worker)
-        operation = locator.locate(marker.time_us) if locator is not None else UNTRACKED
-        category = OVERHEAD_CATEGORY[marker.kind]
-        totals[(operation, category)] += duration
-    return dict(totals)
+    """Estimated book-keeping time per (operation, category) bucket.
+
+    Keys appear in the order of their first marker; each bucket sums its
+    markers' durations in marker order.  Markers with a non-positive
+    calibrated duration are skipped.
+    """
+    columns = trace_columns(trace)
+    markers = columns.markers
+    durations = calibration.marker_overheads_us(columns)
+    keep = np.flatnonzero(~(durations <= 0))
+    operations = locate_operations(columns, markers.worker[keep], markers.time[keep])
+    kind_category = np.full(len(columns.strings), NO_ID, dtype=np.int64)
+    for kind, category in OVERHEAD_CATEGORY.items():
+        kind_id = columns.id_of(kind)
+        if kind_id != NO_ID:
+            kind_category[kind_id] = columns.intern([category])[0]
+    categories = kind_category[markers.kind[keep]]
+    codes = operations * len(columns.strings) + categories
+    durations = durations[keep]
+    strings = columns.strings
+    return {
+        (strings[code // len(strings)], strings[code % len(strings)]):
+            sequential_sum(durations[positions])
+        for code, positions in groups_first_seen(codes)}
 
 
 def corrected_category_breakdown(
@@ -128,14 +176,22 @@ def corrected_category_breakdown(
     return corrected
 
 
-def corrected_total_us(trace: EventTrace, calibration: CalibrationResult, *, total_us: Optional[float] = None) -> float:
+def trace_total_us(trace: Trace) -> float:
+    """The trace's recorded ``total_time_us``, else its span (scanned only then)."""
+    metadata = trace.metadata
+    if "total_time_us" in metadata:
+        return float(metadata["total_time_us"])
+    return float(trace.span_us())
+
+
+def corrected_total_us(trace: Trace, calibration: CalibrationResult, *, total_us: Optional[float] = None) -> float:
     """Corrected total training time: instrumented total minus estimated overhead."""
     if total_us is None:
-        total_us = float(trace.metadata.get("total_time_us", trace.span_us()))
+        total_us = trace_total_us(trace)
     return max(total_us - calibration.total_overhead_us(trace), 0.0)
 
 
-def corrected_overlap_total_us(overlap: OverlapResult, trace: EventTrace, calibration: CalibrationResult) -> float:
+def corrected_overlap_total_us(overlap: OverlapResult, trace: Trace, calibration: CalibrationResult) -> float:
     """Corrected total of the overlap regions (tracked time only)."""
     overheads = overhead_by_operation_category(trace, calibration)
     tracked_overhead = sum(v for (op, _), v in overheads.items() if op != UNTRACKED)

@@ -11,25 +11,34 @@ trace boundaries left-to-right and, for every elementary region, records
 and sums the region durations per ``(operation, category-set)`` key.  All of
 the paper's breakdowns (Figures 4, 5, 7, 8) are reductions of this map.
 
-The walk is one vectorized numpy sweep per worker.  The per-boundary Python
-loop it replaced is kept as a test oracle (``tests/oracles/overlap_loop.py``)
-and pinned byte-identical to it, region order and float bits included.
+The walk is one vectorized numpy sweep per worker over the trace's column
+arrays (:mod:`repro.profiler.columns`): a store's trace is swept straight
+from its decoded ``.tdbc`` columns, an in-memory trace is turned into the
+same columns first.  The per-boundary Python loop the sweep replaced is
+kept as a test oracle (``tests/oracles/overlap_loop.py``) and pinned
+byte-identical to it, region order and float bits included.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .columns import (
+    ColumnarTrace,
+    IntervalColumns,
+    groups_first_seen,
+    sequential_sum,
+    trace_columns,
+)
 from .events import (
     CATEGORY_GPU,
     CATEGORY_OPERATION,
     CPU_CATEGORIES,
     CPU_CATEGORY_PRIORITY,
-    Event,
     EventTrace,
 )
 
@@ -159,7 +168,7 @@ class OverlapResult:
 
 
 def compute_overlap(
-    trace: EventTrace,
+    trace: Union[EventTrace, ColumnarTrace],
     *,
     workers: Optional[Iterable[str]] = None,
 ) -> OverlapResult:
@@ -167,52 +176,55 @@ def compute_overlap(
 
     When ``workers`` is given, each worker's events are processed against its
     own operations and the region durations are summed (per-process critical
-    paths, as in the multi-process Minigo view).
+    paths, as in the multi-process Minigo view).  A store trace
+    (:class:`~repro.profiler.columns.ColumnarTrace`) is swept from its column
+    arrays; an :class:`EventTrace` is first turned into the same columns.
     """
+    columns = trace_columns(trace)
     if workers is None:
-        worker_list = trace.workers() or ["worker_0"]
+        worker_list = columns.workers() or ["worker_0"]
     else:
         worker_list = list(workers)
 
-    # Group events and operations by worker in ONE pass over the trace
-    # (the original re-filtered the full event list once per worker —
-    # O(workers x events) on multi-process traces).  Relative order within
-    # each worker's slice is trace order, exactly what the per-worker
-    # filter produced, so accumulation is bit-for-bit unchanged.
-    wanted = set(worker_list)
-    events_by_worker: Dict[str, List[Event]] = {worker: [] for worker in worker_list}
-    ops_by_worker: Dict[str, List[Event]] = {worker: [] for worker in worker_list}
-    for event in trace.events:
-        if event.worker in wanted and event.end_us > event.start_us:
-            events_by_worker[event.worker].append(event)
-    for op in trace.operations:
-        if op.worker in wanted and op.end_us > op.start_us:
-            ops_by_worker[op.worker].append(op)
+    # Group each worker's non-empty intervals once (a stable grouping keeps
+    # trace order inside every worker's slice).
+    slices = []
+    for intervals in (columns.events, columns.operations):
+        nonempty = np.flatnonzero(intervals.end > intervals.start)
+        by_worker = dict(groups_first_seen(intervals.worker[nonempty]))
+        slices.append((intervals, nonempty, by_worker))
 
     # One partial result per worker, reduced with OverlapResult.merge: the
     # exact decomposition the shard-parallel path (repro.tracedb.mapreduce)
     # uses, so single-pass and map-reduce results are byte-identical.
+    none = np.zeros(0, dtype=np.int64)
     per_worker: List[OverlapResult] = []
     for worker in worker_list:
+        wid = columns.id_of(worker)
+        events, operations = (
+            intervals.take(nonempty[by_worker.get(wid, none)])
+            for intervals, nonempty, by_worker in slices)
         regions: Dict[OverlapKey, float] = defaultdict(float)
-        _accumulate_worker(events_by_worker[worker], ops_by_worker[worker], regions)
+        _accumulate_worker(columns.strings, events, operations, regions)
         per_worker.append(OverlapResult(regions=dict(regions)))
     return OverlapResult.merge(per_worker)
 
 
-def _accumulate_worker(events: List[Event], operations: List[Event],
+def _accumulate_worker(strings: Sequence[str], events: IntervalColumns,
+                       operations: IntervalColumns,
                        regions: Dict[OverlapKey, float]) -> None:
     """Accumulate overlap regions for one worker's (pre-filtered) slice.
 
     ``events``/``operations`` must contain only that worker's non-empty
-    intervals, in trace order — :func:`compute_overlap` groups them in a
-    single pass over the full trace.
+    intervals, in trace order, as columns whose labels index ``strings``
+    (category ids for events, name ids for operations) —
+    :func:`compute_overlap` groups them in a single pass over the trace.
 
     A numpy sweep line, byte-identical to the original per-boundary Python
     loop it replaced (kept as the test oracle
-    ``tests/oracles/overlap_loop.py``, which the overlap tests and the
-    wall-clock benchmark swap in for this function).  Identity argument,
-    piece by piece:
+    ``tests/oracles/overlap_loop.py``, whose ``accumulate_columns_loop`` the
+    overlap tests and the wall-clock benchmark swap in for this function).
+    Identity argument, piece by piece:
 
     * **Boundaries** — ``np.unique`` over all interval endpoints produces the
       same sorted points as the loop's ``sorted(set(...))``, and
@@ -237,37 +249,34 @@ def _accumulate_worker(events: List[Event], operations: List[Event],
       ``regions`` in first-occurrence order so downstream whole-dict
       reductions iterate identically.
     """
-    if not events and not operations:
+    if not events.start.size and not operations.start.size:
         return
-    ev_start = np.array([event.start_us for event in events], dtype=np.float64)
-    ev_end = np.array([event.end_us for event in events], dtype=np.float64)
-    op_start = np.array([op.start_us for op in operations], dtype=np.float64)
-    op_end = np.array([op.end_us for op in operations], dtype=np.float64)
-    points = np.unique(np.concatenate((ev_start, ev_end, op_start, op_end)))
+    points = np.unique(np.concatenate((events.start, events.end,
+                                       operations.start, operations.end)))
     if points.size < 2:
         return
     durations = np.diff(points)
     n_segments = points.size - 1
 
-    # Per-segment active-category bitmasks (CATEGORY_OPERATION never counts,
-    # but its events still contribute boundaries above, like in the loop).
-    cat_index: Dict[str, int] = {}
-    for event in events:
-        if event.category != CATEGORY_OPERATION and event.category not in cat_index:
-            cat_index[event.category] = len(cat_index)
-    if not cat_index:
+    # Measurable categories in first-occurrence order (CATEGORY_OPERATION
+    # never counts, but its events still contribute boundaries above, like
+    # in the loop).
+    labels, first = np.unique(events.label, return_index=True)
+    cat_ids = [label for label in labels[np.argsort(first)].tolist()
+               if strings[label] != CATEGORY_OPERATION]
+    if not cat_ids:
         return  # no measurable categories: the loop never charges anything
-    cat_names = list(cat_index)
-    n_cats = len(cat_names)
-    cat_of_event = np.array([cat_index.get(event.category, -1) for event in events],
-                            dtype=np.int64)
+    n_cats = len(cat_ids)
+    local = np.full(len(strings), -1, dtype=np.int64)
+    local[cat_ids] = np.arange(n_cats)
+    cat_of_event = local[events.label]
     counted = cat_of_event >= 0
     # Scatter +1/-1 at each counted event's start/end boundary.  bincount on
     # flattened (boundary, category) indices is an exact integer scatter-add
     # (same deltas as np.add.at, substantially faster).
     cats = cat_of_event[counted]
-    flat_start = np.searchsorted(points, ev_start[counted]) * n_cats + cats
-    flat_end = np.searchsorted(points, ev_end[counted]) * n_cats + cats
+    flat_start = np.searchsorted(points, events.start[counted]) * n_cats + cats
+    flat_end = np.searchsorted(points, events.end[counted]) * n_cats + cats
     flat_size = points.size * n_cats
     deltas = (np.bincount(flat_start, minlength=flat_size)
               - np.bincount(flat_end, minlength=flat_size)
@@ -277,32 +286,21 @@ def _accumulate_worker(events: List[Event], operations: List[Event],
 
     # Innermost-operation paint: name id per segment, -1 = untracked.
     paint = np.full(n_segments, -1, dtype=np.int64)
-    if operations:
-        name_ids: Dict[str, int] = {}
-        op_name_id = [name_ids.setdefault(op.name, len(name_ids)) for op in operations]
-        op_names = list(name_ids)
-        start_idx = np.searchsorted(points, op_start)
-        end_idx = np.searchsorted(points, op_end)
-        for i in sorted(range(len(operations)),
-                        key=lambda i: (operations[i].start_us, -i)):
-            paint[start_idx[i]:end_idx[i]] = op_name_id[i]
+    if operations.start.size:
+        start_idx = np.searchsorted(points, operations.start).tolist()
+        end_idx = np.searchsorted(points, operations.end).tolist()
+        names = operations.label.tolist()
+        order = np.lexsort((-np.arange(operations.start.size), operations.start))
+        for i in order.tolist():
+            paint[start_idx[i]:end_idx[i]] = names[i]
 
     valid = np.flatnonzero(masks)
     if valid.size == 0:
         return
     durations = durations[valid]
     codes = (paint[valid] + 1) << n_cats | masks[valid]
-
-    # Group segments by code, preserving left-to-right order within each
-    # group (stable sort) and first-occurrence order across groups.
-    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    by_group = np.argsort(inverse, kind="stable")
-    splits = np.split(by_group, np.flatnonzero(np.diff(inverse[by_group])) + 1)
-    for group in np.argsort(first, kind="stable"):
-        code = int(uniq[group])
+    for code, positions in groups_first_seen(codes):
         mask, name_id = code & ((1 << n_cats) - 1), (code >> n_cats) - 1
-        key = (UNTRACKED if name_id < 0 else op_names[name_id],
-               frozenset(cat_names[b] for b in range(n_cats) if mask >> b & 1))
-        seed = regions.get(key, 0.0)
-        chain = np.concatenate(([seed], durations[splits[group]]))
-        regions[key] = float(np.add.accumulate(chain)[-1])
+        key = (UNTRACKED if name_id < 0 else strings[name_id],
+               frozenset(strings[cat_ids[b]] for b in range(n_cats) if mask >> b & 1))
+        regions[key] = sequential_sum(durations[positions], regions.get(key, 0.0))

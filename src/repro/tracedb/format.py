@@ -44,6 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..profiler.columns import NO_ID, IntervalColumns, MarkerColumns, TraceColumns
 from ..profiler.events import Event, OverheadMarker
 
 INDEX_FILE = "tracedb_index.json"
@@ -206,87 +207,169 @@ def _columns(rows: Sequence[tuple], width: int) -> List[List[object]]:
     return [list(map(itemgetter(index), rows)) for index in range(width)]
 
 
+@dataclass(eq=False)
+class ChunkColumns:
+    """One chunk's records as the columns of its ``.tdbc`` file.
+
+    ``intervals`` holds the category / name / worker / phase string ids of
+    the stack events followed by the operations, ``times`` their
+    ``start_us`` / ``end_us``; ``marker_ids`` holds the kind / ``api_name``
+    / worker / phase ids (``0xFFFFFFFF`` for ``api_name=None``).  Every id
+    indexes ``strings``; ``metadata`` is the sparse ``[index, metadata]``
+    table.  :meth:`trace_columns` is the analysis view; :meth:`payload`
+    builds the record objects (once).
+    """
+
+    strings: List[str]
+    num_events: int
+    intervals: np.ndarray    #: (4, intervals) uint32
+    times: np.ndarray        #: (2, intervals) float64
+    marker_ids: np.ndarray   #: (4, markers) uint32
+    marker_time: np.ndarray  #: (markers,) float64
+    metadata: List[list]
+    _payload: Optional[ChunkPayload] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_rows(cls, rows: ChunkRows) -> "ChunkColumns":
+        """Intern a chunk's field rows (see the module docstring)."""
+        intervals = rows.events + rows.operations
+        category, name, start, end, worker, phase, metadata = _columns(intervals, 7)
+        kind, time, api_names, m_worker, m_phase = _columns(rows.markers, 5)
+        table: Dict[object, int] = {}
+
+        def intern(column: Sequence[object]) -> List[int]:
+            for value in dict.fromkeys(column):
+                table.setdefault(value, len(table))
+            return list(map(table.__getitem__, column))
+
+        interval_ids = [intern(category), intern(name), intern(worker), intern(phase)]
+        kind_ids = intern(kind)
+        intern([api_name for api_name in api_names if api_name is not None])
+        api_ids = list(map({**table, None: _NO_STRING}.__getitem__, api_names))
+        marker_ids = [kind_ids, api_ids, intern(m_worker), intern(m_phase)]
+        return cls(
+            strings=[str(value) for value in table],
+            num_events=len(rows.events),
+            intervals=np.array(interval_ids, dtype=_ID).reshape(4, len(intervals)),
+            times=np.array([start, end], dtype=_TIME).reshape(2, len(intervals)),
+            marker_ids=np.array(marker_ids, dtype=_ID).reshape(4, len(rows.markers)),
+            marker_time=np.array(time, dtype=_TIME),
+            metadata=[[index, dict(meta)] for index, meta in enumerate(metadata)
+                      if meta is not None],
+        )
+
+    def to_bytes(self) -> bytes:
+        """The uncompressed chunk: preamble, JSON header, then the columns."""
+        num_intervals = self.times.shape[1]
+        header = json.dumps({
+            "events": self.num_events,
+            "operations": num_intervals - self.num_events,
+            "markers": self.marker_time.size,
+            "strings": self.strings,
+            "metadata": self.metadata,
+        }, separators=(",", ":")).encode("utf-8")
+        return b"".join((
+            _PREAMBLE.pack(_MAGIC, len(header)),
+            header,
+            self.intervals.tobytes(),
+            self.times.tobytes(),
+            self.marker_ids.tobytes(),
+            self.marker_time.tobytes(),
+        ))
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "ChunkColumns":
+        """Parse :meth:`to_bytes` output; the columns are views of ``raw``."""
+        magic, header_len = _PREAMBLE.unpack_from(raw)
+        if magic != _MAGIC:
+            raise ValueError(f"not a TraceDB columnar chunk (magic {magic!r})")
+        offset = _PREAMBLE.size + header_len
+        header = json.loads(raw[_PREAMBLE.size:offset])
+        num_intervals = header["events"] + header["operations"]
+        num_markers = header["markers"]
+
+        def take(dtype: str, rows: int, count: int) -> np.ndarray:
+            nonlocal offset
+            column = np.frombuffer(raw, dtype, rows * count, offset).reshape(rows, count)
+            offset += column.nbytes
+            return column
+
+        intervals = take(_ID, 4, num_intervals)
+        times = take(_TIME, 2, num_intervals)
+        marker_ids = take(_ID, 4, num_markers)
+        (marker_time,) = take(_TIME, 1, num_markers)
+        if offset != len(raw):
+            raise ValueError(f"columnar chunk has {len(raw) - offset} trailing bytes")
+        return cls(header["strings"], header["events"], intervals, times, marker_ids,
+                   marker_time, header["metadata"])
+
+    def payload(self) -> ChunkPayload:
+        """The chunk's records as objects, built on first call."""
+        if self._payload is None:
+            self._payload = self._build_payload()
+        return self._payload
+
+    def _build_payload(self) -> ChunkPayload:
+        # Index slot len(strings) decodes the api_name sentinel to None.
+        lookup = np.array(self.strings + [None], dtype=object)
+        sentinel = len(lookup) - 1
+        category, name, worker, phase = lookup[self.intervals].tolist()
+        start, end = self.times.tolist()
+        kind, api_name, m_worker, m_phase = lookup[
+            np.where(self.marker_ids == _NO_STRING, sentinel, self.marker_ids)].tolist()
+        m_time = self.marker_time.tolist()
+        metadata: List[Optional[Dict[str, object]]] = [None] * len(start)
+        for index, meta in self.metadata:
+            metadata[index] = meta
+        intervals = list(map(Event, category, name, start, end, worker, phase, metadata))
+        return ChunkPayload(
+            events=intervals[:self.num_events],
+            operations=intervals[self.num_events:],
+            markers=list(map(OverheadMarker, kind, m_time, api_name, m_worker, m_phase)),
+        )
+
+    def trace_columns(self) -> TraceColumns:
+        """The chunk as the analysis' :class:`~repro.profiler.columns.TraceColumns`."""
+        ids = self.intervals.astype(np.int64)
+        kind, api, worker, _ = self.marker_ids.astype(np.int64)
+        api[self.marker_ids[1] == _NO_STRING] = NO_ID
+        split = self.num_events
+        start, end = self.times
+        return TraceColumns(
+            self.strings,
+            events=IntervalColumns(ids[0, :split], ids[2, :split], start[:split], end[:split]),
+            operations=IntervalColumns(ids[1, split:], ids[2, split:], start[split:], end[split:]),
+            markers=MarkerColumns(kind, api, worker, self.marker_time),
+        )
+
+
 def encode_chunk(chunk: Chunk) -> bytes:
     """Encode one chunk's records as compressed columns (see the module docstring)."""
-    rows = chunk.to_rows()
-    intervals = rows.events + rows.operations
-    category, name, start, end, worker, phase, metadata = _columns(intervals, 7)
-    kind, time, api_names, m_worker, m_phase = _columns(rows.markers, 5)
-    table: Dict[object, int] = {}
+    return zlib.compress(ChunkColumns.from_rows(chunk.to_rows()).to_bytes(), _ZLIB_LEVEL)
 
-    def intern(column: Sequence[object]) -> List[int]:
-        for value in dict.fromkeys(column):
-            table.setdefault(value, len(table))
-        return list(map(table.__getitem__, column))
 
-    interval_ids = [intern(category), intern(name), intern(worker), intern(phase)]
-    kind_ids = intern(kind)
-    intern([api_name for api_name in api_names if api_name is not None])
-    api_ids = list(map({**table, None: _NO_STRING}.__getitem__, api_names))
-    marker_ids = [kind_ids, api_ids, intern(m_worker), intern(m_phase)]
-
-    header = json.dumps({
-        "events": len(rows.events),
-        "operations": len(rows.operations),
-        "markers": len(rows.markers),
-        "strings": [str(value) for value in table],
-        "metadata": [[index, dict(meta)] for index, meta in enumerate(metadata)
-                     if meta is not None],
-    }, separators=(",", ":")).encode("utf-8")
-    raw = b"".join((
-        _PREAMBLE.pack(_MAGIC, len(header)),
-        header,
-        np.array(interval_ids, dtype=_ID).tobytes(),
-        np.array([start, end], dtype=_TIME).tobytes(),
-        np.array(marker_ids, dtype=_ID).tobytes(),
-        np.array([time], dtype=_TIME).tobytes(),
-    ))
-    return zlib.compress(raw, _ZLIB_LEVEL)
+def decode_columns(data: bytes) -> ChunkColumns:
+    """Decode bytes produced by :func:`encode_chunk` into columns."""
+    return ChunkColumns.from_bytes(zlib.decompress(data))
 
 
 def decode_chunk(data: bytes) -> ChunkPayload:
-    """Decode bytes produced by :func:`encode_chunk`."""
-    raw = zlib.decompress(data)
-    magic, header_len = _PREAMBLE.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"not a TraceDB columnar chunk (magic {magic!r})")
-    offset = _PREAMBLE.size + header_len
-    header = json.loads(raw[_PREAMBLE.size:offset])
-    num_events = header["events"]
-    num_intervals = num_events + header["operations"]
-    num_markers = header["markers"]
-    # Index slot len(strings) decodes the api_name sentinel to None.
-    lookup = np.array(header["strings"] + [None], dtype=object)
-    sentinel = len(lookup) - 1
-
-    def take(dtype: str, rows: int, count: int) -> np.ndarray:
-        nonlocal offset
-        column = np.frombuffer(raw, dtype, rows * count, offset).reshape(rows, count)
-        offset += column.nbytes
-        return column
-
-    category, name, worker, phase = lookup[take(_ID, 4, num_intervals)].tolist()
-    start, end = take(_TIME, 2, num_intervals).tolist()
-    marker_ids = take(_ID, 4, num_markers)
-    kind, api_name, m_worker, m_phase = lookup[
-        np.where(marker_ids == _NO_STRING, sentinel, marker_ids)].tolist()
-    (m_time,) = take(_TIME, 1, num_markers).tolist()
-    if offset != len(raw):
-        raise ValueError(f"columnar chunk has {len(raw) - offset} trailing bytes")
-
-    metadata: List[Optional[Dict[str, object]]] = [None] * num_intervals
-    for index, meta in header["metadata"]:
-        metadata[index] = meta
-    intervals = list(map(Event, category, name, start, end, worker, phase, metadata))
-    return ChunkPayload(
-        events=intervals[:num_events],
-        operations=intervals[num_events:],
-        markers=list(map(OverheadMarker, kind, m_time, api_name, m_worker, m_phase)),
-    )
+    """Decode bytes produced by :func:`encode_chunk` into record objects."""
+    return decode_columns(data).payload()
 
 
 def write_chunk(path: Path, chunk: Chunk) -> None:
     path.write_bytes(encode_chunk(chunk))
+
+
+def read_columns(path: Path) -> ChunkColumns:
+    """Read one chunk file as columns; a legacy chunk is decoded, then interned."""
+    if path.name.endswith(CHUNK_SUFFIX):
+        return decode_columns(path.read_bytes())
+    payload = read_chunk(path)
+    columns = ChunkColumns.from_rows(payload.to_rows())
+    columns._payload = payload
+    return columns
 
 
 def read_chunk(path: Path) -> ChunkPayload:

@@ -5,8 +5,9 @@ construction: each worker's events are swept against its own operation
 annotations and the resulting region durations are summed.  That makes the
 store's per-worker shards a natural map-reduce decomposition:
 
-* **map** — load one shard and run
-  :func:`~repro.profiler.overlap.compute_overlap` on it (fanned out over a
+* **map** — decode one shard's chunks into column arrays
+  (:meth:`~repro.tracedb.TraceDB.columnar_trace`) and run
+  :func:`~repro.profiler.overlap.compute_overlap` on them (fanned out over a
   :mod:`concurrent.futures` pool);
 * **reduce** — :meth:`~repro.profiler.overlap.OverlapResult.merge` the
   per-shard results in sorted worker order.
@@ -89,7 +90,7 @@ def map_shards(
 def shard_overlap(directory: str, worker: str) -> OverlapResult:
     """Map step: one worker shard's overlap regions (picklable entry point)."""
     db = TraceDB(directory)
-    return compute_overlap(db.read_worker(worker), workers=[worker])
+    return compute_overlap(db.columnar_trace([worker]), workers=[worker])
 
 
 def parallel_overlap(
@@ -114,7 +115,7 @@ def shard_summary(directory: str, worker: str):
     """Map step: one worker's Figure 8 summary (picklable entry point)."""
     from ..profiler.analysis import summarize_worker_trace
     db = TraceDB(directory)
-    return summarize_worker_trace(worker, db.read_worker(worker))
+    return summarize_worker_trace(worker, db.columnar_trace([worker]))
 
 
 def parallel_worker_summaries(

@@ -12,8 +12,9 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
+from ..profiler.columns import ColumnarTrace, TraceColumns
 from ..profiler.events import Event, EventTrace, OverheadMarker, merge_traces
-from .format import ChunkMeta, ChunkPayload, read_chunk, read_index
+from .format import ChunkColumns, ChunkMeta, ChunkPayload, read_columns, read_index
 
 CategoryFilter = Union[str, Sequence[str], None]
 
@@ -51,7 +52,7 @@ class TraceDB:
     def __init__(self, directory: str, *, cache_chunks: int = 8) -> None:
         self.directory = Path(directory)
         self._workers = read_index(self.directory)
-        self._cache: "OrderedDict[str, ChunkPayload]" = OrderedDict()
+        self._cache: "OrderedDict[str, ChunkColumns]" = OrderedDict()
         self._cache_chunks = max(cache_chunks, 1)
         #: Number of chunk files decoded from disk (cache misses); lets tests
         #: and the CLI observe how much a filtered scan actually touched.
@@ -98,17 +99,20 @@ class TraceDB:
         return span
 
     # ------------------------------------------------------------ chunk load
-    def _payload(self, meta: ChunkMeta) -> ChunkPayload:
+    def _columns(self, meta: ChunkMeta) -> ChunkColumns:
         cached = self._cache.get(meta.file)
         if cached is not None:
             self._cache.move_to_end(meta.file)
             return cached
-        payload = read_chunk(self.directory / meta.file)
+        columns = read_columns(self.directory / meta.file)
         self.chunks_loaded += 1
-        self._cache[meta.file] = payload
+        self._cache[meta.file] = columns
         if len(self._cache) > self._cache_chunks:
             self._cache.popitem(last=False)
-        return payload
+        return columns
+
+    def _payload(self, meta: ChunkMeta) -> ChunkPayload:
+        return self._columns(meta).payload()
 
     def chunk_payload(self, meta: ChunkMeta) -> ChunkPayload:
         """Load (or fetch from the cache) one chunk's decoded records."""
@@ -206,6 +210,33 @@ class TraceDB:
             trace.operations.extend(payload.operations)
             trace.markers.extend(payload.markers)
         return trace
+
+    def columnar_trace(self, workers: Optional[Iterable[str]] = None) -> ColumnarTrace:
+        """(A subset of) the store as one trace held in column arrays.
+
+        The same records, in the same order and with the same merged
+        metadata, as :meth:`to_event_trace`; the record objects are built
+        only when the returned trace's ``events`` / ``operations`` /
+        ``markers`` are read, from the chunks decoded here.
+        """
+        names = sorted(workers) if workers is not None else self.workers()
+        chunks = [self._columns(meta) for name in names for meta in self._entry(name).chunks]
+        metadata: Dict[str, object] = {}
+        for name in names:
+            for key, value in self._entry(name).metadata.items():
+                metadata.setdefault(key, value)
+
+        def load() -> EventTrace:
+            trace = EventTrace(metadata=metadata)
+            for chunk in chunks:
+                payload = chunk.payload()
+                trace.events.extend(payload.events)
+                trace.operations.extend(payload.operations)
+                trace.markers.extend(payload.markers)
+            return trace
+
+        columns = TraceColumns.concat([chunk.trace_columns() for chunk in chunks])
+        return ColumnarTrace(columns, metadata, load)
 
     def read_all(self) -> Dict[str, EventTrace]:
         return {worker: self.read_worker(worker) for worker in self.workers()}

@@ -1,13 +1,17 @@
 """The original per-boundary Python overlap sweep, kept as a test oracle.
 
 :func:`repro.profiler.overlap.compute_overlap` accumulates each worker's
-regions with a vectorized numpy sweep (``overlap._accumulate_worker``).
-The Python loop it replaced is kept here unchanged as
-:func:`accumulate_worker_loop`, with the same signature: swap it in with
-``overlap._accumulate_worker = accumulate_worker_loop`` and
-``compute_overlap`` must return the same regions, key order and float bits
-(``tests/test_profiler_overlap.py``); the wall-clock benchmark times it as
-the pre-optimization baseline.
+regions with a vectorized numpy sweep over column arrays
+(``overlap._accumulate_worker``).  The Python loop it replaced is kept here
+unchanged as :func:`accumulate_worker_loop`, on record objects.
+:func:`accumulate_columns_loop` has the shipped sweep's signature: it turns
+one worker's columns back into objects and runs the loop, so swapping it in
+with ``overlap._accumulate_worker = accumulate_columns_loop`` makes
+``compute_overlap`` run the original loop, and it must return the same
+regions, key order and float bits (``tests/test_profiler_overlap.py``); the
+wall-clock benchmark times the loop as the pre-optimization baseline.
+:func:`compute_overlap_loop` is the whole original object path, grouping
+included, for checks that must not share any code with the column path.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List
 
-from repro.profiler.events import CATEGORY_OPERATION, Event
-from repro.profiler.overlap import UNTRACKED, OverlapKey
+from repro.profiler.events import CATEGORY_OPERATION, Event, EventTrace
+from repro.profiler.overlap import UNTRACKED, OverlapKey, OverlapResult
 
 
 def innermost_operation(active_ops: List[Event]) -> str:
@@ -90,3 +94,30 @@ def accumulate_worker_loop(events: List[Event], operations: List[Event],
             # Operation open but nothing measured (should not normally happen).
             continue
         regions[(operation, categories)] += segment
+
+
+def accumulate_columns_loop(strings, events, operations,
+                            regions: Dict[OverlapKey, float]) -> None:
+    """:func:`accumulate_worker_loop` behind the column sweep's signature."""
+    def records(columns, label_is_name: bool) -> List[Event]:
+        return [Event(CATEGORY_OPERATION, strings[label], start, end) if label_is_name
+                else Event(strings[label], "", start, end)
+                for label, start, end in zip(columns.label.tolist(), columns.start.tolist(),
+                                             columns.end.tolist())]
+
+    accumulate_worker_loop(records(events, False), records(operations, True), regions)
+
+
+def compute_overlap_loop(trace: EventTrace) -> OverlapResult:
+    """The original ``compute_overlap`` on record objects: per-worker
+    grouping in trace order, the loop per worker, an ordered merge."""
+    worker_list = trace.workers() or ["worker_0"]
+    results = []
+    for worker in worker_list:
+        regions: Dict[OverlapKey, float] = defaultdict(float)
+        accumulate_worker_loop(
+            [e for e in trace.events if e.worker == worker and e.end_us > e.start_us],
+            [op for op in trace.operations if op.worker == worker and op.end_us > op.start_us],
+            regions)
+        results.append(OverlapResult(regions=dict(regions)))
+    return OverlapResult.merge(results)

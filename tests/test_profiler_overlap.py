@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.overlap_loop import accumulate_worker_loop
+from oracles.overlap_loop import accumulate_columns_loop
 from repro.profiler.events import (
     CATEGORY_BACKEND,
     CATEGORY_CUDA_API,
@@ -247,7 +247,7 @@ def _compute_with(vectorized: bool, trace, **kwargs):
 
     saved = overlap_mod._accumulate_worker
     if not vectorized:
-        overlap_mod._accumulate_worker = accumulate_worker_loop
+        overlap_mod._accumulate_worker = accumulate_columns_loop
     try:
         return compute_overlap(trace, **kwargs)
     finally:

@@ -79,11 +79,15 @@ def test_trace_dir_streams_per_cell_tracedbs(tmp_path):
 
 
 def test_zoosweep_cli_quick_writes_report(tmp_path, capsys, monkeypatch):
+    """A quick report never lands on the full grid's default path."""
     from repro.experiments.cli import main
 
     monkeypatch.chdir(tmp_path)
     assert main(["zoosweep", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "Zoo sweep" in out
-    report = (tmp_path / "results" / "zoo_sweep.txt").read_text()
-    assert report.strip() in out
+    assert not (tmp_path / "results").exists()
+    assert main(["zoosweep", "--quick", "--out", "quick.txt"]) == 0
+    report = (tmp_path / "quick.txt").read_text()
+    assert report.strip() in capsys.readouterr().out
+    assert not (tmp_path / "results").exists()
