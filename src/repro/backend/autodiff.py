@@ -84,10 +84,7 @@ class Tape:
                     continue
                 opdef = get_op(entry.op_name)
                 input_arrays = [t.data for t in entry.inputs]
-                engine.account_op(
-                    f"grad_{entry.op_name}",
-                    opdef.backward_kernels(input_arrays, entry.output.data, entry.attrs),
-                )
+                engine.account_gradient(opdef, input_arrays, entry.output.data, entry.attrs)
                 input_grads = opdef.vjp(input_arrays, entry.output.data, out_grad, entry.attrs)
                 for tensor, grad in zip(entry.inputs, input_grads):
                     if grad is None:
@@ -112,17 +109,23 @@ def apply_op(
     engine = current_engine()
     attrs = dict(attrs or {})
     tensors = [value if isinstance(value, Tensor) else Tensor(value) for value in inputs]
-    arrays = [t.data for t in tensors]
-    output_data = engine.apply(op_name, arrays, attrs)
-    requires_grad = any(t.requires_grad for t in tensors) and op_name != "stop_gradient"
+    output_data = engine.apply(op_name, [t.data for t in tensors], attrs)
+    differentiable = op_name != "stop_gradient"
+    requires_grad = False
+    if differentiable:
+        for tensor in tensors:
+            if tensor.requires_grad:
+                requires_grad = True
+                break
     output = Tensor(output_data, requires_grad=requires_grad, name=name)
     tape = current_tape()
-    if tape is not None and op_name != "stop_gradient":
+    if tape is not None and differentiable:
         # Record whenever any input is tracked so chained expressions stay connected.
-        if any(t.requires_grad or t.id in tape._watched for t in tensors) or any(
-            t.id in tape._produced for t in tensors
-        ):
-            tape.record(op_name, tensors, output, attrs)
+        watched, produced = tape._watched, tape._produced
+        for tensor in tensors:
+            if tensor.requires_grad or tensor.id in watched or tensor.id in produced:
+                tape.record(op_name, tensors, output, attrs)
+                break
     return output
 
 

@@ -9,7 +9,11 @@ measures.  It owns
   user code, changing);
 * **operator execution** — each primitive op costs CPU dispatch time and
   launches its kernels through the simulated CUDA runtime, while the numpy
-  forward computation produces the real numeric result;
+  forward computation produces the real numeric result.  An op's kernels
+  depend only on its signature (op name, forward or gradient, output and
+  input shapes), so each engine resolves a signature once into a
+  :class:`~repro.cuda.runtime.LaunchPlan` and charges every later call of
+  it from that plan;
 * **compiled functions** — Graph / Autograph execution wraps a Python
   function so that repeated calls execute all ops inside a single native
   call (see :mod:`repro.backend.graph` and :mod:`repro.backend.autograph`).
@@ -18,13 +22,17 @@ measures.  It owns
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cuda.kernels import KernelSpec
+from ..cuda.runtime import LaunchPlan
 from ..system import System
-from .ops import get_op
+from .ops import OpDef, get_op
+
+_shape = attrgetter("shape")
 
 
 class BoundaryListener:
@@ -57,6 +65,10 @@ class BackendEngine:
         self.boundary: BoundaryListener = NULL_BOUNDARY
         self._native_depth = 0
         self._dispatch_inflation_stack: List[float] = []
+        #: Launch plan per op signature ``(name, gradient?, output shape, input shapes)``.
+        self._plans: Dict[Tuple[object, ...], LaunchPlan] = {}
+        #: Base per-op dispatch cost, resolved on the first op.
+        self._dispatch_base_us: Optional[float] = None
         # Counters used by tests and by the transitions-per-iteration analysis.
         self.native_call_count = 0
         self.op_count = 0
@@ -125,35 +137,53 @@ class BackendEngine:
         finally:
             self._dispatch_inflation_stack.pop()
 
-    def _current_inflation(self) -> float:
-        return self._dispatch_inflation_stack[-1] if self._dispatch_inflation_stack else 1.0
+    def _plan(self, opdef: OpDef, gradient: bool, inputs: Sequence[np.ndarray],
+              output: np.ndarray, attrs: Mapping[str, object]) -> LaunchPlan:
+        """The launch plan of ``opdef`` (or of its gradient op) on these shapes."""
+        key = (opdef.name, gradient, output.shape, tuple(map(_shape, inputs)))
+        plan = self._plans.get(key)
+        if plan is None:
+            kernels = opdef.backward_kernels if gradient else opdef.kernels
+            plan = self._plans[key] = self.system.cuda.plan(kernels(inputs, output, attrs))
+        return plan
 
-    def _account(self, kernels: Sequence[KernelSpec]) -> None:
+    def _account(self, plan: LaunchPlan) -> None:
         """Charge dispatch CPU time and launch the op's kernels."""
         self.op_count += 1
-        dispatch = self.system.cost_model.backend_op_dispatch(self.flavor, self.kind)
-        inflation = self._current_inflation()
-        if inflation != 1.0:
-            dispatch *= inflation
-        self.system.clock.advance(dispatch)
-        self.kernel_launch_count += len(self.system.cuda.launch_kernels(kernels))
+        system = self.system
+        cost_model = system.cost_model
+        base_us = self._dispatch_base_us
+        if base_us is None:
+            base_us = self._dispatch_base_us = cost_model.backend_op_dispatch_base_us(
+                self.flavor, self.kind)
+        dispatch = cost_model._jittered(base_us)
+        inflation = self._dispatch_inflation_stack
+        if inflation and inflation[-1] != 1.0:
+            dispatch *= inflation[-1]
+        system.clock.advance(dispatch)
+        system.cuda.launch_plan(plan)
+        self.kernel_launch_count += len(plan.kernels)
 
     def execute_op(self, op_name: str, inputs: Sequence[np.ndarray], attrs: Mapping[str, object]) -> np.ndarray:
         """Run one primitive op: numeric forward plus cost accounting."""
         opdef = get_op(op_name)
         output = opdef.forward(inputs, attrs)
         output = np.asarray(output, dtype=np.float32)
-        self._account(opdef.kernels(inputs, output, attrs))
+        self._account(self._plan(opdef, False, inputs, output, attrs))
         return output
+
+    def account_gradient(self, opdef: OpDef, inputs: Sequence[np.ndarray], output: np.ndarray,
+                         attrs: Mapping[str, object]) -> None:
+        """Account for ``opdef``'s gradient op (the tape computes the VJP itself)."""
+        self._account(self._plan(opdef, True, inputs, output, attrs))
 
     def account_op(self, op_name: str, kernels: Sequence[KernelSpec]) -> None:
         """Account for an op whose numeric result is computed elsewhere.
 
-        Used for gradient ops (the tape computes VJPs directly) and for fused
-        optimizer updates.
+        Used for fused optimizer updates and target-network updates.
         """
         del op_name  # the name is informational; cost depends only on the kernels
-        self._account(kernels)
+        self._account(self.system.cuda.plan(kernels))
 
     # ------------------------------------------------------------ op routing
     def apply(self, op_name: str, inputs: Sequence[np.ndarray], attrs: Mapping[str, object]) -> np.ndarray:

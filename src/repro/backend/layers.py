@@ -151,11 +151,22 @@ def soft_update(target: Module, source: Module, tau: float, *, separate_calls: b
 
     engine = current_engine()
     pairs = list(zip(target.parameters(), source.parameters()))
+    tau = float(tau)
+    # One scratch vector holds every ``tau * source`` product in turn.
+    scratch = np.empty(max((p.size for p, _ in pairs), default=0), dtype=np.float32)
 
     def _update(pairs_chunk):
         for target_param, source_param in pairs_chunk:
             engine.account_op("soft_update", [elementwise_kernel(target_param.shape, 3.0, name="axpy")])
-            target_param.assign((1.0 - tau) * target_param.data + tau * source_param.data)
+            # The float32 products and sum of ``(1 - tau) * target + tau *
+            # source``, in that order, into one fresh array the parameter takes over.
+            shape = target_param.data.shape
+            if source_param.data.shape != shape:
+                raise ValueError(f"cannot soft-update a parameter of shape {shape} "
+                                 f"from one of shape {source_param.data.shape}")
+            new = np.multiply(target_param.data, 1.0 - tau)
+            new += np.multiply(source_param.data, tau, out=scratch[:new.size].reshape(shape))
+            target_param.data = new
 
     if separate_calls:
         for pair in pairs:

@@ -86,7 +86,11 @@ class Parameter(Tensor):
         self.host_copy: Optional[np.ndarray] = None
 
     def assign(self, value: ArrayLike) -> None:
-        """Overwrite the parameter value in place (keeps shape)."""
+        """Rebind the parameter to a float32 copy of ``value`` (same shape).
+
+        The previous array is not written to, and later writes to ``value``
+        do not reach the parameter.
+        """
         new = as_array(value)
         if new.shape != self.data.shape:
             raise ValueError(f"cannot assign shape {new.shape} to parameter of shape {self.data.shape}")

@@ -65,6 +65,8 @@ class CuptiMemcpyRecord(NamedTuple):
         return self.end_us - self.start_us
 
 
+_tuple_new = tuple.__new__
+
 ApiCallback = Callable[[CuptiApiRecord], None]
 ActivityCallback = Callable[[object], None]
 
@@ -102,16 +104,13 @@ class Cupti:
         self._api_callbacks.remove(callback)
 
     # --------------------------------------------------------------- records
-    def next_correlation_id(self) -> int:
-        cid = self._next_correlation_id
-        self._next_correlation_id += 1
-        return cid
-
     def record_api(self, api_name: str, start_us: float, end_us: float, worker: str,
                    correlation_id: Optional[int] = None) -> CuptiApiRecord:
         if correlation_id is None:
-            correlation_id = self.next_correlation_id()
-        record = CuptiApiRecord(api_name, start_us, end_us, worker, correlation_id)
+            correlation_id = self._next_correlation_id
+            self._next_correlation_id = correlation_id + 1
+        # ``tuple.__new__`` skips the generated ``__new__``'s Python frame.
+        record = _tuple_new(CuptiApiRecord, (api_name, start_us, end_us, worker, correlation_id))
         if self.enabled:
             self.api_records.append(record)
             for callback in self._api_callbacks:
@@ -121,8 +120,9 @@ class Cupti:
     def record_kernel(self, activity: GPUActivity, correlation_id: int) -> Optional[CuptiKernelRecord]:
         if not self.enabled:
             return None
-        record = CuptiKernelRecord(activity.name, activity.start_us, activity.end_us,
-                                   activity.stream, activity.worker, correlation_id)
+        _, name, start_us, end_us, stream, worker = activity
+        record = _tuple_new(CuptiKernelRecord,
+                            (name, start_us, end_us, stream, worker, correlation_id))
         self.kernel_records.append(record)
         return record
 

@@ -16,18 +16,27 @@ External profilers attach through two mechanisms, mirroring the real stack:
   and adding its own closed-source inflation to each API call.
 
 A backend op launches all of its kernels with one
-:meth:`CudaRuntime.launch_kernels` call (:meth:`CudaRuntime.launch_kernel`
-is its one-kernel case).  Each kernel is still its own ``cudaLaunchKernel``
-API call, accounted in this order: the ``cuda_api`` draw, the CUPTI
-inflation draw (when CUPTI is enabled), each hook's overhead draw, the clock
-advance over the call, ``Cupti.record_api``, each hook's ``on_api``, the
-``kernel_duration`` draw, the device enqueue and ``Cupti.record_kernel``.
+:meth:`CudaRuntime.launch_plan` call.  A :class:`LaunchPlan` holds the
+kernels and each kernel's base device duration, resolved against the
+runtime's cost model by :meth:`CudaRuntime.plan`; the backend engine keeps
+one plan per op signature (see :mod:`repro.backend.engine`), and
+:meth:`CudaRuntime.launch_kernels` / :meth:`CudaRuntime.launch_kernel`
+resolve a plan for the kernels they are given.  Each kernel is still its own
+``cudaLaunchKernel`` API call.  Every API goes through one routine,
+:meth:`CudaRuntime._api_call`, which resolves an API name's base durations
+once per runtime and accounts each call in this order, unchanged by plans:
+the ``cuda_api`` draw, the CUPTI inflation draw (when CUPTI is enabled),
+each hook's overhead draw, the clock advance over the call,
+``Cupti.record_api`` and each hook's ``on_api``.  A kernel launch then
+draws its duration from the plan's base (the draw ``kernel_duration`` would
+make), enqueues on the device the runtime holds at that moment (the replica
+path swaps ``device`` mid-run) and calls ``Cupti.record_kernel``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..hw.clock import VirtualClock
 from ..hw.costmodel import CostModel
@@ -44,6 +53,13 @@ class CudaApiHook(Protocol):
 
     def on_api(self, record: CuptiApiRecord) -> None:
         """Notification after the API call completes (no time cost)."""
+
+
+class LaunchPlan(NamedTuple):
+    """An op's kernels with each kernel's base device duration (one cost model)."""
+
+    kernels: Tuple[KernelSpec, ...]
+    base_us: Tuple[float, ...]
 
 
 class ApiCallResult(NamedTuple):
@@ -74,6 +90,8 @@ class CudaRuntime:
         self.default_stream = DEFAULT_STREAM
         self.cupti = cupti if cupti is not None else Cupti()
         self._hooks: List[CudaApiHook] = []
+        #: ``(cuda_api, cupti_inflation)`` base durations per API name.
+        self._api_bases: Dict[str, Tuple[float, float]] = {}
         self.api_call_counts: Counter[str] = Counter()
         self.kernel_launch_count = 0
         self.memcpy_count = 0
@@ -90,20 +108,39 @@ class CudaRuntime:
         """Advance the clock across one CPU-side CUDA API call and record it."""
         self.api_call_counts[api_name] += 1
         cost_model = self.cost_model
+        bases = self._api_bases.get(api_name)
+        if bases is None:
+            bases = self._api_bases[api_name] = (cost_model.cuda_api_base_us(api_name),
+                                                 cost_model.cupti_inflation_base_us(api_name))
+        draw = cost_model._jittered
         cupti = self.cupti
         hooks = self._hooks
-        clock = self.clock
-        duration = cost_model.cuda_api(api_name)
+        duration = draw(bases[0])
         if cupti.enabled:
-            duration += cost_model.cupti_inflation(api_name)
+            duration += draw(bases[1])
         for hook in hooks:
             duration += hook.api_overhead_us(api_name)
+        clock = self.clock
         start = clock.now_us
         end = clock.advance(duration)
         record = cupti.record_api(api_name, start, end, self.worker)
         for hook in hooks:
             hook.on_api(record)
         return record
+
+    def plan(self, kernels: Iterable[KernelSpec]) -> LaunchPlan:
+        """Resolve ``kernels``' base durations against this runtime's cost model.
+
+        Each duration is sampled from this worker's own cost model: a
+        kernel's execution time must not depend on how other workers'
+        launches interleave on the shared device (whose cost model has one
+        shared jitter RNG), and the per-worker model is the one carrying the
+        workload's CostModelConfig.
+        """
+        kernels = tuple(kernels)
+        base_us = self.cost_model.kernel_base_us
+        return LaunchPlan(kernels, tuple([base_us(kernel.flops, kernel.bytes_accessed)
+                                          for kernel in kernels]))
 
     def launch_kernel(self, kernel: KernelSpec, *, stream: Optional[int] = None) -> ApiCallResult:
         """``cudaLaunchKernel``: CPU-side launch, asynchronous device execution."""
@@ -115,28 +152,28 @@ class CudaRuntime:
 
         Returns each kernel's API record and device activity.
         """
+        launched: List[Tuple[CuptiApiRecord, GPUActivity]] = []
+        self.launch_plan(self.plan(kernels), stream=stream, launched=launched)
+        return launched
+
+    def launch_plan(self, plan: LaunchPlan, *, stream: Optional[int] = None,
+                    launched: Optional[List[Tuple[CuptiApiRecord, GPUActivity]]] = None) -> None:
+        """Launch a plan's kernels, in order, appending each one's API record and
+        activity to ``launched`` when given."""
         if stream is None:
             stream = self.default_stream
         api_call = self._api_call
-        # Sample each duration from this worker's own cost model: a kernel's
-        # execution time must not depend on how other workers' launches
-        # interleave on the shared device (whose cost model has one shared
-        # jitter RNG), and the per-worker model is the one carrying the
-        # workload's CostModelConfig.
-        kernel_duration = self.cost_model.kernel_duration
+        draw = self.cost_model._jittered
         enqueue = self.device.enqueue
         record_kernel = self.cupti.record_kernel
         worker = self.worker
-        launched = []
-        for kernel in kernels:
+        for kernel, base_us in zip(plan.kernels, plan.base_us):
             record = api_call("cudaLaunchKernel")
-            activity = enqueue("kernel", kernel.name,
-                               kernel_duration(kernel.flops, kernel.bytes_accessed),
-                               record.end_us, stream, worker)
+            activity = enqueue("kernel", kernel.name, draw(base_us), record.end_us, stream, worker)
             record_kernel(activity, record.correlation_id)
-            launched.append((record, activity))
-        self.kernel_launch_count += len(launched)
-        return launched
+            if launched is not None:
+                launched.append((record, activity))
+        self.kernel_launch_count += len(plan.kernels)
 
     def memcpy_async(self, direction: str, num_bytes: float, *, stream: Optional[int] = None) -> ApiCallResult:
         """``cudaMemcpyAsync``: CPU-side call, asynchronous copy-engine transfer."""

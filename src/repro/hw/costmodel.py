@@ -19,6 +19,12 @@ ahead of the draws, and its state alone no longer says where the next draw
 comes from: snapshot and restore a model's random stream only through
 :meth:`CostModel.rng_state` / :meth:`CostModel.set_rng_state`, which carry
 the block and its cursor along with the generator state.
+
+Every jittered duration is one :meth:`CostModel._jittered` draw of a base
+duration.  The ``*_base_us`` methods return those bases without drawing, so
+hot paths can resolve a base once and pay only for the draw on each call:
+the simulated CUDA runtime, the backend engine and the profiler's CUDA hook
+cache theirs, and call ``_jittered`` directly.
 """
 
 from __future__ import annotations
@@ -214,35 +220,48 @@ class CostModel:
             raise KeyError(f"no backend_call_us entry for {key!r}") from exc
         return self._jittered(base)
 
-    def backend_op_dispatch(self, flavor: str, engine: str, *, in_autograph_fn: bool = False) -> float:
-        """Cost of dispatching one backend operator (CPU side)."""
+    def backend_op_dispatch_base_us(self, flavor: str, engine: str) -> float:
+        """Base (un-jittered) cost of dispatching one backend operator."""
         key = f"{flavor}:{engine}"
         try:
-            base = self.config.backend_op_dispatch_us[key]
+            return self.config.backend_op_dispatch_us[key]
         except KeyError as exc:
             raise KeyError(f"no backend_op_dispatch_us entry for {key!r}") from exc
+
+    def backend_op_dispatch(self, flavor: str, engine: str, *, in_autograph_fn: bool = False) -> float:
+        """Cost of dispatching one backend operator (CPU side)."""
+        base = self.backend_op_dispatch_base_us(flavor, engine)
         if in_autograph_fn and engine == "autograph":
             base *= self.config.autograph_dispatch_inflation
         return self._jittered(base)
 
     # ------------------------------------------------------------------ CUDA
+    def cuda_api_base_us(self, api_name: str) -> float:
+        """Base CPU-side duration of a CUDA API call (4 us for an unknown API)."""
+        base = self.config.cuda_api_us.get(api_name)
+        return 4.0 if base is None else base
+
+    def cupti_inflation_base_us(self, api_name: str) -> float:
+        """Base CUPTI inflation of ``api_name`` (0.5 us for an unknown API)."""
+        return self.config.profiling.cupti_inflation_us.get(api_name, 0.5)
+
     def cuda_api(self, api_name: str) -> float:
         """CPU-side duration of a CUDA API call (without CUPTI inflation)."""
-        base = self.config.cuda_api_us.get(api_name)
-        if base is None:
-            base = 4.0
-        return self._jittered(base)
+        return self._jittered(self.cuda_api_base_us(api_name))
 
     def cupti_inflation(self, api_name: str) -> float:
         """Extra CPU time added to ``api_name`` when CUPTI is enabled."""
-        base = self.config.profiling.cupti_inflation_us.get(api_name, 0.5)
-        return self._jittered(base)
+        return self._jittered(self.cupti_inflation_base_us(api_name))
+
+    def kernel_base_us(self, flops: float, bytes_accessed: float) -> float:
+        """Base GPU-side duration of a kernel: fixed cost plus its roofline time."""
+        compute_us = flops / self.config.gpu_flops_per_us
+        memory_us = bytes_accessed / self.config.gpu_bytes_per_us
+        return self.config.gpu_kernel_fixed_us + max(compute_us, memory_us)
 
     def kernel_duration(self, flops: float, bytes_accessed: float) -> float:
         """GPU-side duration of a kernel from its FLOP count and bytes moved."""
-        compute_us = flops / self.config.gpu_flops_per_us
-        memory_us = bytes_accessed / self.config.gpu_bytes_per_us
-        return self._jittered(self.config.gpu_kernel_fixed_us + max(compute_us, memory_us))
+        return self._jittered(self.kernel_base_us(flops, bytes_accessed))
 
     def memcpy_duration(self, num_bytes: float) -> float:
         """GPU-side (copy engine) duration of a host<->device memcpy."""
@@ -262,8 +281,8 @@ class CostModel:
         return self.sim_step(sim_id) * self.config.sim_reset_factor
 
     # -------------------------------------------------- profiler book-keeping
-    def interception_overhead(self, kind: str) -> float:
-        """Ground-truth book-keeping duration for one interception event.
+    def interception_base_us(self, kind: str) -> float:
+        """Base book-keeping duration of one interception event of ``kind``.
 
         ``kind`` is one of ``"pyprof"`` (Python <-> C interception),
         ``"cuda"`` (CUDA API interception) or ``"annotation"`` (operation
@@ -271,14 +290,16 @@ class CostModel:
         """
         prof = self.config.profiling
         if kind == "pyprof":
-            base = prof.pyprof_interception_us
-        elif kind == "cuda":
-            base = prof.cuda_interception_us
-        elif kind == "annotation":
-            base = prof.annotation_us
-        else:
-            raise ValueError(f"unknown interception overhead kind: {kind!r}")
-        return self._jittered(base)
+            return prof.pyprof_interception_us
+        if kind == "cuda":
+            return prof.cuda_interception_us
+        if kind == "annotation":
+            return prof.annotation_us
+        raise ValueError(f"unknown interception overhead kind: {kind!r}")
+
+    def interception_overhead(self, kind: str) -> float:
+        """Ground-truth book-keeping duration for one interception event."""
+        return self._jittered(self.interception_base_us(kind))
 
     # ---------------------------------------------------------------- variants
     def with_overrides(self, **overrides: object) -> "CostModel":

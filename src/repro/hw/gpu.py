@@ -22,6 +22,8 @@ from .costmodel import CostModel
 DEFAULT_STREAM = 0
 COPY_STREAM = 1
 
+_tuple_new = tuple.__new__
+
 
 class GPUActivity(NamedTuple):
     """One completed unit of device work (kernel execution or memcpy).
@@ -97,10 +99,11 @@ class GPUDevice:
         if duration_us < 0:
             raise ValueError("device work cannot have a negative duration")
         free_at = self._stream_free_us.get(stream, 0.0)
-        start = max(launch_complete_us, free_at)
+        start = free_at if free_at > launch_complete_us else launch_complete_us
         end = start + duration_us
         self._stream_free_us[stream] = end
-        activity = GPUActivity(kind, name, start, end, stream, worker)
+        # ``tuple.__new__`` skips the generated ``__new__``'s Python frame.
+        activity = _tuple_new(GPUActivity, (kind, name, start, end, stream, worker))
         self._activity.append(activity)
         return activity
 

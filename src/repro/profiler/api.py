@@ -310,16 +310,14 @@ class Profiler:
         self._flush_python(self.system.clock.now_us)
         if self.config.cupti:
             cupti = self.system.cuda.cupti
-            add_interval = self.trace.add_interval
             worker = self.worker
-            phase = self.phase
-            for name, start_us, end_us, _, record_worker, _ in cupti.kernel_records:
-                if record_worker == worker:
-                    add_interval(CATEGORY_GPU, name, start_us, end_us, worker, phase)
-            for direction, start_us, end_us, _, record_worker, _ in cupti.memcpy_records:
-                if record_worker == worker:
-                    add_interval(CATEGORY_GPU, f"memcpy_{direction}", start_us, end_us,
-                                 worker, phase)
+            gpu = [(name, start_us, end_us)
+                   for name, start_us, end_us, _, record_worker, _ in cupti.kernel_records
+                   if record_worker == worker]
+            gpu += [(f"memcpy_{direction}", start_us, end_us)
+                    for direction, start_us, end_us, _, record_worker, _ in cupti.memcpy_records
+                    if record_worker == worker]
+            self.trace.add_intervals(CATEGORY_GPU, gpu, worker, self.phase)
         self.trace.metadata.setdefault("total_time_us", self.system.clock.now_us)
         self.detach()
         self._finalized = True

@@ -10,7 +10,7 @@ CUPTI and Python <-> C interception (Section 3.2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # Stack-level categories (CPU side).
 CATEGORY_PYTHON = "Python"
@@ -175,6 +175,19 @@ class EventTrace:
                       worker: str, phase: str) -> None:
         """Record an overhead marker, given by its fields."""
         self.markers.append(OverheadMarker(kind, time_us, api_name, worker, phase))
+
+    def add_api_call(self, api_name: str, start_us: float, end_us: float, worker: str,
+                     phase: str, marker_kinds: Sequence[str]) -> None:
+        """Record one intercepted CUDA API call: its event, then one marker per kind at its end."""
+        self.add_interval(CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase)
+        for kind in marker_kinds:
+            self.markers.append(OverheadMarker(kind, end_us, api_name, worker, phase))
+
+    def add_intervals(self, category: str, intervals: Iterable[Tuple[str, float, float]],
+                      worker: str, phase: str) -> None:
+        """Record ``(name, start_us, end_us)`` stack events of one category, in order."""
+        for name, start_us, end_us in intervals:
+            self.add_interval(category, name, start_us, end_us, worker, phase)
 
     def extend(self, other: "EventTrace") -> None:
         """Merge another trace (e.g. another worker's) into this one."""

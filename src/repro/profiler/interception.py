@@ -24,7 +24,6 @@ from ..backend.engine import BackendEngine, BoundaryListener
 from ..cuda.cupti import CuptiApiRecord
 from .events import (
     CATEGORY_BACKEND,
-    CATEGORY_CUDA_API,
     CATEGORY_SIMULATOR,
     OVERHEAD_CUDA_INTERCEPTION,
     OVERHEAD_CUPTI,
@@ -86,26 +85,32 @@ class SimulatorInterception(BackendInterception):
 
 
 class CudaInterceptionHook:
-    """The ``librlscope.so`` hook: records CUDA API events via CUPTI callbacks."""
+    """The ``librlscope.so`` hook: records CUDA API events via CUPTI callbacks.
+
+    Each intercepted call becomes one CUDA-API event plus its interception
+    marker and, while CUPTI is enabled, its CUPTI marker, written with one
+    :meth:`~repro.profiler.events.EventTrace.add_api_call`.
+    """
+
+    _HOOK_ONLY = (OVERHEAD_CUDA_INTERCEPTION,)
+    _WITH_CUPTI = (OVERHEAD_CUDA_INTERCEPTION, OVERHEAD_CUPTI)
 
     def __init__(self, profiler: "Profiler") -> None:
         self.profiler = profiler
+        cost_model = profiler.system.cost_model
+        self._draw = cost_model._jittered
+        self._overhead_base_us = cost_model.interception_base_us("cuda")
+        self._cupti = profiler.system.cuda.cupti
 
     def api_overhead_us(self, api_name: str) -> float:
         """Book-keeping time included inside the API call span."""
         del api_name  # overhead does not depend on which API was intercepted
-        return self.profiler.system.cost_model.interception_overhead("cuda")
+        return self._draw(self._overhead_base_us)
 
     def on_api(self, record: CuptiApiRecord) -> None:
+        api_name, start_us, end_us, worker, _ = record
         profiler = self.profiler
-        worker = profiler.worker
-        if record.worker != worker:
+        if worker != profiler.worker:
             return
-        trace = profiler.trace
-        phase = profiler.phase
-        api_name = record.api_name
-        end_us = record.end_us
-        trace.add_interval(CATEGORY_CUDA_API, api_name, record.start_us, end_us, worker, phase)
-        trace.add_marker_at(OVERHEAD_CUDA_INTERCEPTION, end_us, api_name, worker, phase)
-        if profiler.system.cuda.cupti.enabled:
-            trace.add_marker_at(OVERHEAD_CUPTI, end_us, api_name, worker, phase)
+        profiler.trace.add_api_call(api_name, start_us, end_us, worker, profiler.phase,
+                                    self._WITH_CUPTI if self._cupti.enabled else self._HOOK_ONLY)

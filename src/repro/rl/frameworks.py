@@ -22,6 +22,8 @@ bundled or issued as separate backend calls.
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -80,6 +82,23 @@ def make_engine(system: System, spec: FrameworkSpec) -> BackendEngine:
     raise ValueError(f"unknown execution model {spec.execution_model!r}")
 
 
+def _weak_owner(fn: Callable) -> Callable:
+    """``fn``, holding its instance weakly when it is a bound method.
+
+    Algorithms keep their compiled functions as attributes of themselves.  A
+    strong reference back to the algorithm would make each one a reference
+    cycle, freed only by a full garbage collection, together with its
+    networks, optimizer state and the system's CUDA activity records.
+    """
+    if not inspect.ismethod(fn):
+        return fn
+    method = weakref.WeakMethod(fn)
+
+    def call(*args, **kwargs):
+        return method()(*args, **kwargs)
+    return call
+
+
 class FrameworkAdapter:
     """Binds algorithm code to a framework configuration."""
 
@@ -96,6 +115,7 @@ class FrameworkAdapter:
         functions carry the dispatch-inflation anomaly of finding F.6.
         """
         engine = self.engine
+        fn = _weak_owner(fn)
         if isinstance(engine, GraphEngine):
             return engine.function(fn, name=name, num_feeds=num_feeds)
         if isinstance(engine, AutographEngine):
@@ -110,6 +130,7 @@ class FrameworkAdapter:
         framework collects data with a plain Python loop.
         """
         engine = self.engine
+        fn = _weak_owner(fn)
         if isinstance(engine, AutographEngine):
             return engine.function(fn, name=name, inflate_dispatch=False)
         return fn

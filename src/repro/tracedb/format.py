@@ -37,8 +37,9 @@ import json
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -165,16 +166,133 @@ interval_row = attrgetter("category", "name", "start_us", "end_us", "worker", "p
 marker_row = attrgetter("kind", "time_us", "api_name", "worker", "phase")
 
 
-@dataclass
-class ChunkRows:
-    """One chunk's records as field rows: what a shard buffers and encodes."""
+class _Interner(dict):
+    """Value -> provisional id, numbered in the order values are first added."""
 
-    events: List[IntervalRow] = field(default_factory=list)
-    operations: List[IntervalRow] = field(default_factory=list)
-    markers: List[MarkerRow] = field(default_factory=list)
+    def __missing__(self, value: object) -> int:
+        self[value] = index = len(self)
+        return index
 
-    def to_rows(self) -> "ChunkRows":
-        return self
+
+#: The interner key of a marker's ``api_name=None`` (never a table string).
+_NO_API = object()
+
+
+class ChunkBuffer:
+    """One chunk's records as they are buffered: provisional string ids and times.
+
+    Every string is interned when its record is added, into ids numbered in
+    first-added order; :meth:`columns` renumbers them into the chunk's
+    column-order first-seen string table (see the module docstring), so the
+    encoded chunk is the same as interning the records' field rows column by
+    column.  Each interval keeps ``category, name, worker, phase`` ids and
+    ``start_us, end_us``; each marker ``kind, api_name, worker, phase`` ids
+    and ``time_us``.
+    """
+
+    def __init__(self) -> None:
+        self.ids = _Interner()
+        # Flat lists: appending to a list is several times cheaper than to an array.
+        self.events: List[int] = []
+        self.event_times: List[float] = []
+        self.operations: List[int] = []
+        self.operation_times: List[float] = []
+        self.markers: List[int] = []
+        self.marker_times: List[float] = []
+        #: ``(index among the events / operations, metadata)`` of intervals carrying any.
+        self.event_metadata: List[Tuple[int, Mapping[str, object]]] = []
+        self.operation_metadata: List[Tuple[int, Mapping[str, object]]] = []
+
+    @classmethod
+    def from_payload(cls, payload: "ChunkPayload") -> "ChunkBuffer":
+        buffer = cls()
+        for event in payload.events:
+            buffer.add_event(interval_row(event))
+        for operation in payload.operations:
+            buffer.add_operation(interval_row(operation))
+        for marker in payload.markers:
+            buffer.add_marker(marker_row(marker))
+        return buffer
+
+    # ------------------------------------------------------------------- add
+    def add_event(self, row: IntervalRow) -> None:
+        self._add_interval(row, self.events, self.event_times, self.event_metadata)
+
+    def add_operation(self, row: IntervalRow) -> None:
+        self._add_interval(row, self.operations, self.operation_times, self.operation_metadata)
+
+    def _add_interval(self, row: IntervalRow, ids: List[int], times: List[float],
+                      metadata: List[Tuple[int, Mapping[str, object]]]) -> None:
+        category, name, start_us, end_us, worker, phase, meta = row
+        if meta is not None:
+            metadata.append((len(times) // 2, meta))
+        intern = self.ids
+        ids.extend((intern[category], intern[name], intern[worker], intern[phase]))
+        times.extend((start_us, end_us))
+
+    def add_events(self, category: str, intervals: Sequence[Tuple[str, float, float]],
+                   worker: str, phase: str) -> None:
+        """Add ``(name, start_us, end_us)`` events without metadata that share the other fields."""
+        intern = self.ids
+        category_id, worker_id, phase_id = intern[category], intern[worker], intern[phase]
+        for name, start_us, end_us in intervals:
+            self.events.extend((category_id, intern[name], worker_id, phase_id))
+            self.event_times.extend((start_us, end_us))
+
+    def add_marker(self, row: MarkerRow) -> None:
+        kind, time_us, api_name, worker, phase = row
+        intern = self.ids
+        self.markers.extend((intern[kind], intern[_NO_API if api_name is None else api_name],
+                             intern[worker], intern[phase]))
+        self.marker_times.append(time_us)
+
+    def add_api_call(self, category: str, api_name: str, start_us: float, end_us: float,
+                     worker: str, phase: str, marker_kinds: Sequence[str]) -> None:
+        """Add one API call's event, then one marker per kind at its end."""
+        intern = self.ids
+        name_id, worker_id, phase_id = intern[api_name], intern[worker], intern[phase]
+        self.events.extend((intern[category], name_id, worker_id, phase_id))
+        self.event_times.extend((start_us, end_us))
+        for kind in marker_kinds:
+            self.markers.extend((intern[kind], name_id, worker_id, phase_id))
+            self.marker_times.append(end_us)
+
+    # --------------------------------------------------------------- columns
+    def columns(self) -> "ChunkColumns":
+        """The buffered records as ``.tdbc`` columns (see :class:`ChunkColumns`)."""
+        num_events = len(self.event_times) // 2
+        num_intervals = num_events + len(self.operation_times) // 2
+        num_markers = len(self.marker_times)
+        # ``array`` converts a list of ints about three times faster than NumPy.
+        intervals = np.frombuffer(array("I", self.events + self.operations), np.uintc
+                                  ).reshape(num_intervals, 4).T
+        markers = np.frombuffer(array("I", self.markers), np.uintc).reshape(num_markers, 4).T
+        # The table lists strings in first-seen order over the columns taken
+        # one after another: category, name, worker, phase, then kind,
+        # api_name, worker, phase.
+        column_major = np.concatenate([intervals.ravel(), markers.ravel()])
+        provisional, first_seen = np.unique(column_major, return_index=True)
+        order = provisional[np.argsort(first_seen)]
+        values = list(self.ids)
+        no_api = self.ids.get(_NO_API)
+        if no_api is not None:
+            order = order[order != no_api]
+        renumber = np.empty(len(values), dtype=_ID)
+        renumber[order] = np.arange(order.size, dtype=np.uint32)
+        if no_api is not None:
+            renumber[no_api] = _NO_STRING
+        times = np.array(self.event_times + self.operation_times, dtype=np.float64)
+        metadata = [[index, dict(meta)] for index, meta in self.event_metadata]
+        metadata += [[num_events + index, dict(meta)] for index, meta in self.operation_metadata]
+        return ChunkColumns(
+            strings=[str(values[index]) for index in order.tolist()],
+            num_events=num_events,
+            intervals=renumber[intervals],
+            times=times.reshape(num_intervals, 2).T.astype(_TIME, order="C"),
+            marker_ids=renumber[markers],
+            marker_time=np.array(self.marker_times, dtype=_TIME),
+            metadata=metadata,
+        )
 
 
 @dataclass
@@ -185,26 +303,17 @@ class ChunkPayload:
     operations: List[Event] = field(default_factory=list)
     markers: List[OverheadMarker] = field(default_factory=list)
 
-    def to_rows(self) -> ChunkRows:
-        return ChunkRows(
-            events=list(map(interval_row, self.events)),
-            operations=list(map(interval_row, self.operations)),
-            markers=list(map(marker_row, self.markers)),
-        )
+    def columns(self) -> "ChunkColumns":
+        """The records as ``.tdbc`` columns."""
+        return ChunkBuffer.from_payload(self).columns()
 
 
-Chunk = Union[ChunkRows, ChunkPayload]
+Chunk = Union[ChunkBuffer, ChunkPayload]
 
 
 # ------------------------------------------------------------------- chunks
 def chunk_filename(worker: str, seq: int) -> str:
     return f"{CHUNK_PREFIX}_{worker}_{seq:05d}{CHUNK_SUFFIX}"
-
-
-def _columns(rows: Sequence[tuple], width: int) -> List[List[object]]:
-    """Transpose field rows into ``width`` columns."""
-    # Not ``zip(*rows)``: that allocates one iterator per row.
-    return [list(map(itemgetter(index), rows)) for index in range(width)]
 
 
 @dataclass(eq=False)
@@ -228,35 +337,6 @@ class ChunkColumns:
     marker_time: np.ndarray  #: (markers,) float64
     metadata: List[list]
     _payload: Optional[ChunkPayload] = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_rows(cls, rows: ChunkRows) -> "ChunkColumns":
-        """Intern a chunk's field rows (see the module docstring)."""
-        intervals = rows.events + rows.operations
-        category, name, start, end, worker, phase, metadata = _columns(intervals, 7)
-        kind, time, api_names, m_worker, m_phase = _columns(rows.markers, 5)
-        table: Dict[object, int] = {}
-
-        def intern(column: Sequence[object]) -> List[int]:
-            for value in dict.fromkeys(column):
-                table.setdefault(value, len(table))
-            return list(map(table.__getitem__, column))
-
-        interval_ids = [intern(category), intern(name), intern(worker), intern(phase)]
-        kind_ids = intern(kind)
-        intern([api_name for api_name in api_names if api_name is not None])
-        api_ids = list(map({**table, None: _NO_STRING}.__getitem__, api_names))
-        marker_ids = [kind_ids, api_ids, intern(m_worker), intern(m_phase)]
-        return cls(
-            strings=[str(value) for value in table],
-            num_events=len(rows.events),
-            intervals=np.array(interval_ids, dtype=_ID).reshape(4, len(intervals)),
-            times=np.array([start, end], dtype=_TIME).reshape(2, len(intervals)),
-            marker_ids=np.array(marker_ids, dtype=_ID).reshape(4, len(rows.markers)),
-            marker_time=np.array(time, dtype=_TIME),
-            metadata=[[index, dict(meta)] for index, meta in enumerate(metadata)
-                      if meta is not None],
-        )
 
     def to_bytes(self) -> bytes:
         """The uncompressed chunk: preamble, JSON header, then the columns."""
@@ -303,6 +383,30 @@ class ChunkColumns:
         return cls(header["strings"], header["events"], intervals, times, marker_ids,
                    marker_time, header["metadata"])
 
+    def encode(self) -> bytes:
+        """The compressed chunk file."""
+        return zlib.compress(self.to_bytes(), _ZLIB_LEVEL)
+
+    def meta(self, file: str, worker: str, seq: int) -> ChunkMeta:
+        """The chunk's index statistics."""
+        num_intervals = self.times.shape[1]
+        starts = np.concatenate([self.times[0], self.marker_time])
+        ends = np.concatenate([self.times[1], self.marker_time])
+        phases = np.unique(np.concatenate([self.intervals[3], self.marker_ids[3]]))
+        categories = np.unique(self.intervals[0, :self.num_events])
+        return ChunkMeta(
+            file=file,
+            worker=worker,
+            seq=seq,
+            num_events=self.num_events,
+            num_operations=num_intervals - self.num_events,
+            num_markers=self.marker_time.size,
+            start_us=float(starts.min()) if starts.size else None,
+            end_us=float(ends.max()) if ends.size else None,
+            phases=tuple(sorted({self.strings[index] for index in phases.tolist()})),
+            categories=tuple(sorted({self.strings[index] for index in categories.tolist()})),
+        )
+
     def payload(self) -> ChunkPayload:
         """The chunk's records as objects, built on first call."""
         if self._payload is None:
@@ -345,7 +449,7 @@ class ChunkColumns:
 
 def encode_chunk(chunk: Chunk) -> bytes:
     """Encode one chunk's records as compressed columns (see the module docstring)."""
-    return zlib.compress(ChunkColumns.from_rows(chunk.to_rows()).to_bytes(), _ZLIB_LEVEL)
+    return chunk.columns().encode()
 
 
 def decode_columns(data: bytes) -> ChunkColumns:
@@ -367,7 +471,7 @@ def read_columns(path: Path) -> ChunkColumns:
     if path.name.endswith(CHUNK_SUFFIX):
         return decode_columns(path.read_bytes())
     payload = read_chunk(path)
-    columns = ChunkColumns.from_rows(payload.to_rows())
+    columns = payload.columns()
     columns._payload = payload
     return columns
 
@@ -413,24 +517,7 @@ def _read_jsonl_chunk(path: Path) -> ChunkPayload:
 
 def build_meta(file: str, worker: str, seq: int, chunk: Chunk) -> ChunkMeta:
     """Compute the index statistics for one chunk's records."""
-    rows = chunk.to_rows()
-    intervals = rows.events + rows.operations
-    times = list(map(itemgetter(1), rows.markers))
-    starts = list(map(itemgetter(2), intervals)) + times
-    ends = list(map(itemgetter(3), intervals)) + times
-    phases = set(map(itemgetter(5), intervals)) | set(map(itemgetter(4), rows.markers))
-    return ChunkMeta(
-        file=file,
-        worker=worker,
-        seq=seq,
-        num_events=len(rows.events),
-        num_operations=len(rows.operations),
-        num_markers=len(rows.markers),
-        start_us=min(starts) if starts else None,
-        end_us=max(ends) if ends else None,
-        phases=tuple(sorted(phases)),
-        categories=tuple(sorted(set(map(itemgetter(0), rows.events)))),
-    )
+    return chunk.columns().meta(file, worker, seq)
 
 
 # -------------------------------------------------------------------- index

@@ -8,16 +8,20 @@ ever held in memory per worker.  Flushing performs only host-side I/O — it nev
 the virtual clock, so streaming adds zero virtual time to the profiled
 workload.
 
-A shard buffers field rows, not record objects: each interval is a plain
-``(category, name, start_us, end_us, worker, phase, metadata)`` tuple and
-each marker a ``(kind, time_us, api_name, worker, phase)`` tuple, held in a
-:class:`~repro.tracedb.format.ChunkRows` that the chunk encoder reads column
-by column.  :meth:`SpillingEventTrace.add_interval` /
-:meth:`SpillingEventTrace.add_marker_at` append such rows directly, so the
-profiler's per-CUDA-call records never become objects in streaming mode;
-records that arrive as :class:`~repro.profiler.events.Event` /
+A shard buffers columns, not record objects: a
+:class:`~repro.tracedb.format.ChunkBuffer` interns each record's strings as
+it arrives and keeps ids and times in flat lists, and the chunk encoder turns
+those into the ``.tdbc`` columns.  Records arrive as field rows — an
+interval as ``(category, name, start_us, end_us, worker, phase, metadata)``,
+a marker as ``(kind, time_us, api_name, worker, phase)`` — or, on the
+profiler's hot paths, as one CUDA API call's fields
+(:meth:`SpillingEventTrace.add_api_call`) or a batch of same-category
+events (:meth:`SpillingEventTrace.add_intervals`), so the profiler's
+per-CUDA-call records never become objects in streaming mode; records that
+arrive as :class:`~repro.profiler.events.Event` /
 :class:`~repro.profiler.events.OverheadMarker` objects are converted to rows
-on the way in.
+on the way in.  However records arrive, chunk boundaries fall after the
+same records as if each had been added on its own.
 
 Several profilers (e.g. the 16 Minigo self-play workers plus the trainer
 and evaluator) can share one :class:`StreamingTraceWriter`, each writing its
@@ -28,24 +32,23 @@ same directory (read-modify-write index merging).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..profiler.events import CATEGORY_OPERATION, Event, EventTrace, OverheadMarker
+from ..profiler.events import CATEGORY_CUDA_API, CATEGORY_OPERATION, Event, EventTrace, OverheadMarker
 from .format import (
     DEFAULT_CHUNK_EVENTS,
+    ChunkBuffer,
     ChunkMeta,
     ChunkPayload,
-    ChunkRows,
     IntervalRow,
     MarkerRow,
     WorkerEntry,
-    build_meta,
     chunk_filename,
     interval_row,
     marker_row,
     read_index,
-    write_chunk,
     write_index,
 )
 
@@ -71,7 +74,7 @@ class ShardWriter:
         self.chunks: List[ChunkMeta] = []
         self.closed = False
         self._on_chunk = on_chunk
-        self._buffer = ChunkRows()
+        self._buffer = ChunkBuffer()
         self._buffered = 0
         # Totals across the whole shard (buffered + flushed).
         self.total_events = 0
@@ -108,7 +111,7 @@ class ShardWriter:
     def add_event_row(self, row: IntervalRow) -> None:
         if self.closed:
             self._reject()
-        self._buffer.events.append(row)
+        self._buffer.add_event(row)
         self.total_events += 1
         if row[3] > self.max_end_us:
             self.max_end_us = row[3]
@@ -117,7 +120,7 @@ class ShardWriter:
     def add_operation_row(self, row: IntervalRow) -> None:
         if self.closed:
             self._reject()
-        self._buffer.operations.append(row)
+        self._buffer.add_operation(row)
         self.total_operations += 1
         if row[3] > self.max_end_us:
             self.max_end_us = row[3]
@@ -126,15 +129,55 @@ class ShardWriter:
     def add_marker_row(self, row: MarkerRow) -> None:
         if self.closed:
             self._reject()
-        self._buffer.markers.append(row)
+        self._buffer.add_marker(row)
         self.total_markers += 1
         self._after_add()
+
+    def add_events(self, category: str, intervals: Sequence[Tuple[str, float, float]],
+                   worker: str, phase: str) -> None:
+        """Append ``(name, start_us, end_us)`` stack events that share the other fields."""
+        if self.closed:
+            self._reject()
+        start = 0
+        while start < len(intervals):
+            # Room is at least one row: a full buffer is flushed on the add that fills it.
+            batch = intervals[start:start + self.chunk_events - self._buffered]
+            start += len(batch)
+            self._buffer.add_events(category, batch, worker, phase)
+            self.total_events += len(batch)
+            end_us = max(map(itemgetter(2), batch))
+            if end_us > self.max_end_us:
+                self.max_end_us = end_us
+            self._after_add(len(batch))
+
+    def add_api_call(self, api_name: str, start_us: float, end_us: float, worker: str,
+                     phase: str, marker_kinds: Sequence[str]) -> None:
+        """Append one CUDA API call's event row, then one marker row per kind at its end.
+
+        When a flush falls between the rows, they are appended one at a time,
+        so chunk boundaries are those of separate adds.
+        """
+        if self.closed:
+            self._reject()
+        count = 1 + len(marker_kinds)
+        if self._buffered + count > self.chunk_events:
+            self.add_event_row((CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase, None))
+            for kind in marker_kinds:
+                self.add_marker_row((kind, end_us, api_name, worker, phase))
+            return
+        self._buffer.add_api_call(CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase,
+                                  marker_kinds)
+        self.total_events += 1
+        self.total_markers += count - 1
+        if end_us > self.max_end_us:
+            self.max_end_us = end_us
+        self._after_add(count)
 
     def _reject(self) -> None:
         raise RuntimeError(f"shard for worker {self.worker!r} is closed")
 
-    def _after_add(self) -> None:
-        self._buffered = buffered = self._buffered + 1
+    def _after_add(self, count: int = 1) -> None:
+        self._buffered = buffered = self._buffered + count
         if buffered > self.peak_buffered:
             self.peak_buffered = buffered
         if buffered >= self.chunk_events:
@@ -146,11 +189,12 @@ class ShardWriter:
         if self._buffered == 0:
             return None
         name = chunk_filename(self.worker, self.seq)
-        write_chunk(self.directory / name, self._buffer)
-        meta = build_meta(name, self.worker, self.seq, self._buffer)
+        columns = self._buffer.columns()
+        (self.directory / name).write_bytes(columns.encode())
+        meta = columns.meta(name, self.worker, self.seq)
         self.seq += 1
         self.chunks.append(meta)
-        self._buffer = ChunkRows()
+        self._buffer = ChunkBuffer()
         self._buffered = 0
         if self._on_chunk is not None:
             self._on_chunk(meta)
@@ -312,6 +356,25 @@ class SpillingEventTrace(EventTrace):
     def add_marker_at(self, kind: str, time_us: float, api_name: Optional[str],
                       worker: str, phase: str) -> None:
         self._shard.add_marker_row((kind, time_us, api_name, worker, phase))
+
+    def add_api_call(self, api_name: str, start_us: float, end_us: float, worker: str,
+                     phase: str, marker_kinds: Sequence[str]) -> None:
+        if end_us < start_us:
+            raise ValueError("event ends before it starts: "
+                             f"{Event(CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase)}")
+        self._shard.add_api_call(api_name, start_us, end_us, worker, phase, marker_kinds)
+
+    def add_intervals(self, category: str, intervals: Iterable[Tuple[str, float, float]],
+                      worker: str, phase: str) -> None:
+        if category == CATEGORY_OPERATION:
+            super().add_intervals(category, intervals, worker, phase)
+            return
+        intervals = list(intervals)
+        for name, start_us, end_us in intervals:
+            if end_us < start_us:
+                raise ValueError("event ends before it starts: "
+                                 f"{Event(category, name, start_us, end_us, worker, phase)}")
+        self._shard.add_events(category, intervals, worker, phase)
 
     # Counting queries reflect everything spilled so far; the record lists
     # themselves are on disk — query them through :class:`~repro.tracedb.TraceDB`.
