@@ -13,7 +13,11 @@ how the pools are built or run must leave all of them byte-identical:
 * the stdout of the ``batchsweep``, ``schedsweep`` and ``replicasweep``
   Minigo sweeps at small grids;
 * the quick ``zoosweep`` report (a CI step re-checks the file the CLI writes
-  against :data:`ZOOSWEEP_QUICK_SHA256`).
+  against :data:`ZOOSWEEP_QUICK_SHA256`);
+* one small CLI run per pool-sweep flag that the runs above leave unread
+  (``--routing``, ``--flush-policy``, ``--timeout-us``, ``--sims``,
+  ``--algos`` and ``--trace-dir``), digests recorded before the sweeps
+  moved onto one runner.
 """
 
 from __future__ import annotations
@@ -52,6 +56,25 @@ SWEEP_ARGV = {
 #: SHA-256 of the file ``zoosweep --quick --out FILE`` writes (its stdout).
 ZOOSWEEP_QUICK_SHA256 = (
     "1c0687cef9518221ebdd86c97f2cd803516f894148d7992e0e01977d81ebf008")
+#: SHA-256 of the stdout of one small run per otherwise unpinned flag.
+FLAG_STDOUT_SHA256 = {
+    "schedsweep-routing-flush":
+        "8cb6163cc9c1af312841fe12be68ded138a18f34393b86000a00788f738970d0",
+    "replicasweep-routing-flush":
+        "6877074e4cb57c16c4678ad6785124fa21d03488f8feb478544eb36dbf654e06",
+}
+FLAG_ARGV = {
+    "schedsweep-routing-flush": ["schedsweep", "--workers", "2", "--leaf-batches", "2",
+                                 "--replicas", "2", "--routing", "least-loaded",
+                                 "--flush-policy", "timeout", "--timeout-us", "500"],
+    "replicasweep-routing-flush": ["replicasweep", "--replicas", "2", "--workers", "2",
+                                   "--routing", "sticky", "--flush-policy", "max-batch",
+                                   "--leaf-batches", "4"],
+}
+#: SHA-256 of the ``zoosweep --sims --algos --trace-dir`` report followed by
+#: every file of the trace stores it writes (see :func:`tree_digest`).
+ZOOSWEEP_TRACE_DIR_SHA256 = (
+    "e70fe67160e84834da0efa81ade655939ee2447194e1fb6d4fee8f64ccc8ef5b")
 
 
 def _build_pool(workload: str, num_processes, trace_dir: Path):
@@ -63,6 +86,13 @@ def _build_pool(workload: str, num_processes, trace_dir: Path):
                             seed=1, trace_dir=str(trace_dir), **parallel)
     return EnvRolloutPool(workload, 3, steps_per_worker=6, profile=True, seed=1,
                           trace_dir=str(trace_dir), **parallel)
+
+
+def tree_digest(sha, root: Path) -> None:
+    """Feed every file under ``root`` (relative path, then bytes) to ``sha``."""
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        sha.update(path.relative_to(root).as_posix().encode("utf-8"))
+        sha.update(path.read_bytes())
 
 
 def pool_run_digest(workload: str, num_processes, trace_dir: Path) -> str:
@@ -98,3 +128,21 @@ def test_quick_zoosweep_report_is_golden(tmp_path, capsys):
     report = out.read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == report
     assert hashlib.sha256(report).hexdigest() == ZOOSWEEP_QUICK_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_STDOUT_SHA256))
+def test_sweep_flag_stdout_is_golden(capsys, case):
+    assert cli.main(FLAG_ARGV[case]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == FLAG_STDOUT_SHA256[case]
+
+
+def test_zoosweep_trace_dir_is_golden(tmp_path, capsys):
+    out, traces = tmp_path / "zoo.txt", tmp_path / "traces"
+    assert cli.main(["zoosweep", "--sims", "Pong", "--algos", "PPO", "--worker-counts", "2",
+                     "--replicas", "1", "--timesteps", "3", "--trace-dir", str(traces),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    sha = hashlib.sha256(out.read_bytes())
+    tree_digest(sha, traces)
+    assert sha.hexdigest() == ZOOSWEEP_TRACE_DIR_SHA256

@@ -12,6 +12,10 @@ one of these byte-identical:
 * the quick ``faultsweep`` report: only its digest,
   :data:`FAULTSWEEP_QUICK_SHA256`, lives here; a CI step checks it, since
   the run takes a few seconds;
+* one small quick-sweep report per serving-sweep flag that the quick
+  reports leave unread (``--arrival``, ``--overloads``, ``--fault-policies``
+  and ``--eval-games``), digests recorded before the sweeps moved onto one
+  runner;
 * ``asdict(server.stats)`` plus the SLO report of one overloaded, keyed run
   with frame drop and frame corrupt faults, so sheds, retries, admission
   cache hits and stream resynchronization all cross the wire.
@@ -23,6 +27,7 @@ import hashlib
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from repro.experiments import cli
 from repro.faults import FRAME_CORRUPT, FRAME_DROP, FaultEvent, FaultPlan
@@ -44,6 +49,25 @@ CACHESWEEP_QUICK_SHA256 = (
 #: SHA-256 of the file ``faultsweep --quick --out FILE`` writes.
 FAULTSWEEP_QUICK_SHA256 = (
     "b8f7695ac9cf2305b3b3610dff13b9546e3429779c3c00166eca943091ea3a95")
+#: SHA-256 of the file ``<argv> --out FILE`` writes, one small quick run per
+#: otherwise unpinned flag.
+FLAG_REPORT_SHA256 = {
+    "servesweep-arrival-overloads":
+        "1ee4a1a755099421258872e6c98c23c5b19e5e025d616323faa9857577451a5b",
+    "faultsweep-policies":
+        "a21eb96ffe324e5c503d0b08176385b9ae57f2ddd15a938e5fd8551b816767ae",
+    "cachesweep-eval-games":
+        "63611cb5c41e52a7f3fccf2fb3465aed4ac5f6a2c8b53445c23a860379209797",
+}
+FLAG_ARGV = {
+    "servesweep-arrival-overloads": ["servesweep", "--quick", "--arrival", "bursty",
+                                     "--overloads", "block,deadline-drop", "--rates", "1.0",
+                                     "--clients", "32"],
+    "faultsweep-policies": ["faultsweep", "--quick", "--fault-rates", "150",
+                            "--fault-policies", "degrade", "--replicas", "2",
+                            "--clients", "32"],
+    "cachesweep-eval-games": ["cachesweep", "--quick", "--eval-games", "4"],
+}
 #: SHA-256 of ``repr(asdict(server.stats))`` + newline + the SLO report.
 FAULTED_RUN_SHA256 = (
     "28512da10fbb3e82d87a4250449691c4b390a12835c85e065d29c30b0a28a0f4")
@@ -53,9 +77,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli_report_digest(tmp_path, experiment: str) -> str:
+def _cli_report_digest(tmp_path, experiment: str, *argv: str) -> str:
     out = tmp_path / f"{experiment}.txt"
-    assert cli.main([experiment, "--quick", "--out", str(out)]) == 0
+    assert cli.main([experiment, *(argv or ["--quick"]), "--out", str(out)]) == 0
     return _sha256(out.read_bytes())
 
 
@@ -90,3 +114,9 @@ def test_quick_cachesweep_report_is_golden(tmp_path):
 
 def test_faulted_serving_run_is_golden():
     assert _sha256(faulted_run_text().encode("utf-8")) == FAULTED_RUN_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_REPORT_SHA256))
+def test_sweep_flag_report_is_golden(tmp_path, case):
+    experiment, *argv = FLAG_ARGV[case]
+    assert _cli_report_digest(tmp_path, experiment, *argv) == FLAG_REPORT_SHA256[case]
