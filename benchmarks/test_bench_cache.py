@@ -19,7 +19,8 @@ each on pinned workloads, plus the correctness bars that make the wins safe:
 
 Outputs:
 
-* ``results/cache_sweep.txt`` — the rendered cache-sweep table;
+* the rendered cache-sweep table, printed (the committed ``results/cache_sweep.txt``
+  is the full grid, and only ``rls-experiment cachesweep`` writes it);
 * a ``cache`` block merged into ``BENCH_wallclock.json`` (the perf
   trajectory guard in CI fails when the block is missing or stale).
 
@@ -36,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import save_report
 from repro.experiments import DEFAULT_SERVE_KWARGS, run_cache_sweep, run_serve_sweep
 from repro.minigo import PolicyValueNet
 from repro.minigo.training import MinigoConfig, MinigoTraining
@@ -288,4 +288,3 @@ def test_bench_cache(benchmark):
           f"({row_reduction:.2f}x, bar {MIN_EVAL_ROW_REDUCTION}x); "
           f"serving shed {slo_off.shed_fraction:.4f} -> {slo_on.shed_fraction:.4f} "
           f"at {SERVE_MULTIPLIER}x (hit rate {slo_on.cache_hit_fraction:.4f})")
-    save_report("cache_sweep", report)

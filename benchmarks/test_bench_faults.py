@@ -23,7 +23,8 @@ cheap relative to the suite):
 
 Outputs:
 
-* ``results/fault_sweep.txt`` — the rendered fault-sweep table;
+* the rendered fault-sweep table, printed (the committed ``results/fault_sweep.txt``
+  is the full grid, and only ``rls-experiment faultsweep`` writes it);
 * a ``faults`` block merged into ``BENCH_wallclock.json`` (the perf
   trajectory guard in CI fails when the block is missing or stale).
 
@@ -40,7 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import save_report
 from repro.experiments import DEFAULT_FAULT_KWARGS, run_fault_sweep
 from repro.faults import (
     FaultEvent,
@@ -259,4 +259,3 @@ def test_bench_faults(benchmark):
           f"full {slo2_full.goodput_per_sec:.1f} req/s "
           f"(late {slo2_degrade.timeout_fraction:.4f} vs "
           f"{slo2_full.timeout_fraction:.4f})")
-    save_report("fault_sweep", report)

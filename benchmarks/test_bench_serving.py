@@ -17,7 +17,8 @@ benchmark pins the claims the subsystem exists to make, at full scale
 
 Outputs:
 
-* ``results/serve_sweep.txt`` — the rendered sweep table;
+* the rendered sweep table, printed (the committed ``results/serve_sweep.txt``
+  is the full grid, and only ``rls-experiment servesweep`` writes it);
 * a ``serving`` block merged into ``BENCH_wallclock.json`` (requests/sec of
   the serving harness, goodput, shed rate, tail delays), extending the
   wall-clock perf trajectory tracked per PR.
@@ -34,7 +35,6 @@ import subprocess
 import time
 from pathlib import Path
 
-from conftest import save_report
 from repro.experiments import DEFAULT_SERVE_KWARGS, run_serve_sweep
 from repro.minigo import PolicyValueNet
 from repro.serving import (
@@ -174,4 +174,3 @@ def test_bench_serving_overload(benchmark):
     report = sweep.report()
     print()
     print(report)
-    save_report("serve_sweep", report)

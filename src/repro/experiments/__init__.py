@@ -8,66 +8,19 @@ from .common import (
     calibration_runner,
     run_workload,
 )
-from .batchsweep import (
-    DEFAULT_LEAF_BATCHES,
-    BatchSweepPoint,
-    BatchSweepResult,
-    run_batch_sweep,
-)
-from .schedsweep import (
-    DEFAULT_SCHED_LEAF_BATCHES,
-    DEFAULT_SCHED_WORKERS,
-    SchedSweepPoint,
-    SchedSweepResult,
-    run_sched_sweep,
-)
+from .batchsweep import DEFAULT_BATCH_KWARGS, BatchSweepPoint, BatchSweepResult, run_batch_sweep
+from .schedsweep import DEFAULT_SCHED_KWARGS, SchedSweepPoint, SchedSweepResult, run_sched_sweep
 from .replicasweep import (
-    DEFAULT_REPLICA_COUNTS,
-    DEFAULT_REPLICA_ROUTINGS,
-    DEFAULT_REPLICA_WORKERS,
+    DEFAULT_REPLICA_POOL_KWARGS,
     ReplicaSweepPoint,
     ReplicaSweepResult,
     inference_bound_cost_config,
     run_replica_sweep,
 )
-from .cachesweep import (
-    DEFAULT_CACHE_EVAL_GAMES,
-    DEFAULT_CACHE_KWARGS,
-    DEFAULT_CACHE_REPLICAS,
-    DEFAULT_CACHE_WORKERS,
-    CacheSweepPoint,
-    CacheSweepResult,
-    run_cache_sweep,
-)
-from .faultsweep import (
-    DEFAULT_FAULT_KWARGS,
-    DEFAULT_FAULT_POLICIES,
-    DEFAULT_FAULT_RATES,
-    DEFAULT_FAULT_REPLICAS,
-    FaultSweepPoint,
-    FaultSweepResult,
-    run_fault_sweep,
-)
-from .servesweep import (
-    DEFAULT_SERVE_KWARGS,
-    DEFAULT_SERVE_MULTIPLIERS,
-    DEFAULT_SERVE_OVERLOADS,
-    DEFAULT_SERVE_REPLICAS,
-    SERVE_ARRIVALS,
-    ServeSweepPoint,
-    ServeSweepResult,
-    run_serve_sweep,
-)
-from .zoosweep import (
-    DEFAULT_ZOO_ALGOS,
-    DEFAULT_ZOO_REPLICAS,
-    DEFAULT_ZOO_SIMS,
-    DEFAULT_ZOO_STEPS,
-    DEFAULT_ZOO_WORKERS,
-    ZooSweepPoint,
-    ZooSweepResult,
-    run_zoo_sweep,
-)
+from .cachesweep import DEFAULT_CACHE_KWARGS, CacheSweepPoint, CacheSweepResult, run_cache_sweep
+from .faultsweep import DEFAULT_FAULT_KWARGS, FaultSweepPoint, FaultSweepResult, run_fault_sweep
+from .servesweep import DEFAULT_SERVE_KWARGS, ServeSweepPoint, ServeSweepResult, run_serve_sweep
+from .zoosweep import DEFAULT_ZOO_KWARGS, ZooSweepPoint, ZooSweepResult, run_zoo_sweep
 from .fig4 import FRAMEWORKS_BY_ALGO, Fig4Result, run_fig4
 from .fig5 import SURVEY_ALGORITHMS, Fig5Result, run_fig5
 from .fig7 import SURVEY_SIMULATORS, Fig7Result, run_fig7
@@ -93,49 +46,32 @@ __all__ = [
     "calibrate_workload",
     "calibration_runner",
     "run_workload",
-    "DEFAULT_LEAF_BATCHES",
+    "DEFAULT_BATCH_KWARGS",
     "BatchSweepPoint",
     "BatchSweepResult",
     "run_batch_sweep",
-    "DEFAULT_SCHED_LEAF_BATCHES",
-    "DEFAULT_SCHED_WORKERS",
+    "DEFAULT_SCHED_KWARGS",
     "SchedSweepPoint",
     "SchedSweepResult",
     "run_sched_sweep",
-    "DEFAULT_REPLICA_COUNTS",
-    "DEFAULT_REPLICA_ROUTINGS",
-    "DEFAULT_REPLICA_WORKERS",
+    "DEFAULT_REPLICA_POOL_KWARGS",
     "ReplicaSweepPoint",
     "ReplicaSweepResult",
     "inference_bound_cost_config",
     "run_replica_sweep",
-    "DEFAULT_CACHE_EVAL_GAMES",
     "DEFAULT_CACHE_KWARGS",
-    "DEFAULT_CACHE_REPLICAS",
-    "DEFAULT_CACHE_WORKERS",
     "CacheSweepPoint",
     "CacheSweepResult",
     "run_cache_sweep",
     "DEFAULT_FAULT_KWARGS",
-    "DEFAULT_FAULT_POLICIES",
-    "DEFAULT_FAULT_RATES",
-    "DEFAULT_FAULT_REPLICAS",
     "FaultSweepPoint",
     "FaultSweepResult",
     "run_fault_sweep",
     "DEFAULT_SERVE_KWARGS",
-    "DEFAULT_SERVE_MULTIPLIERS",
-    "DEFAULT_SERVE_OVERLOADS",
-    "DEFAULT_SERVE_REPLICAS",
-    "SERVE_ARRIVALS",
     "ServeSweepPoint",
     "ServeSweepResult",
     "run_serve_sweep",
-    "DEFAULT_ZOO_ALGOS",
-    "DEFAULT_ZOO_REPLICAS",
-    "DEFAULT_ZOO_SIMS",
-    "DEFAULT_ZOO_STEPS",
-    "DEFAULT_ZOO_WORKERS",
+    "DEFAULT_ZOO_KWARGS",
     "ZooSweepPoint",
     "ZooSweepResult",
     "run_zoo_sweep",

@@ -25,16 +25,16 @@ asserts it, plus the reduction floors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict
 
 from ..minigo.training import MinigoConfig, MinigoTraining
+from .sweep import SweepResult
 
-DEFAULT_CACHE_WORKERS = (4, 8)
-DEFAULT_CACHE_REPLICAS = (1, 2)
-DEFAULT_CACHE_EVAL_GAMES = (2, 4)
-
-#: Round shape shared by every cell (and by the quick CI smoke).
+#: Grid and round shape shared by every cell (and by the quick CI smoke).
 DEFAULT_CACHE_KWARGS = dict(
+    worker_counts=(4, 8),
+    replica_counts=(1, 2),
+    evaluation_games=(2, 4),
     board_size=5,
     num_simulations=8,
     games_per_worker=1,
@@ -43,6 +43,8 @@ DEFAULT_CACHE_KWARGS = dict(
     leaf_batch=4,
     sgd_steps=2,
     cache_capacity=4096,
+    transposition=True,
+    seed=0,
 )
 
 
@@ -92,139 +94,75 @@ class CacheSweepPoint:
         return self.wins_off == self.wins_on
 
 
-@dataclass
-class CacheSweepResult:
-    board_size: int
-    num_simulations: int
-    max_moves: int
-    leaf_batch: int
-    cache_capacity: int
-    transposition: bool
-    points: List[CacheSweepPoint]
+class CacheSweepResult(SweepResult):
+    """Both runs of a cell start from bit-identical initial weights (a fresh
+    :class:`~repro.minigo.training.MinigoTraining` each, same seed), so any
+    divergence in win counts would be a real correctness bug, not drift."""
 
-    def point(self, num_workers: int, num_replicas: int,
-              evaluation_games: int) -> CacheSweepPoint:
-        for point in self.points:
-            if (point.num_workers == num_workers
-                    and point.num_replicas == num_replicas
-                    and point.evaluation_games == evaluation_games):
-                return point
-        raise KeyError(f"no sweep point for workers={num_workers}, "
-                       f"replicas={num_replicas}, eval_games={evaluation_games}")
+    defaults = DEFAULT_CACHE_KWARGS
+    axes = (("num_workers", "worker_counts"), ("num_replicas", "replica_counts"),
+            ("evaluation_games", "evaluation_games"))
+    point_type = CacheSweepPoint
+    columns = (
+        ("work", 4, "{p.num_workers:d}"),
+        ("repl", 4, "{p.num_replicas:d}"),
+        ("games", 5, "{p.evaluation_games:d}"),
+        ("selfplay calls", 16, "{p.selfplay_calls_off:>7d} ->{p.selfplay_calls_on:>6d}"),
+        ("red", 6, "{p.selfplay_call_reduction:.2f}x"),
+        ("eval rows", 14, "{p.eval_rows_off:>6d} ->{p.eval_rows_on:>5d}"),
+        ("red", 6, "{p.eval_row_reduction:.2f}x"),
+        ("hits", 5, "{p.eval_cache_hits:d}"),
+        ("dedupe", 6, "{p.eval_dedupe_rows:d}"),
+        ("wins", 7, lambda r, p: f"{p.wins_off}={p.wins_on}" + (" ok" if p.wins_match else " !!")),
+    )
 
-    def report(self) -> str:
-        header = (f"{'work':>4} {'repl':>4} {'games':>5} "
-                  f"{'selfplay calls':>16} {'red':>6} "
-                  f"{'eval rows':>14} {'red':>6} "
-                  f"{'hits':>5} {'dedupe':>6} {'wins':>7}")
-        lines = [
+    def setup(self) -> None:
+        if any(v <= 0 for key in ("worker_counts", "replica_counts", "evaluation_games")
+               for v in self.config[key]) or self.cache_capacity <= 0:
+            raise ValueError("worker_counts, replica_counts, evaluation_games and "
+                             "cache_capacity must be positive")
+
+    def _round(self, num_workers: int, num_replicas: int, games: int, cache: bool):
+        shape = {key: self.config[key] for key in (
+            "board_size", "num_simulations", "games_per_worker", "max_moves", "hidden",
+            "sgd_steps", "leaf_batch", "seed")}
+        return MinigoTraining(MinigoConfig(
+            num_workers=num_workers, evaluation_games=games, num_replicas=num_replicas,
+            profile=False, batched_inference=True, scheduler="event",
+            transposition=self.transposition if cache else False,
+            cache_capacity=self.cache_capacity if cache else None, **shape)).run_round()
+
+    def cell(self, num_workers: int, num_replicas: int, evaluation_games: int) -> Dict[str, Any]:
+        off = self._round(num_workers, num_replicas, evaluation_games, cache=False)
+        on = self._round(num_workers, num_replicas, evaluation_games, cache=True)
+        measured = dict(wins_off=off.candidate_wins, wins_on=on.candidate_wins)
+        for phase, attr in (("selfplay", "selfplay_inference_stats"),
+                            ("eval", "evaluation_inference_stats")):
+            stats_off, stats_on = getattr(off, attr), getattr(on, attr)
+            measured.update({
+                f"{phase}_calls_off": stats_off.engine_calls,
+                f"{phase}_calls_on": stats_on.engine_calls,
+                f"{phase}_rows_off": stats_off.rows,
+                f"{phase}_rows_on": stats_on.rows,
+                f"{phase}_cache_hits": stats_on.cache_hits,
+                f"{phase}_dedupe_rows": stats_on.dedupe_rows,
+            })
+        return measured
+
+    def title(self):
+        return [
             "Cache sweep: evaluation cache off vs on, identical seeds and weights",
             f"board={self.board_size}, sims={self.num_simulations}, "
             f"leaf_batch={self.leaf_batch}, max_moves={self.max_moves}, "
             f"capacity={self.cache_capacity}, "
-            f"transposition={'on' if self.transposition else 'off'}",
-            header,
-        ]
-        for p in self.points:
-            wins = (f"{p.wins_off}={p.wins_on}" +
-                    (" ok" if p.wins_match else " !!"))
-            lines.append(
-                f"{p.num_workers:>4d} {p.num_replicas:>4d} {p.evaluation_games:>5d} "
-                f"{p.selfplay_calls_off:>7d} ->{p.selfplay_calls_on:>6d} "
-                f"{p.selfplay_call_reduction:>5.2f}x "
-                f"{p.eval_rows_off:>6d} ->{p.eval_rows_on:>5d} "
-                f"{p.eval_row_reduction:>5.2f}x "
-                f"{p.eval_cache_hits:>5d} {p.eval_dedupe_rows:>6d} {wins:>7}")
-        lines.append(
+            f"transposition={'on' if self.transposition else 'off'}"]
+
+    def footer(self):
+        return [
             "note: self-play saves whole engine calls (cached waves never "
             "depart); the concurrent evaluation round saves engine rows — "
             "with games alternating colors at period 2, game N's argmax play "
-            "replays game N-2 and its rows are answered from cache")
-        return "\n".join(lines)
+            "replays game N-2 and its rows are answered from cache"]
 
 
-def run_cache_sweep(
-    worker_counts: Sequence[int] = DEFAULT_CACHE_WORKERS,
-    *,
-    replica_counts: Sequence[int] = DEFAULT_CACHE_REPLICAS,
-    evaluation_games: Sequence[int] = DEFAULT_CACHE_EVAL_GAMES,
-    board_size: int = DEFAULT_CACHE_KWARGS["board_size"],
-    num_simulations: int = DEFAULT_CACHE_KWARGS["num_simulations"],
-    games_per_worker: int = DEFAULT_CACHE_KWARGS["games_per_worker"],
-    max_moves: int = DEFAULT_CACHE_KWARGS["max_moves"],
-    hidden: Tuple[int, ...] = DEFAULT_CACHE_KWARGS["hidden"],
-    leaf_batch: int = DEFAULT_CACHE_KWARGS["leaf_batch"],
-    sgd_steps: int = DEFAULT_CACHE_KWARGS["sgd_steps"],
-    cache_capacity: int = DEFAULT_CACHE_KWARGS["cache_capacity"],
-    transposition: bool = True,
-    seed: int = 0,
-) -> CacheSweepResult:
-    """Run every cell of the grid with the cache off and on.
-
-    Both runs of a cell start from bit-identical initial weights (a fresh
-    :class:`~repro.minigo.training.MinigoTraining` each, same seed), so any
-    divergence in win counts would be a real correctness bug, not drift.
-    """
-    if not worker_counts or any(w <= 0 for w in worker_counts):
-        raise ValueError("worker_counts must be positive")
-    if not replica_counts or any(r <= 0 for r in replica_counts):
-        raise ValueError("replica_counts must be positive")
-    if not evaluation_games or any(g <= 0 for g in evaluation_games):
-        raise ValueError("evaluation_games must be positive")
-    if cache_capacity <= 0:
-        raise ValueError("cache_capacity must be positive")
-
-    def run_round(num_workers: int, num_replicas: int, games: int, *,
-                  cache: bool):
-        config = MinigoConfig(
-            num_workers=num_workers,
-            board_size=board_size,
-            num_simulations=num_simulations,
-            games_per_worker=games_per_worker,
-            max_moves=max_moves,
-            hidden=hidden,
-            sgd_steps=sgd_steps,
-            evaluation_games=games,
-            profile=False,
-            seed=seed,
-            batched_inference=True,
-            leaf_batch=leaf_batch,
-            num_replicas=num_replicas,
-            scheduler="event",
-            transposition=transposition if cache else False,
-            cache_capacity=cache_capacity if cache else None,
-        )
-        return MinigoTraining(config).run_round()
-
-    points: List[CacheSweepPoint] = []
-    for num_workers in worker_counts:
-        for num_replicas in replica_counts:
-            for games in evaluation_games:
-                off = run_round(num_workers, num_replicas, games, cache=False)
-                on = run_round(num_workers, num_replicas, games, cache=True)
-                sp_off, sp_on = off.selfplay_inference_stats, on.selfplay_inference_stats
-                ev_off, ev_on = off.evaluation_inference_stats, on.evaluation_inference_stats
-                points.append(CacheSweepPoint(
-                    num_workers=num_workers,
-                    num_replicas=num_replicas,
-                    evaluation_games=games,
-                    selfplay_calls_off=sp_off.engine_calls,
-                    selfplay_calls_on=sp_on.engine_calls,
-                    selfplay_rows_off=sp_off.rows,
-                    selfplay_rows_on=sp_on.rows,
-                    selfplay_cache_hits=sp_on.cache_hits,
-                    selfplay_dedupe_rows=sp_on.dedupe_rows,
-                    eval_calls_off=ev_off.engine_calls,
-                    eval_calls_on=ev_on.engine_calls,
-                    eval_rows_off=ev_off.rows,
-                    eval_rows_on=ev_on.rows,
-                    eval_cache_hits=ev_on.cache_hits,
-                    eval_dedupe_rows=ev_on.dedupe_rows,
-                    wins_off=off.candidate_wins,
-                    wins_on=on.candidate_wins,
-                ))
-    return CacheSweepResult(
-        board_size=board_size, num_simulations=num_simulations,
-        max_moves=max_moves, leaf_batch=leaf_batch,
-        cache_capacity=cache_capacity, transposition=transposition,
-        points=points)
+run_cache_sweep = CacheSweepResult.run

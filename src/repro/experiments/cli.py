@@ -1,5 +1,10 @@
 """``rls-experiment``: regenerate a table or figure of the paper from the command line.
 
+Each experiment reads the flags of its row in :data:`EXPERIMENTS`; any other
+flag is an error, as is a list given to a flag the experiment reads as one
+value.  The full sweep grids write their committed ``results/*_sweep.txt``
+report; ``--quick`` reports go only to ``--out``.
+
 Examples::
 
     rls-experiment table1
@@ -12,12 +17,14 @@ Examples::
     rls-experiment schedsweep --flush-policy timeout --timeout-us 500
     rls-experiment schedsweep --replicas 2 --routing least-loaded
     rls-experiment replicasweep --replicas 1,2,4 --workers 8
+    rls-experiment replicasweep --flush-policy max-batch --leaf-batches 4
     rls-experiment fig8 --scheduler event --replicas 2
     rls-experiment servesweep --rates 0.5,2.0 --clients 256 --replicas 1,2
     rls-experiment servesweep --arrival bursty --overloads shed-newest,block
-    rls-experiment servesweep --quick   # CI smoke: small trace, fast (prints only)
+    rls-experiment servesweep --quick --out serve.txt   # CI smoke: small trace, fast
     rls-experiment zoosweep --sims Pong,Hopper --algos DQN,PPO
     rls-experiment zoosweep --worker-counts 4,8 --replicas 1,2
+    rls-experiment zoosweep --sims Pong --timesteps 4 --trace-dir traces --out zoo.txt
     rls-experiment zoosweep --quick     # CI smoke: 2 sims, 1 worker count
     rls-experiment cachesweep --worker-counts 4,8 --replicas 1,2
     rls-experiment cachesweep --quick   # CI smoke: 1 cell, cache off vs on
@@ -29,8 +36,16 @@ Examples::
 from __future__ import annotations
 
 import argparse
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+
+from . import (
+    findings, run_batch_sweep, run_cache_sweep, run_fault_sweep, run_fig4, run_fig5,
+    run_fig7, run_fig8, run_fig11a, run_fig11b, run_replica_sweep, run_sched_sweep,
+    run_serve_sweep, run_table1, run_zoo_sweep, table1,
+)
+from .common import DEFAULT_TIMESTEPS
 
 
 def _number_list(convert, noun: str, *, allow_zero: bool = False):
@@ -50,27 +65,6 @@ def _number_list(convert, noun: str, *, allow_zero: bool = False):
     return parse
 
 
-_leaf_batch_list = _number_list(int, "leaf batch sizes")
-_replica_list = _number_list(int, "replica counts")
-_rate_list = _number_list(float, "rate multipliers")
-_fault_rate_list = _number_list(float, "fault rates", allow_zero=True)
-
-
-def _write_report(text: str, args: argparse.Namespace, default: str) -> None:
-    """Print a sweep report and write it to ``--out``, else to ``default``.
-
-    A ``--quick`` report goes only where ``--out`` says: ``default`` holds
-    the full grid's committed report.
-    """
-    print(text)
-    out = args.out if args.out is not None or args.quick else default
-    if out is None:
-        return
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-
-
 def _name_list(text: str) -> tuple:
     values = tuple(value.strip() for value in text.split(",") if value.strip())
     if not values:
@@ -88,248 +82,194 @@ def _overload_list(text: str) -> tuple:
     return values
 
 
+def _table1() -> str:
+    return table1.report(run_table1())
+
+
+def _findings(timesteps: int = DEFAULT_TIMESTEPS, seed: int = 0) -> str:
+    checks = findings.check_all(
+        fig4_td3=run_fig4("TD3", timesteps=timesteps, seed=seed),
+        fig4_ddpg=run_fig4("DDPG", timesteps=timesteps, seed=seed),
+        fig5=run_fig5(timesteps=timesteps, seed=seed),
+        fig7=run_fig7(timesteps=timesteps, seed=seed),
+        fig8=run_fig8())
+    return "\n".join(str(finding) for finding in checks.values())
+
+
+def _flags(*same: str, **renamed: str) -> Dict[str, str]:
+    """Flag destinations mapped to the keyword argument each one sets."""
+    return {**{name: name for name in same}, **renamed}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One ``rls-experiment`` row: what it runs and which flags it reads."""
+
+    #: keyword arguments -> the report, or a result with a ``report()``
+    run: Callable[..., Any]
+    flags: Dict[str, str] = field(default_factory=dict)  #: flag dest -> keyword argument
+    #: Flags passed as a tuple: a list flag may hold several values here (any
+    #: other list flag takes one value), a single-value flag is wrapped.
+    lists: Tuple[str, ...] = ()
+    quick: Optional[dict] = None         #: keyword defaults under ``--quick``
+    out: Optional[str] = None            #: the full grid's report file
+
+
+_SERVE_FLAGS = _flags("seed", replicas="replica_counts", clients="num_clients")
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(_table1),
+    "fig4": Experiment(run_fig4, _flags("algo", "timesteps", "seed")),
+    "fig5": Experiment(run_fig5, _flags("timesteps", "seed")),
+    "fig7": Experiment(run_fig7, _flags("timesteps", "seed")),
+    "fig8": Experiment(run_fig8, _flags(
+        "scheduler", "flush_policy", "routing", timeout_us="flush_timeout_us",
+        replicas="num_replicas")),
+    "fig11a": Experiment(run_fig11a, _flags("timesteps", "seed")),
+    "fig11b": Experiment(run_fig11b, _flags("timesteps", "seed")),
+    "batchsweep": Experiment(run_batch_sweep, _flags("leaf_batches", "seed"),
+                             lists=("leaf_batches",)),
+    "schedsweep": Experiment(run_sched_sweep, _flags(
+        "leaf_batches", "seed", "routing", "flush_policy", workers="num_workers",
+        replicas="num_replicas", timeout_us="flush_timeout_us"), lists=("leaf_batches",)),
+    "replicasweep": Experiment(run_replica_sweep, _flags(
+        "seed", "flush_policy", replicas="replica_counts", workers="worker_counts",
+        routing="routings", leaf_batches="leaf_batch", timeout_us="flush_timeout_us"),
+        lists=("replicas", "workers", "routing")),
+    "servesweep": Experiment(
+        run_serve_sweep,
+        _flags("overloads", "arrival", rates="multipliers", **_SERVE_FLAGS),
+        lists=("rates", "overloads", "replicas"),
+        # A 2-point grid over a short trace, small client fleet.
+        quick=dict(multipliers=(0.5, 2.0), overloads=("none", "shed-newest"),
+                   replica_counts=(1,), num_clients=64, horizon_us=10_000.0),
+        out="results/serve_sweep.txt"),
+    "zoosweep": Experiment(
+        run_zoo_sweep,
+        _flags("sims", "worker_counts", "seed", "trace_dir", algos="algorithms",
+               replicas="replica_counts", timesteps="steps_per_worker"),
+        lists=("sims", "algos", "worker_counts", "replicas"),
+        # Two sims, one worker count, single replica.
+        quick=dict(sims=("Pong", "Hopper"), worker_counts=(4,), replica_counts=(1,),
+                   steps_per_worker=6),
+        out="results/zoo_sweep.txt"),
+    "cachesweep": Experiment(
+        run_cache_sweep,
+        _flags("worker_counts", "seed", replicas="replica_counts",
+               eval_games="evaluation_games"),
+        lists=("worker_counts", "replicas", "eval_games"),
+        # One small cell, still cache off vs on with the win parity and
+        # reduction columns.
+        quick=dict(worker_counts=(2,), replica_counts=(1,), evaluation_games=(2,),
+                   max_moves=4),
+        out="results/cache_sweep.txt"),
+    "faultsweep": Experiment(
+        run_fault_sweep,
+        _flags(fault_rates="crash_rates", fault_policies="policies", **_SERVE_FLAGS),
+        lists=("fault_rates", "fault_policies", "replicas"),
+        # Fault-free control vs one faulty cell, both arms, over a short
+        # trace with a small client fleet.
+        quick=dict(crash_rates=(0.0, 150.0), replica_counts=(4,), num_clients=64,
+                   horizon_us=15_000.0),
+        out="results/fault_sweep.txt"),
+    "findings": Experiment(_findings, _flags("timesteps", "seed")),
+}
+
+
+#: Every flag's argparse keywords; its help also names the experiments that
+#: read it.
+FLAGS: Dict[str, dict] = {
+    "--algo": dict(help="algorithm for fig4 (TD3 or DDPG; default: TD3)"),
+    "--timesteps": dict(type=int, help="steps per workload (zoosweep: per worker)"),
+    "--seed": dict(type=int, help="random seed (default: 0)"),
+    "--leaf-batches": dict(type=_number_list(int, "leaf batch sizes"),
+                           help="comma-separated MCTS leaf batch sizes"),
+    "--workers": dict(type=int, help="self-play workers"),
+    "--replicas": dict(type=_number_list(int, "replica counts"),
+                       help="inference replica counts, comma-separated"),
+    "--routing": dict(choices=["round-robin", "least-loaded", "sticky"],
+                      help="replica routing policy (replicasweep: all unless given)"),
+    "--scheduler": dict(choices=["sequential", "event"],
+                        help="self-play scheduler (event implies batched inference)"),
+    "--flush-policy": dict(choices=["max-batch", "timeout", "unbatched"],
+                           help="how the event-driven scheduler departs inference batches"),
+    "--timeout-us": dict(type=float,
+                         help="partial-batch deadline in virtual us (flush policy 'timeout')"),
+    "--rates": dict(type=_number_list(float, "rate multipliers"),
+                    help="arrival rates as comma-separated multiples of measured capacity"),
+    "--clients": dict(type=int, help="synthetic client count"),
+    "--arrival": dict(choices=["poisson", "bursty"], help="arrival process"),
+    "--overloads": dict(type=_overload_list, help="overload policies, comma-separated from "
+                        "none,block,shed-newest,shed-oldest,deadline-drop"),
+    "--sims": dict(type=_name_list, help="simulator registry names, comma-separated"),
+    "--algos": dict(type=_name_list, help="algorithm families, comma-separated from DQN,PPO,DDPG"),
+    "--worker-counts": dict(type=_number_list(int, "worker counts"),
+                            help="worker counts, comma-separated"),
+    "--trace-dir": dict(help="stream every batched cell's profiler trace into per-cell "
+                             "TraceDB directories under this path"),
+    "--eval-games": dict(type=_number_list(int, "evaluation game counts"),
+                         help="evaluation-round sizes, comma-separated"),
+    "--fault-rates": dict(type=_number_list(float, "fault rates", allow_zero=True),
+                          help="replica crash rates per virtual second, comma-separated; "
+                               "0 is the fault-free control"),
+    "--fault-policies": dict(type=_name_list,
+                             help="admission arms, comma-separated from degrade,full"),
+    "--quick": dict(action="store_true", help="smoke mode: a small grid (the CI "
+                    "configuration); its report is written only to --out"),
+    "--out": dict(help="also write the report to this path (default without --quick: "
+                       "the committed results/<sweep>_sweep.txt)"),
+}
+
+
+def _accepted(experiment: Experiment) -> set:
+    return {*experiment.flags, *(("quick", "out") if experiment.out else ())}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rls-experiment", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("experiment",
-                        choices=["table1", "fig4", "fig5", "fig7", "fig8", "fig11a", "fig11b",
-                                 "batchsweep", "schedsweep", "replicasweep", "servesweep",
-                                 "zoosweep", "cachesweep", "faultsweep", "findings"])
-    parser.add_argument("--algo", default="TD3", help="algorithm for fig4 (TD3 or DDPG)")
-    parser.add_argument("--timesteps", type=int, default=None, help="steps per workload (default: experiment-specific)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--leaf-batches", type=_leaf_batch_list, default=None,
-                        help="comma-separated leaf batch sizes for batchsweep/schedsweep "
-                             "(defaults: 1,4,16,64 / 1,4,8)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="self-play workers for schedsweep/replicasweep (default: 8 / 4,8)")
-    parser.add_argument("--replicas", type=_replica_list, default=None,
-                        help="inference replicas: a single count for fig8/schedsweep, a "
-                             "comma-separated list for replicasweep (default: 1 / 1,2,4)")
-    parser.add_argument("--routing", choices=["round-robin", "least-loaded", "sticky"],
-                        default=None,
-                        help="replica routing policy for fig8/schedsweep (replicasweep "
-                             "sweeps every policy unless one is given)")
-    parser.add_argument("--scheduler", choices=["sequential", "event"], default=None,
-                        help="self-play scheduler for fig8 (event implies batched inference)")
-    parser.add_argument("--flush-policy", choices=["max-batch", "timeout", "unbatched"],
-                        default=None,
-                        help="how the event-driven scheduler departs inference batches "
-                             "(fig8/schedsweep default: max-batch; replicasweep default: "
-                             "timeout 50us)")
-    parser.add_argument("--timeout-us", type=float, default=None,
-                        help="partial-batch deadline in virtual us (flush policy 'timeout')")
-    parser.add_argument("--rates", type=_rate_list, default=None,
-                        help="servesweep arrival rates as comma-separated multiples of "
-                             "measured capacity (default: 0.5,1.0,2.0)")
-    parser.add_argument("--clients", type=int, default=None,
-                        help="servesweep synthetic client count (default: 256)")
-    parser.add_argument("--arrival", choices=["poisson", "bursty"], default=None,
-                        help="servesweep arrival process (default: poisson)")
-    parser.add_argument("--overloads", type=_overload_list, default=None,
-                        help="servesweep overload policies, comma-separated from "
-                             "none,block,shed-newest,shed-oldest,deadline-drop "
-                             "(default: all)")
-    parser.add_argument("--sims", type=_name_list, default=None,
-                        help="zoosweep simulators, comma-separated registry names "
-                             "(default: Pong,Hopper,Walker2D,HalfCheetah)")
-    parser.add_argument("--algos", type=_name_list, default=None,
-                        help="zoosweep algorithm families, comma-separated from "
-                             "DQN,PPO,DDPG (default: all)")
-    parser.add_argument("--worker-counts", type=_number_list(int, "worker counts"),
-                        default=None,
-                        help="zoosweep worker-count grid, comma-separated "
-                             "(default: 4,8)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="zoosweep: stream every batched cell's profiler trace "
-                             "into per-cell TraceDB directories under this path")
-    parser.add_argument("--eval-games", type=_number_list(int, "evaluation game counts"),
-                        default=None,
-                        help="cachesweep: evaluation-round sizes, comma-separated "
-                             "(default: 2,4)")
-    parser.add_argument("--fault-rates", type=_fault_rate_list, default=None,
-                        help="faultsweep replica crash rates per virtual second, "
-                             "comma-separated; 0 is the fault-free control "
-                             "(default: 0,50,150)")
-    parser.add_argument("--fault-policies", type=_name_list, default=None,
-                        help="faultsweep admission arms, comma-separated from "
-                             "degrade,full (default: both)")
-    parser.add_argument("--quick", action="store_true",
-                        help="servesweep/zoosweep/cachesweep/faultsweep smoke "
-                             "mode: a small grid (the CI configuration); its "
-                             "report is written only to --out")
-    parser.add_argument("--out", default=None,
-                        help="servesweep/zoosweep/cachesweep/faultsweep: also "
-                             "write the report to this path (default without "
-                             "--quick: results/serve_sweep.txt / "
-                             "results/zoo_sweep.txt / results/cache_sweep.txt / "
-                             "results/fault_sweep.txt)")
+                                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     argument_default=argparse.SUPPRESS)
+    parser.add_argument("experiment", choices=list(EXPERIMENTS))
+    for flag, keywords in FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        readers = [name for name, row in EXPERIMENTS.items() if dest in _accepted(row)]
+        parser.add_argument(flag, **{**keywords, "help": f"{keywords['help']} "
+                                                         f"[{', '.join(readers)}]"})
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def parse(argv: Optional[Sequence[str]] = None) -> Tuple[str, Dict[str, object], Optional[str]]:
+    """Check ``argv`` against its experiment's row: the experiment, the
+    keyword arguments its ``run`` gets and the path its report goes to."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.experiment in ("fig8", "schedsweep") and args.replicas and len(args.replicas) > 1:
-        parser.error(f"{args.experiment} takes a single --replicas count "
-                     "(a list is only meaningful for replicasweep)")
-    if args.experiment == "replicasweep" and args.leaf_batches and len(args.leaf_batches) > 1:
-        parser.error("replicasweep takes a single --leaf-batches value "
-                     "(a list is only meaningful for batchsweep/schedsweep)")
-    from . import (
-        DEFAULT_LEAF_BATCHES, run_batch_sweep,
-        DEFAULT_SCHED_LEAF_BATCHES, DEFAULT_SCHED_WORKERS, run_sched_sweep,
-        DEFAULT_REPLICA_COUNTS, DEFAULT_REPLICA_ROUTINGS, DEFAULT_REPLICA_WORKERS,
-        run_replica_sweep,
-        run_serve_sweep,
-        run_zoo_sweep,
-        run_fig4, run_fig5, run_fig7, run_fig8, run_fig11a, run_fig11b, run_table1, table1, findings,
-    )
-    from .common import DEFAULT_TIMESTEPS
-    from .fig11 import DEFAULT_FIG11_TIMESTEPS
+    given = vars(parser.parse_args(argv))
+    name = given.pop("experiment")
+    experiment = EXPERIMENTS[name]
+    for dest in given:
+        if dest not in _accepted(experiment):
+            parser.error(f"{name} does not take --{dest.replace('_', '-')}")
+    quick, out = given.pop("quick", False), given.pop("out", None)
+    kwargs = {**experiment.quick} if quick else {}
+    for dest, value in given.items():
+        if dest in experiment.lists:
+            value = value if isinstance(value, tuple) else (value,)
+        elif isinstance(value, tuple):
+            if len(value) > 1:
+                parser.error(f"{name} takes a single --{dest.replace('_', '-')} value")
+            value = value[0]
+        kwargs[experiment.flags[dest]] = value
+    # A --quick report goes only where --out says: the default path holds
+    # the full grid's committed report.
+    return name, kwargs, out if out is not None or quick else experiment.out
 
-    steps = args.timesteps if args.timesteps is not None else DEFAULT_TIMESTEPS
-    fig11_steps = args.timesteps if args.timesteps is not None else DEFAULT_FIG11_TIMESTEPS
 
-    if args.experiment == "table1":
-        print(table1.report(run_table1()))
-    elif args.experiment == "fig4":
-        print(run_fig4(args.algo, timesteps=steps, seed=args.seed).report())
-    elif args.experiment == "fig5":
-        print(run_fig5(timesteps=steps, seed=args.seed).report())
-    elif args.experiment == "fig7":
-        print(run_fig7(timesteps=steps, seed=args.seed).report())
-    elif args.experiment == "fig8":
-        print(run_fig8(scheduler=args.scheduler, flush_policy=args.flush_policy,
-                       flush_timeout_us=args.timeout_us,
-                       num_replicas=args.replicas[0] if args.replicas else None,
-                       routing=args.routing).report())  # flush_policy=None keeps the config default
-    elif args.experiment == "fig11a":
-        print(run_fig11a(timesteps=fig11_steps, seed=args.seed).report())
-    elif args.experiment == "fig11b":
-        print(run_fig11b(timesteps=fig11_steps, seed=args.seed).report())
-    elif args.experiment == "batchsweep":
-        batches = args.leaf_batches if args.leaf_batches is not None else DEFAULT_LEAF_BATCHES
-        print(run_batch_sweep(batches, seed=args.seed).report())
-    elif args.experiment == "schedsweep":
-        batches = args.leaf_batches if args.leaf_batches is not None else DEFAULT_SCHED_LEAF_BATCHES
-        workers = args.workers if args.workers is not None else DEFAULT_SCHED_WORKERS
-        print(run_sched_sweep(batches, num_workers=workers, seed=args.seed,
-                              num_replicas=args.replicas[0] if args.replicas else 1,
-                              routing=args.routing or "round-robin",
-                              flush_policy=args.flush_policy or "max-batch",
-                              flush_timeout_us=args.timeout_us).report())
-    elif args.experiment == "replicasweep":
-        replicas = args.replicas if args.replicas is not None else DEFAULT_REPLICA_COUNTS
-        worker_counts = (args.workers,) if args.workers is not None else DEFAULT_REPLICA_WORKERS
-        routings = (args.routing,) if args.routing is not None else DEFAULT_REPLICA_ROUTINGS
-        sweep_kwargs = {}
-        if args.leaf_batches is not None:
-            sweep_kwargs["leaf_batch"] = args.leaf_batches[0]
-        if args.flush_policy is not None:
-            sweep_kwargs["flush_policy"] = args.flush_policy
-            if args.flush_policy != "timeout":
-                sweep_kwargs["flush_timeout_us"] = None
-        if args.timeout_us is not None:
-            sweep_kwargs["flush_timeout_us"] = args.timeout_us
-        print(run_replica_sweep(replicas, worker_counts=worker_counts,
-                                routings=routings, seed=args.seed,
-                                **sweep_kwargs).report())
-    elif args.experiment == "servesweep":
-        sweep_kwargs = {}
-        if args.rates is not None:
-            sweep_kwargs["multipliers"] = args.rates
-        if args.overloads is not None:
-            sweep_kwargs["overloads"] = args.overloads
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.clients is not None:
-            sweep_kwargs["num_clients"] = args.clients
-        if args.arrival is not None:
-            sweep_kwargs["arrival"] = args.arrival
-        if args.quick:
-            # CI smoke: a 2-point grid over a short trace, small client fleet.
-            sweep_kwargs.setdefault("multipliers", (0.5, 2.0))
-            sweep_kwargs.setdefault("overloads", ("none", "shed-newest"))
-            sweep_kwargs.setdefault("replica_counts", (1,))
-            sweep_kwargs.setdefault("num_clients", 64)
-            sweep_kwargs["horizon_us"] = 10_000.0
-        result = run_serve_sweep(seed=args.seed, **sweep_kwargs)
-        _write_report(result.report(), args, "results/serve_sweep.txt")
-    elif args.experiment == "zoosweep":
-        from .zoosweep import DEFAULT_ZOO_STEPS
-        sweep_kwargs = {}
-        if args.sims is not None:
-            sweep_kwargs["sims"] = args.sims
-        if args.algos is not None:
-            sweep_kwargs["algorithms"] = args.algos
-        if args.worker_counts is not None:
-            sweep_kwargs["worker_counts"] = args.worker_counts
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.quick:
-            # CI smoke: two sims, one worker count, single replica.
-            sweep_kwargs.setdefault("sims", ("Pong", "Hopper"))
-            sweep_kwargs.setdefault("worker_counts", (4,))
-            sweep_kwargs.setdefault("replica_counts", (1,))
-            sweep_kwargs.setdefault("steps_per_worker", 6)
-        quick_steps = sweep_kwargs.pop("steps_per_worker", DEFAULT_ZOO_STEPS)
-        steps_per_worker = args.timesteps if args.timesteps is not None else quick_steps
-        result = run_zoo_sweep(seed=args.seed, steps_per_worker=steps_per_worker,
-                               trace_dir=args.trace_dir, **sweep_kwargs)
-        _write_report(result.report(), args, "results/zoo_sweep.txt")
-    elif args.experiment == "cachesweep":
-        from . import run_cache_sweep
-        sweep_kwargs = {}
-        if args.worker_counts is not None:
-            sweep_kwargs["worker_counts"] = args.worker_counts
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.eval_games is not None:
-            sweep_kwargs["evaluation_games"] = args.eval_games
-        if args.quick:
-            # CI smoke: one small cell, still cache off vs on with the win
-            # parity and reduction columns.
-            sweep_kwargs.setdefault("worker_counts", (2,))
-            sweep_kwargs.setdefault("replica_counts", (1,))
-            sweep_kwargs.setdefault("evaluation_games", (2,))
-            sweep_kwargs.setdefault("max_moves", 4)
-        result = run_cache_sweep(seed=args.seed, **sweep_kwargs)
-        _write_report(result.report(), args, "results/cache_sweep.txt")
-    elif args.experiment == "faultsweep":
-        from . import run_fault_sweep
-        sweep_kwargs = {}
-        if args.fault_rates is not None:
-            sweep_kwargs["crash_rates"] = args.fault_rates
-        if args.fault_policies is not None:
-            sweep_kwargs["policies"] = args.fault_policies
-        if args.replicas is not None:
-            sweep_kwargs["replica_counts"] = args.replicas
-        if args.clients is not None:
-            sweep_kwargs["num_clients"] = args.clients
-        if args.quick:
-            # CI smoke: fault-free control vs one faulty cell, both arms,
-            # over a short trace with a small client fleet.
-            sweep_kwargs.setdefault("crash_rates", (0.0, 150.0))
-            sweep_kwargs.setdefault("replica_counts", (4,))
-            sweep_kwargs.setdefault("num_clients", 64)
-            sweep_kwargs["horizon_us"] = 15_000.0
-        crash_rates = sweep_kwargs.pop("crash_rates", None)
-        if crash_rates is not None:
-            result = run_fault_sweep(crash_rates, seed=args.seed, **sweep_kwargs)
-        else:
-            result = run_fault_sweep(seed=args.seed, **sweep_kwargs)
-        _write_report(result.report(), args, "results/fault_sweep.txt")
-    elif args.experiment == "findings":
-        fig4_td3 = run_fig4("TD3", timesteps=steps, seed=args.seed)
-        fig4_ddpg = run_fig4("DDPG", timesteps=steps, seed=args.seed)
-        fig5 = run_fig5(timesteps=steps, seed=args.seed)
-        fig7 = run_fig7(timesteps=steps, seed=args.seed)
-        fig8 = run_fig8()
-        checks = findings.check_all(fig4_td3=fig4_td3, fig4_ddpg=fig4_ddpg, fig5=fig5,
-                                    fig7=fig7, fig8=fig8)
-        for finding in checks.values():
-            print(finding)
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    name, kwargs, path = parse(argv)
+    result = EXPERIMENTS[name].run(**kwargs)
+    text = result if isinstance(result, str) else result.report()
+    print(text)
+    if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text + "\n")
     return 0
 
 

@@ -28,31 +28,21 @@ replays the whole history line-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict
 
 from ..faults.plan import FaultPlan
-from ..minigo.selfplay import PolicyValueNet
-from ..serving import (
-    InferenceServer,
-    LoadGenerator,
-    PoissonProcess,
-    RetryPolicy,
-    SLOReport,
-    build_slo_report,
-    estimate_capacity_rows_per_sec,
-    run_serving,
-)
+from ..serving import PoissonProcess, RetryPolicy, SLOReport
+from .servesweep import latency_p99, serving_cell, serving_setup
+from .sweep import SweepResult
 
-#: Replica crash rates swept (crashes per virtual second of trace); 0 is the
-#: fault-free control every other point is compared against.
-DEFAULT_FAULT_RATES = (0.0, 50.0, 150.0)
-DEFAULT_FAULT_POLICIES = ("degrade", "full")
-DEFAULT_FAULT_REPLICAS = (2, 4)
-
-#: Server + traffic shape of the default sweep (mirrors the serve sweep).
+#: Grid, server and traffic shape of the default sweep (mirrors the serve
+#: sweep); ``retry=None`` is a decorrelated-jitter :class:`RetryPolicy`.
 DEFAULT_FAULT_KWARGS = dict(
+    #: Replica crashes per virtual second of trace; 0 is the fault-free
+    #: control every other point is compared against.
+    crash_rates=(0.0, 50.0, 150.0),
+    policies=("degrade", "full"),
+    replica_counts=(2, 4),
     board_size=5,
     hidden=(16,),
     max_batch=8,
@@ -70,6 +60,8 @@ DEFAULT_FAULT_KWARGS = dict(
     mean_downtime_us=8_000.0,
     frame_loss_per_sec=20.0,
     frame_corrupt_per_sec=20.0,
+    retry=None,
+    seed=0,
 )
 
 
@@ -85,34 +77,65 @@ class FaultSweepPoint:
     slo: SLOReport
 
 
-@dataclass
-class FaultSweepResult:
-    board_size: int
-    max_batch: int
-    queue_capacity: int
-    num_clients: int
-    request_deadline_us: float
-    horizon_us: float
-    load_multiplier: float
-    capacity_rows_per_sec: float
-    points: List[FaultSweepPoint]
+class FaultSweepResult(SweepResult):
+    """At each non-zero crash rate the plan is seeded from ``(seed, rate,
+    policy-independent)`` — the *same* plan hits both policy arms, so the
+    degrade/full comparison isolates the admission response, not the luck
+    of the fault draw."""
 
-    def point(self, crash_rate: float, policy: str,
-              num_replicas: int) -> FaultSweepPoint:
-        for point in self.points:
-            if (point.crash_rate_per_sec == crash_rate
-                    and point.policy == policy
-                    and point.num_replicas == num_replicas):
-                return point
-        raise KeyError(f"no sweep point for crash_rate={crash_rate}, "
-                       f"policy={policy!r}, replicas={num_replicas}")
+    defaults = DEFAULT_FAULT_KWARGS
+    axes = (("crash_rate_per_sec", "crash_rates"), ("num_replicas", "replica_counts"),
+            ("policy", "policies"))
+    point_type = FaultSweepPoint
+    key = ("crash_rate_per_sec", "policy", "num_replicas")
+    columns = (
+        ("faults/s", 8, "{p.crash_rate_per_sec:.1f}"),
+        ("policy", 8, "{p.policy}"),
+        ("repl", 4, "{p.num_replicas:d}"),
+        ("events", 6, "{p.plan_events:d}"),
+        ("offered/s", 10, "{p.slo.offered_rate_per_sec:.1f}"),
+        ("goodput/s", 10, "{p.slo.goodput_per_sec:.1f}"),
+        ("shed%", 6, "{p.slo.shed_fraction:.1%}"),
+        ("late%", 6, "{p.slo.timeout_fraction:.1%}"),
+        ("avail%", 7, "{p.slo.availability:.2%}"),
+        ("crash", 5, "{p.slo.replica_crashes:d}"),
+        ("redisp", 6, "{p.slo.redispatched_rows:d}"),
+        ("corrupt", 7, "{p.slo.corrupt_frames:d}"),
+        ("latency p99 us", 14, lambda r, p: latency_p99(p.slo)),
+    )
 
-    def report(self) -> str:
-        header = (f"{'faults/s':>8} {'policy':>8} {'repl':>4} {'events':>6} "
-                  f"{'offered/s':>10} {'goodput/s':>10} {'shed%':>6} "
-                  f"{'late%':>6} {'avail%':>7} {'crash':>5} {'redisp':>6} "
-                  f"{'corrupt':>7} {'latency p99 us':>14}")
-        lines = [
+    def setup(self) -> None:
+        if any(rate < 0 for rate in self.crash_rates):
+            raise ValueError("crash_rates must be non-negative")
+        unknown = [p for p in self.policies if p not in ("degrade", "full")]
+        if unknown:
+            raise ValueError(f"unknown fault policies {unknown}")
+        serving_setup(self.config, RetryPolicy(jitter="decorrelated"))
+
+    def cell(self, crash_rate_per_sec: float, num_replicas: int, policy: str) -> Dict[str, Any]:
+        rate = self.load_multiplier * self.capacity_rows_per_sec * num_replicas
+        plan = None
+        if crash_rate_per_sec > 0.0:
+            # Mix rate into the plan seed with a large odd stride so
+            # neighbouring (seed, rate) cells get decorrelated draws.
+            plan = FaultPlan.seeded(
+                (self.seed + 1) * 100_003 + int(round(crash_rate_per_sec)),
+                horizon_us=self.horizon_us,
+                num_replicas=num_replicas,
+                crash_rate_per_sec=crash_rate_per_sec,
+                mean_downtime_us=self.mean_downtime_us,
+                frame_loss_per_sec=self.frame_loss_per_sec,
+                frame_corrupt_per_sec=self.frame_corrupt_per_sec)
+        slo = serving_cell(
+            self.config, PoissonProcess(rate), num_replicas,
+            f"f{crash_rate_per_sec:g}/{policy}/r{num_replicas}", name=f"fault_{policy}",
+            queue_capacity=self.queue_capacity, overload="shed-newest",
+            fault_plan=plan, degraded_admission=policy == "degrade")
+        return dict(rate_per_sec=rate, plan_events=0 if plan is None else len(plan.events),
+                    slo=slo)
+
+    def title(self):
+        return [
             f"Fault sweep: poisson arrivals from {self.num_clients} clients at "
             f"{self.load_multiplier:g}x fleet capacity, board={self.board_size}, "
             f"max_batch={self.max_batch}, window={self.queue_capacity}, "
@@ -120,118 +143,14 @@ class FaultSweepResult:
             f"horizon {self.horizon_us / 1e6:.4f}s",
             f"measured capacity: {self.capacity_rows_per_sec:.0f} rows/s per "
             f"replica; crash rate is injected replica crashes per virtual "
-            f"second (with seeded recovery), plus frame loss/corruption",
-            header,
-        ]
-        for point in self.points:
-            slo = point.slo
-            latency = slo.latency_us
-            latency_txt = "n/a" if latency is None else f"{latency[99.0]:.0f}"
-            lines.append(
-                f"{point.crash_rate_per_sec:>8.1f} {point.policy:>8} "
-                f"{point.num_replicas:>4d} {point.plan_events:>6d} "
-                f"{slo.offered_rate_per_sec:>10.1f} {slo.goodput_per_sec:>10.1f} "
-                f"{100.0 * slo.shed_fraction:>5.1f}% "
-                f"{100.0 * slo.timeout_fraction:>5.1f}% "
-                f"{100.0 * slo.availability:>6.2f}% "
-                f"{slo.replica_crashes:>5d} {slo.redispatched_rows:>6d} "
-                f"{slo.corrupt_frames:>7d} {latency_txt:>14}")
-        lines.append(
+            f"second (with seeded recovery), plus frame loss/corruption"]
+
+    def footer(self):
+        return [
             "note: 'full' keeps full-capacity admission while replicas are "
             "down (the no-degrade control); 'degrade' tightens the ingress "
             "window and token buckets to surviving capacity, trading early "
-            "sheds for fewer deadline misses on the survivors")
-        return "\n".join(lines)
+            "sheds for fewer deadline misses on the survivors"]
 
 
-def run_fault_sweep(
-    crash_rates: Sequence[float] = DEFAULT_FAULT_RATES,
-    *,
-    policies: Sequence[str] = DEFAULT_FAULT_POLICIES,
-    replica_counts: Sequence[int] = DEFAULT_FAULT_REPLICAS,
-    board_size: int = DEFAULT_FAULT_KWARGS["board_size"],
-    hidden: tuple = DEFAULT_FAULT_KWARGS["hidden"],
-    max_batch: int = DEFAULT_FAULT_KWARGS["max_batch"],
-    queue_capacity: int = DEFAULT_FAULT_KWARGS["queue_capacity"],
-    flush_timeout_us: float = DEFAULT_FAULT_KWARGS["flush_timeout_us"],
-    rate_burst: float = DEFAULT_FAULT_KWARGS["rate_burst"],
-    num_clients: int = DEFAULT_FAULT_KWARGS["num_clients"],
-    request_deadline_us: float = DEFAULT_FAULT_KWARGS["request_deadline_us"],
-    horizon_us: float = DEFAULT_FAULT_KWARGS["horizon_us"],
-    load_multiplier: float = DEFAULT_FAULT_KWARGS["load_multiplier"],
-    mean_downtime_us: float = DEFAULT_FAULT_KWARGS["mean_downtime_us"],
-    frame_loss_per_sec: float = DEFAULT_FAULT_KWARGS["frame_loss_per_sec"],
-    frame_corrupt_per_sec: float = DEFAULT_FAULT_KWARGS["frame_corrupt_per_sec"],
-    retry: Optional[RetryPolicy] = None,
-    seed: int = 0,
-) -> FaultSweepResult:
-    """Run the serving tier over the (fault rate, policy, replicas) grid.
-
-    At each non-zero crash rate the plan is seeded from ``(seed, rate,
-    policy-independent)`` — the *same* plan hits both policy arms, so the
-    degrade/full comparison isolates the admission response, not the luck
-    of the fault draw.
-    """
-    if not crash_rates or any(rate < 0 for rate in crash_rates):
-        raise ValueError("crash_rates must be non-negative")
-    unknown = [p for p in policies if p not in ("degrade", "full")]
-    if unknown:
-        raise ValueError(f"unknown fault policies {unknown}")
-    feature_dim = 3 * board_size * board_size
-    retry = retry if retry is not None else RetryPolicy(jitter="decorrelated")
-
-    def make_network():
-        return PolicyValueNet(board_size, hidden=hidden,
-                              rng=np.random.default_rng(seed))
-
-    capacity = estimate_capacity_rows_per_sec(
-        make_network, feature_dim=feature_dim, max_batch=max_batch, seed=seed)
-    points: List[FaultSweepPoint] = []
-    for crash_rate in crash_rates:
-        for num_replicas in replica_counts:
-            rate = load_multiplier * capacity * num_replicas
-            plan = None
-            if crash_rate > 0.0:
-                # Mix rate into the plan seed with a large odd stride so
-                # neighbouring (seed, rate) cells get decorrelated draws.
-                plan = FaultPlan.seeded(
-                    (seed + 1) * 100_003 + int(round(crash_rate)),
-                    horizon_us=horizon_us,
-                    num_replicas=num_replicas,
-                    crash_rate_per_sec=crash_rate,
-                    mean_downtime_us=mean_downtime_us,
-                    frame_loss_per_sec=frame_loss_per_sec,
-                    frame_corrupt_per_sec=frame_corrupt_per_sec)
-            for policy in policies:
-                server = InferenceServer(
-                    make_network(),
-                    max_batch=max_batch,
-                    queue_capacity=queue_capacity,
-                    overload="shed-newest",
-                    rate_limit_per_sec=None,
-                    rate_burst=rate_burst,
-                    flush_policy="timeout",
-                    flush_timeout_us=flush_timeout_us,
-                    num_replicas=num_replicas,
-                    seed=seed,
-                    name=f"fault_{policy}",
-                    keep_decision_log=False,
-                    fault_plan=plan,
-                    degraded_admission=policy == "degrade")
-                loadgen = LoadGenerator(PoissonProcess(rate), num_clients,
-                                        feature_dim=feature_dim, retry=retry,
-                                        request_deadline_us=request_deadline_us,
-                                        seed=seed)
-                result = run_serving(server, loadgen, horizon_us)
-                label = f"f{crash_rate:g}/{policy}/r{num_replicas}"
-                points.append(FaultSweepPoint(
-                    crash_rate_per_sec=crash_rate, policy=policy,
-                    num_replicas=num_replicas, rate_per_sec=rate,
-                    plan_events=0 if plan is None else len(plan.events),
-                    slo=build_slo_report(result, label=label)))
-    return FaultSweepResult(
-        board_size=board_size, max_batch=max_batch,
-        queue_capacity=queue_capacity, num_clients=num_clients,
-        request_deadline_us=request_deadline_us, horizon_us=horizon_us,
-        load_multiplier=load_multiplier, capacity_rows_per_sec=capacity,
-        points=points)
+run_fault_sweep = FaultSweepResult.run

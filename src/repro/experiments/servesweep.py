@@ -29,7 +29,7 @@ runs of the same configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict
 
 import numpy as np
 
@@ -45,18 +45,24 @@ from ..serving import (
     estimate_capacity_rows_per_sec,
     run_serving,
 )
+from .sweep import SweepResult
 
-#: Arrival rates as multiples of measured single-replica serving capacity.
-DEFAULT_SERVE_MULTIPLIERS = (0.5, 1.0, 2.0)
-#: Overload policies swept; ``none`` is the no-admission control (unbounded
-#: window, everything admitted) the bounded policies are compared against.
-DEFAULT_SERVE_OVERLOADS = ("none", "block", "shed-newest", "shed-oldest", "deadline-drop")
-DEFAULT_SERVE_REPLICAS = (1, 2)
-DEFAULT_SERVE_ARRIVAL = "poisson"
-SERVE_ARRIVALS = ("poisson", "bursty")
-
-#: Server + traffic shape of the default sweep (and of the serving bench).
+#: Grid, server and traffic shape of the default sweep (and of the serving
+#: bench).  ``retry=None`` is the default :class:`RetryPolicy`;
+#: ``key_space`` switches every client to the keyed workload (features a
+#: pure function of a per-request state key; see
+#: :func:`~repro.serving.client.key_features`) and ``cache_capacity`` arms
+#: the server's admission cache on that key — ``key_space`` alone keeps the
+#: traffic identical while the server stays cacheless, which is the
+#: apples-to-apples control the cache sweep compares against.
 DEFAULT_SERVE_KWARGS = dict(
+    #: Arrival rates as multiples of measured single-replica serving capacity.
+    multipliers=(0.5, 1.0, 2.0),
+    #: ``none`` is the no-admission control (unbounded window, everything
+    #: admitted) the bounded policies are compared against.
+    overloads=("none", "block", "shed-newest", "shed-oldest", "deadline-drop"),
+    replica_counts=(1, 2),
+    arrival="poisson",
     board_size=5,
     hidden=(16,),
     max_batch=8,
@@ -66,7 +72,49 @@ DEFAULT_SERVE_KWARGS = dict(
     num_clients=256,
     request_deadline_us=3_000.0,
     horizon_us=30_000.0,
+    retry=None,
+    cache_capacity=None,
+    key_space=None,
+    seed=0,
 )
+
+
+def _network(config: Dict[str, Any]) -> PolicyValueNet:
+    return PolicyValueNet(config["board_size"], hidden=config["hidden"],
+                          rng=np.random.default_rng(config["seed"]))
+
+
+def serving_setup(config: Dict[str, Any], retry: RetryPolicy) -> None:
+    """Fill in ``retry`` when the config has none and record the measured
+    single-replica capacity in ``config``."""
+    if config["retry"] is None:
+        config["retry"] = retry
+    config["capacity_rows_per_sec"] = estimate_capacity_rows_per_sec(
+        lambda: _network(config), feature_dim=3 * config["board_size"] ** 2,
+        max_batch=config["max_batch"], seed=config["seed"])
+
+
+def serving_cell(config: Dict[str, Any], process, num_replicas: int, label: str,
+                 key_space=None, **server_kwargs) -> SLOReport:
+    """Serve ``process``'s open-loop traffic from ``num_clients`` clients for
+    ``horizon_us`` and return the SLO report; ``server_kwargs`` set the
+    admission, cache and fault arguments of the :class:`InferenceServer`."""
+    seed = config["seed"]
+    server = InferenceServer(
+        _network(config), max_batch=config["max_batch"], rate_limit_per_sec=None,
+        rate_burst=config["rate_burst"], flush_policy="timeout",
+        flush_timeout_us=config["flush_timeout_us"], num_replicas=num_replicas,
+        seed=seed, keep_decision_log=False, **server_kwargs)
+    loadgen = LoadGenerator(process, config["num_clients"],
+                            feature_dim=3 * config["board_size"] ** 2,
+                            retry=config["retry"],
+                            request_deadline_us=config["request_deadline_us"],
+                            key_space=key_space, seed=seed)
+    return build_slo_report(run_serving(server, loadgen, config["horizon_us"]), label=label)
+
+
+def latency_p99(slo: SLOReport) -> str:
+    return "n/a" if slo.latency_us is None else f"{slo.latency_us[99.0]:.0f}"
 
 
 @dataclass
@@ -80,160 +128,82 @@ class ServeSweepPoint:
     slo: SLOReport
 
 
-@dataclass
-class ServeSweepResult:
-    arrival: str
-    board_size: int
-    max_batch: int
-    queue_capacity: int
-    flush_timeout_us: float
-    num_clients: int
-    request_deadline_us: float
-    horizon_us: float
-    capacity_rows_per_sec: float  #: measured single-replica capacity
-    points: List[ServeSweepPoint]
-    cache_capacity: Optional[int] = None  #: admission-cache size (None = off)
-    key_space: Optional[int] = None       #: keyed-workload span (None = keyless)
+class ServeSweepResult(SweepResult):
+    """Run the serving tier over the (rate, overload, replicas) grid."""
 
-    def point(self, multiplier: float, overload: str,
-              num_replicas: int) -> ServeSweepPoint:
-        for point in self.points:
-            if (point.multiplier == multiplier and point.overload == overload
-                    and point.num_replicas == num_replicas):
-                return point
-        raise KeyError(f"no sweep point for multiplier={multiplier}, "
-                       f"overload={overload!r}, replicas={num_replicas}")
+    defaults = DEFAULT_SERVE_KWARGS
+    axes = (("multiplier", "multipliers"), ("num_replicas", "replica_counts"),
+            ("overload", "overloads"))
+    point_type = ServeSweepPoint
+    key = ("multiplier", "overload", "num_replicas")
+    columns = (
+        ("xcap", 5, "{p.multiplier:.2f}"),
+        ("repl", 4, "{p.num_replicas:d}"),
+        ("overload", 13, "{p.overload}"),
+        ("offered/s", 10, "{p.slo.offered_rate_per_sec:.1f}"),
+        ("goodput/s", 10, "{p.slo.goodput_per_sec:.1f}"),
+        ("shed%", 6, "{p.slo.shed_fraction:.1%}"),
+        ("hit%", 6, "{p.slo.cache_hit_fraction:.1%}"),
+        ("retry%", 6, "{p.slo.retry_fraction:.1%}"),
+        ("late%", 6, "{p.slo.timeout_fraction:.1%}"),
+        ("avail%", 7, "{p.slo.availability:.2%}"),
+        ("redisp", 6, "{p.slo.redispatched_rows:d}"),
+        ("blocked", 7, "{p.slo.blocked:d}"),
+        ("qdelay p50/p95/p99 us", 22, lambda r, p: (
+            "n/a" if p.slo.client_queue_delay_us is None else
+            "/".join(f"{p.slo.client_queue_delay_us[q]:.0f}" for q in (50.0, 95.0, 99.0)))),
+        ("latency p99 us", 14, lambda r, p: latency_p99(p.slo)),
+    )
 
-    def report(self) -> str:
-        header = (f"{'xcap':>5} {'repl':>4} {'overload':>13} {'offered/s':>10} "
-                  f"{'goodput/s':>10} {'shed%':>6} {'hit%':>6} {'retry%':>6} "
-                  f"{'late%':>6} {'avail%':>7} {'redisp':>6} {'blocked':>7} "
-                  f"{'qdelay p50/p95/p99 us':>22} {'latency p99 us':>14}")
+    def setup(self) -> None:
+        if any(m <= 0 for m in self.multipliers):
+            raise ValueError("multipliers must be positive")
+        if self.arrival not in ("poisson", "bursty"):
+            raise ValueError(f"unknown arrival process {self.arrival!r}; "
+                             "expected poisson or bursty")
+        unknown = [o for o in self.overloads if o != "none" and o not in
+                   ("block", "shed-newest", "shed-oldest", "deadline-drop")]
+        if unknown:
+            raise ValueError(f"unknown overload policies {unknown}")
+        serving_setup(self.config, RetryPolicy())
+
+    def cell(self, multiplier: float, num_replicas: int, overload: str) -> Dict[str, Any]:
+        rate = multiplier * self.capacity_rows_per_sec * num_replicas
+        if self.arrival == "poisson":
+            process = PoissonProcess(rate)
+        else:
+            # Same mean rate, modulated: calm at half, bursts at 3x.
+            process = BurstyProcess(0.5 * rate, 3.0 * rate,
+                                    mean_calm_us=self.horizon_us / 6.0,
+                                    mean_burst_us=self.horizon_us / 12.0)
+        admission_off = overload == "none"
+        slo = serving_cell(
+            self.config, process, num_replicas, f"x{multiplier:g}/{overload}/r{num_replicas}",
+            key_space=self.key_space, name=f"serve_{overload}",
+            queue_capacity=None if admission_off else self.queue_capacity,
+            overload="shed-newest" if admission_off else overload,
+            cache_capacity=self.cache_capacity)
+        return dict(rate_per_sec=rate, slo=slo)
+
+    def title(self):
         cache_txt = ("cache off" if self.cache_capacity is None
                      else f"cache={self.cache_capacity}")
         keys_txt = ("keyless rows" if self.key_space is None
                     else f"key_space={self.key_space}")
-        lines = [
+        return [
             f"Serve sweep: {self.arrival} arrivals from {self.num_clients} clients, "
             f"board={self.board_size}, max_batch={self.max_batch}, "
             f"window={self.queue_capacity}, flush timeout {self.flush_timeout_us:.0f}us, "
             f"deadline {self.request_deadline_us:.0f}us, "
             f"horizon {self.horizon_us / 1e6:.4f}s, {cache_txt}, {keys_txt}",
             f"measured capacity: {self.capacity_rows_per_sec:.0f} rows/s per replica "
-            f"(rates below are multiples of capacity x replicas)",
-            header,
-        ]
-        for point in self.points:
-            slo = point.slo
-            delay = slo.client_queue_delay_us
-            latency = slo.latency_us
-            delay_txt = ("n/a" if delay is None else
-                         "/".join(f"{delay[p]:.0f}" for p in (50.0, 95.0, 99.0)))
-            latency_txt = "n/a" if latency is None else f"{latency[99.0]:.0f}"
-            lines.append(
-                f"{point.multiplier:>5.2f} {point.num_replicas:>4d} {point.overload:>13} "
-                f"{slo.offered_rate_per_sec:>10.1f} {slo.goodput_per_sec:>10.1f} "
-                f"{100.0 * slo.shed_fraction:>5.1f}% "
-                f"{100.0 * slo.cache_hit_fraction:>5.1f}% "
-                f"{100.0 * slo.retry_fraction:>5.1f}% "
-                f"{100.0 * slo.timeout_fraction:>5.1f}% "
-                f"{100.0 * slo.availability:>6.2f}% "
-                f"{slo.redispatched_rows:>6d} {slo.blocked:>7d} "
-                f"{delay_txt:>22} {latency_txt:>14}")
-        lines.append(
+            f"(rates below are multiples of capacity x replicas)"]
+
+    def footer(self):
+        return [
             "note: 'none' admits everything into an unbounded window — its tail "
             "queue delay grows with the backlog; bounded policies shed or block "
-            "instead, keeping admitted requests' delay within the window")
-        return "\n".join(lines)
+            "instead, keeping admitted requests' delay within the window"]
 
 
-def run_serve_sweep(
-    multipliers: Sequence[float] = DEFAULT_SERVE_MULTIPLIERS,
-    *,
-    overloads: Sequence[str] = DEFAULT_SERVE_OVERLOADS,
-    replica_counts: Sequence[int] = DEFAULT_SERVE_REPLICAS,
-    arrival: str = DEFAULT_SERVE_ARRIVAL,
-    board_size: int = DEFAULT_SERVE_KWARGS["board_size"],
-    hidden: tuple = DEFAULT_SERVE_KWARGS["hidden"],
-    max_batch: int = DEFAULT_SERVE_KWARGS["max_batch"],
-    queue_capacity: int = DEFAULT_SERVE_KWARGS["queue_capacity"],
-    flush_timeout_us: float = DEFAULT_SERVE_KWARGS["flush_timeout_us"],
-    rate_burst: float = DEFAULT_SERVE_KWARGS["rate_burst"],
-    num_clients: int = DEFAULT_SERVE_KWARGS["num_clients"],
-    request_deadline_us: float = DEFAULT_SERVE_KWARGS["request_deadline_us"],
-    horizon_us: float = DEFAULT_SERVE_KWARGS["horizon_us"],
-    retry: Optional[RetryPolicy] = None,
-    cache_capacity: Optional[int] = None,
-    key_space: Optional[int] = None,
-    seed: int = 0,
-) -> ServeSweepResult:
-    """Run the serving tier over the (rate, overload, replicas) grid.
-
-    ``key_space`` switches every client to the keyed workload (features a
-    pure function of a per-request state key; see
-    :func:`~repro.serving.client.key_features`) and ``cache_capacity``
-    arms the server's admission cache on that key — ``key_space`` alone
-    keeps the traffic identical while the server stays cacheless, which is
-    the apples-to-apples control the cache sweep compares against.
-    """
-    if not multipliers or any(m <= 0 for m in multipliers):
-        raise ValueError("multipliers must be positive")
-    if arrival not in SERVE_ARRIVALS:
-        raise ValueError(f"unknown arrival process {arrival!r}; expected one of {SERVE_ARRIVALS}")
-    unknown = [o for o in overloads if o != "none" and o not in
-               ("block", "shed-newest", "shed-oldest", "deadline-drop")]
-    if unknown:
-        raise ValueError(f"unknown overload policies {unknown}")
-    feature_dim = 3 * board_size * board_size
-    retry = retry if retry is not None else RetryPolicy()
-
-    def make_network():
-        return PolicyValueNet(board_size, hidden=hidden,
-                              rng=np.random.default_rng(seed))
-
-    capacity = estimate_capacity_rows_per_sec(
-        make_network, feature_dim=feature_dim, max_batch=max_batch, seed=seed)
-    points: List[ServeSweepPoint] = []
-    for multiplier in multipliers:
-        for num_replicas in replica_counts:
-            rate = multiplier * capacity * num_replicas
-            for overload in overloads:
-                admission_off = overload == "none"
-                server = InferenceServer(
-                    make_network(),
-                    max_batch=max_batch,
-                    queue_capacity=None if admission_off else queue_capacity,
-                    overload="shed-newest" if admission_off else overload,
-                    rate_limit_per_sec=None,
-                    rate_burst=rate_burst,
-                    flush_policy="timeout",
-                    flush_timeout_us=flush_timeout_us,
-                    num_replicas=num_replicas,
-                    seed=seed,
-                    name=f"serve_{overload}",
-                    keep_decision_log=False,
-                    cache_capacity=cache_capacity)
-                if arrival == "poisson":
-                    process = PoissonProcess(rate)
-                else:
-                    # Same mean rate, modulated: calm at half, bursts at 3x.
-                    process = BurstyProcess(0.5 * rate, 3.0 * rate,
-                                            mean_calm_us=horizon_us / 6.0,
-                                            mean_burst_us=horizon_us / 12.0)
-                loadgen = LoadGenerator(process, num_clients,
-                                        feature_dim=feature_dim, retry=retry,
-                                        request_deadline_us=request_deadline_us,
-                                        key_space=key_space,
-                                        seed=seed)
-                result = run_serving(server, loadgen, horizon_us)
-                label = f"x{multiplier:g}/{overload}/r{num_replicas}"
-                points.append(ServeSweepPoint(
-                    multiplier=multiplier, rate_per_sec=rate,
-                    num_replicas=num_replicas, overload=overload,
-                    slo=build_slo_report(result, label=label)))
-    return ServeSweepResult(
-        arrival=arrival, board_size=board_size, max_batch=max_batch,
-        queue_capacity=queue_capacity, flush_timeout_us=flush_timeout_us,
-        num_clients=num_clients, request_deadline_us=request_deadline_us,
-        horizon_us=horizon_us, capacity_rows_per_sec=capacity, points=points,
-        cache_capacity=cache_capacity, key_space=key_space)
+run_serve_sweep = ServeSweepResult.run

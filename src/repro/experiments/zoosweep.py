@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 from ..rl.zoo import ZOO_ALGORITHMS, make_zoo_pool
 from ..rollout.inference import FLUSH_MAX_BATCH, FLUSH_UNBATCHED
 from ..sim import registry
 from ..system import System
+from .sweep import SweepResult
 
 #: Simulators the default sweep grids over (>= 3 non-Go per the roadmap;
 #: Go rides along as the discrete board-game workload, exercised by DQN/PPO
@@ -44,9 +45,19 @@ from ..system import System
 DEFAULT_ZOO_SIMS = ("Pong", "Hopper", "Walker2D", "HalfCheetah", "Go")
 #: Algorithm families swept (keys of ``repro.rl.zoo.ZOO_ALGORITHMS``).
 DEFAULT_ZOO_ALGOS = ("DQN", "PPO", "DDPG")
-DEFAULT_ZOO_WORKERS = (4, 8)
-DEFAULT_ZOO_REPLICAS = (1, 2)
-DEFAULT_ZOO_STEPS = 8
+
+#: The default grid.  With ``trace_dir`` set, every batched cell streams its
+#: full profiler trace into ``trace_dir/<sim>_<algo>_w<workers>_r<replicas>``
+#: (a :class:`~repro.tracedb.store.TraceDB` per cell).
+DEFAULT_ZOO_KWARGS = dict(
+    sims=DEFAULT_ZOO_SIMS,
+    algorithms=DEFAULT_ZOO_ALGOS,
+    worker_counts=(4, 8),
+    replica_counts=(1, 2),
+    steps_per_worker=8,
+    seed=0,
+    trace_dir=None,
+)
 
 
 @dataclass
@@ -81,128 +92,84 @@ class ZooSweepPoint:
                 if self.collection_span_us else 0.0)
 
 
-@dataclass
-class ZooSweepResult:
-    sims: Tuple[str, ...]
-    algorithms: Tuple[str, ...]
-    worker_counts: Tuple[int, ...]
-    replica_counts: Tuple[int, ...]
-    steps_per_worker: int
-    seed: int
-    points: List[ZooSweepPoint]
-    skipped: List[Tuple[str, str, str]]  #: (sim, algorithm, reason)
+class ZooSweepResult(SweepResult):
+    """Run the workload zoo over the (sim, algorithm, workers, replicas) grid."""
 
-    def point(self, sim: str, algorithm: str, num_workers: int,
-              num_replicas: int) -> ZooSweepPoint:
-        for point in self.points:
-            if (point.sim == sim and point.algorithm == algorithm
-                    and point.num_workers == num_workers
-                    and point.num_replicas == num_replicas):
-                return point
-        raise KeyError(f"no sweep point for sim={sim!r}, algorithm={algorithm!r}, "
-                       f"workers={num_workers}, replicas={num_replicas}")
+    defaults = DEFAULT_ZOO_KWARGS
+    axes = (("sim", "sims"), ("algorithm", "algorithms"),
+            ("num_workers", "worker_counts"), ("num_replicas", "replica_counts"))
+    point_type = ZooSweepPoint
+    columns = (
+        ("sim", 12, "{p.sim}"),
+        ("algo", 5, "{p.algorithm}"),
+        ("wrk", 4, "{p.num_workers:d}"),
+        ("repl", 4, "{p.num_replicas:d}"),
+        ("steps", 6, "{p.steps:d}"),
+        ("calls", 6, "{p.engine_calls:d}"),
+        ("serial", 6, "{p.unbatched_engine_calls:d}"),
+        ("reduction", 9, "{p.engine_call_reduction:.1f}x"),
+        ("xworker%", 8, "{p.cross_worker_share:.1%}"),
+        ("batch", 6, "{p.mean_batch:.1f}"),
+        ("span us", 10, "{p.collection_span_us:.1f}"),
+        ("speedup", 7, "{p.span_speedup:.2f}x"),
+    )
 
-    def report(self) -> str:
-        header = (f"{'sim':>12} {'algo':>5} {'wrk':>4} {'repl':>4} {'steps':>6} "
-                  f"{'calls':>6} {'serial':>6} {'reduction':>9} {'xworker%':>8} "
-                  f"{'batch':>6} {'span us':>10} {'speedup':>7}")
-        lines = [
+    @property
+    def skipped(self) -> List[Tuple[str, str, str]]:
+        """``(sim, algorithm, reason)`` of every pair that cannot run."""
+        return list(dict.fromkeys((coords["sim"], coords["algorithm"], reason)
+                                  for coords, reason in self.skips))
+
+    def setup(self) -> None:
+        unknown = [a for a in self.algorithms if a not in ZOO_ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown zoo algorithms {unknown}; "
+                             f"available: {sorted(ZOO_ALGORITHMS)}")
+        if any(w <= 0 for w in self.worker_counts) or any(
+                r <= 0 for r in self.replica_counts):
+            raise ValueError("worker and replica counts must be positive")
+        self.config["discrete"] = {
+            sim: registry.make(sim, System.create(seed=0), seed=0).is_discrete
+            for sim in self.sims}
+
+    def cell(self, sim: str, algorithm: str, num_workers: int,
+             num_replicas: int) -> Union[str, Dict[str, Any]]:
+        spec = ZOO_ALGORITHMS[algorithm]
+        discrete = self.discrete[sim]
+        if not (spec.supports_discrete if discrete else spec.supports_continuous):
+            space = "discrete" if discrete else "continuous"
+            return f"{algorithm} does not act in {space} action spaces"
+        cell_trace = None if self.trace_dir is None else os.path.join(
+            self.trace_dir, f"{sim}_{algorithm}_w{num_workers}_r{num_replicas}")
+        batched = make_zoo_pool(
+            sim, algorithm, num_workers, steps_per_worker=self.steps_per_worker,
+            num_replicas=num_replicas, flush_policy=FLUSH_MAX_BATCH, seed=self.seed,
+            profile=cell_trace is not None, trace_dir=cell_trace)
+        batched.run()
+        control = make_zoo_pool(
+            sim, algorithm, num_workers, steps_per_worker=self.steps_per_worker,
+            num_replicas=num_replicas, flush_policy=FLUSH_UNBATCHED, seed=self.seed)
+        control.run()
+        stats = batched.inference_service.stats
+        return dict(steps=batched.total_steps(), engine_calls=stats.engine_calls,
+                    rows=stats.rows, cross_worker_share=stats.cross_worker_share,
+                    unbatched_engine_calls=control.inference_service.stats.engine_calls,
+                    collection_span_us=batched.collection_span_us(),
+                    unbatched_span_us=control.collection_span_us())
+
+    def title(self):
+        return [
             f"Zoo sweep: {len(self.points)} cells over "
             f"{len(self.sims)} sims x {len(self.algorithms)} algorithm families, "
             f"workers={list(self.worker_counts)}, replicas={list(self.replica_counts)}, "
             f"{self.steps_per_worker} steps/worker (seed {self.seed})",
             "every cell routes per-step policy evaluation through the shared "
             "batched InferenceService; 'serial' is the unbatched control "
-            "(one engine call per evaluation), 'reduction' = serial / calls",
-            header,
-        ]
-        for point in self.points:
-            lines.append(
-                f"{point.sim:>12} {point.algorithm:>5} {point.num_workers:>4d} "
-                f"{point.num_replicas:>4d} {point.steps:>6d} {point.engine_calls:>6d} "
-                f"{point.unbatched_engine_calls:>6d} {point.engine_call_reduction:>8.1f}x "
-                f"{100.0 * point.cross_worker_share:>7.1f}% {point.mean_batch:>6.1f} "
-                f"{point.collection_span_us:>10.1f} {point.span_speedup:>6.2f}x")
-        for sim, algorithm, reason in self.skipped:
-            lines.append(f"{sim:>12} {algorithm:>5} {'skipped':>51} ({reason})")
-        return "\n".join(lines)
+            "(one engine call per evaluation), 'reduction' = serial / calls"]
+
+    def footer(self):
+        return [f"{sim:>12} {algorithm:>5} {'skipped':>51} ({reason})"
+                for sim, algorithm, reason in self.skipped]
 
 
-def run_zoo_sweep(
-    sims: Sequence[str] = DEFAULT_ZOO_SIMS,
-    *,
-    algorithms: Sequence[str] = DEFAULT_ZOO_ALGOS,
-    worker_counts: Sequence[int] = DEFAULT_ZOO_WORKERS,
-    replica_counts: Sequence[int] = DEFAULT_ZOO_REPLICAS,
-    steps_per_worker: int = DEFAULT_ZOO_STEPS,
-    seed: int = 0,
-    trace_dir: Optional[str] = None,
-) -> ZooSweepResult:
-    """Run the workload zoo over the (sim, algorithm, workers, replicas) grid.
-
-    With ``trace_dir`` set, every batched cell streams its full profiler
-    trace into ``trace_dir/<sim>_<algo>_w<workers>_r<replicas>`` (a
-    :class:`~repro.tracedb.store.TraceDB` per cell).
-    """
-    if not sims:
-        raise ValueError("sims must be non-empty")
-    unknown = [a for a in algorithms if a not in ZOO_ALGORITHMS]
-    if unknown:
-        raise ValueError(f"unknown zoo algorithms {unknown}; "
-                         f"available: {sorted(ZOO_ALGORITHMS)}")
-    if any(w <= 0 for w in worker_counts) or any(r <= 0 for r in replica_counts):
-        raise ValueError("worker and replica counts must be positive")
-
-    discrete = {
-        sim: registry.make(sim, System.create(seed=0), seed=0).is_discrete
-        for sim in sims
-    }
-    points: List[ZooSweepPoint] = []
-    skipped: List[Tuple[str, str, str]] = []
-    for sim in sims:
-        for algorithm in algorithms:
-            spec = ZOO_ALGORITHMS[algorithm]
-            supported = (spec.supports_discrete if discrete[sim]
-                         else spec.supports_continuous)
-            if not supported:
-                space = "discrete" if discrete[sim] else "continuous"
-                skipped.append((sim, algorithm,
-                                f"{algorithm} does not act in {space} action spaces"))
-                continue
-            for num_workers in worker_counts:
-                for num_replicas in replica_counts:
-                    cell_trace = None
-                    if trace_dir is not None:
-                        cell_trace = os.path.join(
-                            trace_dir,
-                            f"{sim}_{algorithm}_w{num_workers}_r{num_replicas}")
-                    batched = make_zoo_pool(
-                        sim, algorithm, num_workers,
-                        steps_per_worker=steps_per_worker,
-                        num_replicas=num_replicas,
-                        flush_policy=FLUSH_MAX_BATCH,
-                        seed=seed, profile=cell_trace is not None,
-                        trace_dir=cell_trace)
-                    batched.run()
-                    control = make_zoo_pool(
-                        sim, algorithm, num_workers,
-                        steps_per_worker=steps_per_worker,
-                        num_replicas=num_replicas,
-                        flush_policy=FLUSH_UNBATCHED,
-                        seed=seed)
-                    control.run()
-                    stats = batched.inference_service.stats
-                    points.append(ZooSweepPoint(
-                        sim=sim, algorithm=algorithm,
-                        num_workers=num_workers, num_replicas=num_replicas,
-                        steps=batched.total_steps(),
-                        engine_calls=stats.engine_calls, rows=stats.rows,
-                        cross_worker_share=stats.cross_worker_share,
-                        unbatched_engine_calls=control.inference_service.stats.engine_calls,
-                        collection_span_us=batched.collection_span_us(),
-                        unbatched_span_us=control.collection_span_us()))
-    return ZooSweepResult(
-        sims=tuple(sims), algorithms=tuple(algorithms),
-        worker_counts=tuple(worker_counts), replica_counts=tuple(replica_counts),
-        steps_per_worker=steps_per_worker, seed=seed,
-        points=points, skipped=skipped)
+run_zoo_sweep = ZooSweepResult.run

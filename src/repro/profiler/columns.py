@@ -210,17 +210,35 @@ def sequential_sum(values: np.ndarray, seed: float = 0.0) -> float:
 
 
 # ------------------------------------------------------------- store trace
+class _Loader:
+    """Builds the :class:`EventTrace` on first call and keeps it.
+
+    The records sequences share this cell instead of pointing back at their
+    :class:`ColumnarTrace`, so a dropped trace is freed at once rather than
+    at the next cycle collection.
+    """
+
+    def __init__(self, load: Callable[[], EventTrace]) -> None:
+        self._load = load
+        self._trace: Optional[EventTrace] = None
+
+    def __call__(self) -> EventTrace:
+        if self._trace is None:
+            self._trace = self._load()
+        return self._trace
+
+
 class _LazyRecords(SequenceABC):
     """One record list of a :class:`ColumnarTrace`: ``len()`` from the
     columns, items from the objects built on first access."""
 
-    def __init__(self, trace: "ColumnarTrace", field: str, length: int) -> None:
-        self._trace = trace
+    def __init__(self, loader: _Loader, field: str, length: int) -> None:
+        self._loader = loader
         self._field = field
         self._length = length
 
     def _records(self) -> list:
-        return getattr(self._trace.to_event_trace(), self._field)
+        return getattr(self._loader(), self._field)
 
     def __len__(self) -> int:
         return self._length
@@ -246,17 +264,14 @@ class ColumnarTrace:
                  load: Callable[[], EventTrace]) -> None:
         self.columns = columns
         self.metadata = metadata
-        self._load = load
-        self._trace: Optional[EventTrace] = None
-        self.events = _LazyRecords(self, "events", len(columns.events.start))
-        self.operations = _LazyRecords(self, "operations", len(columns.operations.start))
-        self.markers = _LazyRecords(self, "markers", len(columns.markers.time))
+        self._loader = loader = _Loader(load)
+        self.events = _LazyRecords(loader, "events", len(columns.events.start))
+        self.operations = _LazyRecords(loader, "operations", len(columns.operations.start))
+        self.markers = _LazyRecords(loader, "markers", len(columns.markers.time))
 
     def to_event_trace(self) -> EventTrace:
         """The records as objects, built on first call."""
-        if self._trace is None:
-            self._trace = self._load()
-        return self._trace
+        return self._loader()
 
     def workers(self) -> List[str]:
         return self.columns.workers()

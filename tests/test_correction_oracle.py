@@ -11,6 +11,8 @@ from a multi-chunk store by ``analyze_db``.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -170,6 +172,24 @@ def _assert_matches_loops(trace, calibration, oracle_trace):
 def test_columns_match_the_loops_in_memory(trace, calibration):
     _assert_matches_loops(trace, calibration, trace)
 
+
+
+def test_a_dropped_store_trace_is_freed_without_a_cycle_collection(tmp_path):
+    """The lazy record lists share a loader with their trace instead of
+    pointing back at it, so dropping the trace frees its columns at once."""
+    trace = EventTrace()
+    trace.add_marker(OverheadMarker("annotation", 1.0, worker="w0"))
+    db = _store(trace, tmp_path)
+    gc.collect()
+    gc.disable()
+    try:
+        stored = db.columnar_trace()
+        assert list(stored.markers) == db.to_event_trace().markers
+        columns = weakref.ref(stored.columns)
+        del stored
+        assert columns() is None
+    finally:
+        gc.enable()
 
 @settings(max_examples=40, deadline=None)
 @given(trace=traces(), calibration=calibrations)

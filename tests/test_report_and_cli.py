@@ -1,10 +1,14 @@
 """Tests for report formatting, the CLI entry points, and trace events serialisation."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import main as experiment_main
 from repro.experiments.common import WorkloadSpec, run_workload
 from repro.profiler import analyze, report
@@ -115,6 +119,78 @@ def test_rls_experiment_cli_fig5(capsys):
     assert experiment_main(["fig5", "--timesteps", "40"]) == 0
     output = capsys.readouterr().out
     assert "Figure 5" in output and "Simulation-bound" in output
+
+
+#: One flag each experiment does not read.
+REJECTED_FLAG = {
+    "table1": ["--seed", "1"],
+    "fig4": ["--workers", "2"],
+    "fig5": ["--algo", "TD3"],
+    "fig7": ["--quick"],
+    "fig8": ["--timesteps", "40"],
+    "fig11a": ["--replicas", "2"],
+    "fig11b": ["--out", "report.txt"],
+    "batchsweep": ["--trace-dir", "traces"],
+    "schedsweep": ["--rates", "0.5"],
+    "replicasweep": ["--clients", "8"],
+    "servesweep": ["--sims", "Pong"],
+    "zoosweep": ["--leaf-batches", "2"],
+    "cachesweep": ["--fault-rates", "0"],
+    "faultsweep": ["--overloads", "block"],
+    "findings": ["--quick"],
+}
+
+
+def test_every_experiment_has_a_rejected_flag_case():
+    assert set(REJECTED_FLAG) == set(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", sorted(REJECTED_FLAG))
+def test_experiment_cli_rejects_a_flag_it_does_not_read(capsys, experiment):
+    flag = REJECTED_FLAG[experiment]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.parse([experiment, *flag])
+    assert exit_info.value.code == 2
+    assert f"{experiment} does not take {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fig8", "--replicas", "1,2"], "--replicas"),
+    (["schedsweep", "--replicas", "1,2"], "--replicas"),
+    (["replicasweep", "--leaf-batches", "1,4"], "--leaf-batches"),
+])
+def test_experiment_cli_rejects_a_list_where_one_value_is_read(capsys, argv, flag):
+    with pytest.raises(SystemExit):
+        cli.parse(argv)
+    assert f"{argv[0]} takes a single {flag} value" in capsys.readouterr().err
+
+
+def _documented_invocations():
+    """Every ``rls-experiment`` / ``python -m repro.experiments.cli`` command
+    line in the CLI docstring and the README, as argument lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (cli.__doc__ + readme).replace("\\\n", " ")
+    pattern = r"(?:rls-experiment|python -m repro\.experiments\.cli) ([a-z0-9][^`\n#]*)"
+    return [shlex.split(match) for match in re.findall(pattern, text)]
+
+
+def test_experiment_cli_accepts_every_documented_invocation():
+    invocations = _documented_invocations()
+    assert len(invocations) > 20
+    for argv in invocations:
+        cli.parse(argv)
+
+
+def test_experiment_cli_maps_flags_to_keyword_arguments():
+    assert cli.parse(["replicasweep", "--workers", "4", "--routing", "sticky",
+                      "--leaf-batches", "4", "--replicas", "1,2"]) == (
+        "replicasweep", {"worker_counts": (4,), "routings": ("sticky",), "leaf_batch": 4,
+                         "replica_counts": (1, 2)}, None)
+    assert cli.parse(["servesweep", "--quick", "--rates", "1.0"]) == (
+        "servesweep", {"multipliers": (1.0,), "overloads": ("none", "shed-newest"),
+                       "replica_counts": (1,), "num_clients": 64, "horizon_us": 10_000.0},
+        None)
+    assert cli.parse(["cachesweep"])[2] == "results/cache_sweep.txt"
 
 
 def test_experiment_cli_batchsweep(capsys):
