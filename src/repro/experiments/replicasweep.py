@@ -138,7 +138,9 @@ class ReplicaSweepResult(SweepResult):
 
 def run_replica_sweep(*grid, **overrides) -> ReplicaSweepResult:
     """Run the event-driven pool over the (workers, replicas, routing) grid
-    (see :meth:`SweepResult.run`).  The default ``flush_timeout_us`` belongs to the default ``timeout``
+    (see :meth:`SweepResult.run`).
+
+    The default ``flush_timeout_us`` belongs to the default ``timeout``
     flush policy: another ``flush_policy`` runs without one unless a
     timeout is given too.
     """

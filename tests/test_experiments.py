@@ -150,6 +150,16 @@ def test_fig11_correction_within_tolerance_single_workload():
     assert validation.corrected_sec <= validation.instrumented_sec
 
 
+@pytest.mark.parametrize("run", [
+    "run_batch_sweep", "run_sched_sweep", "run_replica_sweep", "run_serve_sweep",
+    "run_cache_sweep", "run_fault_sweep", "run_zoo_sweep"])
+def test_sweeps_reject_unknown_keywords_before_running(run):
+    import repro.experiments as experiments
+
+    with pytest.raises(TypeError, match="unknown arguments: bogus"):
+        getattr(experiments, run)(bogus=1)
+
+
 def test_batch_sweep_reports_call_reduction():
     from repro.experiments.batchsweep import run_batch_sweep
 
