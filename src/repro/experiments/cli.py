@@ -45,6 +45,7 @@ from . import (
     run_fig7, run_fig8, run_fig11a, run_fig11b, run_replica_sweep, run_sched_sweep,
     run_serve_sweep, run_table1, run_zoo_sweep, table1,
 )
+from ..serving import OVERLOAD_POLICIES
 from .common import DEFAULT_TIMESTEPS
 
 
@@ -74,7 +75,7 @@ def _name_list(text: str) -> tuple:
 
 def _overload_list(text: str) -> tuple:
     values = tuple(value.strip() for value in text.split(","))
-    allowed = ("none", "block", "shed-newest", "shed-oldest", "deadline-drop")
+    allowed = ("none", *OVERLOAD_POLICIES)
     bad = [value for value in values if value not in allowed]
     if bad:
         raise argparse.ArgumentTypeError(

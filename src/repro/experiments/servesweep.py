@@ -35,6 +35,7 @@ import numpy as np
 
 from ..minigo.selfplay import PolicyValueNet
 from ..serving import (
+    OVERLOAD_POLICIES,
     BurstyProcess,
     InferenceServer,
     LoadGenerator,
@@ -60,7 +61,7 @@ DEFAULT_SERVE_KWARGS = dict(
     multipliers=(0.5, 1.0, 2.0),
     #: ``none`` is the no-admission control (unbounded window, everything
     #: admitted) the bounded policies are compared against.
-    overloads=("none", "block", "shed-newest", "shed-oldest", "deadline-drop"),
+    overloads=("none", *OVERLOAD_POLICIES),
     replica_counts=(1, 2),
     arrival="poisson",
     board_size=5,
@@ -161,8 +162,7 @@ class ServeSweepResult(SweepResult):
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.arrival!r}; "
                              "expected poisson or bursty")
-        unknown = [o for o in self.overloads if o != "none" and o not in
-                   ("block", "shed-newest", "shed-oldest", "deadline-drop")]
+        unknown = [o for o in self.overloads if o not in ("none", *OVERLOAD_POLICIES)]
         if unknown:
             raise ValueError(f"unknown overload policies {unknown}")
         serving_setup(self.config, RetryPolicy())
