@@ -37,15 +37,21 @@ with several replicas, batches fan out and overlap instead of serializing
 through one ``free_us`` horizon.  Weight updates propagate to every replica
 with a virtual-time broadcast cost (:meth:`InferenceService.update_weights`).
 
-One serving path: :meth:`InferenceService.serve_queued`, driven by the
-:class:`~repro.rollout.scheduler.PoolScheduler` and the serving tier.
-Requests are packed in **arrival order** under an explicit flush
-policy (``max-batch`` departs a batch when it is full, ``timeout``
-additionally departs a partial batch ``timeout_us`` after its first request
-arrived, ``unbatched`` serves each ticket alone on its own clock — the
-bit-for-bit determinism baseline), each batch starts at ``max(departure
-time, replica free time)``, and every participant is charged its own
-queueing delay *plus* the batch time.
+One serving path, :meth:`InferenceService.serve_queued`, driven by the
+:class:`~repro.rollout.scheduler.PoolScheduler` and the serving tier, in
+three steps:
+
+* **plan** — the pure :func:`~repro.rollout.planner.plan` packs the taken
+  tickets in **arrival order** under an explicit flush policy (``max-batch``
+  departs a batch when it is full, ``timeout`` additionally departs a
+  partial batch ``timeout_us`` after its first request arrived,
+  ``unbatched`` serves each ticket alone on its own clock — the bit-for-bit
+  determinism baseline) and says which tickets go back on the queue;
+* **route** — :meth:`InferenceService._route` picks each batch's replica
+  under the routing policy, around crashed replicas when faults are armed;
+* **run** — :meth:`InferenceService._run_plan` starts a queued batch at
+  ``max(departure time, replica free time)``, runs it and charges every
+  participant its own queueing delay *plus* the batch time.
 
 Attribution: every request can carry a metadata dict which the service fills
 with the serving batch shape (``batch_rows``, ``batch_clients``,
@@ -59,6 +65,7 @@ quantity — operation-event metadata takes no part in
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -75,16 +82,21 @@ from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..system import System
 from .evalcache import CACHE_REPLICA, CACHE_SCOPES, CACHE_SHARED, CachedRow, EvalCache
+from .planner import (  # the FLUSH_* names are re-exported
+    FLUSH_MAX_BATCH,
+    FLUSH_POLICIES,
+    FLUSH_TIMEOUT,
+    FLUSH_UNBATCHED,
+    BatchPlan,
+    Span,
+    checked_timeout_us,
+    flush_deadline_us,
+    plan,
+)
 
 #: Compiled-function name used for batched evaluations; matches the legacy
 #: per-worker evaluator so cost-model lookups and trace names stay stable.
 EVALUATE_FUNCTION_NAME = "expand_leaf"
-
-#: Flush policies understood by :meth:`InferenceService.serve_queued`.
-FLUSH_UNBATCHED = "unbatched"    #: one ticket per engine call, no queueing
-FLUSH_MAX_BATCH = "max-batch"    #: depart when full (or when serving triggers)
-FLUSH_TIMEOUT = "timeout"        #: like max-batch, plus a partial-batch deadline
-FLUSH_POLICIES = (FLUSH_UNBATCHED, FLUSH_MAX_BATCH, FLUSH_TIMEOUT)
 
 #: Routing policies understood by :func:`make_routing_policy`.
 ROUTING_ROUND_ROBIN = "round-robin"    #: cycle through replicas per batch
@@ -332,7 +344,8 @@ class RoutingPolicy:
 
     Policies are pluggable: pass an instance (or a name from
     :data:`ROUTING_POLICIES`) to :class:`InferenceService`.  Every decision
-    is counted per replica index in :attr:`decisions`, so routing imbalance
+    is counted by the chosen replica's own ``index`` in :attr:`decisions`
+    (the candidates may be a healthy subset of the pool), so routing imbalance
     is visible in sweep reports.  With a single replica every policy
     degenerates to "always replica 0" — which is why ``num_replicas=1``
     reproduces single-service runs bit-for-bit under any routing policy.
@@ -341,7 +354,7 @@ class RoutingPolicy:
     name = "base"
 
     def __init__(self) -> None:
-        self.decisions: Dict[int, int] = {}
+        self.reset()
 
     def reset(self) -> None:
         """Clear all routing state.
@@ -351,28 +364,24 @@ class RoutingPolicy:
         every run from the same state — run-to-run reproducibility depends
         on it.  Subclasses with extra state must extend this.
         """
-        self.decisions = {}
+        self.decisions: Dict[int, int] = {}
 
     def select(self, replicas: Sequence["ModelReplica"], *, host_worker: str,
                depart_us: float) -> int:
-        """Return the index of the replica that should serve this batch."""
+        """Return the position in ``replicas`` of the one that should serve this batch."""
         raise NotImplementedError
 
     def choose(self, replicas: Sequence["ModelReplica"], *, host_worker: str,
                depart_us: float = 0.0) -> "ModelReplica":
-        index = self.select(replicas, host_worker=host_worker, depart_us=depart_us)
-        self.decisions[index] = self.decisions.get(index, 0) + 1
-        return replicas[index]
+        replica = replicas[self.select(replicas, host_worker=host_worker, depart_us=depart_us)]
+        self.decisions[replica.index] = self.decisions.get(replica.index, 0) + 1
+        return replica
 
 
 class RoundRobinRouting(RoutingPolicy):
     """Cycle through replicas one batch at a time (load-oblivious)."""
 
     name = ROUTING_ROUND_ROBIN
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._next = 0
 
     def reset(self) -> None:
         super().reset()
@@ -397,7 +406,7 @@ class LeastLoadedRouting(RoutingPolicy):
         return min(range(len(replicas)), key=lambda i: (replicas[i].free_us, i))
 
 
-class StickyRouting(RoutingPolicy):
+class StickyRouting(RoundRobinRouting):
     """Pin each batch-hosting worker to one replica (cache affinity).
 
     The first time a worker hosts a batch it is assigned the next replica
@@ -408,21 +417,14 @@ class StickyRouting(RoutingPolicy):
 
     name = ROUTING_STICKY
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.assignments: Dict[str, int] = {}
-        self._next = 0
-
     def reset(self) -> None:
         super().reset()
-        self.assignments = {}
-        self._next = 0
+        self.assignments: Dict[str, int] = {}
 
     def select(self, replicas, *, host_worker, depart_us):
         index = self.assignments.get(host_worker)
         if index is None or index >= len(replicas):
-            index = self._next % len(replicas)
-            self._next = (self._next + 1) % len(replicas)
+            index = super().select(replicas, host_worker=host_worker, depart_us=depart_us)
             self.assignments[host_worker] = index
         return index
 
@@ -431,12 +433,9 @@ def make_routing_policy(routing: Union[str, RoutingPolicy]) -> RoutingPolicy:
     """Build a routing policy from a name (or pass an instance through)."""
     if isinstance(routing, RoutingPolicy):
         return routing
-    if routing == ROUTING_ROUND_ROBIN:
-        return RoundRobinRouting()
-    if routing == ROUTING_LEAST_LOADED:
-        return LeastLoadedRouting()
-    if routing == ROUTING_STICKY:
-        return StickyRouting()
+    for policy in (RoundRobinRouting, LeastLoadedRouting, StickyRouting):
+        if routing == policy.name:
+            return policy()
     raise ValueError(f"unknown routing policy {routing!r}; expected one of {ROUTING_POLICIES}")
 
 
@@ -826,13 +825,13 @@ class InferenceService:
         so the pool always makes progress; queued work is untouched — the
         global arrival-order queue holds it, and planning simply never routes
         to an unhealthy replica — while work already planned onto the dead
-        horizon re-dispatches via :meth:`_route_around_crashes`.
+        horizon re-dispatches via :meth:`_route`.
         """
         replica = self.replicas[index]
         injector = self.fault_injector
         if not replica.healthy:
             return False
-        if sum(1 for r in self.replicas if r.healthy) <= 1:
+        if len(self.healthy_replicas()) <= 1:
             if injector is not None:
                 injector.record(now_us, "crash-skipped", index,
                                 "last healthy replica")
@@ -842,9 +841,8 @@ class InferenceService:
         self.stats.replica_crashes += 1
         replica.stats.replica_crashes += 1
         if injector is not None:
-            healthy = sum(1 for r in self.replicas if r.healthy)
             injector.record(now_us, "replica-crash", index,
-                            f"healthy={healthy}/{len(self.replicas)}")
+                            f"healthy={len(self.healthy_replicas())}/{len(self.replicas)}")
         return True
 
     def recover_replica(self, index: int, now_us: float) -> bool:
@@ -871,10 +869,9 @@ class InferenceService:
         self.stats.replica_recoveries += 1
         replica.stats.replica_recoveries += 1
         if injector is not None:
-            healthy = sum(1 for r in self.replicas if r.healthy)
             injector.record(now_us, "replica-recover", index,
                             f"rebroadcast_us={copy_us:.3f} "
-                            f"healthy={healthy}/{len(self.replicas)}")
+                            f"healthy={len(self.healthy_replicas())}/{len(self.replicas)}")
         return True
 
     def slow_replica(self, index: int, now_us: float, factor: float,
@@ -901,48 +898,41 @@ class InferenceService:
                     sum(FLOAT_BYTES * np.asarray(w).size for w in arrays))
         return self._broadcast_bytes
 
-    def _route_around_crashes(self, host_worker: str, depart_us: float,
-                              rows: int) -> Tuple[ModelReplica, float]:
-        """Route a planned batch, re-dispatching off replicas that die first.
+    def _route(self, host: "InferenceClient", depart_us: float,
+               rows: int) -> Tuple[ModelReplica, float]:
+        """Pick the replica for a batch of ``rows`` rows departing at ``depart_us``.
 
-        The routing policy picks among the healthy replicas (the full pool
-        when all are healthy, so the fault-free decision stream is
-        unchanged).  If the chosen replica's next scheduled event is a crash
-        landing at or before the batch's start on its horizon, these rows
-        are exactly the dead replica's queued/in-flight work: the crash is
-        applied now, a ``redispatch`` decision is logged, the re-dispatch
-        latency is charged onto a new departure, and routing repeats over
-        the survivors.  Batches are planned in global arrival order, so
-        re-dispatches replay in arrival order too.
+        Without a fault injector the routing policy picks from the whole
+        pool.  With one, due faults are applied first and the policy picks
+        among the healthy replicas (the whole pool while all are healthy,
+        so the fault-free decision stream is unchanged).  If the chosen
+        replica's next scheduled event is a crash landing at or before the
+        batch's start on its horizon, these rows are exactly the dead
+        replica's queued/in-flight work: the crash is applied now, a
+        ``redispatch`` decision is logged, the re-dispatch latency is
+        charged onto a new departure, and routing repeats over the
+        survivors.  Batches run in planned (arrival) order, so re-dispatches
+        replay in arrival order too.  Returns the replica and the (possibly
+        later) departure.
         """
         injector = self.fault_injector
+        if injector is None:
+            return self.routing.choose(self.replicas, host_worker=host.worker,
+                                       depart_us=depart_us), depart_us
+        self.apply_due_faults(depart_us)
         while True:
-            healthy = [r for r in self.replicas if r.healthy]
-            if len(healthy) == len(self.replicas):
-                replica = self.routing.choose(self.replicas, host_worker=host_worker,
-                                              depart_us=depart_us)
-            else:
-                index = self.routing.select(healthy, host_worker=host_worker,
-                                            depart_us=depart_us)
-                replica = healthy[index]
-                self.routing.decisions[replica.index] = (
-                    self.routing.decisions.get(replica.index, 0) + 1)
-            start_us = max(depart_us, replica.free_us)
-            crash = injector.peek_crash(replica.index, start_us)
+            replica = self.routing.choose(self.healthy_replicas(), host_worker=host.worker,
+                                          depart_us=depart_us)
+            crash = injector.peek_crash(replica.index, max(depart_us, replica.free_us))
             if crash is None:
                 return replica, depart_us
             injector.consume(crash)
             if self.fail_replica(crash.target, crash.time_us):
                 self.stats.redispatches += 1
                 self.stats.redispatched_rows += rows
-                depart_us = max(depart_us, crash.time_us) + self.plan_redispatch_latency_us
+                depart_us = max(depart_us, crash.time_us) + injector.plan.redispatch_latency_us
                 injector.record(crash.time_us, "redispatch", crash.target,
                                 f"rows={rows} new_depart={depart_us:.3f}")
-
-    @property
-    def plan_redispatch_latency_us(self) -> float:
-        injector = self.fault_injector
-        return injector.plan.redispatch_latency_us if injector is not None else 0.0
 
     # ----------------------------------------------------------------- queue
     def submit(self, client: InferenceClient, features: np.ndarray,
@@ -1104,7 +1094,7 @@ class InferenceService:
         removed from the queue when it was planned, so shedding can never
         claw back rows that are already being served — the "deadline-drop
         racing a departing batch" case resolves in the batch's favour by
-        construction.  Returns the dropped tickets (submission order) so the
+        construction.  Returns the dropped tickets (queue order) so the
         caller can route shed replies; their stats were counted at submit
         time and are otherwise untouched.
         """
@@ -1121,22 +1111,14 @@ class InferenceService:
 
     def _take_pending(self, arrival_cutoff_us: Optional[float] = None
                       ) -> List[List[InferenceTicket]]:
-        """Drain the queue into per-network ticket groups (submission order).
+        """Drain the queue into per-network ticket groups (queue order).
 
         With ``arrival_cutoff_us`` only tickets that arrived at or before the
         cutoff are taken; later ones stay queued (they can still gather more
         riders before their own deadline)."""
-        if arrival_cutoff_us is None:
-            tickets, self._pending = self._pending, []
-            self._pending_rows = 0
-        else:
-            tickets = [t for t in self._pending if t.arrival_us <= arrival_cutoff_us]
-            self._pending = [t for t in self._pending if t.arrival_us > arrival_cutoff_us]
-            self._pending_rows = sum(t.num_rows for t in self._pending)
-        self._earliest_arrival_us = None
-        self._earliest_arrival_dirty = bool(self._pending)
+        cutoff = math.inf if arrival_cutoff_us is None else arrival_cutoff_us
         groups: Dict[int, List[InferenceTicket]] = {}
-        for ticket in tickets:
+        for ticket in self.drop_pending(lambda t: t.arrival_us <= cutoff):
             groups.setdefault(id(ticket.client.network), []).append(ticket)
         return list(groups.values())
 
@@ -1148,184 +1130,72 @@ class InferenceService:
                      stable_before_us: Optional[float] = None) -> int:
         """Serve everything pending under the arrival-order queueing model.
 
-        Requests are packed into batches in arrival order.  A batch *departs*
-        (becomes eligible to run) when it is full — ``max_batch`` rows — or,
-        under the ``timeout`` policy, at ``first arrival + timeout_us`` even
-        if partial.  It then *starts* at ``max(departure, replica free
-        time)`` on the replica the routing policy picks: a single replica
-        serializes batches, while several replicas fan batches out across
-        their horizons.  Every participant's clock is advanced to the
-        batch's completion time, charging it its own queueing delay plus the
-        batch time — a rider that arrived early pays more waiting than one
-        that arrived just before departure.
+        Take the queue (only tickets that arrived by ``arrival_cutoff_us``,
+        when given), :func:`~repro.rollout.planner.plan` it, re-queue the
+        tickets the plan holds, then run every planned batch
+        (:meth:`_run_plan`).  The planner's docstring gives the packing and
+        hold rules: batches depart when full or, under ``timeout``, at their
+        first rider's deadline; ``full_batches_only`` (the replica-aware
+        eager path) runs only full batches departing by ``stable_before_us``
+        and leaves the earliest later one in
+        :attr:`last_undue_full_depart_us`; ``unbatched`` runs each ticket
+        alone on its own clock — the determinism baseline.
 
-        ``full_batches_only=True`` serves only the batches that packed to
-        ``max_batch`` rows (the replica-aware scheduler's eager path: a full
-        batch can never gather more riders, so a free replica may start it
-        while other workers still run); partial batches are re-queued unless
-        a split ticket straddles a served batch (partial re-queueing would
-        double-serve its rows).  ``stable_before_us`` bounds the eager path
-        to batches whose departure is already in the virtual past for every
-        still-running worker: a batch departing later than a runnable
-        worker's clock could still be reordered behind that worker's next
-        submission in global arrival order, so it is held back.  A held
-        deadline-closed partial may later start behind a full batch that
-        departed after it — the behaviour of a real batching server, which
-        dispatches full batches immediately while partials wait out their
-        deadlines.
-
-        ``unbatched`` serves each ticket on its own, on its own clock, with
-        no queueing — the determinism baseline: no ticket waits on another,
-        so (cache off) each worker's timeline does not depend on how the
-        scheduler interleaved the workers.  Returns the number of engine
-        calls issued.
+        A queued batch starts at ``max(departure, replica free time)`` on
+        the replica the routing policy picks, so one replica serializes
+        batches and several fan them out.  Every rider's clock advances to
+        the batch's end, charging it its own queueing delay plus the batch
+        time.  Returns the number of batches run.
         """
-        if policy not in FLUSH_POLICIES:
-            raise ValueError(f"unknown flush policy {policy!r}; expected one of {FLUSH_POLICIES}")
-        if policy == FLUSH_TIMEOUT:
-            if timeout_us is None or timeout_us < 0:
-                raise ValueError("the timeout policy requires a non-negative timeout_us")
-        else:
-            timeout_us = None
-        calls = 0
+        timeout_us = checked_timeout_us(policy, timeout_us)
+        served = plan(self._take_pending(arrival_cutoff_us), max_batch=self.max_batch,
+                      policy=policy, timeout_us=timeout_us,
+                      arrival_cutoff_us=arrival_cutoff_us,
+                      full_batches_only=full_batches_only,
+                      stable_before_us=stable_before_us)
         if full_batches_only:
-            self.last_undue_full_depart_us = None
-        for tickets in self._take_pending(arrival_cutoff_us):
-            tickets.sort(key=lambda t: (t.arrival_us, t.seq))
-            if policy == FLUSH_UNBATCHED:
-                for ticket in tickets:
-                    lo = 0
-                    while lo < ticket.num_rows:
-                        hi = min(lo + self.max_batch, ticket.num_rows)
-                        self._evaluate_chunk([(ticket, lo, hi)], hi - lo)
-                        calls += 1
-                        lo = hi
-                continue
-            batches = self._plan_batches(tickets, timeout_us)
-            if arrival_cutoff_us is not None and batches:
-                # Cutoff-triggered serve (a deadline passed): a trailing
-                # partial batch whose own deadline lies beyond the cutoff is
-                # not due yet — hold its tickets back so they can still
-                # gather riders, unless a split ticket straddles the served
-                # batches (partial re-queueing would double-serve its rows).
-                chunk, rows, depart_us = batches[-1]
-                if rows < self.max_batch and depart_us > arrival_cutoff_us:
-                    served = {id(t) for c, _, _ in batches[:-1] for t, _, _ in c}
-                    if not any(id(t) in served for t, _, _ in chunk):
-                        self._requeue(t for t, _, _ in chunk)
-                        batches.pop()
-            if full_batches_only and batches:
-                batches = self._hold_partial_batches(batches, stable_before_us)
-            for chunk, rows, depart_us in batches:
-                self._serve_chunk_queued(chunk, rows, depart_us)
-                calls += 1
-        return calls
+            self.last_undue_full_depart_us = served.undue_full_depart_us
+        self._requeue(served.held)
+        for batch in served.batches:
+            self._run_plan(batch)
+        return len(served.batches)
 
-    def _hold_partial_batches(self, batches, stable_before_us: Optional[float]):
-        """Keep only due full batches; re-queue the tickets of the rest.
+    def full_batch_pending(self) -> bool:
+        """Whether the queue holds at least ``max_batch`` rows.
 
-        A full batch is due when its departure is not later than
-        ``stable_before_us`` (no still-running worker could submit rows that
-        sort before it in arrival order).  A held batch is still served when
-        one of its tickets straddles a served batch (ticket rows split at a
-        full-batch boundary must not be double-served by a later re-plan)."""
-        served_ids: set = set()
-        keep = []
-        held_tickets: List[InferenceTicket] = []
-        held_ids: set = set()
-        for chunk, rows, depart_us in batches:
-            straddles = any(id(t) in served_ids for t, _, _ in chunk)
-            due = stable_before_us is None or depart_us <= stable_before_us
-            if rows >= self.max_batch and not due:
-                if (self.last_undue_full_depart_us is None
-                        or depart_us < self.last_undue_full_depart_us):
-                    self.last_undue_full_depart_us = depart_us
-            if (rows >= self.max_batch and due) or straddles:
-                keep.append((chunk, rows, depart_us))
-                served_ids.update(id(t) for t, _, _ in chunk)
-            else:
-                for ticket, _, _ in chunk:
-                    if id(ticket) not in held_ids:
-                        held_ids.add(id(ticket))
-                        held_tickets.append(ticket)
-        self._requeue(held_tickets)
-        return keep
-
-    def _plan_batches(self, tickets: List[InferenceTicket], timeout_us: Optional[float]
-                      ) -> List[Tuple[List[Tuple[InferenceTicket, int, int]], int, float]]:
-        """Greedy arrival-order packing into ``(chunk, rows, depart_us)`` batches.
-
-        A full batch departs when its last rider arrives; a partial batch
-        departs at ``first arrival + timeout_us`` when a timeout is set (the
-        server waits out the deadline hoping to fill), else when its last
-        rider arrives (the serve trigger means no more arrivals are coming).
+        A full batch can only be planned when it does, so callers skip
+        a ``full_batches_only`` serve (and its re-plan) while it does not.
         """
-        batches: List[Tuple[List[Tuple[InferenceTicket, int, int]], int, float]] = []
-        chunk: List[Tuple[InferenceTicket, int, int]] = []
-        rows = 0
-        first_arrival = 0.0
-        last_arrival = 0.0
+        return self._pending_rows >= self.max_batch
 
-        def close(depart_us: float) -> None:
-            nonlocal chunk, rows
-            batches.append((chunk, rows, depart_us))
-            chunk, rows = [], 0
+    def pending_deadline_us(self, timeout_us: Optional[float]) -> Optional[float]:
+        """When the oldest pending request's partial batch times out under a
+        ``timeout_us`` timeout (None without a timeout or when idle)."""
+        if timeout_us is None:
+            return None
+        return flush_deadline_us(self.earliest_pending_arrival_us(), timeout_us)
 
-        for ticket in tickets:
-            if chunk and timeout_us is not None and ticket.arrival_us > first_arrival + timeout_us:
-                close(first_arrival + timeout_us)
-            lo = 0
-            while lo < ticket.num_rows:
-                if not chunk:
-                    first_arrival = ticket.arrival_us
-                take = min(ticket.num_rows - lo, self.max_batch - rows)
-                chunk.append((ticket, lo, lo + take))
-                rows += take
-                lo += take
-                last_arrival = ticket.arrival_us
-                if rows == self.max_batch:
-                    # A full batch departs when its last rider arrives (the
-                    # admission check above guarantees that is within the
-                    # first rider's deadline).
-                    close(last_arrival)
-        if chunk:
-            close(first_arrival + timeout_us if timeout_us is not None else last_arrival)
-        return batches
+    def _run_plan(self, batch: BatchPlan) -> None:
+        """Route and run one planned batch, then hand its rows back.
 
-    def _evaluate_chunk(self, chunk: List[Tuple[InferenceTicket, int, int]], rows: int) -> None:
-        """Serve one ticket's rows unbatched: now, on its own clock, no queueing."""
-        host = chunk[0][0].client
-        now_us = host.system.clock.now_us
-        if self.fault_injector is None:
-            replica = self.routing.choose(self.replicas, host_worker=host.worker,
-                                          depart_us=now_us)
-        else:
-            self.apply_due_faults(now_us)
-            replica, _ = self._route_around_crashes(host.worker, now_us, rows)
-        priors, values, batch_time_us, engine_rows = self._run_batch(host, chunk, rows, replica)
-        replica.free_us = max(replica.free_us, host.system.clock.now_us)
-        replica.busy_us += batch_time_us
-        self._scatter(chunk, rows, priors, values, batch_time_us, 1, replica,
-                      engine_rows=engine_rows)
-
-    def _serve_chunk_queued(self, chunk: List[Tuple[InferenceTicket, int, int]],
-                            rows: int, depart_us: float) -> None:
-        """Run one planned batch under the queueing model and scatter results."""
-        host = chunk[0][0].client
-        injector = self.fault_injector
-        if injector is None:
-            replica = self.routing.choose(self.replicas, host_worker=host.worker,
-                                          depart_us=depart_us)
-        else:
-            self.apply_due_faults(depart_us)
-            replica, depart_us = self._route_around_crashes(host.worker,
-                                                            depart_us, rows)
-        start_us = max(depart_us, replica.free_us)
-        # The host worker (first requester) waits for the batch to start...
-        host.system.clock.advance_to(start_us)
+        A queued plan (one with a departure) starts at ``max(departure,
+        replica free time)``: its host worker's clock waits for the start,
+        an injected slowdown stretches the batch, every rider's clock
+        advances to the batch's end and each ticket is charged its queueing
+        delay.  An ``unbatched`` plan (departure None) skips all of that and
+        runs at once on its host's clock.
+        """
+        spans, rows = batch.spans, batch.rows
+        host = spans[0][0].client
+        queued = batch.depart_us is not None
+        depart_us = batch.depart_us if queued else host.system.clock.now_us
+        replica, depart_us = self._route(host, depart_us, rows)
+        if queued:
+            # The host worker (first requester) waits for the batch to start.
+            host.system.clock.advance_to(max(depart_us, replica.free_us))
         start_us = host.system.clock.now_us  # host may already be past depart
-        priors, values, batch_time_us, engine_rows = self._run_batch(host, chunk, rows, replica)
-        if (injector is not None and replica.slow_factor > 1.0
+        priors, values, batch_time_us, engine_rows = self._run_batch(host, spans, rows, replica)
+        if (queued and self.fault_injector is not None and replica.slow_factor > 1.0
                 and start_us < replica.slow_until_us and batch_time_us > 0.0):
             # An injected slowdown stretches the batch; the extra time is
             # real wall (virtual) time on the host clock.
@@ -1333,38 +1203,35 @@ class InferenceService:
             host.system.clock.advance(extra_us)
             batch_time_us += extra_us
         end_us = host.system.clock.now_us
-        replica.free_us = end_us
+        replica.free_us = max(replica.free_us, end_us)
         replica.busy_us += batch_time_us
-        # ...and every rider waits for it to finish: wait + batch time, each
-        # from its own arrival, inside its own (open) expand_leaf annotation.
-        clients = {id(t.client): t.client for t, _, _ in chunk}
-        for client in clients.values():
-            if client is not host:
-                client.system.clock.advance_to(end_us)
-        seen = set()
-        for ticket, _, _ in chunk:
-            if id(ticket) in seen:
-                continue
-            seen.add(id(ticket))
-            delay = max(start_us - ticket.arrival_us, 0.0)
-            for stats in (self.stats, replica.stats):
-                stats.queued_waits += 1
-                stats.queue_delay_us += delay
-                stats.max_queue_delay_us = max(stats.max_queue_delay_us, delay)
-                stats.queue_delay_samples.append(delay)
-            if ticket.metadata is not None:
-                ticket.metadata["queue_delay_us"] = ticket.metadata.get("queue_delay_us", 0.0) + delay
-                # Batch completion in virtual time; a split ticket keeps the
-                # end of its last-served chunk (the serving tier's reply
-                # timestamp and deadline check read this).
-                ticket.metadata["completion_us"] = max(
-                    ticket.metadata.get("completion_us", 0.0), end_us)
-        self._scatter(chunk, rows, priors, values, batch_time_us, len(clients), replica,
-                      engine_rows=engine_rows)
+        clients = {id(t.client): t.client for t, _, _ in spans}
+        if queued:
+            # Every rider waits for the batch to finish: wait + batch time,
+            # each from its own arrival, inside its own (open) annotation.
+            for client in clients.values():
+                if client is not host:
+                    client.system.clock.advance_to(end_us)
+            for ticket in dict.fromkeys(t for t, _, _ in spans):
+                delay = max(start_us - ticket.arrival_us, 0.0)
+                for stats in (self.stats, replica.stats):
+                    stats.queued_waits += 1
+                    stats.queue_delay_us += delay
+                    stats.max_queue_delay_us = max(stats.max_queue_delay_us, delay)
+                    stats.queue_delay_samples.append(delay)
+                if ticket.metadata is not None:
+                    meta = ticket.metadata
+                    meta["queue_delay_us"] = meta.get("queue_delay_us", 0.0) + delay
+                    # Batch completion in virtual time; a split ticket keeps
+                    # the end of its last-served batch (the serving tier's
+                    # reply timestamp and deadline check read this).
+                    meta["completion_us"] = max(meta.get("completion_us", 0.0), end_us)
+        self._scatter(spans, rows, engine_rows, priors, values, batch_time_us,
+                      len(clients), replica)
 
     # -------------------------------------------------------- shared helpers
     def _run_batch(self, host: InferenceClient,
-                   chunk: List[Tuple[InferenceTicket, int, int]], rows: int,
+                   chunk: List[Span], rows: int,
                    replica: ModelReplica) -> Tuple[np.ndarray, np.ndarray, float, int]:
         """Run one planned chunk, resolving cache hits and in-batch duplicates.
 
@@ -1443,15 +1310,15 @@ class InferenceService:
         return priors, values, batch_time_us, len(canonical)
 
     @staticmethod
-    def _sub_chunk(chunk: List[Tuple[InferenceTicket, int, int]],
-                   canonical: List[int]) -> List[Tuple[InferenceTicket, int, int]]:
+    def _sub_chunk(chunk: List[Span],
+                   canonical: List[int]) -> List[Span]:
         """Spans covering only the selected batch-row indices (order kept).
 
         ``canonical`` is strictly increasing, so one forward sweep over the
         original spans suffices; adjacent selected rows of one ticket merge
         back into a single span.
         """
-        sub: List[Tuple[InferenceTicket, int, int]] = []
+        sub: List[Span] = []
         bounds = []  # (ticket, first batch row of this span, lo)
         base = 0
         for ticket, lo, hi in chunk:
@@ -1472,7 +1339,7 @@ class InferenceService:
         return sub
 
     @staticmethod
-    def _attribute_cache_rows(chunk: List[Tuple[InferenceTicket, int, int]],
+    def _attribute_cache_rows(chunk: List[Span],
                               hit_entries: Dict[int, CachedRow],
                               rider_of: Dict[int, int]) -> None:
         """Count each ticket's cached/deduped rows into its metadata dict."""
@@ -1488,7 +1355,7 @@ class InferenceService:
                     ticket.metadata["dedupe_rows"] = ticket.metadata.get("dedupe_rows", 0) + dupes
             base += take
 
-    def _execute(self, host: InferenceClient, chunk: List[Tuple[InferenceTicket, int, int]],
+    def _execute(self, host: InferenceClient, chunk: List[Span],
                  replica: ModelReplica) -> Tuple[np.ndarray, np.ndarray, float]:
         """One batched engine call on the host's engine/clock, on the replica's device.
 
@@ -1516,19 +1383,16 @@ class InferenceService:
             cuda.device = saved_device
         return priors, values, host.system.clock.now_us - start_us
 
-    def _scatter(self, chunk: List[Tuple[InferenceTicket, int, int]], rows: int,
+    def _scatter(self, chunk: List[Span], rows: int, engine_rows: int,
                  priors: np.ndarray, values: np.ndarray, batch_time_us: float,
-                 num_clients: int, replica: ModelReplica, *,
-                 engine_rows: Optional[int] = None) -> None:
+                 num_clients: int, replica: ModelReplica) -> None:
         """Record stats for one served batch and hand rows back to its tickets.
 
         ``engine_rows`` is how many of the chunk's rows the engine actually
-        evaluated (cache hits and dedupe riders subtracted); it defaults to
-        ``rows`` — the cache-off behaviour — and 0 means no engine call was
-        issued at all, so none of the per-call counters (nor the batch-size
-        reservoir, whose RNG stream is pinned) may advance.
+        evaluated (cache hits and dedupe riders subtracted); 0 means no
+        engine call was issued at all, so none of the per-call counters (nor
+        the batch-size reservoir, whose RNG stream is pinned) may advance.
         """
-        engine_rows = rows if engine_rows is None else engine_rows
         # The service aggregate and the serving replica's stats advance in
         # lock-step (aggregate first, so its reservoir RNG stream matches
         # the pre-sharding single-stats service draw for draw).

@@ -48,14 +48,13 @@ from .envdriver import (
 )
 from .inference import (
     FLUSH_MAX_BATCH,
-    FLUSH_POLICIES,
-    FLUSH_TIMEOUT,
     FLUSH_UNBATCHED,
     ROUTING_POLICIES,
     ROUTING_ROUND_ROBIN,
     InferenceClient,
     InferenceService,
 )
+from .planner import flush_policy_error
 from .scheduler import PoolScheduler
 from .seeding import driver_seed
 
@@ -205,7 +204,6 @@ class WorkerPool:
 
         parallel = self.num_processes is not None
         choices = [("scheduler", self.scheduler, SCHEDULERS),
-                   ("flush policy", self.flush_policy, FLUSH_POLICIES),
                    ("cache scope", self.cache_scope, CACHE_SCOPES)]
         if isinstance(self.routing, str):
             choices.append(("routing policy", self.routing, ROUTING_POLICIES))
@@ -213,15 +211,14 @@ class WorkerPool:
             from ..parallel.runner import BACKENDS
             choices.append(("process backend", self.process_backend, BACKENDS))
         unbatched = not self.batched_inference
+        flush_error = flush_policy_error(self.flush_policy, self.flush_timeout_us)
         return [
             (self.num_workers <= 0, "num_workers must be positive"),
             (self.num_replicas <= 0, "num_replicas must be positive"),
             (parallel and self.num_processes <= 0, "num_processes must be positive"),
             *((value not in known, f"unknown {what} {value!r}; expected one of {known}")
               for what, value, known in choices),
-            (self.flush_policy == FLUSH_TIMEOUT
-             and (self.flush_timeout_us is None or self.flush_timeout_us < 0),
-             "the timeout flush policy requires a non-negative flush_timeout_us"),
+            (flush_error is not None, flush_error),
             (unbatched and self.num_replicas > 1,
              "num_replicas > 1 requires batched_inference=True "
              "(there is no inference service to shard otherwise)"),

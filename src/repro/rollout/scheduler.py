@@ -20,12 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .driver import StepwiseDriver
     from .inference import InferenceService
 
-from .inference import (
-    FLUSH_MAX_BATCH,
-    FLUSH_POLICIES,
-    FLUSH_TIMEOUT,
-    FLUSH_UNBATCHED,
-)
+from .planner import FLUSH_MAX_BATCH, FLUSH_UNBATCHED, checked_timeout_us
 
 
 @dataclass
@@ -93,14 +88,11 @@ class PoolScheduler:
                  flush_timeout_us: Optional[float] = None) -> None:
         if not drivers:
             raise ValueError("scheduler needs at least one driver")
-        if flush_policy not in FLUSH_POLICIES:
-            raise ValueError(f"unknown flush policy {flush_policy!r}; expected one of {FLUSH_POLICIES}")
-        if flush_policy == FLUSH_TIMEOUT and (flush_timeout_us is None or flush_timeout_us < 0):
-            raise ValueError("the timeout flush policy requires a non-negative flush_timeout_us")
         self.drivers = list(drivers)
         self.service = service
         self.flush_policy = flush_policy
-        self.flush_timeout_us = flush_timeout_us
+        #: the partial-batch timeout (None unless the policy is ``timeout``)
+        self.flush_timeout_us = checked_timeout_us(flush_policy, flush_timeout_us)
         self.stats = SchedulerStats()
         # Signature of the pending queue after a fruitless eager attempt
         # plus the virtual time at which retrying could first succeed (the
@@ -115,14 +107,6 @@ class PoolScheduler:
                                          timeout_us=self.flush_timeout_us,
                                          arrival_cutoff_us=arrival_cutoff_us)
 
-    def _pending_deadline_us(self) -> Optional[float]:
-        if self.flush_policy != FLUSH_TIMEOUT:
-            return None
-        earliest = self.service.earliest_pending_arrival_us()
-        if earliest is None:
-            return None
-        return earliest + self.flush_timeout_us
-
     def _try_eager_serve(self, stable_before_us: float) -> bool:
         """Serve pending *full* batches on the replica pool, if any.
 
@@ -135,9 +119,8 @@ class PoolScheduler:
         served — workers may have un-blocked, so the caller must recompute
         the runnable set.
         """
-        if self.service.num_replicas <= 1 or self.flush_policy == FLUSH_UNBATCHED:
-            return False
-        if self.service.pending_rows < self.service.max_batch:
+        if (self.service.num_replicas <= 1 or self.flush_policy == FLUSH_UNBATCHED
+                or not self.service.full_batch_pending()):
             return False
         signature = (self.service.pending_tickets, self.service.pending_rows)
         if signature == self._stale_eager_signature and (
@@ -244,7 +227,7 @@ class PoolScheduler:
                 push(index)
                 push_runnable()
                 continue
-            deadline = self._pending_deadline_us()
+            deadline = self.service.pending_deadline_us(self.flush_timeout_us)
             if deadline is not None and nxt.now_us >= deadline:
                 # The oldest pending batch times out before the next worker
                 # would act: depart it partial, serving only requests that

@@ -65,7 +65,6 @@ from ..hw.gpu import GPUDevice
 from ..faults.plan import FaultInjector, FaultPlan
 from ..rollout.inference import (
     FLUSH_MAX_BATCH,
-    FLUSH_POLICIES,
     FLUSH_TIMEOUT,
     FLUSH_UNBATCHED,
     InferenceService,
@@ -74,6 +73,7 @@ from ..rollout.inference import (
     RoutingPolicy,
 )
 from ..rollout.evalcache import EvalCache
+from ..rollout.planner import checked_timeout_us
 from ..system import System
 from .protocol import (
     STATUS_OK,
@@ -236,13 +236,7 @@ class InferenceServer:
                              f"expected one of {OVERLOAD_POLICIES}")
         if queue_capacity is not None and queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive (or None for unbounded)")
-        if flush_policy not in FLUSH_POLICIES:
-            raise ValueError(f"unknown flush policy {flush_policy!r}; "
-                             f"expected one of {FLUSH_POLICIES}")
-        if flush_policy != FLUSH_TIMEOUT:
-            flush_timeout_us = None
-        elif flush_timeout_us is None or flush_timeout_us < 0:
-            raise ValueError("the timeout flush policy requires a non-negative flush_timeout_us")
+        flush_timeout_us = checked_timeout_us(flush_policy, flush_timeout_us)
         self.name = name
         self.overload = overload
         self.queue_capacity = queue_capacity
@@ -568,19 +562,19 @@ class InferenceServer:
                   f"queue={self.service.pending_tickets}")
 
     # -------------------------------------------------------------- serving
+    def _serve(self, now_us: float, **kwargs) -> int:
+        """One ``serve_queued`` under the server's flush policy, at ``now_us``."""
+        self._clock.seek(now_us)
+        return self.service.serve_queued(policy=self.flush_policy,
+                                         timeout_us=self.flush_timeout_us, **kwargs)
+
     def _serve_full(self, now_us: float) -> int:
         """Serve whatever is due *now*: full batches (or everything, unbatched)."""
-        if self.service.pending_tickets == 0:
+        if self.service.pending_tickets == 0 or (
+                self.flush_policy != FLUSH_UNBATCHED
+                and not self.service.full_batch_pending()):
             return 0
-        if self.flush_policy == FLUSH_UNBATCHED:
-            self._clock.seek(now_us)
-            return self.service.serve_queued(policy=FLUSH_UNBATCHED)
-        if self.service.pending_rows < self.service.max_batch:
-            return 0
-        self._clock.seek(now_us)
-        return self.service.serve_queued(
-            policy=self.flush_policy, timeout_us=self.flush_timeout_us,
-            full_batches_only=True, stable_before_us=now_us)
+        return self._serve(now_us, full_batches_only=True, stable_before_us=now_us)
 
     def _pump(self, now_us: float) -> List[Tuple[bytes, float]]:
         """Serve due batches, deliver replies, refill from the backlog."""
@@ -642,15 +636,6 @@ class InferenceServer:
         return replies
 
     # ---------------------------------------------------------- timer hooks
-    def _flush_deadline_us(self) -> Optional[float]:
-        """When the oldest pending partial batch times out (None if never)."""
-        if self.flush_policy != FLUSH_TIMEOUT:
-            return None
-        earliest = self.service.earliest_pending_arrival_us()
-        if earliest is None:
-            return None
-        return earliest + self.flush_timeout_us
-
     def next_deadline_us(self) -> Optional[float]:
         """The next virtual time the server needs a timer event (None if never).
 
@@ -659,7 +644,7 @@ class InferenceServer:
         frees a slot for the backlog head.
         """
         candidates = []
-        flush = self._flush_deadline_us()
+        flush = self.service.pending_deadline_us(self.flush_timeout_us)
         if flush is not None:
             candidates.append(flush)
         if self._backlog and self._in_service:
@@ -675,13 +660,9 @@ class InferenceServer:
         """
         self._sync_faults(now_us)
         replies: List[Tuple[bytes, float]] = []
-        deadline = self._flush_deadline_us()
+        deadline = self.service.pending_deadline_us(self.flush_timeout_us)
         if deadline is not None and now_us >= deadline:
-            self._clock.seek(now_us)
-            calls = self.service.serve_queued(policy=self.flush_policy,
-                                              timeout_us=self.flush_timeout_us,
-                                              arrival_cutoff_us=deadline)
-            if calls:
+            if self._serve(now_us, arrival_cutoff_us=deadline):
                 self.stats.serve_calls += 1
                 self.stats.timeout_serves += 1
             replies.extend(self._collect())
@@ -706,7 +687,7 @@ class InferenceServer:
             if guard > 1_000_000:  # pragma: no cover - defensive
                 raise RuntimeError("drain did not converge")
             before = len(replies)
-            deadline = self._flush_deadline_us()
+            deadline = self.service.pending_deadline_us(self.flush_timeout_us)
             if deadline is not None:
                 now = max(now, deadline)
                 replies.extend(self.on_timer(now))
@@ -715,9 +696,7 @@ class InferenceServer:
             if self.service.pending_tickets:
                 # No flush deadline applies (max-batch/unbatched policy):
                 # flush the held partials right away.
-                self._clock.seek(now)
-                if self.service.serve_queued(policy=self.flush_policy,
-                                             timeout_us=self.flush_timeout_us):
+                if self._serve(now):
                     self.stats.serve_calls += 1
                 replies.extend(self._collect())
             replies.extend(self._pump(now))

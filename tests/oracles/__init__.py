@@ -20,6 +20,9 @@ the rest is called side by side with the shipped code.
 * ``adam_loop`` — the per-parameter ``Adam`` / ``MPIAdam`` update
   (:mod:`repro.backend.optimizers`);
 * ``scalar_cuda_launch`` — the per-call CUDA launch path and object profiler;
+* ``batch_planner`` — the planning half of ``InferenceService.serve_queued``
+  before :mod:`repro.rollout.planner` (``_plan_batches`` and the two hold
+  rules), called side by side with ``planner.plan``;
 * ``jsonl_chunk`` — the ``tracedb-v1`` JSONL chunk writer;
 * ``json_frame`` — the version-1 JSON serving wire codec.
 """

@@ -36,7 +36,7 @@ def run_scan(self: PoolScheduler) -> SchedulerStats:
         nxt = min(runnable, key=lambda driver: driver.now_us)
         if self._try_eager_serve(nxt.now_us):
             continue
-        deadline = self._pending_deadline_us()
+        deadline = self.service.pending_deadline_us(self.flush_timeout_us)
         if deadline is not None and nxt.now_us >= deadline:
             self.stats.timeout_serves += 1
             self._serve(arrival_cutoff_us=deadline)
