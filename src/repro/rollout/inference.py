@@ -1183,7 +1183,8 @@ class InferenceService:
         an injected slowdown stretches the batch, every rider's clock
         advances to the batch's end and each ticket is charged its queueing
         delay.  An ``unbatched`` plan (departure None) skips all of that and
-        runs at once on its host's clock.
+        runs at once on its host's clock.  Either way each ticket's metadata
+        gets the batch's end as ``completion_us``.
         """
         spans, rows = batch.spans, batch.rows
         host = spans[0][0].client
@@ -1212,20 +1213,22 @@ class InferenceService:
             for client in clients.values():
                 if client is not host:
                     client.system.clock.advance_to(end_us)
-            for ticket in dict.fromkeys(t for t, _, _ in spans):
+        for ticket in dict.fromkeys(t for t, _, _ in spans):
+            meta = ticket.metadata
+            if queued:
                 delay = max(start_us - ticket.arrival_us, 0.0)
                 for stats in (self.stats, replica.stats):
                     stats.queued_waits += 1
                     stats.queue_delay_us += delay
                     stats.max_queue_delay_us = max(stats.max_queue_delay_us, delay)
                     stats.queue_delay_samples.append(delay)
-                if ticket.metadata is not None:
-                    meta = ticket.metadata
+                if meta is not None:
                     meta["queue_delay_us"] = meta.get("queue_delay_us", 0.0) + delay
-                    # Batch completion in virtual time; a split ticket keeps
-                    # the end of its last-served batch (the serving tier's
-                    # reply timestamp and deadline check read this).
-                    meta["completion_us"] = max(meta.get("completion_us", 0.0), end_us)
+            if meta is not None:
+                # Batch completion in virtual time; a split ticket keeps the
+                # end of its last-served batch (the serving tier's reply
+                # timestamp and deadline check read this).
+                meta["completion_us"] = max(meta.get("completion_us", 0.0), end_us)
         self._scatter(spans, rows, engine_rows, priors, values, batch_time_us,
                       len(clients), replica)
 

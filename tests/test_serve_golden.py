@@ -35,9 +35,13 @@ from repro.minigo.workers import SelfPlayPool
 from repro.serving import InferenceServer, LoadGenerator, PoissonProcess, run_serving
 
 #: SHA-256 of each serve path's outputs, keyed by the test's case name.
+#: ``sequential-pool`` was re-pinned when ``unbatched`` batches began to
+#: stamp ``completion_us`` into request metadata: its ``expand_leaf``
+#: operations gained that one key, and decoding both stores showed no other
+#: difference in any event, marker, operation or worker clock.
 SERVE_PATH_SHA256 = {
     "sequential-pool":
-        "8c2ce94492a187a4120fe991152775a7bd75f91bf7a059542f4213add105d035",
+        "4cf158796ab9f0e74cb118264c53626cdc6b3f74f35128f7178d068666352d6c",
     "timeout-least-loaded-pool":
         "2b45b4067997a747921264884052dcca4b964a4e32ec9ad726bd6d2f1083e073",
     "minigo-round":

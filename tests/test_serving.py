@@ -660,6 +660,19 @@ def test_served_reply_carries_batch_attribution():
         "the earlier arrival waited longer for the batch to fill"
 
 
+def test_unbatched_replies_complete_when_their_batch_ends():
+    """Under ``unbatched`` each request runs alone, at once, on the gateway's
+    clock: its reply is stamped with the end of that batch, never before
+    the request arrived."""
+    server = make_server(flush_policy="unbatched", flush_timeout_us=None)
+    for rid, t in enumerate((1_000.0, 2_000.0, 3_000.0)):
+        replies = decode_replies(server.offer(request(rid, t), t))
+        assert len(replies) == 1
+        reply, at = replies[0]
+        assert reply.ok
+        assert at == reply.completion_us == server.service.replicas[0].free_us > t
+
+
 # ------------------------------------------------------ admission-time cache
 def keyed_request(rid, t=0.0, *, client="c0", key=7, n=1):
     from repro.serving import key_features
