@@ -36,17 +36,20 @@ Examples::
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from . import (
-    findings, run_batch_sweep, run_cache_sweep, run_fault_sweep, run_fig4, run_fig5,
-    run_fig7, run_fig8, run_fig11a, run_fig11b, run_replica_sweep, run_sched_sweep,
-    run_serve_sweep, run_table1, run_zoo_sweep, table1,
+    DEFAULT_MINIGO_CONFIG, findings, run_batch_sweep, run_cache_sweep, run_fault_sweep,
+    run_fig4, run_fig5, run_fig7, run_fig8, run_fig11a, run_fig11b, run_replica_sweep,
+    run_sched_sweep, run_serve_sweep, run_table1, run_zoo_sweep, table1,
 )
+from ..rl.zoo import ZOO_ALGORITHMS
 from ..serving import OVERLOAD_POLICIES
+from ..sim.registry import available_simulators
 from .common import DEFAULT_TIMESTEPS
+from .faultsweep import FAULT_POLICIES
 
 
 def _number_list(convert, noun: str, *, allow_zero: bool = False):
@@ -73,14 +76,16 @@ def _name_list(text: str) -> tuple:
     return values
 
 
-def _overload_list(text: str) -> tuple:
-    values = tuple(value.strip() for value in text.split(","))
-    allowed = ("none", *OVERLOAD_POLICIES)
-    bad = [value for value in values if value not in allowed]
-    if bad:
-        raise argparse.ArgumentTypeError(
-            f"unknown overload policies {bad}; choose from {', '.join(allowed)}")
-    return values
+def _choice_list(noun: str, allowed: Sequence[str]):
+    """argparse type: comma-separated names, each one of ``allowed``."""
+    def parse(text: str) -> tuple:
+        values = _name_list(text)
+        bad = [value for value in values if value not in allowed]
+        if bad:
+            raise argparse.ArgumentTypeError(
+                f"unknown {noun} {bad}; choose from {', '.join(allowed)}")
+        return values
+    return parse
 
 
 def _table1() -> str:
@@ -93,7 +98,7 @@ def _findings(timesteps: int = DEFAULT_TIMESTEPS, seed: int = 0) -> str:
         fig4_ddpg=run_fig4("DDPG", timesteps=timesteps, seed=seed),
         fig5=run_fig5(timesteps=timesteps, seed=seed),
         fig7=run_fig7(timesteps=timesteps, seed=seed),
-        fig8=run_fig8())
+        fig8=run_fig8(replace(DEFAULT_MINIGO_CONFIG, seed=seed)))
     return "\n".join(str(finding) for finding in checks.values())
 
 
@@ -199,10 +204,13 @@ FLAGS: Dict[str, dict] = {
                     help="arrival rates as comma-separated multiples of measured capacity"),
     "--clients": dict(type=int, help="synthetic client count"),
     "--arrival": dict(choices=["poisson", "bursty"], help="arrival process"),
-    "--overloads": dict(type=_overload_list, help="overload policies, comma-separated from "
-                        "none,block,shed-newest,shed-oldest,deadline-drop"),
-    "--sims": dict(type=_name_list, help="simulator registry names, comma-separated"),
-    "--algos": dict(type=_name_list, help="algorithm families, comma-separated from DQN,PPO,DDPG"),
+    "--overloads": dict(type=_choice_list("overload policies", ("none", *OVERLOAD_POLICIES)),
+                        help="overload policies, comma-separated from "
+                             f"{','.join(('none', *OVERLOAD_POLICIES))}"),
+    "--sims": dict(type=_choice_list("simulators", available_simulators()),
+                   help="simulator registry names, comma-separated"),
+    "--algos": dict(type=_choice_list("algorithm families", tuple(ZOO_ALGORITHMS)),
+                    help=f"algorithm families, comma-separated from {','.join(ZOO_ALGORITHMS)}"),
     "--worker-counts": dict(type=_number_list(int, "worker counts"),
                             help="worker counts, comma-separated"),
     "--trace-dir": dict(help="stream every batched cell's profiler trace into per-cell "
@@ -212,8 +220,9 @@ FLAGS: Dict[str, dict] = {
     "--fault-rates": dict(type=_number_list(float, "fault rates", allow_zero=True),
                           help="replica crash rates per virtual second, comma-separated; "
                                "0 is the fault-free control"),
-    "--fault-policies": dict(type=_name_list,
-                             help="admission arms, comma-separated from degrade,full"),
+    "--fault-policies": dict(type=_choice_list("fault policies", FAULT_POLICIES),
+                             help="admission arms, comma-separated from "
+                                  f"{','.join(FAULT_POLICIES)}"),
     "--quick": dict(action="store_true", help="smoke mode: a small grid (the CI "
                     "configuration); its report is written only to --out"),
     "--out": dict(help="also write the report to this path (default without --quick: "

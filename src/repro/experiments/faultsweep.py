@@ -35,13 +35,16 @@ from ..serving import PoissonProcess, RetryPolicy, SLOReport
 from .servesweep import latency_p99, serving_cell, serving_setup
 from .sweep import SweepResult
 
+#: The admission arms a fault sweep compares (see the module docstring).
+FAULT_POLICIES = ("degrade", "full")
+
 #: Grid, server and traffic shape of the default sweep (mirrors the serve
 #: sweep); ``retry=None`` is a decorrelated-jitter :class:`RetryPolicy`.
 DEFAULT_FAULT_KWARGS = dict(
     #: Replica crashes per virtual second of trace; 0 is the fault-free
     #: control every other point is compared against.
     crash_rates=(0.0, 50.0, 150.0),
-    policies=("degrade", "full"),
+    policies=FAULT_POLICIES,
     replica_counts=(2, 4),
     board_size=5,
     hidden=(16,),
@@ -107,7 +110,7 @@ class FaultSweepResult(SweepResult):
     def setup(self) -> None:
         if any(rate < 0 for rate in self.crash_rates):
             raise ValueError("crash_rates must be non-negative")
-        unknown = [p for p in self.policies if p not in ("degrade", "full")]
+        unknown = [p for p in self.policies if p not in FAULT_POLICIES]
         if unknown:
             raise ValueError(f"unknown fault policies {unknown}")
         serving_setup(self.config, RetryPolicy(jitter="decorrelated"))

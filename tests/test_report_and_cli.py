@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,32 @@ def test_experiment_cli_rejects_a_list_where_one_value_is_read(capsys, argv, fla
     with pytest.raises(SystemExit):
         cli.parse(argv)
     assert f"{argv[0]} takes a single {flag} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["faultsweep", "--quick", "--fault-policies", "bogus"], "--fault-policies"),
+    (["zoosweep", "--quick", "--sims", "Bogus"], "--sims"),
+    (["zoosweep", "--quick", "--algos", "Bogus"], "--algos"),
+    (["servesweep", "--quick", "--overloads", "bogus"], "--overloads"),
+])
+def test_experiment_cli_rejects_an_unknown_name_before_running(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.parse(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_experiment_cli_findings_runs_fig8_at_its_seed(monkeypatch, seed):
+    configs = []
+    monkeypatch.setattr(cli, "run_fig8", configs.append)
+    for name in ("run_fig4", "run_fig5", "run_fig7"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli.findings, "check_all", lambda **results: {})
+    assert cli.main(["findings", "--seed", str(seed)]) == 0
+    assert configs == [replace(cli.DEFAULT_MINIGO_CONFIG, seed=seed)]
+    if seed == 0:
+        assert configs == [cli.DEFAULT_MINIGO_CONFIG]
 
 
 def _documented_invocations():
