@@ -64,7 +64,12 @@ def serves(draw):
                for seq, (arrival, rows, network) in enumerate(specs)]
     policy = draw(st.sampled_from(FLUSH_POLICIES))
     timeout = draw(st.sampled_from([0.0, 2.5, 7.0, 20.0]))
-    maybe_time = st.none() | st.integers(0, 45).map(float)
+    # Times near the stream's own: an arrival, or the oldest request's flush
+    # deadline (the cutoff the scheduler and the server pass), or any time.
+    earliest = min(t.arrival_us for t in tickets)
+    near = st.sampled_from([t.arrival_us for t in tickets])
+    maybe_time = st.one_of(st.none(), near, st.just(earliest + timeout),
+                           st.integers(0, 45).map(float))
     kwargs = dict(policy=policy, timeout_us=timeout if policy == FLUSH_TIMEOUT
                   else draw(st.none() | st.just(timeout)),
                   arrival_cutoff_us=draw(maybe_time),
