@@ -76,8 +76,8 @@ def _name_list(text: str) -> tuple:
     return values
 
 
-def _choice_list(noun: str, allowed: Sequence[str]):
-    """argparse type: comma-separated names, each one of ``allowed``."""
+def _choice_list(noun: str, allowed: Sequence[str]) -> dict:
+    """A flag taking comma-separated ``noun``, each one of ``allowed``."""
     def parse(text: str) -> tuple:
         values = _name_list(text)
         bad = [value for value in values if value not in allowed]
@@ -85,7 +85,7 @@ def _choice_list(noun: str, allowed: Sequence[str]):
             raise argparse.ArgumentTypeError(
                 f"unknown {noun} {bad}; choose from {', '.join(allowed)}")
         return values
-    return parse
+    return dict(type=parse, help=f"{noun}, comma-separated from {','.join(allowed)}")
 
 
 def _table1() -> str:
@@ -204,13 +204,9 @@ FLAGS: Dict[str, dict] = {
                     help="arrival rates as comma-separated multiples of measured capacity"),
     "--clients": dict(type=int, help="synthetic client count"),
     "--arrival": dict(choices=["poisson", "bursty"], help="arrival process"),
-    "--overloads": dict(type=_choice_list("overload policies", ("none", *OVERLOAD_POLICIES)),
-                        help="overload policies, comma-separated from "
-                             f"{','.join(('none', *OVERLOAD_POLICIES))}"),
-    "--sims": dict(type=_choice_list("simulators", available_simulators()),
-                   help="simulator registry names, comma-separated"),
-    "--algos": dict(type=_choice_list("algorithm families", tuple(ZOO_ALGORITHMS)),
-                    help=f"algorithm families, comma-separated from {','.join(ZOO_ALGORITHMS)}"),
+    "--overloads": _choice_list("overload policies", ("none", *OVERLOAD_POLICIES)),
+    "--sims": _choice_list("simulators", available_simulators()),
+    "--algos": _choice_list("algorithm families", tuple(ZOO_ALGORITHMS)),
     "--worker-counts": dict(type=_number_list(int, "worker counts"),
                             help="worker counts, comma-separated"),
     "--trace-dir": dict(help="stream every batched cell's profiler trace into per-cell "
@@ -220,9 +216,7 @@ FLAGS: Dict[str, dict] = {
     "--fault-rates": dict(type=_number_list(float, "fault rates", allow_zero=True),
                           help="replica crash rates per virtual second, comma-separated; "
                                "0 is the fault-free control"),
-    "--fault-policies": dict(type=_choice_list("fault policies", FAULT_POLICIES),
-                             help="admission arms, comma-separated from "
-                                  f"{','.join(FAULT_POLICIES)}"),
+    "--fault-policies": _choice_list("fault policies", FAULT_POLICIES),
     "--quick": dict(action="store_true", help="smoke mode: a small grid (the CI "
                     "configuration); its report is written only to --out"),
     "--out": dict(help="also write the report to this path (default without --quick: "

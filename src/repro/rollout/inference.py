@@ -37,21 +37,18 @@ with several replicas, batches fan out and overlap instead of serializing
 through one ``free_us`` horizon.  Weight updates propagate to every replica
 with a virtual-time broadcast cost (:meth:`InferenceService.update_weights`).
 
-One serving path, :meth:`InferenceService.serve_queued`, driven by the
-:class:`~repro.rollout.scheduler.PoolScheduler` and the serving tier, in
-three steps:
-
-* **plan** — the pure :func:`~repro.rollout.planner.plan` packs the taken
-  tickets in **arrival order** under an explicit flush policy (``max-batch``
-  departs a batch when it is full, ``timeout`` additionally departs a
-  partial batch ``timeout_us`` after its first request arrived,
-  ``unbatched`` serves each ticket alone on its own clock — the bit-for-bit
-  determinism baseline) and says which tickets go back on the queue;
-* **route** — :meth:`InferenceService._route` picks each batch's replica
-  under the routing policy, around crashed replicas when faults are armed;
-* **run** — :meth:`InferenceService._run_plan` starts a queued batch at
-  ``max(departure time, replica free time)``, runs it and charges every
-  participant its own queueing delay *plus* the batch time.
+One serving path, :meth:`InferenceService.serve_queued` (driven by the
+:class:`~repro.rollout.scheduler.PoolScheduler` and the serving tier), is
+plan -> route -> run.  The pure :func:`~repro.rollout.planner.plan` packs the
+taken tickets in **arrival order** under an explicit flush policy
+(``max-batch`` departs a batch when it is full, ``timeout`` additionally
+departs a partial batch ``timeout_us`` after its first request arrived,
+``unbatched`` serves each ticket alone on its own clock — the bit-for-bit
+determinism baseline) and says which tickets go back on the queue;
+:meth:`~InferenceService._route` picks each batch's replica (around crashed
+ones when faults are armed); :meth:`~InferenceService._run_plan` starts a
+queued batch at ``max(departure time, replica free time)`` and charges every
+participant its own queueing delay *plus* the batch time.
 
 Attribution: every request can carry a metadata dict which the service fills
 with the serving batch shape (``batch_rows``, ``batch_clients``,
@@ -1139,20 +1136,14 @@ class InferenceService:
         eager path) runs only full batches departing by ``stable_before_us``
         and leaves the earliest later one in
         :attr:`last_undue_full_depart_us`; ``unbatched`` runs each ticket
-        alone on its own clock — the determinism baseline.
-
-        A queued batch starts at ``max(departure, replica free time)`` on
-        the replica the routing policy picks, so one replica serializes
-        batches and several fan them out.  Every rider's clock advances to
-        the batch's end, charging it its own queueing delay plus the batch
-        time.  Returns the number of batches run.
+        alone on its own clock — the determinism baseline.  Returns the
+        number of batches run.
         """
+        # Checked before the queue is taken: a bad setting must not drop it.
         timeout_us = checked_timeout_us(policy, timeout_us)
         served = plan(self._take_pending(arrival_cutoff_us), max_batch=self.max_batch,
-                      policy=policy, timeout_us=timeout_us,
-                      arrival_cutoff_us=arrival_cutoff_us,
-                      full_batches_only=full_batches_only,
-                      stable_before_us=stable_before_us)
+                      policy=policy, timeout_us=timeout_us, arrival_cutoff_us=arrival_cutoff_us,
+                      full_batches_only=full_batches_only, stable_before_us=stable_before_us)
         if full_batches_only:
             self.last_undue_full_depart_us = served.undue_full_depart_us
         self._requeue(served.held)
