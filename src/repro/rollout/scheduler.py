@@ -103,6 +103,10 @@ class PoolScheduler:
 
     def _serve(self, *, arrival_cutoff_us: Optional[float] = None) -> int:
         self.stats.serves += 1
+        # The serve drains the queue, so a later queue of the same shape is
+        # new: forget the last fruitless eager attempt.
+        self._stale_eager_signature = None
+        self._eager_retry_at_us = None
         return self.service.serve_queued(policy=self.flush_policy,
                                          timeout_us=self.flush_timeout_us,
                                          arrival_cutoff_us=arrival_cutoff_us)

@@ -366,3 +366,52 @@ def test_timeout_policy_under_sharding_stays_correct_and_pipelines():
     assert stats.rows == sum(rs.rows for rs in
                              (r.stats for r in instant.inference_service.replicas))
     assert all(run.result.moves > 0 for run in instant.runs)
+
+
+def test_eager_serve_is_skipped_only_when_no_full_batch_is_due(monkeypatch):
+    """A skipped eager attempt must never leave a due full batch queued.
+
+    The scheduler skips re-planning while the queue looks unchanged since a
+    fruitless attempt.  A barrier or timeout serve in between empties the
+    queue, and later submissions can rebuild one of the same shape that
+    holds a due full batch; every skip is checked against the planner.
+    """
+    from repro.rollout.inference import InferenceService
+    from repro.rollout.planner import plan
+
+    eager_calls = []
+    serve_queued = InferenceService.serve_queued
+
+    def counting_serve_queued(self, **kwargs):
+        if kwargs.get("full_batches_only"):
+            eager_calls.append(kwargs)
+        return serve_queued(self, **kwargs)
+
+    try_eager_serve = PoolScheduler._try_eager_serve
+
+    def checked_try_eager_serve(self, stable_before_us):
+        service = self.service
+        eligible = service.num_replicas > 1 and service.full_batch_pending()
+        groups = {}
+        for ticket in service._pending:
+            groups.setdefault(id(ticket.client.network), []).append(ticket)
+        called = len(eager_calls)
+        served = try_eager_serve(self, stable_before_us)
+        if eligible and len(eager_calls) == called:
+            due = plan(list(groups.values()), max_batch=service.max_batch,
+                       policy=self.flush_policy, timeout_us=self.flush_timeout_us,
+                       full_batches_only=True, stable_before_us=stable_before_us)
+            assert not due.batches, (
+                f"eager serve skipped at {stable_before_us} us with "
+                f"{len(due.batches)} due full batch(es) queued")
+        return served
+
+    monkeypatch.setattr(InferenceService, "serve_queued", counting_serve_queued)
+    monkeypatch.setattr(PoolScheduler, "_try_eager_serve", checked_try_eager_serve)
+    pool = SelfPlayPool(8, board_size=5, num_simulations=8, max_moves=6, hidden=(16,),
+                        leaf_batch=2, profile=False, batched_inference=True,
+                        scheduler="event", inference_max_batch=8, num_replicas=2,
+                        routing="least-loaded", flush_policy="timeout",
+                        flush_timeout_us=200.0)
+    pool.run()
+    assert eager_calls and pool.pool_scheduler.stats.eager_serves > 0
