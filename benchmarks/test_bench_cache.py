@@ -21,8 +21,9 @@ Outputs:
 
 * the rendered cache-sweep table, printed (the committed ``results/cache_sweep.txt``
   is the full grid, and only ``rls-experiment cachesweep`` writes it);
-* a ``cache`` block merged into ``BENCH_wallclock.json`` (the perf
-  trajectory guard in CI fails when the block is missing or stale).
+* a ``cache`` block in the untracked bench record ``BENCH_wallclock.json``,
+  written by ``benchmarks/record.py`` (whose CI check fails when the block is
+  missing or stale).
 
 Set ``CACHE_QUICK=1`` (the CI smoke step does) for smaller workloads with
 the same assertions.
@@ -30,13 +31,11 @@ the same assertions.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-from pathlib import Path
 
 import numpy as np
 
+from record import record
 from repro.experiments import DEFAULT_SERVE_KWARGS, run_cache_sweep, run_serve_sweep
 from repro.minigo import PolicyValueNet
 from repro.minigo.training import MinigoConfig, MinigoTraining
@@ -51,7 +50,6 @@ from repro.serving import (
 )
 
 QUICK = os.environ.get("CACHE_QUICK") == "1"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 
 #: The pinned self-play shape (the wall-clock bench's run) and its floor.
@@ -97,15 +95,6 @@ SERVE_CLIENTS = 256
 SERVE_KEY_SPACE = 64
 SERVE_CACHE_CAPACITY = 256
 SERVE_HORIZON_US = 10_000.0 if QUICK else DEFAULT_SERVE_KWARGS["horizon_us"]
-
-
-def _commit_hash() -> str:
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-                              capture_output=True, text=True, check=True,
-                              timeout=10).stdout.strip()
-    except Exception:
-        return "unknown"
 
 
 def _run_selfplay(cache: bool):
@@ -223,16 +212,8 @@ def test_bench_cache(benchmark):
     assert all(p.wins_match for p in sweep.points), \
         "every sweep cell must keep win counts identical cache off vs on"
 
-    # --- perf-trajectory entry: merge a cache block into the wall-clock
-    # payload (the wallclock bench preserves it when it rewrites the file).
-    path = REPO_ROOT / "BENCH_wallclock.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "wallclock", "commit": _commit_hash(),
-                   "metrics": {}}
-    payload["cache"] = {
-        "commit": _commit_hash(),
+    # --- the bench record's cache block.
+    record("cache", {
         "quick": QUICK,
         "selfplay": {
             "workers": SELFPLAY_WORKERS,
@@ -275,8 +256,7 @@ def test_bench_cache(benchmark):
             "goodput_off_per_sec": slo_off.goodput_per_sec,
             "goodput_on_per_sec": slo_on.goodput_per_sec,
         },
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
 
     report = sweep.report()
     print()

@@ -25,8 +25,9 @@ Outputs:
 
 * the rendered fault-sweep table, printed (the committed ``results/fault_sweep.txt``
   is the full grid, and only ``rls-experiment faultsweep`` writes it);
-* a ``faults`` block merged into ``BENCH_wallclock.json`` (the perf
-  trajectory guard in CI fails when the block is missing or stale).
+* a ``faults`` block in the untracked bench record ``BENCH_wallclock.json``,
+  written by ``benchmarks/record.py`` (whose CI check fails when the block is
+  missing or stale).
 
 Set ``FAULTS_QUICK=1`` (the CI smoke step does) for smaller workloads with
 the same assertions.
@@ -34,13 +35,11 @@ the same assertions.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-from pathlib import Path
 
 import numpy as np
 
+from record import record
 from repro.experiments import DEFAULT_FAULT_KWARGS, run_fault_sweep
 from repro.faults import (
     FaultEvent,
@@ -59,7 +58,6 @@ from repro.serving import (
 )
 
 QUICK = os.environ.get("FAULTS_QUICK") == "1"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 
 BOARD = DEFAULT_FAULT_KWARGS["board_size"]
@@ -72,15 +70,6 @@ LOAD_MULTIPLIER = DEFAULT_FAULT_KWARGS["load_multiplier"]
 #: 0.4-horizon outage, so fleet availability is exactly 1 - 0.4/replicas.
 CRASH_AT = 0.25 * HORIZON_US
 RECOVER_AT = 0.65 * HORIZON_US
-
-
-def _commit_hash() -> str:
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-                              capture_output=True, text=True, check=True,
-                              timeout=10).stdout.strip()
-    except Exception:
-        return "unknown"
 
 
 def _make_network():
@@ -207,16 +196,8 @@ def test_bench_faults(benchmark):
                 assert a.lines()[1:] == b.lines()[1:], \
                     "fault-free sweep arms must be bit-identical"
 
-    # --- perf-trajectory entry: merge a faults block into the wall-clock
-    # payload (the wallclock bench preserves it when it rewrites the file).
-    path = REPO_ROOT / "BENCH_wallclock.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "wallclock", "commit": _commit_hash(),
-                   "metrics": {}}
-    payload["faults"] = {
-        "commit": _commit_hash(),
+    # --- the bench record's faults block.
+    record("faults", {
         "quick": QUICK,
         "scenario": {
             "replicas": 4,
@@ -244,8 +225,7 @@ def test_bench_faults(benchmark):
         "empty_plan_identical": True,
         "replay_identical": True,
         "decision_log_lines": len(log_a),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
 
     report = sweep.report()
     print()

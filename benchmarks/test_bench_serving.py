@@ -19,9 +19,9 @@ Outputs:
 
 * the rendered sweep table, printed (the committed ``results/serve_sweep.txt``
   is the full grid, and only ``rls-experiment servesweep`` writes it);
-* a ``serving`` block merged into ``BENCH_wallclock.json`` (requests/sec of
-  the serving harness, goodput, shed rate, tail delays), extending the
-  wall-clock perf trajectory tracked per PR.
+* a ``serving`` block in the untracked bench record ``BENCH_wallclock.json``
+  (requests/sec of the serving harness, goodput, shed rate, tail delays),
+  written by ``benchmarks/record.py``.
 
 Set ``SERVING_QUICK=1`` (the CI smoke step does) for a shorter horizon with
 the same assertions and client count.
@@ -29,12 +29,10 @@ the same assertions and client count.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
 import time
-from pathlib import Path
 
+from record import record
 from repro.experiments import DEFAULT_SERVE_KWARGS, run_serve_sweep
 from repro.minigo import PolicyValueNet
 from repro.serving import (
@@ -49,7 +47,6 @@ from repro.serving import (
 import numpy as np
 
 QUICK = os.environ.get("SERVING_QUICK") == "1"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The acceptance-bar scenario: >=256 clients at 2x measured capacity.
 NUM_CLIENTS = 256
@@ -57,15 +54,6 @@ OVERLOAD_MULTIPLIER = 2.0
 HORIZON_US = 10_000.0 if QUICK else DEFAULT_SERVE_KWARGS["horizon_us"]
 DEADLINE_US = DEFAULT_SERVE_KWARGS["request_deadline_us"]
 SEED = 0
-
-
-def _commit_hash() -> str:
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-                              capture_output=True, text=True, check=True,
-                              timeout=10).stdout.strip()
-    except Exception:
-        return "unknown"
 
 
 def _sweep(horizon_us: float):
@@ -147,17 +135,9 @@ def test_bench_serving_overload(benchmark):
     assert any(" shed-queue " in line for line in log_a), \
         "the logged run must actually exercise the overload path"
 
-    # --- perf-trajectory entry: merge a serving block into the wall-clock
-    # payload (the wallclock bench preserves it when it rewrites the file).
+    # --- the bench record's serving block.
     total_arrivals = bounded.arrivals + control.arrivals
-    path = REPO_ROOT / "BENCH_wallclock.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "wallclock", "commit": _commit_hash(),
-                   "metrics": {}}
-    payload["serving"] = {
-        "commit": _commit_hash(),
+    record("serving", {
         "quick": QUICK,
         "clients": NUM_CLIENTS,
         "overload_multiplier": OVERLOAD_MULTIPLIER,
@@ -168,8 +148,7 @@ def test_bench_serving_overload(benchmark):
         "goodput_per_sec": bounded.goodput_per_sec,
         "shed_fraction": bounded.shed_fraction,
         "p99_queue_delay_us": {"shed-newest": bounded_p99, "none": control_p99},
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
 
     report = sweep.report()
     print()

@@ -25,8 +25,9 @@ unchanged.
 
 Outputs:
 
-* ``BENCH_wallclock.json`` (repo root) — per-metric numbers plus the commit
-  hash, the start of the wall-clock perf trajectory tracked per PR;
+* a ``wallclock`` block (per-metric numbers) and a ``multiproc`` block in the
+  untracked bench record ``BENCH_wallclock.json``, written by
+  ``benchmarks/record.py``;
 * ``results/wallclock_speedups.txt`` — the before/after table.
 
 Set ``WALLCLOCK_QUICK=1`` (the CI smoke step does) for a smaller workload
@@ -35,15 +36,14 @@ with the same assertions.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import save_report
+from record import record
 from repro.minigo import selfplay as selfplay_mod
 from repro.minigo.workers import SelfPlayPool
 from repro.profiler.events import merge_traces
@@ -125,15 +125,6 @@ def _game_records(pool):
 
 def _moves(pool) -> int:
     return sum(run.result.moves for run in pool.runs)
-
-
-def _commit_hash() -> str:
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-                              capture_output=True, text=True, check=True,
-                              timeout=10).stdout.strip()
-    except Exception:
-        return "unknown"
 
 
 def _overlap_metrics():
@@ -316,24 +307,8 @@ def test_bench_wallclock(benchmark):
         "overlap": overlap,
     }
 
-    payload = {
-        "benchmark": "wallclock",
-        "commit": _commit_hash(),
-        "quick": QUICK,
-        "min_speedup_bar": MIN_END_TO_END_SPEEDUP,
-        "metrics": metrics,
-    }
-    trajectory_path = REPO_ROOT / "BENCH_wallclock.json"
-    try:
-        # Other benches (serving, multiproc, cache, faults, ...) merge their
-        # own blocks into this file; carry forward every block not owned here.
-        existing = json.loads(trajectory_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        existing = {}
-    for block, value in existing.items():
-        payload.setdefault(block, value)
-    trajectory_path.write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    entry = record("wallclock", {"quick": QUICK, "min_speedup_bar": MIN_END_TO_END_SPEEDUP,
+                                 "metrics": metrics})
 
     rows = [
         ("end-to-end pool run (s)", f"{baseline_s:.3f}", f"{optimized_s:.3f}",
@@ -354,7 +329,7 @@ def test_bench_wallclock(benchmark):
     lines = [
         "Wall-clock speedups: pre-optimization harness vs optimized harness",
         f"(8 workers, leaf_batch=8, board 9x9, max_moves={POOL_KWARGS['max_moves']}, "
-        f"seed 0, quick={QUICK}, commit {payload['commit'][:12]})",
+        f"seed 0, quick={QUICK}, commit {entry['commit'][:12]})",
         "",
         f"{'metric':<28} {'before':>14} {'after':>14} {'speedup':>9}",
         "-" * 68,
@@ -460,16 +435,7 @@ def test_bench_multiproc(benchmark):
             f"got {best['speedup']:.2f}x with {best['processes']} processes "
             f"({sequential_s:.3f}s -> {best['wall_s']:.3f}s)")
 
-    # --- perf-trajectory entry: merge a multiproc block into the wall-clock
-    # payload (the wallclock bench preserves it when it rewrites the file).
-    path = REPO_ROOT / "BENCH_wallclock.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "wallclock", "commit": _commit_hash(),
-                   "metrics": {}}
-    payload["multiproc"] = {
-        "commit": _commit_hash(),
+    entry = record("multiproc", {
         "quick": MULTIPROC_QUICK,
         "cpu_count": cores,
         "workers": MULTIPROC_WORKERS,
@@ -480,8 +446,7 @@ def test_bench_multiproc(benchmark):
         "min_speedup_bar": MIN_MULTIPROC_SPEEDUP,
         "bar_enforced": bar_enforced,
         "table": table,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
 
     lines = [
         "Multiprocess sharded execution: wall-clock scaling vs the "
@@ -492,7 +457,7 @@ def test_bench_multiproc(benchmark):
         f"{MULTIPROC_POOL_KWARGS['board_size']}, "
         f"max_moves={MULTIPROC_POOL_KWARGS['max_moves']}, seed 0, "
         f"{cores} cores, quick={MULTIPROC_QUICK}, "
-        f"commit {payload['multiproc']['commit'][:12]})",
+        f"commit {entry['commit'][:12]})",
         "",
         f"{'processes':>10} {'wall s':>10} {'speedup':>9}",
         "-" * 31,
