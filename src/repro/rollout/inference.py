@@ -102,81 +102,6 @@ ROUTING_STICKY = "sticky"              #: pin each host worker to one replica
 ROUTING_POLICIES = (ROUTING_ROUND_ROBIN, ROUTING_LEAST_LOADED, ROUTING_STICKY)
 
 
-class BatchSizeStats:
-    """Bounded summary of per-call batch sizes.
-
-    Long runs issue one engine call per batch, so an unbounded list of sizes
-    grows linearly with virtual time.  This keeps a fixed-size power-of-two
-    histogram plus a fixed-capacity uniform reservoir sample (Vitter's
-    algorithm R with a private, deterministic RNG), so memory stays constant
-    no matter how many calls the service makes.
-    """
-
-    #: histogram bucket upper bounds: [1], (1,2], (2,4], ... (512,1024], (1024,inf)
-    BUCKET_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-    def __init__(self, reservoir_size: int = 256, seed: int = 0) -> None:
-        if reservoir_size <= 0:
-            raise ValueError("reservoir_size must be positive")
-        self.reservoir_size = reservoir_size
-        self.counts = [0] * (len(self.BUCKET_BOUNDS) + 1)
-        self.count = 0
-        self.total_rows = 0
-        self.max_rows = 0
-        self._reservoir: List[int] = []
-        self._rng = np.random.default_rng(seed)
-
-    def append(self, rows: int) -> None:
-        self.count += 1
-        self.total_rows += rows
-        self.max_rows = max(self.max_rows, rows)
-        self.counts[bisect_right(self.BUCKET_BOUNDS, rows - 1)] += 1
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(rows)
-        else:
-            slot = int(self._rng.integers(0, self.count))
-            if slot < self.reservoir_size:
-                self._reservoir[slot] = rows
-
-    def merge_counts_from(self, other: "BatchSizeStats") -> None:
-        """Fold another summary's exact counters in (histogram, totals).
-
-        The reservoir is *not* merged — two uniform samples cannot be
-        combined into one without the original streams — so a merged
-        summary's :attr:`sample` stays that of the accumulating side.
-        """
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.count += other.count
-        self.total_rows += other.total_rows
-        self.max_rows = max(self.max_rows, other.max_rows)
-
-    @property
-    def mean(self) -> float:
-        return self.total_rows / self.count if self.count else 0.0
-
-    @property
-    def sample(self) -> List[int]:
-        """The reservoir: a uniform sample of all observed batch sizes."""
-        return list(self._reservoir)
-
-    def histogram(self) -> List[Tuple[int, Optional[int], int]]:
-        """Non-empty buckets as ``(lo_exclusive, hi_inclusive | None, count)``."""
-        buckets = []
-        lo = 0
-        for i, hi in enumerate(self.BUCKET_BOUNDS):
-            if self.counts[i]:
-                buckets.append((lo, hi, self.counts[i]))
-            lo = hi
-        if self.counts[-1]:
-            buckets.append((lo, None, self.counts[-1]))
-        return buckets
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"BatchSizeStats(count={self.count}, mean={self.mean:.2f}, "
-                f"max={self.max_rows})")
-
-
 class ReservoirSample:
     """Fixed-capacity uniform sample of a float stream (Vitter's algorithm R).
 
@@ -207,9 +132,9 @@ class ReservoirSample:
     def merge_counts_from(self, other: "ReservoirSample") -> None:
         """Fold another reservoir's observation count in.
 
-        As with :meth:`BatchSizeStats.merge_counts_from`, two uniform samples
-        cannot be combined without the original streams, so a merged
-        reservoir's :attr:`sample` stays that of the accumulating side.
+        Two uniform samples cannot be combined without the original streams,
+        so a merged reservoir's :attr:`sample` stays that of the accumulating
+        side.
         """
         self.count += other.count
 
@@ -219,6 +144,72 @@ class ReservoirSample:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReservoirSample(count={self.count}, kept={len(self._values)})"
+
+
+class BatchSizeStats:
+    """Bounded summary of per-call batch sizes.
+
+    Long runs issue one engine call per batch, so an unbounded list of sizes
+    grows linearly with virtual time.  This keeps a fixed-size power-of-two
+    histogram plus a fixed-capacity :class:`ReservoirSample` of the sizes, so
+    memory stays constant no matter how many calls the service makes.
+    """
+
+    #: histogram bucket upper bounds: [1], (1,2], (2,4], ... (512,1024], (1024,inf)
+    BUCKET_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+    def __init__(self, reservoir_size: int = 256, seed: int = 0) -> None:
+        self.counts = [0] * (len(self.BUCKET_BOUNDS) + 1)
+        self.total_rows = 0
+        self.max_rows = 0
+        self._reservoir = ReservoirSample(reservoir_size, seed)
+
+    def append(self, rows: int) -> None:
+        self.total_rows += rows
+        self.max_rows = max(self.max_rows, rows)
+        self.counts[bisect_right(self.BUCKET_BOUNDS, rows - 1)] += 1
+        self._reservoir.append(rows)
+
+    def merge_counts_from(self, other: "BatchSizeStats") -> None:
+        """Fold another summary's exact counters in (histogram, totals).
+
+        The reservoir keeps its own sample (see
+        :meth:`ReservoirSample.merge_counts_from`).
+        """
+        for i, count in enumerate(other.counts):
+            self.counts[i] += count
+        self._reservoir.merge_counts_from(other._reservoir)
+        self.total_rows += other.total_rows
+        self.max_rows = max(self.max_rows, other.max_rows)
+
+    @property
+    def count(self) -> int:
+        return self._reservoir.count
+
+    @property
+    def mean(self) -> float:
+        return self.total_rows / self.count if self.count else 0.0
+
+    @property
+    def sample(self) -> List[int]:
+        """The reservoir: a uniform sample of all observed batch sizes."""
+        return self._reservoir.sample
+
+    def histogram(self) -> List[Tuple[int, Optional[int], int]]:
+        """Non-empty buckets as ``(lo_exclusive, hi_inclusive | None, count)``."""
+        buckets = []
+        lo = 0
+        for i, hi in enumerate(self.BUCKET_BOUNDS):
+            if self.counts[i]:
+                buckets.append((lo, hi, self.counts[i]))
+            lo = hi
+        if self.counts[-1]:
+            buckets.append((lo, None, self.counts[-1]))
+        return buckets
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"BatchSizeStats(count={self.count}, mean={self.mean:.2f}, "
+                f"max={self.max_rows})")
 
 
 @dataclass
