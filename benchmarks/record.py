@@ -48,7 +48,7 @@ def commit_hash() -> str:
         return subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
                               capture_output=True, text=True, check=True,
                               timeout=10).stdout.strip()
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 
