@@ -54,7 +54,10 @@ def test_bench_tracedb_streaming_and_mapreduce(benchmark, tmp_path):
     for worker, trace in in_memory.traces().items():
         path = json_dir / f"{worker}.json"
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace.to_dict(), handle)
+            json.dump({"events": [e.to_dict() for e in trace.events],
+                       "operations": [op.to_dict() for op in trace.operations],
+                       "markers": [m.to_dict() for m in trace.markers],
+                       "metadata": dict(trace.metadata)}, handle)
         json_bytes += path.stat().st_size
         peak_dump_records = max(peak_dump_records,
                                 trace.total_events() + len(trace.markers))

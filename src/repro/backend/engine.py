@@ -221,11 +221,6 @@ class BackendEngine:
         return CompiledFunction(self, fn, name=name, prologue_python_units=0.0, dispatch_inflation=1.0,
                                 wrap_native=False)
 
-    def reset_counters(self) -> None:
-        self.native_call_count = 0
-        self.op_count = 0
-        self.kernel_launch_count = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(flavor={self.flavor!r}, name={self.name!r})"
 

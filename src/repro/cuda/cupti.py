@@ -100,9 +100,6 @@ class Cupti:
         """Register a callback invoked for every API record while enabled."""
         self._api_callbacks.append(callback)
 
-    def unsubscribe_api(self, callback: ApiCallback) -> None:
-        self._api_callbacks.remove(callback)
-
     # --------------------------------------------------------------- records
     def record_api(self, api_name: str, start_us: float, end_us: float, worker: str,
                    correlation_id: Optional[int] = None) -> CuptiApiRecord:

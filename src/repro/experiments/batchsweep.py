@@ -120,12 +120,6 @@ class BatchSweepPoint(PoolPoint):
     gpu_only_us: float
     cpu_gpu_us: float
 
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of tracked time where CPU and GPU were busy together."""
-        total = self.cpu_only_us + self.gpu_only_us + self.cpu_gpu_us
-        return self.cpu_gpu_us / total if total > 0 else 0.0
-
     def pct(self, value: float) -> float:
         """``value`` as a percentage of the tracked time."""
         total = self.cpu_only_us + self.gpu_only_us + self.cpu_gpu_us

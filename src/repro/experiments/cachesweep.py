@@ -78,14 +78,6 @@ class CacheSweepPoint:
         return self.selfplay_calls_off / max(self.selfplay_calls_on, 1)
 
     @property
-    def selfplay_row_reduction(self) -> float:
-        return self.selfplay_rows_off / max(self.selfplay_rows_on, 1)
-
-    @property
-    def eval_call_reduction(self) -> float:
-        return self.eval_calls_off / max(self.eval_calls_on, 1)
-
-    @property
     def eval_row_reduction(self) -> float:
         return self.eval_rows_off / max(self.eval_rows_on, 1)
 

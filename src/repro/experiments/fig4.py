@@ -53,10 +53,6 @@ class Fig4Result:
     def gpu_fractions(self) -> Dict[str, float]:
         return {label: run.analysis.gpu_fraction() for label, run in self.runs.items()}
 
-    def operation_category_sec(self, label: str, operation: str, category: str,
-                               *, corrected: bool = True) -> float:
-        return self.breakdown_sec(corrected=corrected)[label].get(operation, {}).get(category, 0.0)
-
     def report(self) -> str:
         analyses = {label: run.analysis for label, run in self.runs.items()}
         sections = [

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..hw.costmodel import CostModelConfig
-from ..profiler import CATEGORY_GPU, report as report_mod
+from ..profiler import report as report_mod
 from ..rl import OFF_POLICY_ALGORITHMS, ON_POLICY_ALGORITHMS
 from .common import DEFAULT_TIMESTEPS, WorkloadRun, WorkloadSpec, run_workload
 
@@ -29,18 +29,6 @@ class Fig5Result:
     # ------------------------------------------------------------- reductions
     def total_times_sec(self) -> Dict[str, float]:
         return {algo: run.analysis.total_time_sec() for algo, run in self.runs.items()}
-
-    def percent_breakdown(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """algorithm -> operation -> category -> percent of total training time."""
-        out: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for algo, run in self.runs.items():
-            breakdown = run.analysis.category_breakdown_us()
-            total = sum(sum(cats.values()) for cats in breakdown.values())
-            out[algo] = {
-                op: {cat: 100.0 * value / total for cat, value in cats.items()}
-                for op, cats in breakdown.items()
-            }
-        return out
 
     def simulation_fraction(self, algo: str) -> float:
         """Fraction of training time spent in the simulation operation."""

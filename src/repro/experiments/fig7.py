@@ -44,15 +44,6 @@ class Fig7Result:
     def gpu_fraction(self, simulator: str) -> float:
         return self.runs[simulator].analysis.gpu_fraction()
 
-    def percent_breakdown(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        out: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for sim, run in self.runs.items():
-            breakdown = run.analysis.category_breakdown_us()
-            total = sum(sum(cats.values()) for cats in breakdown.values())
-            out[sim] = {op: {cat: 100.0 * v / total for cat, v in cats.items()}
-                        for op, cats in breakdown.items()}
-        return out
-
     def report(self) -> str:
         analyses = {sim: run.analysis for sim, run in self.runs.items()}
         lines = [

@@ -87,24 +87,12 @@ class WorkloadAnalysis:
         tracked = self.overlap.total_us(include_untracked=False)
         return self.gpu_time_us() / tracked if tracked > 0 else 0.0
 
-    def category_fraction(self, category: str) -> float:
-        """Fraction of tracked training time attributed to ``category``."""
-        tracked = self.overlap.total_us(include_untracked=False)
-        return self.overlap.category_time_us(category, include_untracked=False) / tracked if tracked > 0 else 0.0
-
     def operation_fraction(self, operation: str, *, corrected: bool = True) -> float:
         """Fraction of training time spent in ``operation``."""
         breakdown = self.category_breakdown_us(corrected=corrected)
         totals = {op: sum(cats.values()) for op, cats in breakdown.items()}
         grand_total = sum(totals.values())
         return totals.get(operation, 0.0) / grand_total if grand_total > 0 else 0.0
-
-    def operation_category_fraction(self, operation: str, category: str) -> float:
-        """Fraction of an operation's time attributed to ``category``."""
-        breakdown = self.category_breakdown_us(corrected=True)
-        cats = breakdown.get(operation, {})
-        total = sum(cats.values())
-        return cats.get(category, 0.0) / total if total > 0 else 0.0
 
     # ------------------------------------------------------------ transitions
     def transition_counts(self) -> Dict[str, Dict[str, int]]:

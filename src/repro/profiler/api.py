@@ -71,10 +71,6 @@ class ProfilerConfig:
         """A configuration with everything off except the given flags."""
         return replace(cls.uninstrumented(), **flags)
 
-    @property
-    def anything_enabled(self) -> bool:
-        return self.annotations or self.pyprof or self.cuda_interception or self.cupti
-
 
 class Profiler:
     """One worker's RL-Scope profiling session."""
@@ -178,10 +174,6 @@ class Profiler:
         self.phase = phase
 
     # ------------------------------------------------------------- operations
-    @property
-    def current_operation(self) -> Optional[str]:
-        return self._operation_names[-1] if self._operation_names else None
-
     @contextmanager
     def operation(self, name: str, *, metadata: Optional[dict] = None) -> Iterator[None]:
         """Annotate a high-level algorithmic operation (Figure 2 of the paper).

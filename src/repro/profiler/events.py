@@ -93,19 +93,6 @@ class Event:
             data["metadata"] = dict(self.metadata)
         return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Event":
-        metadata = data.get("metadata")
-        return cls(
-            category=str(data["category"]),
-            name=str(data["name"]),
-            start_us=float(data["start_us"]),   # type: ignore[arg-type]
-            end_us=float(data["end_us"]),       # type: ignore[arg-type]
-            worker=str(data.get("worker", "worker_0")),
-            phase=str(data.get("phase", "default")),
-            metadata=None if metadata is None else dict(metadata),  # type: ignore[call-overload]
-        )
-
 
 @dataclass(frozen=True)
 class OverheadMarker:
@@ -130,17 +117,6 @@ class OverheadMarker:
             "worker": self.worker,
             "phase": self.phase,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "OverheadMarker":
-        api_name = data.get("api_name")
-        return cls(
-            kind=str(data["kind"]),
-            time_us=float(data["time_us"]),     # type: ignore[arg-type]
-            api_name=None if api_name is None else str(api_name),
-            worker=str(data.get("worker", "worker_0")),
-            phase=str(data.get("phase", "default")),
-        )
 
 
 @dataclass
@@ -226,26 +202,6 @@ class EventTrace:
             markers=[m for m in self.markers if m.worker == worker],
             metadata=dict(self.metadata),
         )
-
-    # -------------------------------------------------------- serialisation
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "events": [e.to_dict() for e in self.events],
-            "operations": [op.to_dict() for op in self.operations],
-            "markers": [m.to_dict() for m in self.markers],
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "EventTrace":
-        trace = cls(metadata=dict(data.get("metadata", {})))  # type: ignore[arg-type]
-        for event_data in data.get("events", []):              # type: ignore[union-attr]
-            trace.events.append(Event.from_dict(event_data))
-        for op_data in data.get("operations", []):              # type: ignore[union-attr]
-            trace.operations.append(Event.from_dict(op_data))
-        for marker_data in data.get("markers", []):             # type: ignore[union-attr]
-            trace.markers.append(OverheadMarker.from_dict(marker_data))
-        return trace
 
 
 def merge_traces(traces: Iterable[EventTrace]) -> EventTrace:

@@ -46,10 +46,7 @@ from .td3 import TD3
 from .zoo import (
     ZOO_ALGORITHMS,
     ZooAlgorithm,
-    ZooCollectStats,
     algorithm_supports,
-    collect_replay,
-    collect_rollout,
     make_zoo_pool,
 )
 
@@ -121,10 +118,7 @@ __all__ = [
     "ValueCritic",
     "ZOO_ALGORITHMS",
     "ZooAlgorithm",
-    "ZooCollectStats",
     "algorithm_supports",
-    "collect_replay",
-    "collect_rollout",
     "default_config",
     "default_framework",
     "make_algorithm",

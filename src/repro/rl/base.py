@@ -104,15 +104,6 @@ class TrainResult:
     losses: Dict[str, List[float]] = field(default_factory=dict)
     gradient_updates: int = 0
 
-    @property
-    def mean_episode_reward(self) -> float:
-        return float(np.mean(self.episode_rewards)) if self.episode_rewards else 0.0
-
-    def mean_reward_over(self, last_n: int) -> float:
-        if not self.episode_rewards:
-            return 0.0
-        return float(np.mean(self.episode_rewards[-last_n:]))
-
     def record_loss(self, name: str, value: float) -> None:
         self.losses.setdefault(name, []).append(float(value))
 
@@ -169,22 +160,6 @@ class BaseAlgorithm:
     # ------------------------------------------------------------------ misc
     def _batch_obs(self, obs: np.ndarray) -> np.ndarray:
         return np.asarray(obs, dtype=np.float32).reshape(1, -1)
-
-    def evaluate(self, episodes: int = 3, max_steps: int = 500) -> float:
-        """Average undiscounted return of the greedy policy."""
-        total = 0.0
-        with use_engine(self.engine):
-            for _ in range(episodes):
-                obs = self.env.reset()
-                episode_reward = 0.0
-                for _ in range(max_steps):
-                    action = self.predict(obs)
-                    obs, reward, done, _ = self.env.step(action)
-                    episode_reward += reward
-                    if done:
-                        break
-                total += episode_reward
-        return total / episodes
 
 
 class OffPolicyAlgorithm(BaseAlgorithm):

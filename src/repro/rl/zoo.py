@@ -1,44 +1,28 @@
 """Workload zoo: every sim x algorithm pair through the batched rollout stack.
 
-Two layers of wiring on top of :class:`~repro.rollout.pool.EnvRolloutPool`:
-
-* :func:`make_zoo_pool` — algorithm-*flavoured* collection: a pool whose
-  action policy matches the named algorithm family (epsilon-greedy argmax
-  for DQN, categorical sampling for PPO-style actors, gaussian exploration
-  noise for DDPG-style continuous control) over a shared
-  :class:`~repro.rollout.pool.RolloutPolicyNet`.  This is what the
-  ``zoosweep`` experiment grids over sims x algorithms x workers x
-  replicas.
-* :func:`collect_replay` / :func:`collect_rollout` — algorithm-*attached*
-  collection: a live ``repro.rl`` algorithm's own networks are routed
-  through the shared :class:`~repro.rollout.inference.InferenceService`
-  (its q-network, deterministic actor, or policy/value pair becomes the
-  service's ``forward``), and the transitions the worker fleet collects
-  land in the algorithm's replay/rollout buffer — vectorized data
-  collection for the exact model being trained, with cross-worker batch
-  sharing replacing the serial per-step inference of
-  ``BaseAlgorithm._collect_loop``.
+:func:`make_zoo_pool` builds algorithm-*flavoured* collection: an
+:class:`~repro.rollout.pool.EnvRolloutPool` whose action policy matches the
+named algorithm family (epsilon-greedy argmax for DQN, categorical sampling
+for PPO-style actors, gaussian exploration noise for DDPG-style continuous
+control) over the pool's shared
+:class:`~repro.rollout.pool.RolloutPolicyNet`.  This is what the
+``zoosweep`` experiment grids over sims x algorithms x workers x replicas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-import numpy as np
-
-from ..backend import functional as F
-from ..backend.tensor import Tensor
 from ..rollout.envdriver import (
     ActionPolicy,
     EpsilonGreedyPolicy,
     GaussianNoisePolicy,
     SampledDiscretePolicy,
 )
-from ..rollout.pool import EnvRolloutPool, continuous_actor_forward
+from ..rollout.pool import EnvRolloutPool
 from ..sim import registry
 from ..system import System
-from .base import OffPolicyAlgorithm, OnPolicyAlgorithm
 
 
 @dataclass(frozen=True)
@@ -88,181 +72,3 @@ def make_zoo_pool(sim: str, algorithm: str, num_workers: int = 8,
         sim, num_workers,
         policy_factory=lambda env, seed: spec.make_policy(env, seed),
         **pool_kwargs)
-
-
-# --------------------------------------------------------------- rl wiring
-@dataclass
-class ZooCollectStats:
-    """What one batched collection pass did for an attached algorithm."""
-
-    sim: str
-    algorithm: str
-    workers: int
-    steps: int                 #: env transitions collected
-    buffered: int              #: transitions that landed in the buffer
-    engine_calls: int          #: batched service calls issued
-    rows: int                  #: policy evaluations served
-    cross_worker_share: float  #: fraction of batches spanning >1 worker
-    collection_span_us: float  #: virtual span of the slowest worker
-
-
-class _RecordingPolicy(ActionPolicy):
-    """Wraps a policy, recording (value, log_prob) per step for on-policy buffers."""
-
-    def __init__(self, inner: ActionPolicy, discrete: bool) -> None:
-        self.inner = inner
-        self.discrete = discrete
-        self.values = []
-        self.log_probs = []
-
-    def __call__(self, out_row, value_row, *, rng, env, timestep):
-        action = self.inner(out_row, value_row, rng=rng, env=env, timestep=timestep)
-        self.values.append(float(value_row))
-        if self.discrete:
-            probs = np.asarray(out_row, dtype=np.float64)
-            probs = probs / probs.sum()
-            self.log_probs.append(float(np.log(probs[int(action)] + 1e-12)))
-        else:
-            # Gaussian exploration around the served mean with the policy's
-            # noise scale as the (fixed) std.
-            scale = getattr(self.inner, "noise_scale", 0.1) or 1e-6
-            z = (np.asarray(action, dtype=np.float64) - np.asarray(out_row, dtype=np.float64)) / scale
-            self.log_probs.append(float(np.sum(
-                -0.5 * (z ** 2) - np.log(scale) - 0.5 * np.log(2 * np.pi))))
-        return action
-
-
-def _attach_forward(algorithm) -> Tuple[object, object]:
-    """(network, forward) routing the algorithm's own nets through the service.
-
-    The returned ``network`` is whatever object keys the service's compiled
-    cache (and receives ``update_weights``-free evaluation); ``forward``
-    maps a feature batch to the service's ``(out, value)`` row contract
-    using the algorithm's live parameters, so collection always acts with
-    the current policy.
-    """
-    if hasattr(algorithm, "q_network"):  # DQN-style value net
-        network = algorithm.q_network
-
-        def forward(net, features):
-            q = net(Tensor(features))
-            return F.softmax(q).numpy(), F.reduce_max(q, axis=1).numpy().reshape(-1)
-
-        return network, forward
-    if hasattr(algorithm, "policy") and hasattr(algorithm, "value"):  # PPO/A2C
-        network = algorithm.policy
-        discrete = algorithm.env.is_discrete
-
-        def forward(net, features):
-            obs_t = Tensor(features)
-            head = algorithm.policy(obs_t)
-            if discrete:
-                head = F.softmax(head)
-            value = algorithm.value(obs_t)
-            return head.numpy(), value.numpy().reshape(-1)
-
-        return network, forward
-    if hasattr(algorithm, "actor"):  # DDPG/TD3/SAC deterministic-mean actors
-        network = algorithm.actor
-
-        def forward(net, features):
-            actions = net(Tensor(features))
-            # Deterministic actors carry no value head; riders ignore it.
-            return actions.numpy(), np.zeros(features.shape[0], dtype=np.float32)
-
-        return network, forward
-    raise TypeError(f"don't know how to route {type(algorithm).__name__} "
-                    "through the inference service (no q_network/policy/actor)")
-
-
-def _collection_policy(algorithm) -> ActionPolicy:
-    cfg = algorithm.config
-    if hasattr(algorithm, "q_network"):
-        return EpsilonGreedyPolicy(cfg.epsilon_start, cfg.epsilon_end,
-                                   cfg.epsilon_decay_steps)
-    if hasattr(algorithm, "policy"):
-        return (SampledDiscretePolicy() if algorithm.env.is_discrete
-                else GaussianNoisePolicy(noise_scale=0.1))
-    return GaussianNoisePolicy(noise_scale=getattr(cfg, "exploration_noise", 0.1))
-
-
-def _run_attached_pool(algorithm, num_workers: int, steps_per_worker: int,
-                       policy_factory, **pool_kwargs) -> EnvRolloutPool:
-    network, forward = _attach_forward(algorithm)
-    pool = EnvRolloutPool(
-        algorithm.env.sim_id, num_workers,
-        steps_per_worker=steps_per_worker,
-        network=network, forward=forward,
-        policy_factory=policy_factory,
-        seed=pool_kwargs.pop("seed", algorithm.seed + 40_000),
-        **pool_kwargs)
-    pool.run()
-    return pool
-
-
-def _stats_for(algorithm, pool: EnvRolloutPool, buffered: int) -> ZooCollectStats:
-    stats = pool.inference_service.stats
-    return ZooCollectStats(
-        sim=algorithm.env.sim_id, algorithm=algorithm.name,
-        workers=pool.num_workers, steps=pool.total_steps(), buffered=buffered,
-        engine_calls=stats.engine_calls, rows=stats.rows,
-        cross_worker_share=stats.cross_worker_share,
-        collection_span_us=pool.collection_span_us())
-
-
-def collect_replay(algorithm: OffPolicyAlgorithm, *, num_workers: int = 4,
-                   steps_per_worker: int = 16, **pool_kwargs) -> ZooCollectStats:
-    """Fill an off-policy algorithm's replay buffer through the batched stack.
-
-    ``num_workers`` env instances of the algorithm's simulator run under the
-    pool scheduler; every policy evaluation batches across workers through
-    the shared service *using the algorithm's own q-network/actor*, and the
-    collected transitions are appended to ``algorithm.buffer`` in worker
-    order (deterministic for fixed seeds).
-    """
-    policy = _collection_policy(algorithm)
-    pool = _run_attached_pool(algorithm, num_workers, steps_per_worker,
-                              lambda env, seed: policy, **pool_kwargs)
-    buffered = 0
-    for run in pool.runs:
-        for t in run.result.transitions:
-            algorithm.buffer.add(t.obs, algorithm._store_action(t.action),
-                                 t.reward, t.next_obs, t.done)
-            buffered += 1
-    return _stats_for(algorithm, pool, buffered)
-
-
-def collect_rollout(algorithm: OnPolicyAlgorithm, *, num_workers: int = 4,
-                    steps_per_worker: Optional[int] = None,
-                    **pool_kwargs) -> ZooCollectStats:
-    """Fill an on-policy algorithm's rollout buffer through the batched stack.
-
-    Values and log-probs ride along via a recording action policy (the
-    service's ``(out, value)`` rows carry both), so the buffer rows are
-    complete; the caller finishes the rollout (``buffer.finish``) exactly
-    as the serial collection loop would.  Transitions beyond the buffer's
-    ``n_steps`` capacity are dropped.
-    """
-    buffer = algorithm.rollout
-    if steps_per_worker is None:
-        steps_per_worker = max(1, buffer.n_steps // num_workers)
-    recorders = {}
-
-    def policy_factory(env, seed):
-        recorder = _RecordingPolicy(_collection_policy(algorithm), env.is_discrete)
-        recorders[env.system.worker] = recorder
-        return recorder
-
-    pool = _run_attached_pool(algorithm, num_workers, steps_per_worker,
-                              policy_factory, **pool_kwargs)
-    buffered = 0
-    for run in pool.runs:
-        recorder = recorders[run.worker]
-        for t, value, log_prob in zip(run.result.transitions,
-                                      recorder.values, recorder.log_probs):
-            if buffer.is_full:
-                break
-            buffer.add(t.obs, algorithm._store_action(t.action),
-                       t.reward, value, log_prob, t.done)
-            buffered += 1
-    return _stats_for(algorithm, pool, buffered)

@@ -140,8 +140,7 @@ class EnvRolloutDriver(StepwiseDriver):
 
     def __init__(self, env: "Env", client: "InferenceClient", policy: ActionPolicy,
                  num_steps: int, *, seed: int = 0,
-                 profiler: Optional["Profiler"] = None,
-                 collect_transitions: bool = True) -> None:
+                 profiler: Optional["Profiler"] = None) -> None:
         self.env = env
         self.system = env.system
         self.client = client
@@ -150,7 +149,6 @@ class EnvRolloutDriver(StepwiseDriver):
         self.num_steps = num_steps
         self.rng = np.random.default_rng(seed)
         self.profiler = profiler
-        self.collect_transitions = collect_transitions
         self.result = EnvRolloutResult(worker=self.system.worker)
         self.steps = 0  #: scheduler steps (boundary count), not env steps
         self._obs: Optional[np.ndarray] = None
@@ -224,7 +222,6 @@ class EnvRolloutDriver(StepwiseDriver):
                      if key not in ("system", "boundary")}
         state = {
             "num_steps": self.num_steps,
-            "collect_transitions": self.collect_transitions,
             "result": self.result,
             "steps": self.steps,
             "obs": self._obs,
@@ -257,7 +254,6 @@ class EnvRolloutDriver(StepwiseDriver):
         driver.num_steps = state["num_steps"]
         driver.rng = state["rng"]
         driver.profiler = profiler
-        driver.collect_transitions = state["collect_transitions"]
         driver.result = state["result"]
         driver.steps = state["steps"]
         driver._obs = state["obs"]
@@ -332,10 +328,8 @@ class EnvRolloutDriver(StepwiseDriver):
                              env=self.env, timestep=self.result.steps)
         with self._sim_op():
             next_obs, reward, done, _ = self.env.step(action)
-        if self.collect_transitions:
-            self.result.transitions.append(Transition(
-                obs=self._obs, action=action, reward=reward,
-                next_obs=next_obs, done=done))
+        self.result.transitions.append(Transition(
+            obs=self._obs, action=action, reward=reward, next_obs=next_obs, done=done))
         self.result.steps += 1
         self._episode_reward += reward
         if done:

@@ -440,8 +440,6 @@ class EnvRolloutPool(WorkerPool):
         *,
         steps_per_worker: int = 32,
         hidden: Tuple[int, ...] = (64, 64),
-        network=None,
-        forward=None,
         policy_factory=None,
         profile: bool = False,
         cost_config: Optional[CostModelConfig] = None,
@@ -454,7 +452,6 @@ class EnvRolloutPool(WorkerPool):
         routing: str = ROUTING_ROUND_ROBIN,
         flush_policy: str = FLUSH_MAX_BATCH,
         flush_timeout_us: Optional[float] = None,
-        collect_transitions: bool = True,
         env_kwargs: Optional[dict] = None,
         num_processes: Optional[int] = None,
         process_backend: str = "process",
@@ -462,13 +459,14 @@ class EnvRolloutPool(WorkerPool):
         cache_capacity: Optional[int] = None,
         cache_scope: str = "shared",
     ) -> None:
-        """``network``/``forward``/``policy_factory`` default to a shared
-        :class:`RolloutPolicyNet` with the env-appropriate service forward
-        and action policy (categorical sampling for discrete envs, gaussian
-        exploration noise for continuous ones); pass your own to route an
-        algorithm's live network through the service instead (see
-        ``repro.rl.zoo``).  ``policy_factory(env, seed)`` builds one
-        :class:`~repro.rollout.envdriver.ActionPolicy` per worker.
+        """Every worker's policy evaluations go through one shared
+        :class:`RolloutPolicyNet` (``hidden`` layers) with the env-appropriate
+        service forward: softmax rows for discrete envs, raw action rows for
+        continuous ones.  ``policy_factory(env, seed)`` builds one
+        :class:`~repro.rollout.envdriver.ActionPolicy` per worker (see
+        ``repro.rl.zoo``); by default categorical sampling for discrete envs
+        and gaussian exploration noise for continuous ones.  Every worker
+        keeps its transitions in its run's result.
 
         ``inference_max_batch`` defaults to ``num_workers // num_replicas``
         (floor 1): with one row per blocked worker, a full batch then forms
@@ -477,11 +475,11 @@ class EnvRolloutPool(WorkerPool):
         full batches out while other workers still run.
 
         ``num_processes`` shards the workers over that many real OS
-        processes via :mod:`repro.parallel` (only with the default
-        network/forward/policy — live objects cannot cross the process
-        boundary): shards advance their drivers between serves while the
-        parent merges their virtual timelines and runs the shared service,
-        bit-for-bit reproducing the single-process event loop.
+        processes via :mod:`repro.parallel` (only with the default policy —
+        live objects cannot cross the process boundary): shards advance their
+        drivers between serves while the parent merges their virtual
+        timelines and runs the shared service, bit-for-bit reproducing the
+        single-process event loop.
         ``process_backend="inline"`` runs the shards in-process.
 
         ``cache_capacity`` turns on the service-side evaluation cache
@@ -493,10 +491,7 @@ class EnvRolloutPool(WorkerPool):
         self.sim = sim
         self.steps_per_worker = steps_per_worker
         self.hidden = hidden
-        self.collect_transitions = collect_transitions
         self.env_kwargs = dict(env_kwargs or {})
-        self._network = network
-        self._forward = forward
         self._policy_factory = policy_factory
         super().__init__(
             num_workers, profile=profile, cost_config=cost_config, seed=seed,
@@ -509,12 +504,11 @@ class EnvRolloutPool(WorkerPool):
             self.inference_max_batch = max(1, num_workers // num_replicas)
 
     def _rules(self, store) -> List[Tuple[bool, str]]:
-        live = (self._network, self._forward, self._policy_factory)
         return super()._rules(store) + [
             (self.steps_per_worker <= 0, "steps_per_worker must be positive"),
-            (self.num_processes is not None and any(obj is not None for obj in live),
-             "num_processes requires the default network/forward/"
-             "policy (live objects cannot cross the process boundary)"),
+            (self.num_processes is not None and self._policy_factory is not None,
+             "num_processes requires the default policy (live objects cannot cross "
+             "the process boundary)"),
         ]
 
     def run(self) -> List[WorkerRun]:
@@ -530,16 +524,12 @@ class EnvRolloutPool(WorkerPool):
         """
         from .seeding import network_seed
 
-        network = self._network
-        if network is None:
-            network = RolloutPolicyNet(
-                probe_env.observation_dim, probe_env.action_dim, self.hidden,
-                continuous=not probe_env.is_discrete,
-                rng=np.random.default_rng(network_seed(self.seed)),
-                name=f"zoo_{self.sim}")
-        forward = self._forward
-        if forward is None and not probe_env.is_discrete:
-            forward = continuous_actor_forward
+        network = RolloutPolicyNet(
+            probe_env.observation_dim, probe_env.action_dim, self.hidden,
+            continuous=not probe_env.is_discrete,
+            rng=np.random.default_rng(network_seed(self.seed)),
+            name=f"zoo_{self.sim}")
+        forward = None if probe_env.is_discrete else continuous_actor_forward
         return self._new_service(network, service_factory,
                                  function_name=POLICY_FUNCTION_NAME, forward=forward)
 
@@ -560,8 +550,7 @@ class EnvRolloutPool(WorkerPool):
             else:
                 driver = EnvRolloutDriver(
                     env, client, self._make_policy(env, index), self.steps_per_worker,
-                    seed=driver_seed(self.seed, index), profiler=profiler,
-                    collect_transitions=self.collect_transitions)
+                    seed=driver_seed(self.seed, index), profiler=profiler)
             built.append(WorkerStack(driver, system, client, profiler))
         return built
 
@@ -570,7 +559,6 @@ class EnvRolloutPool(WorkerPool):
                     sim=self.sim,
                     steps_per_worker=self.steps_per_worker,
                     hidden=self.hidden,
-                    collect_transitions=self.collect_transitions,
                     env_kwargs=self.env_kwargs)
 
     def _probe_env(self):

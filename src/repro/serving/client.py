@@ -16,14 +16,11 @@ and backoff is a pure function of the attempt number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .protocol import (
-    STATUS_SHED_DEADLINE,
-    STATUS_SHED_QUEUE,
-    STATUS_SHED_RATE,
     EvalReply,
     EvalRequest,
     MessageStream,
@@ -113,10 +110,6 @@ class ClientStats:
     shed_replies: Dict[str, int] = field(default_factory=dict)  #: by status
     latency_us: List[float] = field(default_factory=list)  #: first send -> OK reply
     queue_delay_us: List[float] = field(default_factory=list)  #: server-reported
-
-    @property
-    def outstanding_closed(self) -> int:
-        return self.completed + self.gave_up
 
 
 class _Pending:

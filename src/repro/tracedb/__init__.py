@@ -17,7 +17,7 @@ of that pipeline:
   phases, categories and record counts, so queries can skip whole shards.
 * :class:`TraceDB` — the query/aggregation engine: lazy chunk loading with
   an LRU cache, filtered scans (worker / phase / category / time window)
-  and whole-store materialisation for legacy consumers.
+  and whole-store materialisation.
 * :func:`parallel_overlap` / :func:`map_shards` — map-reduce analysis:
   per-shard :func:`~repro.profiler.overlap.compute_overlap` fanned out via
   :mod:`concurrent.futures`, reduced with
@@ -30,8 +30,7 @@ of that pipeline:
 This package is the profiler's only trace store: a non-streaming
 :class:`~repro.profiler.api.Profiler` with a ``trace_dir`` writes its
 in-memory trace through :meth:`StreamingTraceWriter.write_trace` at
-finalize.  Stores written by older versions of the code (``tracedb-v1``
-JSONL chunks, ``rlscope_index.json`` JSON chunks) still load, read-only.
+finalize.  It reads ``tracedb-v2`` stores, the only format it writes.
 """
 
 from .format import (

@@ -8,10 +8,8 @@ Examples::
     repro-trace query traces/ --phase sgd_updates --count
     repro-trace compact traces/ --out traces_compacted/ --chunk-events 100000
 
-``compact`` rewrites a store with a fresh chunking (merging many small
-chunks into full-size columnar ones); it also converts ``tracedb-v1``
-JSONL stores and legacy ``rlscope_index.json`` stores into the current
-indexed TraceDB format.
+``compact`` rewrites a ``tracedb-v2`` store with a fresh chunking (merging
+many small chunks into full-size ones, or splitting large ones).
 """
 
 from __future__ import annotations
@@ -19,6 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 from typing import Optional, Sequence
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,11 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="event category filter (repeatable)")
     query.add_argument("--start-us", type=float, default=None)
     query.add_argument("--end-us", type=float, default=None)
-    query.add_argument("--limit", type=int, default=None)
+    query.add_argument("--limit", type=_non_negative_int, default=None,
+                       help="print at most this many events")
     query.add_argument("--count", action="store_true", help="print only the number of matches")
 
-    compact = sub.add_parser("compact", help="rewrite a store with fresh chunking in the "
-                                             "current format")
+    compact = sub.add_parser("compact", help="rewrite a store with fresh chunking")
     compact.add_argument("directory")
     compact.add_argument("--out", required=True, help="output store directory")
     compact.add_argument("--chunk-events", type=int, default=None,
@@ -71,8 +79,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
               f"{info['markers']:>8} {span}")
         if info["phases"]:
             print(f"{'':32s}   phases: {', '.join(info['phases'])}")
-        if info["legacy_chunks"]:
-            print(f"{'':32s}   ({info['legacy_chunks']} legacy chunks without index statistics)")
     if args.overlap:
         result = parallel_overlap(db, max_workers=args.jobs, mode=args.mode)
         print()
@@ -97,12 +103,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.count:
         print(db.count_events(**filters))
         return 0
-    matched = 0
-    for event in db.iter_events(**filters):
+    for event in db.query(**filters, limit=args.limit):
         print(json.dumps(event.to_dict()))
-        matched += 1
-        if args.limit is not None and matched >= args.limit:
-            break
     return 0
 
 

@@ -21,18 +21,13 @@ A store directory contains
   - the marker columns: ``uint32`` kind / ``api_name`` / worker / phase ids
     (``0xFFFFFFFF`` for ``api_name=None``) then ``float64`` ``time_us``.
 
-Metadata is JSON-encoded, so it round-trips exactly as it did in the
-per-record JSONL chunks of ``tracedb-v1`` stores.  Those chunks
-(``.jsonl`` / ``.jsonl.gz``) and stores written by the profiler's original
-dump-at-end writer (``rlscope_index.json`` plus plain-JSON chunks) stay
-readable; legacy chunks carry no per-chunk statistics, so queries simply
-cannot skip them.  ``repro-trace compact`` rewrites either kind as a
-``tracedb-v2`` store.
+Metadata is JSON-encoded, so it round-trips exactly as through
+``json.dumps`` / ``json.loads`` of the record's ``to_dict()``.  Only
+``tracedb-v2`` stores open; an index of any other format is an error.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import struct
@@ -49,10 +44,7 @@ from ..profiler.columns import NO_ID, IntervalColumns, MarkerColumns, TraceColum
 from ..profiler.events import Event, OverheadMarker
 
 INDEX_FILE = "tracedb_index.json"
-LEGACY_INDEX_FILE = "rlscope_index.json"
 STORE_FORMAT = "tracedb-v2"
-#: Index formats :func:`read_index` accepts (v1 stores hold JSONL chunks).
-READABLE_FORMATS = ("tracedb-v1", STORE_FORMAT)
 CHUNK_PREFIX = "shard"
 CHUNK_SUFFIX = ".tdbc"
 
@@ -71,28 +63,19 @@ _ZLIB_LEVEL = 6
 class ChunkMeta:
     """Index entry for one chunk file.
 
-    ``start_us`` / ``end_us`` / ``phases`` / ``categories`` are ``None`` for
-    legacy chunks whose statistics are unknown; such chunks can never be
-    skipped by a filtered scan.
+    ``start_us`` / ``end_us`` are ``None`` for a chunk holding no records.
     """
 
     file: str
     worker: str
     seq: int
-    num_events: Optional[int] = None
-    num_operations: Optional[int] = None
-    num_markers: Optional[int] = None
-    start_us: Optional[float] = None
-    end_us: Optional[float] = None
-    phases: Optional[Tuple[str, ...]] = None
-    categories: Optional[Tuple[str, ...]] = None
-    legacy: bool = False
-
-    @property
-    def num_records(self) -> Optional[int]:
-        if self.num_events is None or self.num_operations is None or self.num_markers is None:
-            return None
-        return self.num_events + self.num_operations + self.num_markers
+    num_events: int
+    num_operations: int
+    num_markers: int
+    start_us: Optional[float]
+    end_us: Optional[float]
+    phases: Tuple[str, ...]
+    categories: Tuple[str, ...]
 
     # ------------------------------------------------------------- filtering
     def may_contain(
@@ -103,15 +86,11 @@ class ChunkMeta:
         start_us: Optional[float] = None,
         end_us: Optional[float] = None,
     ) -> bool:
-        """Whether the chunk can hold records matching the filters.
-
-        Unknown statistics (legacy chunks) conservatively return ``True``.
-        """
-        if phase is not None and self.phases is not None and phase not in self.phases:
+        """Whether the chunk can hold records matching the filters."""
+        if phase is not None and phase not in self.phases:
             return False
-        if categories is not None and self.categories is not None:
-            if not set(categories) & set(self.categories):
-                return False
+        if categories is not None and not set(categories) & set(self.categories):
+            return False
         if start_us is not None and self.end_us is not None and self.end_us <= start_us:
             return False
         if end_us is not None and self.start_us is not None and self.start_us >= end_us:
@@ -129,27 +108,26 @@ class ChunkMeta:
             "num_markers": self.num_markers,
             "start_us": self.start_us,
             "end_us": self.end_us,
-            "phases": None if self.phases is None else list(self.phases),
-            "categories": None if self.categories is None else list(self.categories),
-            "legacy": self.legacy,
+            "phases": list(self.phases),
+            "categories": list(self.categories),
+            # Nothing reads this key; it stays so that index bytes stay the same.
+            "legacy": False,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ChunkMeta":
-        phases = data.get("phases")
-        categories = data.get("categories")
+        start_us, end_us = data["start_us"], data["end_us"]
         return cls(
             file=str(data["file"]),
             worker=str(data["worker"]),
-            seq=int(data["seq"]),                              # type: ignore[arg-type]
-            num_events=None if data.get("num_events") is None else int(data["num_events"]),          # type: ignore[arg-type]
-            num_operations=None if data.get("num_operations") is None else int(data["num_operations"]),  # type: ignore[arg-type]
-            num_markers=None if data.get("num_markers") is None else int(data["num_markers"]),        # type: ignore[arg-type]
-            start_us=None if data.get("start_us") is None else float(data["start_us"]),               # type: ignore[arg-type]
-            end_us=None if data.get("end_us") is None else float(data["end_us"]),                     # type: ignore[arg-type]
-            phases=None if phases is None else tuple(str(p) for p in phases),      # type: ignore[union-attr]
-            categories=None if categories is None else tuple(str(c) for c in categories),  # type: ignore[union-attr]
-            legacy=bool(data.get("legacy", False)),
+            seq=int(data["seq"]),                        # type: ignore[arg-type]
+            num_events=int(data["num_events"]),          # type: ignore[arg-type]
+            num_operations=int(data["num_operations"]),  # type: ignore[arg-type]
+            num_markers=int(data["num_markers"]),        # type: ignore[arg-type]
+            start_us=None if start_us is None else float(start_us),  # type: ignore[arg-type]
+            end_us=None if end_us is None else float(end_us),        # type: ignore[arg-type]
+            phases=tuple(data["phases"]),                # type: ignore[arg-type]
+            categories=tuple(data["categories"]),        # type: ignore[arg-type]
         )
 
 
@@ -467,57 +445,8 @@ def write_chunk(path: Path, chunk: Chunk) -> None:
 
 
 def read_columns(path: Path) -> ChunkColumns:
-    """Read one chunk file as columns; a legacy chunk is decoded, then interned."""
-    if path.name.endswith(CHUNK_SUFFIX):
-        return decode_columns(path.read_bytes())
-    payload = read_chunk(path)
-    columns = payload.columns()
-    columns._payload = payload
-    return columns
-
-
-def read_chunk(path: Path) -> ChunkPayload:
-    """Decode one chunk file: columnar, or a read-only legacy JSONL / JSON chunk."""
-    name = path.name
-    if name.endswith(CHUNK_SUFFIX):
-        return decode_chunk(path.read_bytes())
-    if name.endswith(".jsonl") or name.endswith(".jsonl.gz"):
-        return _read_jsonl_chunk(path)
-    # Legacy chunk: one JSON object holding flat record lists.
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return ChunkPayload(
-        events=[Event.from_dict(d) for d in data.get("events", [])],
-        operations=[Event.from_dict(d) for d in data.get("operations", [])],
-        markers=[OverheadMarker.from_dict(d) for d in data.get("markers", [])],
-    )
-
-
-def _read_jsonl_chunk(path: Path) -> ChunkPayload:
-    """Decode a ``tracedb-v1`` chunk: one JSON record per line, optionally gzipped."""
-    payload = ChunkPayload()
-    opener = gzip.open if path.name.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.pop("t")
-            if kind == "e":
-                payload.events.append(Event.from_dict(record))
-            elif kind == "o":
-                payload.operations.append(Event.from_dict(record))
-            elif kind == "m":
-                payload.markers.append(OverheadMarker.from_dict(record))
-            else:
-                raise ValueError(f"unknown record type {kind!r} in {path}")
-    return payload
-
-
-def build_meta(file: str, worker: str, seq: int, chunk: Chunk) -> ChunkMeta:
-    """Compute the index statistics for one chunk's records."""
-    return chunk.columns().meta(file, worker, seq)
+    """Read one chunk file as columns."""
+    return decode_columns(path.read_bytes())
 
 
 # -------------------------------------------------------------------- index
@@ -549,37 +478,21 @@ def write_index(directory: Path, workers: Mapping[str, WorkerEntry]) -> None:
 
 
 def read_index(directory: Path) -> Dict[str, WorkerEntry]:
-    """Read a store index, falling back to the legacy RL-Scope index format.
+    """Read a store index.
 
-    Raises :class:`FileNotFoundError` when the directory holds neither, and
-    :class:`ValueError` for an index format outside :data:`READABLE_FORMATS`.
+    Raises :class:`FileNotFoundError` when the directory holds none, and
+    :class:`ValueError` for an index format other than :data:`STORE_FORMAT`.
     """
     index_path = directory / INDEX_FILE
-    if index_path.exists():
-        with open(index_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if raw.get("format") not in READABLE_FORMATS:
-            raise ValueError(f"unsupported trace store format {raw.get('format')!r} "
-                             f"in {index_path}")
-        workers: Dict[str, WorkerEntry] = {}
-        for worker, entry in raw.get("workers", {}).items():
-            workers[worker] = WorkerEntry(
-                chunks=[ChunkMeta.from_dict(m) for m in entry.get("chunks", [])],
-                metadata=dict(entry.get("metadata", {})),
-            )
-        return workers
-
-    legacy_path = directory / LEGACY_INDEX_FILE
-    if legacy_path.exists():
-        with open(legacy_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        workers = {}
-        for worker, entry in raw.get("workers", {}).items():
-            metas = [
-                ChunkMeta(file=str(name), worker=worker, seq=seq, legacy=True)
-                for seq, name in enumerate(entry.get("chunks", []))
-            ]
-            workers[worker] = WorkerEntry(chunks=metas, metadata=dict(entry.get("metadata", {})))
-        return workers
-
-    raise FileNotFoundError(f"no TraceDB or RL-Scope trace index found in {directory}")
+    if not index_path.exists():
+        raise FileNotFoundError(f"no TraceDB index {INDEX_FILE} found in {directory}")
+    with open(index_path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    if raw.get("format") != STORE_FORMAT:
+        raise ValueError(f"unsupported trace store format {raw.get('format')!r} in "
+                         f"{index_path} (this version reads {STORE_FORMAT} only)")
+    return {
+        worker: WorkerEntry(chunks=[ChunkMeta.from_dict(m) for m in entry.get("chunks", [])],
+                            metadata=dict(entry.get("metadata", {})))
+        for worker, entry in raw.get("workers", {}).items()
+    }

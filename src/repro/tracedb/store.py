@@ -9,6 +9,7 @@ touches only that worker's relevant chunks rather than the whole store.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -77,26 +78,13 @@ class TraceDB:
         return entry
 
     def num_events(self, worker: Optional[str] = None) -> int:
-        """Total stack events (operations excluded); loads only unindexed chunks."""
-        total = 0
-        for meta in self.chunks(worker):
-            if meta.num_events is not None:
-                total += meta.num_events
-            else:
-                total += len(self._payload(meta).events)
-        return total
+        """Total stack events (operations excluded), from the index."""
+        return sum(meta.num_events for meta in self.chunks(worker))
 
     def span_us(self) -> float:
         """Largest end timestamp across every shard."""
-        span = 0.0
-        for meta in self.chunks():
-            if meta.end_us is not None:
-                span = max(span, meta.end_us)
-            else:
-                payload = self._payload(meta)
-                for record in payload.events + payload.operations:
-                    span = max(span, record.end_us)
-        return span
+        return max((meta.end_us for meta in self.chunks() if meta.end_us is not None),
+                   default=0.0)
 
     # ------------------------------------------------------------ chunk load
     def _columns(self, meta: ChunkMeta) -> ChunkColumns:
@@ -159,13 +147,10 @@ class TraceDB:
         end_us: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> List[Event]:
-        out: List[Event] = []
-        for event in self.iter_events(worker=worker, phase=phase, category=category,
-                                      start_us=start_us, end_us=end_us):
-            out.append(event)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        """The matching stack events, at most ``limit`` of them."""
+        events = self.iter_events(worker=worker, phase=phase, category=category,
+                                  start_us=start_us, end_us=end_us)
+        return list(events if limit is None else islice(events, limit))
 
     def count_events(self, **filters) -> int:
         return sum(1 for _ in self.iter_events(**filters))
@@ -252,21 +237,17 @@ class TraceDB:
         out: Dict[str, Dict[str, object]] = {}
         for worker in self.workers():
             metas = self._workers[worker].chunks
-            known = [m for m in metas if m.num_records is not None]
-            phases = sorted({p for m in known if m.phases for p in m.phases})
-            categories = sorted({c for m in known if m.categories for c in m.categories})
-            ends = [m.end_us for m in known if m.end_us is not None]
-            starts = [m.start_us for m in known if m.start_us is not None]
+            ends = [m.end_us for m in metas if m.end_us is not None]
+            starts = [m.start_us for m in metas if m.start_us is not None]
             out[worker] = {
                 "chunks": len(metas),
-                "legacy_chunks": sum(1 for m in metas if m.legacy),
-                "events": sum(m.num_events or 0 for m in known),
-                "operations": sum(m.num_operations or 0 for m in known),
-                "markers": sum(m.num_markers or 0 for m in known),
+                "events": sum(m.num_events for m in metas),
+                "operations": sum(m.num_operations for m in metas),
+                "markers": sum(m.num_markers for m in metas),
                 "start_us": min(starts) if starts else None,
                 "end_us": max(ends) if ends else None,
-                "phases": phases,
-                "categories": categories,
+                "phases": sorted({p for m in metas for p in m.phases}),
+                "categories": sorted({c for m in metas for c in m.categories}),
                 "metadata": dict(self._workers[worker].metadata),
             }
         return out

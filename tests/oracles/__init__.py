@@ -23,6 +23,7 @@ the rest is called side by side with the shipped code.
 * ``batch_planner`` — the planning half of ``InferenceService.serve_queued``
   before :mod:`repro.rollout.planner` (``_plan_batches`` and the two hold
   rules), called side by side with ``planner.plan``;
-* ``jsonl_chunk`` — the ``tracedb-v1`` JSONL chunk writer;
+* ``record_dicts`` — records rebuilt from the JSON round trip of their
+  ``to_dict()``, the columnar chunk codec's oracle;
 * ``json_frame`` — the version-1 JSON serving wire codec.
 """

@@ -234,10 +234,8 @@ def test_multiprocess_validations():
     with pytest.raises(ValueError, match="event scheduler"):
         SelfPlayPool(num_workers=2, batched_inference=True,
                      scheduler="sequential", num_processes=2)
-    from repro.rollout.pool import RolloutPolicyNet
-    live = RolloutPolicyNet(4, 2, (8,), rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="live objects"):
-        EnvRolloutPool("Pong", 2, network=live, num_processes=2)
+        EnvRolloutPool("Pong", 2, policy_factory=lambda env, seed: None, num_processes=2)
     from repro.tracedb.writer import StreamingTraceWriter
     with pytest.raises(ValueError, match="store"):
         EnvRolloutPool("Pong", 2, num_processes=2,

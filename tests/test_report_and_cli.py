@@ -61,18 +61,15 @@ def test_correction_table_format():
 
 # ---------------------------------------------------------------------- events
 def test_event_serialisation_roundtrip():
+    # ``to_dict`` is what ``repro-trace query`` prints, one JSON line per event.
     event = Event("Backend", "session_run", 1.5, 2.5, worker="w3", phase="p")
-    assert Event.from_dict(event.to_dict()) == event
+    expected = {"category": "Backend", "name": "session_run", "start_us": 1.5,
+                "end_us": 2.5, "worker": "w3", "phase": "p"}
+    assert json.loads(json.dumps(event.to_dict())) == event.to_dict() == expected
     marker = OverheadMarker("cupti", 3.0, api_name="cudaLaunchKernel", worker="w3")
-    assert OverheadMarker.from_dict(marker.to_dict()) == marker
-    trace = EventTrace()
-    trace.add_event(event)
-    trace.add_marker(marker)
-    trace.add_event(Event("Operation", "inference", 0.0, 5.0))
-    restored = EventTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
-    assert restored.events[0] == event
-    assert restored.operations[0].name == "inference"
-    assert restored.markers[0] == marker
+    assert marker.to_dict() == {"kind": "cupti", "time_us": 3.0,
+                                "api_name": "cudaLaunchKernel", "worker": "w3",
+                                "phase": "default"}
 
 
 def test_event_validation():

@@ -278,49 +278,6 @@ def test_minigo_drivers_and_shims_are_the_rollout_core():
         assert getattr(minigo, name) is getattr(core, name)
 
 
-# --------------------------------------------------------------- rl attachment
-def test_collect_replay_routes_dqn_through_service():
-    from repro.rl import DQN, collect_replay, default_framework
-    from repro.sim import registry
-
-    system = System.create(seed=0)
-    env = registry.make("Pong", system, seed=0)
-    algo = DQN(env, default_framework(system))
-    stats = collect_replay(algo, num_workers=4, steps_per_worker=8)
-    assert stats.steps == stats.buffered == len(algo.buffer) == 32
-    assert stats.rows == 32
-    assert stats.engine_calls == 8
-    assert stats.cross_worker_share > 0.0
-
-
-def test_collect_rollout_fills_on_policy_buffer():
-    from repro.rl import PPO2, collect_rollout, default_framework
-    from repro.sim import registry
-
-    system = System.create(seed=1)
-    env = registry.make("Walker2D", system, seed=0)
-    algo = PPO2(env, default_framework(system))
-    stats = collect_rollout(algo, num_workers=4)
-    assert stats.buffered == len(algo.rollout) == algo.rollout.n_steps
-    assert algo.rollout.is_full
-    assert stats.cross_worker_share > 0.0
-    rollout = algo.rollout.finish(0.0)
-    assert np.all(np.isfinite(rollout.values))
-    assert np.all(np.isfinite(rollout.log_probs))
-
-
-def test_collect_replay_continuous_actor():
-    from repro.rl import DDPG, collect_replay, default_framework
-    from repro.sim import registry
-
-    system = System.create(seed=2)
-    env = registry.make("Hopper", system, seed=0)
-    algo = DDPG(env, default_framework(system))
-    stats = collect_replay(algo, num_workers=3, steps_per_worker=5)
-    assert stats.buffered == len(algo.buffer) == 15
-    assert stats.cross_worker_share > 0.0
-
-
 def test_zoo_algorithm_support_matrix():
     from repro.rl import algorithm_supports
 
@@ -329,13 +286,6 @@ def test_zoo_algorithm_support_matrix():
     assert not algorithm_supports("Pong", "DDPG")
     assert algorithm_supports("Hopper", "DDPG")
     assert algorithm_supports("Pong", "PPO") and algorithm_supports("Hopper", "PPO")
-
-
-def test_attach_forward_rejects_unknown_algorithms():
-    from repro.rl.zoo import _attach_forward
-
-    with pytest.raises(TypeError):
-        _attach_forward(object())
 
 
 # ---------------------------------------------- driver snapshot / restore

@@ -1,7 +1,5 @@
 """Round trips of in-memory traces through StreamingTraceWriter and TraceDB."""
 
-import json
-
 import pytest
 
 from repro.profiler.events import Event, EventTrace, OverheadMarker
@@ -76,32 +74,6 @@ def test_repeat_dump_appends_chunks(tmp_path):
     assert [meta.seq for meta in db.chunks("worker_0")] == [0, 1]
     # 4 + 6 backend events + 2 operation events.
     assert db.read_worker("worker_0").total_events() == 12
-
-
-# -------------------------------------------------------------------- legacy
-def test_legacy_store_still_loads(tmp_path):
-    """Directories written by the old JSON dump-at-end format still load."""
-    trace = make_trace("worker_0", num_events=6)
-    chunk_name = "trace_chunk_worker_0_00000.json"
-    payload = {
-        "worker": "worker_0",
-        "events": [e.to_dict() for e in trace.events],
-        "operations": [op.to_dict() for op in trace.operations],
-        "markers": [m.to_dict() for m in trace.markers],
-    }
-    (tmp_path / chunk_name).write_text(json.dumps(payload), encoding="utf-8")
-    (tmp_path / "rlscope_index.json").write_text(json.dumps({
-        "workers": {"worker_0": {"chunks": [chunk_name], "metadata": dict(trace.metadata)}},
-    }), encoding="utf-8")
-
-    db = TraceDB(str(tmp_path))
-    loaded = db.read_worker("worker_0")
-    assert loaded.total_events() == trace.total_events()
-    assert len(loaded.markers) == len(trace.markers)
-    assert loaded.metadata["worker"] == "worker_0"
-    # Legacy chunks have no index statistics, so queries scan them.
-    assert all(meta.legacy for meta in db.chunks())
-    assert db.count_events(category="Backend") == 6
 
 
 def test_reader_missing_directory(tmp_path):

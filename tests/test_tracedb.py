@@ -87,7 +87,8 @@ def test_in_memory_profiler_dump_honours_chunk_events(tmp_path):
                                     streaming=True, chunk_events=8)
     db = TraceDB(str(tmp_path / "dump"))
     assert len(db.chunks()) == len(streamed.open_tracedb().chunks()) > 1
-    assert all(meta.num_records <= 8 for meta in db.chunks())
+    assert all(meta.num_events + meta.num_operations + meta.num_markers <= 8
+               for meta in db.chunks())
     loaded = db.read_worker(dumped.worker)
     assert loaded.total_events() == dumped.trace.total_events()
     assert len(loaded.markers) == len(dumped.trace.markers)
@@ -264,6 +265,23 @@ def test_repro_trace_cli(populated_store, tmp_path, capsys):
     compacted = TraceDB(out_dir)
     assert compacted.count_events() == 16
     assert len(compacted.chunks()) == 2  # one merged chunk per worker
+
+
+def test_query_limit_zero_returns_nothing(populated_store, capsys):
+    db = populated_store
+    assert db.query(limit=0) == []
+    assert len(db.query(limit=1)) == 1
+    assert trace_main(["query", str(db.directory), "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("limit", ["-1", "-3"])
+def test_query_rejects_a_negative_limit(populated_store, capsys, limit):
+    with pytest.raises(SystemExit) as exit_info:
+        trace_main(["query", str(populated_store.directory), "--limit", limit])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--limit" in captured.err
 
 
 # -------------------------------------------------------------- satellites

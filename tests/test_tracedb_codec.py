@@ -1,10 +1,10 @@
-"""The columnar chunk codec against the JSONL chunk oracle.
+"""The columnar chunk codec against the JSON round trip of each record.
 
-Stores write ``.tdbc`` columnar chunks; ``tracedb-v1`` stores of per-record
-JSONL chunks (written here by ``tests/oracles/jsonl_chunk.py``) must stay
-readable and convert losslessly through ``repro-trace compact``.  Every
-randomized payload must decode, through the columnar codec, to exactly the
-records its JSONL round trip decodes to.
+Every randomized payload must decode, through the columnar codec, to exactly
+the records the JSON round trip of each record's ``to_dict()`` gives
+(``tests/oracles/record_dicts.py``).  ``repro-trace compact`` must re-chunk
+a store losslessly, and a store of any other format than ``tracedb-v2``
+must fail to open with a clear error.
 """
 
 import copy
@@ -14,7 +14,7 @@ import zlib
 
 import pytest
 
-from oracles.jsonl_chunk import V1_STORE_FORMAT, write_jsonl_chunk, write_v1_store
+from oracles.record_dicts import json_round_trip
 from repro.hw.costmodel import CostModelConfig
 from repro.profiler import analyze_db
 from repro.profiler.calibration import CalibrationResult
@@ -26,7 +26,7 @@ from repro.profiler.events import (
     Event,
     OverheadMarker,
 )
-from repro.tracedb import STORE_FORMAT, TraceDB
+from repro.tracedb import STORE_FORMAT, StreamingTraceWriter, TraceDB
 from repro.tracedb.cli import main as trace_main
 from repro.tracedb.format import (
     CHUNK_SUFFIX,
@@ -34,7 +34,6 @@ from repro.tracedb.format import (
     ChunkPayload,
     decode_chunk,
     encode_chunk,
-    read_chunk,
     write_chunk,
 )
 
@@ -105,9 +104,7 @@ def _assert_float_times(payload: ChunkPayload) -> None:
 @pytest.mark.parametrize("seed", range(40))
 def test_columnar_round_trip_matches_jsonl_oracle(seed, tmp_path):
     payload = random_payload(random.Random(seed))
-    oracle_path = tmp_path / "chunk.jsonl.gz"
-    write_jsonl_chunk(oracle_path, payload)
-    oracle = read_chunk(oracle_path)
+    oracle = json_round_trip(payload)
 
     encoded = encode_chunk(payload)
     columnar = decode_chunk(encoded)
@@ -122,7 +119,7 @@ def test_columnar_round_trip_matches_jsonl_oracle(seed, tmp_path):
     write_chunk(first, payload)
     write_chunk(second, copy.deepcopy(payload))
     assert first.read_bytes() == second.read_bytes() == encoded
-    assert read_chunk(first) == oracle
+    assert decode_chunk(first.read_bytes()) == oracle
 
 
 def test_random_payloads_cover_every_shape():
@@ -140,7 +137,7 @@ def test_random_payloads_cover_every_shape():
     assert any(not r.name.isascii() for r in intervals)
 
 
-def test_codec_covers_edge_shapes(tmp_path):
+def test_codec_covers_edge_shapes():
     """Empty sections, one-record chunks and an entirely empty chunk."""
     rng = random.Random(1234)
     event = _interval(rng, "w0", "Backend")
@@ -153,11 +150,9 @@ def test_codec_covers_edge_shapes(tmp_path):
         ChunkPayload(markers=[marker]),
         ChunkPayload(events=[event], markers=[marker]),
     ]
-    for index, payload in enumerate(shapes):
-        path = tmp_path / f"{index}.jsonl"
-        write_jsonl_chunk(path, payload, compress=False)
+    for payload in shapes:
         decoded = decode_chunk(encode_chunk(payload))
-        assert decoded == read_chunk(path)
+        assert decoded == json_round_trip(payload)
         _assert_float_times(decoded)
 
 
@@ -190,34 +185,63 @@ def _breakdowns(db: TraceDB):
             analysis.resource_breakdown_us(), analysis.total_time_us())
 
 
+def _records_in(meta) -> int:
+    return meta.num_events + meta.num_operations + meta.num_markers
+
+
+def _write_store(directory, shards):
+    """A ``tracedb-v2`` store holding each payload as one chunk."""
+    writer = StreamingTraceWriter(str(directory), chunk_events=10_000)
+    for worker, (payloads, metadata) in shards.items():
+        shard = writer.shard(worker)
+        for payload in payloads:
+            shard.add_records(payload)
+            shard.flush()
+        writer.close_shard(worker, metadata=metadata)
+    writer.close()
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_v1_store_opens_and_compacts_to_v2(seed, tmp_path, capsys):
-    v1_dir, v2_dir = tmp_path / "v1", tmp_path / "v2"
-    write_v1_store(v1_dir, _random_shards(random.Random(seed)))
-    v1 = TraceDB(str(v1_dir))
-    assert all(meta.file.endswith(".jsonl.gz") for meta in v1.chunks())
+def test_compact_rechunks_a_store_losslessly(seed, tmp_path, capsys):
+    source_dir, compacted_dir = tmp_path / "source", tmp_path / "compacted"
+    _write_store(source_dir, _random_shards(random.Random(seed)))
+    source = TraceDB(str(source_dir))
 
-    assert trace_main(["compact", str(v1_dir), "--out", str(v2_dir)]) == 0
+    assert trace_main(["compact", str(source_dir), "--out", str(compacted_dir),
+                       "--chunk-events", "7"]) == 0
     assert "compacted" in capsys.readouterr().out
-    index = json.loads((v2_dir / INDEX_FILE).read_text(encoding="utf-8"))
-    assert index["format"] == STORE_FORMAT != V1_STORE_FORMAT
-    v2 = TraceDB(str(v2_dir))
-    assert all(meta.file.endswith(CHUNK_SUFFIX) for meta in v2.chunks())
+    index = json.loads((compacted_dir / INDEX_FILE).read_text(encoding="utf-8"))
+    assert index["format"] == STORE_FORMAT
+    compacted = TraceDB(str(compacted_dir))
+    assert all(meta.file.endswith(CHUNK_SUFFIX) for meta in compacted.chunks())
 
-    assert v2.workers() == v1.workers()
-    for worker in v1.workers():
-        assert v2.read_worker(worker) == v1.read_worker(worker)
-        assert v2.metadata(worker) == v1.metadata(worker)
-    assert _breakdowns(v2) == _breakdowns(v1)
+    assert compacted.workers() == source.workers()
+    for worker in source.workers():
+        full, rest = divmod(sum(map(_records_in, source.chunks(worker))), 7)
+        assert (list(map(_records_in, compacted.chunks(worker)))
+                == [7] * full + ([rest] if rest else []))
+        assert compacted.read_worker(worker) == source.read_worker(worker)
+        assert compacted.metadata(worker) == source.metadata(worker)
+    assert _breakdowns(compacted) == _breakdowns(source)
 
 
-def test_uncompressed_v1_chunks_still_read(tmp_path):
-    shards = _random_shards(random.Random(99))
-    write_v1_store(tmp_path / "gz", shards)
-    write_v1_store(tmp_path / "plain", shards, compress=False)
-    gz, plain = TraceDB(str(tmp_path / "gz")), TraceDB(str(tmp_path / "plain"))
-    assert all(meta.file.endswith(".jsonl") for meta in plain.chunks())
-    assert plain.read_all() == gz.read_all()
+def test_only_tracedb_v2_stores_open(tmp_path, capsys):
+    """A ``tracedb-v1`` index, and a directory of the original JSON dump
+    format (only ``rlscope_index.json``), each fail with a clear error."""
+    v1, json_dump = tmp_path / "v1", tmp_path / "json_dump"
+    v1.mkdir()
+    json_dump.mkdir()
+    (v1 / INDEX_FILE).write_text(json.dumps({"format": "tracedb-v1", "workers": {}}),
+                                 encoding="utf-8")
+    (json_dump / "rlscope_index.json").write_text(json.dumps({"workers": {}}),
+                                                  encoding="utf-8")
+    with pytest.raises(SystemExit, match=r"^repro-trace: unsupported trace store format "
+                                         r"'tracedb-v1'.*reads tracedb-v2 only"):
+        trace_main(["summarize", str(v1)])
+    with pytest.raises(SystemExit, match=r"^repro-trace: no TraceDB index "
+                                         r"tracedb_index\.json found in"):
+        trace_main(["query", str(json_dump), "--count"])
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_index_format_is_rejected(tmp_path):
