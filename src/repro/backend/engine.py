@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,13 +177,19 @@ class BackendEngine:
         """Account for ``opdef``'s gradient op (the tape computes the VJP itself)."""
         self._account(self._plan(opdef, True, inputs, output, attrs))
 
-    def account_op(self, op_name: str, kernels: Sequence[KernelSpec]) -> None:
+    def account_op(self, op_name: str, shape: Tuple[int, ...],
+                   kernels: Callable[[], Sequence[KernelSpec]]) -> None:
         """Account for an op whose numeric result is computed elsewhere.
 
-        Used for fused optimizer updates and target-network updates.
+        Used for fused optimizer and target-network updates.  ``op_name`` and
+        ``shape`` must determine the kernels: ``kernels()`` runs once per pair,
+        and the plan is kept in :attr:`_plans`.
         """
-        del op_name  # the name is informational; cost depends only on the kernels
-        self._account(self.system.cuda.plan(kernels))
+        key = (op_name, shape)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self.system.cuda.plan(kernels())
+        self._account(plan)
 
     # ------------------------------------------------------------ op routing
     def apply(self, op_name: str, inputs: Sequence[np.ndarray], attrs: Mapping[str, object]) -> np.ndarray:

@@ -157,7 +157,8 @@ def soft_update(target: Module, source: Module, tau: float, *, separate_calls: b
 
     def _update(pairs_chunk):
         for target_param, source_param in pairs_chunk:
-            engine.account_op("soft_update", [elementwise_kernel(target_param.shape, 3.0, name="axpy")])
+            engine.account_op("soft_update", target_param.shape,
+                              lambda: [elementwise_kernel(target_param.shape, 3.0, name="axpy")])
             # The float32 products and sum of ``(1 - tau) * target + tau *
             # source``, in that order, into one fresh array the parameter takes over.
             shape = target_param.data.shape

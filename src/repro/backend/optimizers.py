@@ -60,7 +60,8 @@ class SGD(Optimizer):
         self.step_count += 1
         with engine.native_scope("sgd_step"):
             for param, grad in zip(self.params, grads):
-                engine.account_op("sgd_update", [optimizer_kernel(param.size, name="sgd_update")])
+                engine.account_op("sgd_update", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="sgd_update")])
                 grad = np.asarray(grad, dtype=np.float32)
                 if self.momentum > 0:
                     vel = self._velocity.get(param.id)
@@ -154,7 +155,8 @@ class Adam(Optimizer):
         self.step_count += 1
         with engine.native_scope("adam_step"):
             for param in self.params:
-                engine.account_op("adam_update", [optimizer_kernel(param.size, name="adam_update")])
+                engine.account_op("adam_update", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="adam_update")])
             self._fused_update(grads)
 
 
@@ -186,7 +188,8 @@ class MPIAdam(Adam):
             for param in self.params:
                 # Flatten/gather each variable into the flat vector, then copy
                 # its gradient and value to the host.
-                engine.account_op("flatten_var", [optimizer_kernel(param.size, name="flatten_var")])
+                engine.account_op("flatten_var", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="flatten_var")])
                 engine.copy_to_host(float(tensor_bytes(param.shape)), synchronize=False)  # gradient
                 engine.copy_to_host(float(tensor_bytes(param.shape)))                     # value
         for param in self.params:
@@ -203,4 +206,5 @@ class MPIAdam(Adam):
         with engine.native_scope("mpi_adam_set_from_flat"):
             for param in self.params:
                 engine.copy_to_device(float(tensor_bytes(param.shape)))
-                engine.account_op("assign", [optimizer_kernel(param.size, name="assign_flat")])
+                engine.account_op("assign", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="assign_flat")])

@@ -12,7 +12,8 @@ counts, values, virtual losses; one slot per move index), as Minigo's own
 ``mcts.py`` does: expansion is a handful of array ops instead of one Python
 object per legal move, and selection is one vectorized PUCT evaluation plus
 an ``argmax`` per tree level.  A child object exists only once a simulation
-selects it.
+selects it.  Expansion also stores ``c_puct * prior`` (``-inf`` where
+illegal), so a PUCT evaluation is eight 82-element array ops and no select.
 
 With ``leaf_batch > 1`` the search runs in *waves*: up to ``leaf_batch``
 leaves are selected per wave under a virtual loss (each in-flight leaf is
@@ -88,8 +89,9 @@ class LeafEvalRequest:
 class MCTSNode:
     """One node of the search tree, holding its children as arrays.
 
-    An expanded node stores four arrays with one slot per move index
-    (row-major points, then pass): :attr:`child_prior`, :attr:`child_N`
+    An expanded node stores five arrays with one slot per move index
+    (row-major points, then pass): :attr:`child_prior`, :attr:`child_U`
+    (``c_puct * child_prior``, ``-inf`` at illegal moves), :attr:`child_N`
     (visits), :attr:`child_W` (total value, from each child's own to-play
     perspective) and :attr:`child_VL` (in-flight virtual losses), plus the
     position's shared legality mask :attr:`legal`.  :attr:`children` holds
@@ -102,7 +104,7 @@ class MCTSNode:
     """
 
     __slots__ = ("_position", "parent", "index", "children", "legal",
-                 "child_prior", "child_N", "child_W", "child_VL",
+                 "child_prior", "child_U", "child_N", "child_W", "child_VL",
                  "_root_N", "_root_W", "_root_VL")
 
     def __init__(self, position: Optional[GoPosition] = None,
@@ -115,6 +117,7 @@ class MCTSNode:
         self.children: Dict[int, MCTSNode] = {}
         self.legal: Optional[np.ndarray] = None
         self.child_prior: Optional[np.ndarray] = None
+        self.child_U: Optional[np.ndarray] = None
         self.child_N: Optional[np.ndarray] = None
         self.child_W: Optional[np.ndarray] = None
         self.child_VL: Optional[np.ndarray] = None
@@ -151,21 +154,30 @@ class MCTSNode:
         visits = self.visit_count
         return self.total_value / visits if visits > 0 else 0.0
 
-    def puct_scores(self, c_puct: float) -> np.ndarray:
+    def puct_scores(self) -> np.ndarray:
         """PUCT score of every move from this (expanded) node; illegal moves -inf.
 
-        ``child_W`` is from each child's own to-play perspective (backup
-        flips sign per ply), so the parent choosing among children negates
-        it; in-flight virtual losses count as parent-perspective losses,
-        steering concurrent wave selections apart.
+        ``(-W - VL) / visits + c_puct * prior * sqrt(parent visits) / (1 +
+        visits)``, the mean 0 while unvisited.  ``child_W`` is from each
+        child's own to-play perspective (backup flips sign per ply), so the
+        parent negates it; in-flight virtual losses count as parent-perspective
+        losses, steering concurrent wave selections apart.  IEEE negation,
+        division and addition are sign-symmetric, so evaluating it as
+        ``child_U * sqrt(...) / (1 + visits) - (W + VL) / max(visits, 1)``
+        gives every legal score the same bits, and -inf stays -inf.
         """
+        parent_visits = self.visit_count + self.virtual_loss
+        if parent_visits == 0:  # nothing visited: every legal move scores 0
+            return np.where(self.legal, 0.0, -math.inf)
         child_VL = self.child_VL
         visits = self.child_N + child_VL
-        mean = np.divide(-self.child_W - child_VL, visits,
-                         out=np.zeros(visits.shape), where=visits > 0)
-        parent_visits = self.visit_count + self.virtual_loss
-        scores = mean + c_puct * self.child_prior * math.sqrt(parent_visits) / (1 + visits)
-        return np.where(self.legal, scores, -math.inf)
+        mean = self.child_W + child_VL
+        mean /= np.maximum(visits, 1)
+        visits += 1
+        scores = self.child_U * math.sqrt(parent_visits)
+        scores /= visits
+        scores -= mean
+        return scores
 
 
 class MCTS:
@@ -263,13 +275,11 @@ class MCTS:
         wave: List[WaveEntry] = []
         pending: List[int] = []
         selected: set = set()
-        c_puct = self.c_puct
-
         for _ in range(target):
             node = root
             # Selection: descend to a leaf, materializing selected children.
             while node.child_prior is not None:
-                index = int(node.puct_scores(c_puct).argmax())
+                index = int(node.puct_scores().argmax())
                 child = node.children.get(index)
                 if child is None:
                     child = node.children[index] = MCTSNode(parent=node, index=index)
@@ -328,7 +338,8 @@ class MCTS:
         only once selection picks it (see :class:`MCTSNode`).
         """
         legal = node.position.legal_mask()
-        masked = np.where(legal, np.maximum(priors, 1e-8), 0.0)
+        masked = np.maximum(priors, 1e-8)
+        masked *= legal
         masked /= masked.sum()
 
         if add_noise:
@@ -343,6 +354,7 @@ class MCTS:
         num_moves = len(masked)
         node.legal = legal
         node.child_prior = masked
+        node.child_U = np.where(legal, self.c_puct * masked, -math.inf)
         node.child_N = np.zeros(num_moves, dtype=np.int64)
         node.child_W = np.zeros(num_moves, dtype=np.float64)
         node.child_VL = np.zeros(num_moves, dtype=np.int64)
@@ -391,6 +403,16 @@ class MCTS:
         policy = self.policy_from_visits(root, temperature=temperature)
         index = int(self.rng.choice(len(policy), p=policy))
         return root.position.index_to_move(index)
+
+    @staticmethod
+    def release(root: MCTSNode) -> None:
+        """Drop a used search tree's child links, so reference counting frees
+        it at once instead of the (much later) cycle collector."""
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children.values())
+            node.children = {}
 
 
 class SearchCursor:

@@ -351,6 +351,7 @@ class GameDriver(StepwiseDriver):
         self._search_op.__exit__(None, None, None)
         self._search_op = None
         self._search = None
+        self._mcts.release(root)
         self._game_examples.append((self._position.features(), policy.astype(np.float32),
                                     self._position.to_play))
         self._position = self._position.play(move)

@@ -13,13 +13,17 @@ incrementally-maintained Zobrist hash of the stone configuration.  Legality
 is therefore an O(neighbors) lookup instead of the flood-fill-per-candidate
 scan of the original implementation (preserved verbatim as a test oracle
 in ``tests/oracles/`` and pinned equivalent by the random-game oracle in
-``tests/test_go_oracle.py``).  :meth:`GoBoard.legal_mask` computes the
-whole legal-move mask with one array op (plus an O(neighbors) check of the
-few fully surrounded empty points), and ``legal_moves`` is a view of it.
-:class:`GoPosition` is immutable, so its ``legal_mask()``/``legal_moves()``/
-``features()`` are computed once and cached per instance — MCTS expansion and
-self-play record collection hit the cache instead of re-deriving them per
-call.
+``tests/test_go_oracle.py``).  The board also keeps **bitboards** (Python
+ints, bit ``row * size + col``) of its empty, black and white points.
+:meth:`GoBoard.legal_mask` finds every empty point with an empty neighbor
+by four shifts of the empty bitboard, checks only the few fully surrounded
+empty points one by one, and unpacks the result into a bool array in a
+single NumPy call; ``legal_moves`` is a view of that mask, and
+:meth:`GoPosition.features` is one unpack of the own, opponent and turn
+planes.  :class:`GoPosition` is immutable, so its ``legal_mask()``/
+``legal_moves()``/``features()`` are computed once and cached per instance —
+MCTS expansion and self-play record collection hit the cache instead of
+re-deriving them per call.
 """
 
 from __future__ import annotations
@@ -46,11 +50,12 @@ def opponent(color: int) -> int:
 
 # ------------------------------------------------------------- board geometry
 #: Per-size caches shared by every board instance: the row-major point list,
-#: the point -> neighbor-tuple map, and the Zobrist key tables.  Boards of
-#: the same size share these read-only structures, so copying a board never
-#: copies them.
+#: the point -> neighbor-tuple map, the bitboard edge masks and the Zobrist
+#: key tables.  Boards of the same size share these read-only structures, so
+#: copying a board never copies them.
 _POINTS_CACHE: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 _NEIGHBORS_CACHE: Dict[int, Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]] = {}
+_EDGES_CACHE: Dict[int, Tuple[int, int]] = {}
 _ZOBRIST_CACHE: Dict[int, Tuple[List[List[int]], List[int], int]] = {}
 
 #: Seed of the Zobrist key stream.  Fixed forever: hashes are persisted in
@@ -79,6 +84,26 @@ def _neighbor_map(size: int) -> Dict[Tuple[int, int], Tuple[Tuple[int, int], ...
         }
         _NEIGHBORS_CACHE[size] = neighbors
     return neighbors
+
+
+def _edge_masks(size: int) -> Tuple[int, int]:
+    """Bitboards of the points off the left column and off the right column.
+
+    A one-bit shift moves a row's first point onto the previous row's last
+    point; masking with these drops the bits that wrapped around a row edge.
+    """
+    edges = _EDGES_CACHE.get(size)
+    if edges is None:
+        board = (1 << (size * size)) - 1
+        left_column = sum(1 << (row * size) for row in range(size))
+        edges = _EDGES_CACHE[size] = (board ^ left_column, board ^ left_column << (size - 1))
+    return edges
+
+
+def _unpack(bits: int, count: int) -> np.ndarray:
+    """The low ``count`` bits of ``bits`` as a uint8 0/1 array, bit 0 first."""
+    return np.unpackbits(np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8),
+                         count=count, bitorder="little")
 
 
 def _zobrist_tables(size: int) -> Tuple[List[List[int]], List[int], int]:
@@ -134,6 +159,8 @@ class GoBoard:
     pins the two move-for-move.  Additionally :meth:`legal_mask` gives the
     legal moves as a bool mask over move indices, and :attr:`zobrist` exposes
     the incrementally-maintained hash of the stone configuration.
+    ``_empty``/``_black``/``_white`` are bitboards (bit ``row * size + col``)
+    kept in lockstep with ``board`` and the group map.
     """
 
     def __init__(self, size: int = 9, komi: float = 6.5) -> None:
@@ -147,8 +174,12 @@ class GoBoard:
         self._group_at: Dict[Tuple[int, int], _Group] = {}
         self._neighbors = _neighbor_map(size)
         self._points = _points(size)
+        self._edges = _edge_masks(size)
         self._stone_keys, self._ko_keys, self._turn_key = _zobrist_tables(size)
         self.zobrist = 0  #: incremental Zobrist hash of the stone layout
+        self._empty = (1 << (size * size)) - 1
+        self._black = 0
+        self._white = 0
 
     # ------------------------------------------------------------------ utils
     def copy(self) -> "GoBoard":
@@ -160,10 +191,14 @@ class GoBoard:
         new._group_at = dict(self._group_at)
         new._neighbors = self._neighbors
         new._points = self._points
+        new._edges = self._edges
         new._stone_keys = self._stone_keys
         new._ko_keys = self._ko_keys
         new._turn_key = self._turn_key
         new.zobrist = self.zobrist
+        new._empty = self._empty
+        new._black = self._black
+        new._white = self._white
         return new
 
     def in_bounds(self, row: int, col: int) -> bool:
@@ -192,17 +227,6 @@ class GoBoard:
             key ^= self._ko_keys[ko[0] * self.size + ko[1]]
         if to_play == WHITE:
             key ^= self._turn_key
-        return key
-
-    def zobrist_from_scratch(self) -> int:
-        """Recompute the stone hash from the raw array (test oracle)."""
-        key = 0
-        for row, col in self._points:
-            value = self.board[row, col]
-            if value == BLACK:
-                key ^= self._stone_keys[row * self.size + col][0]
-            elif value == WHITE:
-                key ^= self._stone_keys[row * self.size + col][1]
         return key
 
     # ------------------------------------------------------------------ rules
@@ -249,8 +273,14 @@ class GoBoard:
         group_at = self._group_at
         stone_keys = self._stone_keys
         size = self.size
+        index = row * size + col
         self.board[point] = color
-        self.zobrist ^= stone_keys[row * size + col][0 if color == BLACK else 1]
+        self.zobrist ^= stone_keys[index][0 if color == BLACK else 1]
+        self._empty ^= 1 << index
+        if color == BLACK:
+            self._black |= 1 << index
+        else:
+            self._white |= 1 << index
 
         merged: List[_Group] = []
         enemies: List[_Group] = []
@@ -272,13 +302,16 @@ class GoBoard:
         own_liberties.discard(point)
 
         captured: List[Tuple[int, int]] = []
+        captured_bits = 0
         for group in enemies:
             if len(group.liberties) == 1:  # its only liberty was this point
                 channel = 0 if group.color == BLACK else 1
                 for prisoner in group.stones:
                     self.board[prisoner] = EMPTY
                     del group_at[prisoner]
-                    self.zobrist ^= stone_keys[prisoner[0] * size + prisoner[1]][channel]
+                    prisoner_index = prisoner[0] * size + prisoner[1]
+                    self.zobrist ^= stone_keys[prisoner_index][channel]
+                    captured_bits |= 1 << prisoner_index
                     captured.append(prisoner)
             else:
                 survivor = _Group(group.color, group.stones, group.liberties - {point})
@@ -286,6 +319,11 @@ class GoBoard:
                     group_at[stone] = survivor
 
         if captured:
+            self._empty |= captured_bits
+            if color == BLACK:
+                self._white ^= captured_bits
+            else:
+                self._black ^= captured_bits
             # Each captured point becomes a liberty of every adjacent group
             # that survives.  Adjacent stones are necessarily the placing
             # color (two touching stones of one color share a group, so no
@@ -335,27 +373,30 @@ class GoBoard:
     def legal_mask(self, color: int) -> np.ndarray:
         """Legality of every move index for ``color``: row-major points, then pass.
 
-        One padded-shift array op marks each empty point that has an empty
-        neighbor (always legal: the neighbor is a liberty of the new stone).
+        Four shifts of the empty bitboard mark each empty point that has an
+        empty neighbor (always legal: the neighbor is a liberty of the new
+        stone); the edge masks drop shifts that wrapped around a row end.
         Only the few fully surrounded empty points fall back to
-        :meth:`_legal_at_empty`, and the ko point is cleared.
+        :meth:`_legal_at_empty`.  The ko point is cleared, the pass bit set,
+        and the bitboard unpacked into a bool array in one call.
         """
         size = self.size
-        empty = self.board == EMPTY
-        padded = np.zeros((size + 2, size + 2), dtype=bool)
-        padded[1:-1, 1:-1] = empty
-        open_neighbor = (padded[:-2, 1:-1] | padded[2:, 1:-1]
-                         | padded[1:-1, :-2] | padded[1:-1, 2:])
-        mask = np.empty(size * size + 1, dtype=bool)
-        points = mask[:-1].reshape(size, size)
-        np.logical_and(empty, open_neighbor, out=points)
-        for row, col in zip(*np.nonzero(empty & ~open_neighbor)):
-            point = (int(row), int(col))
-            points[point] = self._legal_at_empty(point, color)
-        if self.ko_point is not None:
-            points[self.ko_point] = False
-        mask[-1] = True  # passing is always legal
-        return mask
+        not_left, not_right = self._edges
+        empty = self._empty
+        open_neighbor = (((empty >> 1) & not_right) | ((empty << 1) & not_left)
+                         | (empty >> size) | (empty << size))
+        legal = empty & open_neighbor
+        surrounded = empty & ~open_neighbor
+        while surrounded:
+            low = surrounded & -surrounded
+            if self._legal_at_empty(self._points[low.bit_length() - 1], color):
+                legal |= low
+            surrounded ^= low
+        ko = self.ko_point
+        if ko is not None:
+            legal &= ~(1 << (ko[0] * size + ko[1]))
+        legal |= 1 << (size * size)  # passing is always legal
+        return _unpack(legal, size * size + 1).view(bool)
 
     def legal_moves(self, color: int, *, include_pass: bool = True) -> List[Move]:
         """The legal moves in :meth:`legal_mask` order (pass last, if included)."""
@@ -471,12 +512,13 @@ class GoPosition:
         """Flat feature vector for the policy/value network (cached)."""
         features = self._features
         if features is None:
-            own = (self.board.board == self.to_play).astype(np.float32)
-            other = (self.board.board == opponent(self.to_play)).astype(np.float32)
-            turn = np.full((self._size, self._size),
-                           1.0 if self.to_play == BLACK else 0.0, dtype=np.float32)
-            features = np.concatenate([own.reshape(-1), other.reshape(-1), turn.reshape(-1)])
-            self._features = features
+            board = self.board
+            points = self._pass_index
+            if self.to_play == BLACK:  # own stones, opponent stones, turn plane
+                bits = board._black | board._white << points | ((1 << points) - 1) << 2 * points
+            else:
+                bits = board._white | board._black << points
+            features = self._features = _unpack(bits, 3 * points).astype(np.float32)
         return features
 
     def transposition_key(self) -> int:

@@ -55,7 +55,8 @@ class LoopAdam(Optimizer):
         self.step_count += 1
         with engine.native_scope("adam_step"):
             for param, grad in zip(self.params, grads):
-                engine.account_op("adam_update", [optimizer_kernel(param.size, name="adam_update")])
+                engine.account_op("adam_update", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="adam_update")])
                 self._adam_update(param, grad)
 
 
@@ -78,7 +79,8 @@ class LoopMPIAdam(LoopAdam):
             for param in self.params:
                 # Flatten/gather each variable into the flat vector, then copy
                 # its gradient and value to the host.
-                engine.account_op("flatten_var", [optimizer_kernel(param.size, name="flatten_var")])
+                engine.account_op("flatten_var", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="flatten_var")])
                 engine.copy_to_host(float(tensor_bytes(param.shape)), synchronize=False)  # gradient
                 engine.copy_to_host(float(tensor_bytes(param.shape)))                     # value
         for param in self.params:
@@ -96,4 +98,5 @@ class LoopMPIAdam(LoopAdam):
         with engine.native_scope("mpi_adam_set_from_flat"):
             for param in self.params:
                 engine.copy_to_device(float(tensor_bytes(param.shape)))
-                engine.account_op("assign", [optimizer_kernel(param.size, name="assign_flat")])
+                engine.account_op("assign", param.shape,
+                                  lambda: [optimizer_kernel(param.size, name="assign_flat")])

@@ -11,8 +11,12 @@ implementation (``tests/oracles/go_reference.py``):
   incremental liberty bookkeeping against a from-scratch flood fill after
   every move — capture cascades included;
 * Zobrist consistency (incremental == recomputed, repeats collide);
-* the one-op legality mask (``legal_mask``) against the reference legal
-  moves on every position, ko, suicide and capture-to-live points included;
+* the bitboard legality mask (``legal_mask``) against the reference legal
+  moves on every position, ko, suicide and capture-to-live points included,
+  at board sizes 3 to 19, and the bitboard feature planes against the
+  reference NumPy construction;
+* the empty/black/white bitboards against the board array after every move,
+  and across a pickle round trip;
 * the MCTS materializes only the children it selects, each equal to the
   parent position played forward.
 """
@@ -22,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.go_reference import ReferenceGoBoard, ReferenceGoPosition
+from oracles.go_reference import (ReferenceGoBoard, ReferenceGoPosition,
+                                  bitboards_from_scratch, zobrist_from_scratch)
 from repro.sim.go import BLACK, EMPTY, WHITE, GoBoard, GoPosition
 
 #: The acceptance bar: at least this many full 9x9 oracle games.
@@ -74,7 +79,7 @@ def _random_playout(board_new: GoBoard, board_ref: ReferenceGoBoard,
         moves += 1
         to_play = -to_play
     assert board_new.area_score() == board_ref.area_score()
-    assert board_new.zobrist == board_new.zobrist_from_scratch()
+    assert board_new.zobrist == zobrist_from_scratch(board_new)
     # Group/liberty parity over the final position, stone by stone.
     for row in range(board_new.size):
         for col in range(board_new.size):
@@ -113,7 +118,7 @@ def test_multi_group_capture_cascade_matches_reference():
     # The capturing group gained the captured points back as liberties.
     _, liberties = new.group_and_liberties(0, 0)
     assert {(0, 1), (1, 0)} <= liberties
-    assert new.zobrist == new.zobrist_from_scratch()
+    assert new.zobrist == zobrist_from_scratch(new)
 
 
 def _flood_group(board: np.ndarray, row: int, col: int):
@@ -168,7 +173,8 @@ def test_incremental_liberty_bookkeeping_survives_capture_cascades(seed):
                 assert all(board.board[p] == board.board[row, col] for p in group)
                 assert liberties, "no group on the board may have zero liberties"
                 seen |= group
-        assert board.zobrist == board.zobrist_from_scratch()
+        assert board.zobrist == zobrist_from_scratch(board)
+        assert (board._empty, board._black, board._white) == bitboards_from_scratch(board)
         to_play = -to_play
 
 
@@ -179,13 +185,13 @@ def test_zobrist_incremental_matches_scratch_and_detects_repeats():
     board.play((1, 1), BLACK)
     after_stone = board.zobrist
     assert after_stone != empty_hash
-    assert after_stone == board.zobrist_from_scratch()
+    assert after_stone == zobrist_from_scratch(board)
 
     # Capture removes the stone's key again: surround and take.
     for point in [(0, 1), (2, 1), (1, 0)]:
         board.play(point, WHITE)
     board.play((1, 2), WHITE)  # captures (1, 1)
-    assert board.zobrist == board.zobrist_from_scratch()
+    assert board.zobrist == zobrist_from_scratch(board)
     assert board.board[1, 1] == EMPTY
 
     # Re-playing the identical stone layout reproduces the identical hash.
@@ -208,8 +214,8 @@ def test_copy_isolates_incremental_state():
     assert board.board[2, 3] == EMPTY and board.board[1, 2] == EMPTY
     assert board.group_and_liberties(2, 2)[1] == _flood_group(board.board, 2, 2)[1]
     assert fork.group_and_liberties(2, 2)[1] == _flood_group(fork.board, 2, 2)[1]
-    assert board.zobrist == board.zobrist_from_scratch()
-    assert fork.zobrist == fork.zobrist_from_scratch()
+    assert board.zobrist == zobrist_from_scratch(board)
+    assert fork.zobrist == zobrist_from_scratch(fork)
 
 
 # ----------------------------------------------------- position-level caching
@@ -264,6 +270,7 @@ def test_legal_mask_matches_reference_on_every_position(size):
             assert not mask.flags.writeable              # shared, read-only
             assert np.array_equal(mask, _mask_of(position.legal_moves(), size))
             assert np.array_equal(mask, _mask_of(reference.legal_moves(), size))
+            _assert_features_match(position, reference)
             surrounded = _surrounded_empty(position.board.board).reshape(-1)
             ko = position.board.ko_point
             if ko is not None:
@@ -279,6 +286,66 @@ def test_legal_mask_matches_reference_on_every_position(size):
                 move = board_moves[rng.integers(0, len(board_moves))]
             position, reference = position.play(move), reference.play(move)
     assert ko_points > 0 and suicides > 0 and captures_to_live > 0
+
+
+def _assert_features_match(position, reference):
+    """The bitboard feature planes equal the reference NumPy construction."""
+    features, expected = position.features(), reference.features()
+    assert features.dtype == expected.dtype == np.float32
+    assert features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("size", [3, 5, 13, 19])
+def test_bitboards_match_reference_at_every_board_size(size):
+    """Shifting a bitboard by one moves a row's first point onto the previous
+    row's last point.  Random dense games at several sizes (odd and even row
+    lengths against the byte width) must keep the legality mask, the feature
+    planes and the bitboards equal to the reference engine and the array."""
+    rng = np.random.default_rng(8100 + size)
+    games, max_moves = (20, 60) if size <= 5 else (1, 150)
+    edge_stones = 0
+    for _ in range(games):
+        position = GoPosition.initial(size)
+        reference = ReferenceGoPosition.initial(size)
+        for _ in range(max_moves):
+            if position.is_over:
+                break
+            mask = position.legal_mask()
+            assert np.array_equal(mask, _mask_of(reference.legal_moves(), size))
+            _assert_features_match(position, reference)
+            board = position.board
+            assert (board._empty, board._black, board._white) == bitboards_from_scratch(board)
+            edge_stones += int(np.count_nonzero(board.board[:, [0, -1]]))
+            board_moves = position.legal_moves()[:-1]
+            if not board_moves or rng.random() < 0.03:
+                move = None
+            else:
+                move = board_moves[rng.integers(0, len(board_moves))]
+            position, reference = position.play(move), reference.play(move)
+    assert edge_stones > 0
+
+
+def test_pickle_round_trip_keeps_bitboards():
+    """Shard snapshots pickle positions mid-game: the copy keeps the
+    bitboards, and play continues identically on both."""
+    import pickle
+
+    rng = np.random.default_rng(5)
+    position = GoPosition.initial(5)
+    for _ in range(12):
+        moves = position.legal_moves()[:-1]
+        position = position.play(moves[rng.integers(0, len(moves))])
+    restored = pickle.loads(pickle.dumps(position))
+    for board in (position.board, restored.board):
+        assert (board._empty, board._black, board._white) == bitboards_from_scratch(board)
+    assert (restored.board._empty, restored.board._black, restored.board._white) == \
+        (position.board._empty, position.board._black, position.board._white)
+    assert np.array_equal(restored.legal_mask(), position.legal_mask())
+    assert restored.features().tobytes() == position.features().tobytes()
+    for move in position.legal_moves()[:3]:
+        after, restored_after = position.play(move), restored.play(move)
+        assert np.array_equal(after.legal_mask(), restored_after.legal_mask())
+        assert after.features().tobytes() == restored_after.features().tobytes()
 
 
 def test_legal_mask_ko_suicide_and_capture_to_live_points():

@@ -122,3 +122,39 @@ def test_gradient_ops_use_their_own_plans():
     assert names == ["sgemm", "reduce_sum", "grad_sum", "sgemm_dgrad", "sgemm_wgrad"] * 3
     assert sorted((name, gradient) for name, gradient, *_ in engine._plans) == [
         ("matmul", False), ("matmul", True), ("sum", False), ("sum", True)]
+
+
+def test_account_op_resolves_one_plan_per_op_and_shape():
+    """Optimizer and target-network updates build their kernels once per
+    (op, parameter shape); every later step is charged from that plan."""
+    from repro.backend import Adam
+    from repro.backend.tensor import Parameter
+    from repro.cuda.kernels import optimizer_kernel
+
+    system = System.create(seed=0, config=CostModelConfig(jitter=0.0))
+    engine = GraphEngine(system)
+    built = []
+
+    def kernels(size):
+        built.append(size)
+        return [optimizer_kernel(size, name="adam_update")]
+
+    with engine.native_scope("step"):
+        for shape in ((4, 3), (4, 3), (5,), (4, 3), (5,)):
+            size = int(np.prod(shape))
+            engine.account_op("adam_update", shape, lambda: kernels(size))
+    assert built == [12, 5]
+    assert engine.op_count == 5
+    base_us = system.cost_model.kernel_base_us
+    expected = [base_us(8.0 * n, 32.0 * n) for n in (12, 12, 5, 12, 5)]
+    assert [k.end_us for k in system.device.kernels()] == [
+        k.start_us + us for k, us in zip(system.device.kernels(), expected)]
+
+    params = [Parameter(np.ones((4, 3), np.float32)), Parameter(np.ones((4, 3), np.float32)),
+              Parameter(np.ones(7, np.float32))]
+    adam = Adam(params, lr=0.1)
+    with use_engine(engine):
+        for _ in range(3):
+            adam.step([np.ones_like(p.data) for p in params])
+    assert ("adam_update", (7,)) in engine._plans
+    assert sum(1 for key in engine._plans if key[0] == "adam_update") == 3

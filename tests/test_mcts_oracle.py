@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles.scalar_mcts import ScalarMCTS, root_visits
-from repro.minigo.mcts import MCTS, SearchCursor
+from repro.minigo.mcts import MCTS, MCTSNode, SearchCursor
 from repro.sim.go import GoPosition
 
 #: Random positions searched per (board size, leaf_batch, transposition,
@@ -166,3 +166,45 @@ def test_cursor_resumes_after_pickling_with_pending_transposition_hits():
     assert resumed.table_hits == straight.table_hits
     assert (resumed.mcts.rng.bit_generator.state
             == straight.mcts.rng.bit_generator.state)
+
+
+def _textbook_puct(node, c_puct):
+    """The PUCT formula as the array search first shipped it: a select on
+    ``visits > 0`` for the mean and one on the legality mask."""
+    visits = node.child_N + node.child_VL
+    mean = np.divide(-node.child_W - node.child_VL, visits,
+                     out=np.zeros(visits.shape), where=visits > 0)
+    parent_visits = node.visit_count + node.virtual_loss
+    scores = mean + c_puct * node.child_prior * np.sqrt(parent_visits) / (1 + visits)
+    return np.where(node.legal, scores, -np.inf)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_puct_scores_equal_the_textbook_formula_bit_for_bit(seed):
+    """``child_U`` folds ``c_puct`` and the -inf legality mask into one
+    array: every legal score must keep the textbook formula's exact bits, on
+    a node nothing has visited yet and on a searched root under changing
+    visits, values and virtual losses."""
+    rng = np.random.default_rng(seed)
+    size = 5
+    position = _random_position(rng, size)
+    c_puct = float(rng.choice([0.7, 1.5, 4.0]))
+    mcts = MCTS(_linear_evaluator(size, seed), c_puct=c_puct, rng=rng)
+    fresh = MCTSNode(position=position)
+    mcts._expand_with_priors(fresh, rng.random(size * size + 1), add_noise=False)
+    node = mcts.search(position, add_noise=bool(seed % 2))
+    legal = np.flatnonzero(node.legal)
+    assert fresh.puct_scores().tobytes() == _textbook_puct(fresh, c_puct).tobytes()
+    for _ in range(10):
+        scores = node.puct_scores()
+        expected = _textbook_puct(node, c_puct)
+        assert scores[legal].tobytes() == expected[legal].tobytes()
+        assert np.all(np.isneginf(scores[~node.legal]))
+        assert scores.argmax() == expected.argmax()
+        # Perturb the statistics: more visits, in-flight losses, values.
+        picks = rng.choice(legal, size=min(3, len(legal)), replace=False)
+        node.child_N[picks] += rng.integers(0, 4, size=len(picks))
+        node.child_VL[picks] = rng.integers(0, 3, size=len(picks))
+        node.child_W[picks] += rng.normal(size=len(picks)) * node.child_N[picks]
+        node._root_N = int(node.child_N.sum()) + 1
+        node._root_VL = int(node.child_VL.sum())

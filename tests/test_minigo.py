@@ -199,12 +199,34 @@ def test_ucb_selection_is_minimax_correct():
     parent.child_N[[winning, losing]] = 2
     parent.child_W[winning] = 2.0
     parent.child_W[losing] = -2.0
-    scores = parent.puct_scores(1.5)
+    scores = parent.puct_scores()
     assert scores[losing] > scores[winning]
     # Virtual loss makes an in-flight child strictly less attractive.
     before = scores[losing]
     parent.child_VL[losing] = 1
-    assert parent.puct_scores(1.5)[losing] < before
+    assert parent.puct_scores()[losing] < before
+
+
+def test_released_search_tree_is_freed_without_the_cycle_collector():
+    """Children point at their parents, so a finished tree is a reference
+    cycle; ``MCTS.release`` (called when a self-play move commits) breaks
+    it, and the tree's arrays are freed the moment the root is dropped."""
+    import gc
+    import weakref
+
+    mcts = MCTS(uniform_evaluator(26), num_simulations=16, leaf_batch=4,
+                rng=np.random.default_rng(0))
+    gc.disable()
+    try:
+        root = mcts.search(GoPosition.initial(size=5))
+        arrays = [weakref.ref(child.child_N) for child in root.children.values()
+                  if child.child_N is not None]
+        assert arrays
+        MCTS.release(root)
+        del root
+        assert all(ref() is None for ref in arrays)
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------- concurrent evaluation
