@@ -15,10 +15,7 @@ normals from its generator at a time and consumes them one per draw, as
 ``1.0 + (0.0 + jitter * z)`` — the exact arithmetic of a scalar
 ``Generator.normal(0.0, jitter)`` call, so every duration is bit-identical to
 drawing one normal per call.  The generator therefore runs up to a block
-ahead of the draws, and its state alone no longer says where the next draw
-comes from: snapshot and restore a model's random stream only through
-:meth:`CostModel.rng_state` / :meth:`CostModel.set_rng_state`, which carry
-the block and its cursor along with the generator state.
+ahead of the draws.
 
 Every jittered duration is one :meth:`CostModel._jittered` draw of a base
 duration.  The ``*_base_us`` methods return those bases without drawing, so
@@ -29,7 +26,7 @@ cache theirs, and call ``_jittered`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -163,9 +160,7 @@ class CostModel:
 
     def __init__(self, config: Optional[CostModelConfig] = None, seed: Optional[int] = None) -> None:
         self.config = config if config is not None else CostModelConfig()
-        #: The seed this model's generator started from (``seed``, else ``config.seed``).
-        self.seed = self.config.seed if seed is None else seed
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(self.config.seed if seed is None else seed)
         # Drawn standard normals; ``_block[_cursor:]`` are still unused.
         self._block: List[float] = []
         self._cursor = 0
@@ -186,20 +181,6 @@ class CostModel:
         # ``normal(loc, scale)`` computes ``loc + scale * z``; keep its rounding.
         factor = 1.0 + (0.0 + jitter * self._block[cursor])
         return float(base_us * (factor if factor >= 0.05 else 0.05))
-
-    def rng_state(self) -> Dict[str, object]:
-        """Snapshot of the jitter stream: generator state, drawn block and cursor."""
-        return {
-            "bit_generator": self._rng.bit_generator.state,
-            "block": list(self._block),
-            "cursor": self._cursor,
-        }
-
-    def set_rng_state(self, state: Mapping[str, object]) -> None:
-        """Resume the jitter stream from a :meth:`rng_state` snapshot."""
-        self._rng.bit_generator.state = state["bit_generator"]
-        self._block = list(state["block"])  # type: ignore[call-overload]
-        self._cursor = int(state["cursor"])  # type: ignore[call-overload]
 
     # ---------------------------------------------------------------- python
     def python_work(self, units: float = 1.0) -> float:
@@ -300,16 +281,6 @@ class CostModel:
     def interception_overhead(self, kind: str) -> float:
         """Ground-truth book-keeping duration for one interception event."""
         return self._jittered(self.interception_base_us(kind))
-
-    # ---------------------------------------------------------------- variants
-    def with_overrides(self, **overrides: object) -> "CostModel":
-        """Return a new :class:`CostModel` with config fields replaced.
-
-        The new model starts from this model's seed unless ``seed`` is one of
-        the overrides.
-        """
-        new_config = replace(self.config, **overrides)  # type: ignore[arg-type]
-        return CostModel(new_config, seed=None if "seed" in overrides else self.seed)
 
 
 def scaled_sim_costs(scale: float, base: Optional[Mapping[str, float]] = None) -> Dict[str, float]:

@@ -244,22 +244,14 @@ class MCTS:
         classic search decision-for-decision.  Returns the root node via
         ``StopIteration.value``.
 
-        Thin wrapper over :class:`SearchCursor`, the explicit-state (and
-        therefore picklable) form of the same state machine.
+        Thin wrapper over :class:`SearchCursor`, the explicit-state form of
+        the same state machine.
         """
         cursor = SearchCursor(self, position, add_noise=add_noise)
         while cursor.request is not None:
             yield cursor.request
             cursor.advance()
         return cursor.root
-
-    # -------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        # The evaluator is a bound method into a live worker stack (engine,
-        # system, clocks); a restored search must re-attach its own.
-        state = self.__dict__.copy()
-        state["evaluator"] = None
-        return state
 
     def _select_wave(self, root: MCTSNode, target: int
                      ) -> Tuple[List[WaveEntry], List[int]]:
@@ -416,17 +408,14 @@ class MCTS:
 
 
 class SearchCursor:
-    """Explicit-state resumable search: the picklable form of ``search_steps``.
+    """Explicit-state resumable search: the state machine behind ``search_steps``.
 
     Holds the suspended search between inference boundaries as plain data
     (root tree, outstanding wave, pending request) instead of a live
-    generator frame, so a mid-search driver can be snapshotted with
-    ``pickle`` and resumed on a fresh worker stack.  :meth:`advance` consumes
-    the fulfilled :attr:`request` and runs until the next boundary;
-    RNG draws and tree decisions happen in exactly the order the generator
-    produced them (``search_steps`` is now a thin wrapper over this class).
-    In-wave results are keyed by wave slot, never by object identity, so
-    they survive the pickle round trip.
+    generator frame.  :meth:`advance` consumes the fulfilled :attr:`request`
+    and runs until the next boundary; RNG draws and tree decisions happen in
+    exactly the order the generator produced them (``search_steps`` is a thin
+    wrapper over this class).  In-wave results are keyed by wave slot.
     """
 
     __slots__ = ("mcts", "root", "add_noise", "remaining", "wave", "pending",
@@ -518,10 +507,3 @@ class SearchCursor:
                 return self.request
             self.remaining -= mcts._finish_wave(wave, hits or {})
         return None
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)

@@ -358,123 +358,6 @@ class GameDriver(StepwiseDriver):
         self._move_number += 1
         self.result.moves += 1
 
-    # ------------------------------------------------------------ persistence
-    def snapshot(self) -> bytes:
-        """Pickle the driver's resumable state, suspended search included.
-
-        Valid whenever the driver is *between* steps: runnable, finished, or
-        blocked mid-annotation on a pending inference ticket.  The snapshot
-        captures everything the worker stack holds for this driver — game and
-        search state, the worker's RNG stream, virtual clock, cost-model
-        jitter stream, and the profiler's open-operation stack — so
-        :meth:`restore` can resume on a *fresh* stack with records, clocks
-        and annotations bit-for-bit identical to an uninterrupted run.
-        """
-        worker = self.worker
-        pending = None
-        if self._ticket is not None:
-            ticket = self._ticket
-            pending = {"features": ticket.features, "metadata": ticket.metadata,
-                       "done": ticket.done, "priors": ticket.priors,
-                       "values": ticket.values}
-        profiler = worker.profiler
-        prof_state = None
-        if profiler is not None:
-            prof_state = {
-                "names_starts": list(zip(profiler._operation_names,
-                                         profiler._operation_starts)),
-                "python_resume_us": profiler._python_resume_us,
-                "phase": profiler.phase,
-            }
-        state = {
-            "num_games": self.num_games,
-            "steps": self.steps,
-            "games_done": self._games_done,
-            "finished": self._finished,
-            "result": self.result,
-            "mcts": self._mcts,
-            "position": self._position,
-            "game_examples": self._game_examples,
-            "move_number": self._move_number,
-            "search": self._search,
-            "request": self._request,
-            "pending": pending,
-            "worker_rng": worker.rng,
-            "clock_us": worker.system.clock.now_us,
-            "cost_rng_state": worker.system.cost_model.rng_state(),
-            "profiler": prof_state,
-            "search_open": self._search_op is not None,
-            "leaf_open": self._leaf_op is not None,
-        }
-        import pickle
-        return pickle.dumps(state)
-
-    @classmethod
-    def restore(cls, worker: SelfPlayWorker, blob: bytes) -> "GameDriver":
-        """Rebuild a snapshotted driver on a fresh (identically-built) worker.
-
-        Adopts the snapshot's RNG streams and clock, re-submits the pending
-        ticket (if any) to the fresh worker's service client, and re-opens
-        the profiler annotations that were open at snapshot time without
-        re-charging their entry overhead.
-        """
-        import pickle
-        state = pickle.loads(blob)
-        driver = cls.__new__(cls)
-        driver.worker = worker
-        driver.num_games = state["num_games"]
-        driver.steps = state["steps"]
-        driver.result = state["result"]
-        driver._games_done = state["games_done"]
-        driver._finished = state["finished"]
-        driver._mcts = state["mcts"]
-        driver._position = state["position"]
-        driver._game_examples = state["game_examples"]
-        driver._move_number = state["move_number"]
-        driver._search = state["search"]
-        driver._request = state["request"]
-        driver._ticket = None
-        driver._search_op = None
-        driver._leaf_op = None
-        # Adopt the snapshotted RNG streams and clock on the fresh stack.
-        worker.rng = state["worker_rng"]
-        if driver._mcts is not None:
-            driver._mcts.rng = worker.rng
-            driver._mcts.evaluator = worker._profiled_evaluator
-        system = worker.system
-        system.clock.advance_to(state["clock_us"])
-        system.cost_model.set_rng_state(state["cost_rng_state"])
-        profiler = worker.profiler
-        prof_state = state["profiler"]
-        pending = state["pending"]
-        ops = prof_state["names_starts"] if prof_state else []
-        if profiler is not None and prof_state is not None:
-            profiler.set_phase(prof_state["phase"])
-        if state["search_open"]:
-            if profiler is not None and ops:
-                name, start = ops[0]
-                driver._search_op = profiler.reopen_operation(name, start)
-            else:
-                driver._search_op = _NULL_OPERATION
-            driver._search_op.__enter__()
-        if state["leaf_open"] and profiler is not None and len(ops) > 1:
-            name, start = ops[1]
-            driver._leaf_op = profiler.reopen_operation(
-                name, start, metadata=pending["metadata"] if pending else None)
-            driver._leaf_op.__enter__()
-        if profiler is not None and prof_state is not None:
-            profiler._python_resume_us = prof_state["python_resume_us"]
-        if pending is not None:
-            if worker._client is None:
-                raise RuntimeError("snapshot holds a pending inference ticket but the "
-                                   "restoring worker has no inference client")
-            driver._ticket = worker._client.submit(pending["features"],
-                                                   metadata=pending["metadata"])
-            if pending["done"]:
-                driver._ticket.priors = pending["priors"]
-                driver._ticket.values = pending["values"]
-        return driver
-
     def _finish_game(self) -> None:
         position = self._position
         outcome = position.result() if position.is_over else float(np.sign(position.board.area_score()) or 1.0)

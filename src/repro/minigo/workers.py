@@ -180,7 +180,7 @@ class SelfPlayPool(WorkerPool):
                                  rng=np.random.default_rng(network_seed(self.seed)))
         return self._new_service(network, service_factory)
 
-    def _build_workers(self, indices, weights=None, restore=None,
+    def _build_workers(self, indices, weights=None,
                        service_factory=None) -> List[WorkerStack]:
         # The service first, then every worker in index order, so all RNG
         # streams are fixed before any driver runs.
@@ -192,10 +192,8 @@ class SelfPlayPool(WorkerPool):
         built = []
         for index in indices:
             worker, profiler = self._make_worker(index, weights)
-            blob = (restore or {}).get(index)
-            driver = (GameDriver(worker, self.games_per_worker) if blob is None
-                      else GameDriver.restore(worker, blob))
-            built.append(WorkerStack(driver, worker.system, worker._client, profiler))
+            built.append(WorkerStack(GameDriver(worker, self.games_per_worker),
+                                     worker.system, worker._client, profiler))
         return built
 
     def _child_config(self) -> dict:

@@ -297,29 +297,6 @@ class ParallelRunner:
                 return reply[2]
             self._seg_buffer[reply[1]] = reply[2]
 
-    def snapshots(self) -> Dict[int, bytes]:
-        """Snapshot every shard's drivers (windex → resumable state blob).
-
-        Valid whenever all drivers sit at a segment boundary (blocked or
-        finished).  The blobs feed :attr:`ShardSpec.restore` so a freshly
-        respawned process can rebuild its drivers mid-run — the driver-level
-        recovery substrate under the journal-replay transport.
-        """
-        for channel in self.channels:
-            channel.send(("snap",))
-        blobs: Dict[int, bytes] = {}
-        for channel in self.channels:
-            while True:
-                reply = channel.recv()
-                if reply[0] == "seg":
-                    self._seg_buffer[reply[1]] = reply[2]
-                    continue
-                if reply[0] != "snapped":
-                    raise RuntimeError(f"expected a snapshot reply, got {reply[0]!r}")
-                blobs.update(reply[1])
-                break
-        return blobs
-
     # -------------------------------------------------------------- teardown
     def finalize(self) -> Dict[int, object]:
         """Finalize every shard *serially* and merge their per-worker runs.

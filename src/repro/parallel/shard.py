@@ -41,9 +41,6 @@ class ShardSpec:
     pool_config: dict
     worker_indices: List[int]       #: global worker indices owned by this shard
     weights: Optional[list] = field(default=None, repr=False)
-    #: optional windex → snapshot blob: drivers listed here are rebuilt from
-    #: their snapshot (mid-run recovery) instead of starting fresh.
-    restore: Optional[Dict[int, bytes]] = field(default=None, repr=False)
 
 
 def _pool_class(kind: str):
@@ -58,13 +55,12 @@ def _pool_class(kind: str):
 
 
 class WorkerShard:
-    """One process's fully-built worker stacks (restored from ``spec.restore``
-    snapshots where listed) and their drivers."""
+    """One process's fully-built worker stacks and their drivers."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.pool = _pool_class(spec.kind)(**spec.pool_config)
-        built = self.pool._build_workers(spec.worker_indices, spec.weights, spec.restore)
+        built = self.pool._build_workers(spec.worker_indices, spec.weights)
         #: windex -> :class:`~repro.rollout.pool.WorkerStack`
         self.stacks = dict(zip(spec.worker_indices, built))
         self.service = self.pool.inference_service
@@ -177,10 +173,6 @@ def handle_message(state, msg: tuple) -> tuple:
         priors, values, end_us = state.shard.execute(windex, replica_index,
                                                      features, start_us)
         return ("exec", exec_id, priors, values, end_us)
-    if tag == "snap":
-        shard = state.shard
-        return ("snapped", {windex: stack.driver.snapshot()
-                            for windex, stack in shard.stacks.items()})
     if tag == "finalize":
         return ("final", state.shard.finalize())
     raise ValueError(f"unknown shard message {tag!r}")

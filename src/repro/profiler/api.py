@@ -212,39 +212,6 @@ class Profiler:
                 metadata=dict(metadata) if metadata else None,
             ))
 
-    @contextmanager
-    def reopen_operation(self, name: str, start_us: float, *,
-                         metadata: Optional[dict] = None) -> Iterator[None]:
-        """Re-enter an annotation that was open when a driver was snapshotted.
-
-        Pushes the saved ``(name, start_us)`` back onto the operation stack
-        *without* charging the entry-side annotation overhead again (the
-        original :meth:`operation` ``__enter__`` already did, before the
-        snapshot); the exit side is identical to :meth:`operation`, so the
-        recorded event and the clock charges match an uninterrupted run.
-        """
-        if not self.config.annotations:
-            yield
-            return
-        self._operation_names.append(name)
-        self._operation_starts.append(start_us)
-        try:
-            yield
-        finally:
-            self._inject_annotation_overhead()
-            end = self.system.clock.now_us
-            if self._c_depth == 0:
-                self._flush_python(end)
-                self._python_resume_us = end
-            self._operation_names.pop()
-            op_start = self._operation_starts.pop()
-            self.trace.add_event(Event(
-                category=CATEGORY_OPERATION, name=name,
-                start_us=op_start, end_us=end,
-                worker=self.worker, phase=self.phase,
-                metadata=dict(metadata) if metadata else None,
-            ))
-
     def _inject_annotation_overhead(self) -> None:
         clock = self.system.clock
         self.trace.add_marker(OverheadMarker(

@@ -192,96 +192,6 @@ class EnvRolloutDriver(StepwiseDriver):
                 self._begin()
         return not self._finished
 
-    # ------------------------------------------------------------ persistence
-    def snapshot(self) -> bytes:
-        """Pickle the driver's resumable state, pending ticket included.
-
-        Valid whenever the driver is between steps (runnable, finished, or
-        blocked mid-annotation).  Captures the env's own state (everything
-        but its live ``system``/``boundary`` attachments), the driver and
-        env RNG streams, the virtual clock, the cost-model jitter stream and
-        the profiler's open-operation stack, so :meth:`restore` on a fresh
-        worker stack resumes bit-for-bit.
-        """
-        pending = None
-        if self._ticket is not None:
-            ticket = self._ticket
-            pending = {"features": ticket.features, "metadata": ticket.metadata,
-                       "done": ticket.done, "priors": ticket.priors,
-                       "values": ticket.values}
-        profiler = self.profiler
-        prof_state = None
-        if profiler is not None:
-            prof_state = {
-                "names_starts": list(zip(profiler._operation_names,
-                                         profiler._operation_starts)),
-                "python_resume_us": profiler._python_resume_us,
-                "phase": profiler.phase,
-            }
-        env_state = {key: value for key, value in self.env.__dict__.items()
-                     if key not in ("system", "boundary")}
-        state = {
-            "num_steps": self.num_steps,
-            "result": self.result,
-            "steps": self.steps,
-            "obs": self._obs,
-            "episode_reward": self._episode_reward,
-            "finished": self._finished,
-            "rng": self.rng,
-            "policy": self.policy,
-            "env_state": env_state,
-            "pending": pending,
-            "clock_us": self.system.clock.now_us,
-            "cost_rng_state": self.system.cost_model.rng_state(),
-            "profiler": prof_state,
-            "infer_open": self._infer_op is not None,
-        }
-        import pickle
-        return pickle.dumps(state)
-
-    @classmethod
-    def restore(cls, env: "Env", client: "InferenceClient", blob: bytes, *,
-                profiler: Optional["Profiler"] = None) -> "EnvRolloutDriver":
-        """Rebuild a snapshotted driver on a freshly-built env/client stack."""
-        import pickle
-        state = pickle.loads(blob)
-        driver = cls.__new__(cls)
-        driver.env = env
-        driver.system = env.system
-        driver.client = client
-        driver.engine = client.engine
-        driver.policy = state["policy"]
-        driver.num_steps = state["num_steps"]
-        driver.rng = state["rng"]
-        driver.profiler = profiler
-        driver.result = state["result"]
-        driver.steps = state["steps"]
-        driver._obs = state["obs"]
-        driver._ticket = None
-        driver._infer_op = None
-        driver._episode_reward = state["episode_reward"]
-        driver._finished = state["finished"]
-        env.__dict__.update(state["env_state"])
-        driver.system.clock.advance_to(state["clock_us"])
-        driver.system.cost_model.set_rng_state(state["cost_rng_state"])
-        prof_state = state["profiler"]
-        pending = state["pending"]
-        if profiler is not None and prof_state is not None:
-            profiler.set_phase(prof_state["phase"])
-            if state["infer_open"] and prof_state["names_starts"]:
-                name, start = prof_state["names_starts"][-1]
-                driver._infer_op = profiler.reopen_operation(
-                    name, start, metadata=pending["metadata"] if pending else None)
-                driver._infer_op.__enter__()
-            profiler._python_resume_us = prof_state["python_resume_us"]
-        if pending is not None:
-            driver._ticket = client.submit(pending["features"],
-                                           metadata=pending["metadata"])
-            if pending["done"]:
-                driver._ticket.priors = pending["priors"]
-                driver._ticket.values = pending["values"]
-        return driver
-
     # -------------------------------------------------------------- internals
     def _sim_op(self):
         if self.profiler is None:

@@ -129,15 +129,6 @@ class ReservoirSample:
             if slot < self.capacity:
                 self._values[slot] = value
 
-    def merge_counts_from(self, other: "ReservoirSample") -> None:
-        """Fold another reservoir's observation count in.
-
-        Two uniform samples cannot be combined without the original streams,
-        so a merged reservoir's :attr:`sample` stays that of the accumulating
-        side.
-        """
-        self.count += other.count
-
     @property
     def sample(self) -> List[float]:
         return list(self._values)
@@ -169,18 +160,6 @@ class BatchSizeStats:
         self.max_rows = max(self.max_rows, rows)
         self.counts[bisect_right(self.BUCKET_BOUNDS, rows - 1)] += 1
         self._reservoir.append(rows)
-
-    def merge_counts_from(self, other: "BatchSizeStats") -> None:
-        """Fold another summary's exact counters in (histogram, totals).
-
-        The reservoir keeps its own sample (see
-        :meth:`ReservoirSample.merge_counts_from`).
-        """
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self._reservoir.merge_counts_from(other._reservoir)
-        self.total_rows += other.total_rows
-        self.max_rows = max(self.max_rows, other.max_rows)
 
     @property
     def count(self) -> int:
@@ -293,37 +272,6 @@ class InferenceStats:
         Zero-batch safe: 0.0 before the first engine call.
         """
         return self.cross_worker_batches / self.engine_calls if self.engine_calls else 0.0
-
-    def merge_from(self, other: "InferenceStats") -> None:
-        """Fold another stats object's counters into this one (roll-up).
-
-        Sums the additive counters, maxes the extrema, and merges the exact
-        batch-size histogram; the bounded reservoir sample is not merged
-        (see :meth:`BatchSizeStats.merge_counts_from`).
-        """
-        self.requests += other.requests
-        self.rows += other.rows
-        self.engine_calls += other.engine_calls
-        self.max_batch_rows = max(self.max_batch_rows, other.max_batch_rows)
-        self.cross_worker_batches += other.cross_worker_batches
-        self.capacity = max(self.capacity, other.capacity)
-        for worker, rows in other.rows_by_worker.items():
-            self.rows_by_worker[worker] = self.rows_by_worker.get(worker, 0) + rows
-        self.batch_sizes.merge_counts_from(other.batch_sizes)
-        self.queued_waits += other.queued_waits
-        self.queue_delay_us += other.queue_delay_us
-        self.max_queue_delay_us = max(self.max_queue_delay_us, other.max_queue_delay_us)
-        self.queue_delay_samples.merge_counts_from(other.queue_delay_samples)
-        self.weight_broadcasts += other.weight_broadcasts
-        self.weight_broadcast_us += other.weight_broadcast_us
-        self.cache_hits += other.cache_hits
-        self.dedupe_rows += other.dedupe_rows
-        self.cache_evictions += other.cache_evictions
-        self.replica_crashes += other.replica_crashes
-        self.replica_recoveries += other.replica_recoveries
-        self.redispatches += other.redispatches
-        self.redispatched_rows += other.redispatched_rows
-        self.broadcast_retries += other.broadcast_retries
 
 
 # --------------------------------------------------------------- routing
@@ -1023,7 +971,7 @@ class InferenceService:
         after routing), and only when *every* row hits — partial hits wait
         for batch planning, where :meth:`_run_batch` resolves them row by
         row.  Submit-time hits land on the aggregate :attr:`stats` only: no
-        replica was involved, which :meth:`rolled_up_stats` documents.
+        replica was involved.
         """
         if self.eval_cache is None:
             return False
@@ -1418,25 +1366,6 @@ class InferenceService:
             offset += take
 
     # ------------------------------------------------------------- reporting
-    def rolled_up_stats(self) -> InferenceStats:
-        """Service-level summary merged from every replica's own stats.
-
-        After a fully-served run this matches the live :attr:`stats`
-        aggregate on every additive serving counter.  Two families
-        intentionally differ: ``requests`` (the aggregate counts
-        submissions, the roll-up counts served tickets, so they diverge
-        while tickets are pending) and the weight-broadcast counters (the
-        aggregate records one broadcast *span* per :meth:`update_weights`
-        call, the roll-up sums every replica's own copy time).  A third,
-        cache-enabled divergence: submit-time cache hits fulfil a ticket
-        before any replica is routed, so their ``cache_hits`` land on the
-        aggregate only and the roll-up undercounts them.
-        """
-        merged = InferenceStats(capacity=self.max_batch)
-        for replica in self.replicas:
-            merged.merge_from(replica.stats)
-        return merged
-
     def replica_utilisation(self, span_us: float) -> List[float]:
         """Per-replica busy fraction of ``span_us`` (index-aligned)."""
         return [replica.utilisation(span_us) for replica in self.replicas]

@@ -212,6 +212,16 @@ class WorkerPool:
             choices.append(("process backend", self.process_backend, BACKENDS))
         unbatched = not self.batched_inference
         flush_error = flush_policy_error(self.flush_policy, self.flush_timeout_us)
+        plan = self.fault_plan
+        crashes = plan is not None and not plan.empty
+        shards, kinds, targets = 0, [], []
+        if crashes:
+            from ..faults.plan import SHARD_CRASH
+            from ..parallel.runner import assign_workers
+            shards = len(assign_workers(self.num_workers, self.num_processes or 1))
+            kinds = sorted({event.kind for event in plan.events} - {SHARD_CRASH})
+            targets = sorted({event.target for event in plan.of_kind(SHARD_CRASH)
+                              if not 0 <= event.target < shards})
         return [
             (self.num_workers <= 0, "num_workers must be positive"),
             (self.num_replicas <= 0, "num_replicas must be positive"),
@@ -239,6 +249,12 @@ class WorkerPool:
             (parallel and store is not None,
              "num_processes cannot share a live store object "
              "across processes; pass trace_dir instead"),
+            (crashes and not (parallel and self.process_backend == "process"),
+             "fault_plan requires num_processes and process_backend='process' "
+             "(only shard processes are crashed and respawned)"),
+            (bool(kinds), f"a pool fault_plan may hold only shard-crash events, not {kinds}"),
+            (bool(targets), f"fault_plan targets shards {targets} but the pool runs "
+                            f"shards 0..{shards - 1}"),
         ]
 
     # ----------------------------------------------------------- trace store
@@ -337,12 +353,9 @@ class WorkerPool:
 
     # ----------------------------------------------------------- pool hooks
     def _build_workers(self, indices: Sequence[int], weights: Optional[list] = None,
-                       restore: Optional[Dict[int, bytes]] = None,
                        service_factory=None) -> List[WorkerStack]:
         """Build the shared service and the workers ``indices``, in pool order.
 
-        A worker whose index is in ``restore`` gets its driver rebuilt from
-        that snapshot blob (mid-run shard recovery) instead of a fresh one.
         With no ``indices`` only the service is built: the parent of a
         multiprocess run, whose shards own every worker, passes the mirror
         service as ``service_factory``.  Sets :attr:`inference_service`.
@@ -533,7 +546,7 @@ class EnvRolloutPool(WorkerPool):
         return self._new_service(network, service_factory,
                                  function_name=POLICY_FUNCTION_NAME, forward=forward)
 
-    def _build_workers(self, indices, weights=None, restore=None,
+    def _build_workers(self, indices, weights=None,
                        service_factory=None) -> List[WorkerStack]:
         # Every worker's system/engine/env first (fixed creation order keeps
         # every RNG stream independent of pool configuration), then the
@@ -544,13 +557,9 @@ class EnvRolloutPool(WorkerPool):
         built = []
         for index, (system, engine, env, profiler) in zip(indices, stacks):
             client = self.inference_service.connect(system, engine, worker=system.worker)
-            blob = (restore or {}).get(index)
-            if blob is not None:
-                driver = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
-            else:
-                driver = EnvRolloutDriver(
-                    env, client, self._make_policy(env, index), self.steps_per_worker,
-                    seed=driver_seed(self.seed, index), profiler=profiler)
+            driver = EnvRolloutDriver(
+                env, client, self._make_policy(env, index), self.steps_per_worker,
+                seed=driver_seed(self.seed, index), profiler=profiler)
             built.append(WorkerStack(driver, system, client, profiler))
         return built
 

@@ -175,10 +175,12 @@ def test_shared_device_two_workers_match_scalar_oracle(tmp_path, seed, streaming
 
 def test_empty_kernel_list_leaves_no_trace():
     system = System.create(seed=0)
+    model = system.cost_model
+    stream = (model._rng.bit_generator.state, model._cursor)
     assert system.cuda.launch_kernels([]) == []
     assert list(system.cuda.api_call_counts) == []  # not even a zero count
     assert system.clock.now_us == 0.0
-    assert system.cost_model.rng_state()["block"] == []
+    assert (model._rng.bit_generator.state, model._cursor) == stream  # drew nothing
 
 
 def test_streamed_chunk_equals_object_encoding_of_in_memory_trace(tmp_path):

@@ -19,7 +19,6 @@ from repro.hw.gpu import GPUDevice
 from repro.minigo import MCTS, InferenceService, PolicyValueNet, SelfPlayPool
 from repro.rollout import EnvRolloutPool
 from repro.rollout.evalcache import CACHE_SCOPES, EvalCache
-from repro.rollout.inference import InferenceStats
 from repro.sim.go import GoPosition
 from repro.system import System
 
@@ -178,17 +177,6 @@ def test_in_batch_dedupe_fans_one_engine_row_out_to_all_riders():
     assert priors_a.tobytes() == priors_b.tobytes()
     assert values_a.tobytes() == values_b.tobytes()
     assert service.stats.dedupe_rows == 1  # b's row rode a's engine row
-
-
-def test_merge_from_rolls_up_cache_counters():
-    total = InferenceStats()
-    total.cache_hits, total.dedupe_rows, total.cache_evictions = 3, 2, 1
-    replica = InferenceStats()
-    replica.cache_hits, replica.dedupe_rows, replica.cache_evictions = 10, 20, 30
-    total.merge_from(replica)
-    assert total.cache_hits == 13
-    assert total.dedupe_rows == 22
-    assert total.cache_evictions == 31
 
 
 # ------------------------------------------------- network token registry

@@ -390,15 +390,53 @@ def _store_digest(root):
     return digests
 
 
-def test_selfplay_shard_crash_keeps_trace_store_byte_identical(tmp_path):
-    baseline = SelfPlayPool(**SP_KW, trace_dir=str(tmp_path / "base"),
-                            num_processes=2, process_backend="process")
+#: pool kind -> (pool factory, run signature)
+SHARD_CRASH_POOLS = {
+    "selfplay": (lambda **kw: SelfPlayPool(**SP_KW, **kw), _selfplay_signature),
+    "envrollout": (lambda **kw: EnvRolloutPool("Pong", **ENV_KW, **kw), _env_signature),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHARD_CRASH_POOLS))
+def test_shard_crash_keeps_trace_store_byte_identical(tmp_path, kind):
+    # The crashed shard's drivers were blocked inside open annotations
+    # (self-play's tree search, env rollout's inference); journal replay must
+    # rebuild them so the merged store matches the uncrashed run's bytes.
+    make_pool, signature = SHARD_CRASH_POOLS[kind]
+    baseline = make_pool(trace_dir=str(tmp_path / "base"), num_processes=2,
+                         process_backend="process")
     baseline.run()
-    crashed = SelfPlayPool(**SP_KW, trace_dir=str(tmp_path / "crash"),
-                           num_processes=2, process_backend="process",
-                           fault_plan=_shard_crash_plan(1, 2))
+    crashed = make_pool(trace_dir=str(tmp_path / "crash"), num_processes=2,
+                        process_backend="process", fault_plan=_shard_crash_plan(1, 2))
     crashed.run()
     assert crashed.parallel_runner.respawns == 1
-    assert _selfplay_signature(crashed) == _selfplay_signature(baseline)
+    assert signature(crashed) == signature(baseline)
     assert _store_digest(tmp_path / "crash") == _store_digest(tmp_path / "base"), \
         "the respawned shard's streamed trace store must merge byte-identically"
+
+
+# A pool's fault plan is read only by the multiprocess runner, and only for
+# shard crashes; a plan it could not act on is an argument error, not a
+# silently fault-free run.
+@pytest.mark.parametrize("parallel", [{}, {"num_processes": 2, "process_backend": "inline"}],
+                         ids=["sequential", "inline"])
+def test_pool_fault_plan_requires_the_process_backend(parallel):
+    for make_pool, _ in SHARD_CRASH_POOLS.values():
+        with pytest.raises(ValueError, match="fault_plan requires num_processes"):
+            make_pool(fault_plan=_shard_crash_plan(1, 2), **parallel)
+
+
+def test_pool_fault_plan_holds_only_shard_crashes():
+    plan = FaultPlan(events=(FaultEvent(0.0, SHARD_CRASH, 1, param=2.0),
+                             FaultEvent(50.0, REPLICA_CRASH, 0)))
+    with pytest.raises(ValueError, match=r"only shard-crash events, not \['replica-crash'\]"):
+        EnvRolloutPool("Pong", **ENV_KW, num_processes=2, process_backend="process",
+                       fault_plan=plan)
+
+
+@pytest.mark.parametrize("num_processes, target", [(2, 2), (2, -1), (8, 4)])
+def test_pool_fault_plan_targets_an_existing_shard(num_processes, target):
+    # Four workers never make more than four shards, whatever num_processes says.
+    with pytest.raises(ValueError, match=rf"targets shards \[{target}\]"):
+        EnvRolloutPool("Pong", **ENV_KW, num_processes=num_processes,
+                       process_backend="process", fault_plan=_shard_crash_plan(target, 2))

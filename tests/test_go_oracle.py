@@ -326,8 +326,8 @@ def test_bitboards_match_reference_at_every_board_size(size):
 
 
 def test_pickle_round_trip_keeps_bitboards():
-    """Shard snapshots pickle positions mid-game: the copy keeps the
-    bitboards, and play continues identically on both."""
+    """A position pickled mid-game keeps its bitboards, and play continues
+    identically on the copy and the original."""
     import pickle
 
     rng = np.random.default_rng(5)

@@ -9,13 +9,11 @@ positions next to the end of the game, where terminal leaves and the
 tiny-tree early stop of a wave come into play.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
 from oracles.scalar_mcts import ScalarMCTS, root_visits
-from repro.minigo.mcts import MCTS, MCTSNode, SearchCursor
+from repro.minigo.mcts import MCTS, MCTSNode
 from repro.sim.go import GoPosition
 
 #: Random positions searched per (board size, leaf_batch, transposition,
@@ -122,50 +120,6 @@ def test_array_search_matches_scalar_oracle(size, num_simulations):
     assert terminal_leaves > 0
     assert early_stops > 0
     assert transposition_hits > 0
-
-
-def _peaked_evaluator(num_moves: int, seed: int):
-    """The same peaked Dirichlet(0.05) prior for every position, value 0.
-
-    Every position favours the same few moves, so the search reaches one
-    position through several move orders and waves mix transposition hits
-    with network misses."""
-    prior = np.random.default_rng(seed).dirichlet([0.05] * num_moves).astype(np.float32)
-
-    def evaluate(features):
-        rows = features.shape[0]
-        return np.tile(prior, (rows, 1)), np.zeros(rows, dtype=np.float32)
-    return evaluate
-
-
-def test_cursor_resumes_after_pickling_with_pending_transposition_hits():
-    """A cursor snapshotted while in-wave transposition hits are pending
-    resumes and finishes the same search as an uninterrupted cursor."""
-    evaluate = _peaked_evaluator(26, seed=0)
-
-    def new_cursor():
-        mcts = MCTS(evaluate, num_simulations=400, leaf_batch=8, transposition=True,
-                    rng=np.random.default_rng(0))
-        return SearchCursor(mcts, GoPosition.initial(5))
-
-    def run(cursor, snapshot_on_hits):
-        snapshots = 0
-        while cursor.request is not None:
-            if snapshot_on_hits and cursor._pending_hits:
-                cursor = pickle.loads(pickle.dumps(cursor))
-                snapshots += 1
-            cursor.request.fulfill(*evaluate(cursor.request.features))
-            cursor.advance()
-        return cursor, snapshots
-
-    straight, _ = run(new_cursor(), snapshot_on_hits=False)
-    resumed, snapshots = run(new_cursor(), snapshot_on_hits=True)
-    assert snapshots > 0
-    assert np.array_equal(resumed.root.child_N, straight.root.child_N)
-    assert resumed.root.child_W.tobytes() == straight.root.child_W.tobytes()
-    assert resumed.table_hits == straight.table_hits
-    assert (resumed.mcts.rng.bit_generator.state
-            == straight.mcts.rng.bit_generator.state)
 
 
 def _textbook_puct(node, c_puct):

@@ -162,54 +162,6 @@ def test_streamed_traces_merge_into_one_store(tmp_path):
     assert all(run.trace is None for run in sharded.runs)
 
 
-def test_snapshots_restore_drivers_on_freshly_respawned_processes():
-    """Driver snapshots rebuild mid-run state in brand-new OS processes.
-
-    The first runner advances every driver to its first inference boundary
-    and snapshots; a second runner — new processes, no shared state — is
-    built from those blobs.  The restored drivers must come up already
-    blocked on the *same* submitted ticket (identical feature bytes and
-    metadata) with no re-run steps: this is the recovery substrate the
-    shard-crash respawn in ``tests/test_faults.py`` stands on.
-    """
-    from repro.parallel.runner import ParallelRunner
-    from repro.parallel.shard import ShardSpec
-
-    pool = EnvRolloutPool("Pong", 2, steps_per_worker=3, seed=0)
-    config = pool._child_config()
-
-    def specs(restore=None):
-        return [ShardSpec(kind="envrollout", pool_config=config,
-                          worker_indices=[windex], restore=restore)
-                for windex in (0, 1)]
-
-    runner = ParallelRunner(specs(), backend="process")
-    try:
-        segments = runner.build()
-        blobs = runner.snapshots()
-    finally:
-        runner.stop()
-    assert set(blobs) == {0, 1}
-
-    respawned = ParallelRunner(specs(restore=blobs), backend="process")
-    try:
-        restored = respawned.build()
-    finally:
-        respawned.stop()
-
-    for windex in (0, 1):
-        fresh, again = segments[windex], restored[windex]
-        assert again["records"] == [], \
-            "a restored driver re-runs nothing: it resumes at the boundary"
-        assert again["finished"] == fresh["finished"]
-        assert (fresh["submit"] is None) == (again["submit"] is None)
-        if fresh["submit"] is not None:
-            features_a, meta_a = fresh["submit"]
-            features_b, meta_b = again["submit"]
-            assert features_b.tobytes() == features_a.tobytes()
-            assert meta_b == meta_a
-
-
 # ------------------------------------------------------------------ plumbing
 def test_assign_workers_stripes_and_caps():
     assert assign_workers(8, 2) == [[0, 2, 4, 6], [1, 3, 5, 7]]

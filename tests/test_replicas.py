@@ -1,5 +1,7 @@
 """Tests for the sharded inference service: replicas, routing, broadcasts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -177,17 +179,23 @@ def test_rolled_up_stats_match_the_live_aggregate():
     b.submit(rng.normal(size=(5, 75)).astype(np.float32))
     service.serve_queued(policy="max-batch")
 
-    rollup = service.rolled_up_stats()
+    # Summed over replicas, the per-replica stats match the live aggregate.
+    replicas = [replica.stats for replica in service.replicas]
     live = service.stats
-    assert rollup.engine_calls == live.engine_calls
-    assert rollup.rows == live.rows == 11
-    assert rollup.cross_worker_batches == live.cross_worker_batches
-    assert rollup.rows_by_worker == live.rows_by_worker
-    assert rollup.queued_waits == live.queued_waits
-    assert rollup.queue_delay_us == pytest.approx(live.queue_delay_us)
-    assert rollup.batch_sizes.count == live.batch_sizes.count
-    assert rollup.batch_sizes.total_rows == live.batch_sizes.total_rows
-    assert rollup.requests == live.requests   # all tickets served
+
+    def total(counter):
+        return sum(getattr(stats, counter) for stats in replicas)
+
+    for counter in ("engine_calls", "rows", "cross_worker_batches", "queued_waits",
+                    "requests"):   # all tickets served
+        assert total(counter) == getattr(live, counter), counter
+    assert live.rows == 11
+    assert total("queue_delay_us") == pytest.approx(live.queue_delay_us)
+    assert sum((Counter(stats.rows_by_worker) for stats in replicas), Counter()) == \
+        Counter(live.rows_by_worker)
+    assert sum(stats.batch_sizes.count for stats in replicas) == live.batch_sizes.count
+    assert sum(stats.batch_sizes.total_rows for stats in replicas) == \
+        live.batch_sizes.total_rows
 
 
 def test_batch_arriving_while_every_replica_is_busy_waits_for_a_horizon():
@@ -274,8 +282,7 @@ def test_empty_service_stats_are_zero_division_safe():
     service = InferenceService(make_network(), max_batch=8, num_replicas=2)
     assert service.serve_queued(policy="max-batch") == 0
     assert service.earliest_pending_arrival_us() is None
-    for source in (service.stats, service.rolled_up_stats(),
-                   *[replica.stats for replica in service.replicas]):
+    for source in (service.stats, *[replica.stats for replica in service.replicas]):
         assert source.engine_calls == 0
         assert source.mean_occupancy == 0.0
         assert source.mean_queue_delay_us == 0.0
@@ -328,9 +335,9 @@ def test_two_replicas_shorten_the_span_on_an_inference_bound_pool():
         "full batches must be served eagerly while other workers still run"
     span = sharded.collection_span_us()
     assert all(0.0 < util <= 1.0 for util in service.replica_utilisation(span))
-    rollup = service.rolled_up_stats()
-    assert rollup.engine_calls == service.stats.engine_calls
-    assert rollup.rows == service.stats.rows
+    # Per-replica engine calls and rows sum to the service's.
+    assert sum(r.stats.engine_calls for r in service.replicas) == service.stats.engine_calls
+    assert sum(r.stats.rows for r in service.replicas) == service.stats.rows
 
 
 def test_training_round_threads_replicas_and_broadcasts_weights():

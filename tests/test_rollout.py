@@ -286,141 +286,3 @@ def test_zoo_algorithm_support_matrix():
     assert not algorithm_supports("Pong", "DDPG")
     assert algorithm_supports("Hopper", "DDPG")
     assert algorithm_supports("Pong", "PPO") and algorithm_supports("Hopper", "PPO")
-
-
-# ---------------------------------------------- driver snapshot / restore
-def _env_driver_stack(seed=5, num_steps=6):
-    """One Pong worker stack + service, built exactly as the pool would."""
-    from repro.rollout.seeding import driver_seed
-
-    pool = EnvRolloutPool("Pong", 1, steps_per_worker=num_steps, seed=seed,
-                          profile=True)
-    system, engine, env, profiler = pool._make_worker_stack(0)
-    service = pool._build_service(env)
-    client = service.connect(system, engine, worker=system.worker)
-    driver = EnvRolloutDriver(env, client, pool._make_policy(env, 0), num_steps,
-                              seed=driver_seed(seed, 0), profiler=profiler)
-    return driver, service, profiler
-
-
-def _drive(driver, service, *, stop_after_serves=None):
-    """Single-driver event loop; optionally pause while blocked mid-annotation."""
-    serves = 0
-    while not driver.finished:
-        if driver.blocked:
-            if stop_after_serves is not None and serves >= stop_after_serves:
-                return serves
-            service.serve_queued()
-            serves += 1
-        else:
-            driver.step()
-    return serves
-
-
-def _env_signature(driver, profiler):
-    trace = profiler.finalize()
-    ops = [(op.name, op.start_us, op.end_us, op.phase, op.metadata)
-           for op in trace.operations]
-    transitions = [(t.obs.tobytes(), np.asarray(t.action).tobytes(), t.reward,
-                    t.next_obs.tobytes(), t.done)
-                   for t in driver.result.transitions]
-    return (transitions, driver.result.steps, driver.result.episode_rewards,
-            driver.system.clock.now_us, ops)
-
-
-def test_env_driver_snapshot_restore_roundtrip_mid_annotation():
-    baseline_driver, baseline_service, baseline_profiler = _env_driver_stack()
-    _drive(baseline_driver, baseline_service)
-    expect = _env_signature(baseline_driver, baseline_profiler)
-
-    first, first_service, _ = _env_driver_stack()
-    _drive(first, first_service, stop_after_serves=3)
-    assert first.blocked  # suspended mid-`inference` annotation, ticket pending
-    snap_us = first.now_us
-    blob = first.snapshot()
-
-    # Resume on a completely fresh, identically-seeded stack.
-    pool = EnvRolloutPool("Pong", 1, steps_per_worker=6, seed=5, profile=True)
-    system, engine, env, profiler = pool._make_worker_stack(0)
-    service = pool._build_service(env)
-    client = service.connect(system, engine, worker=system.worker)
-    restored = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
-    assert restored.blocked and restored.now_us == snap_us
-    _drive(restored, service)
-
-    got = _env_signature(restored, profiler)
-    # The fresh profiler only saw the post-snapshot tail of the run: the
-    # reopened annotation plus everything after it.
-    tail_ops = [op for op in expect[4] if op[2] > snap_us]
-    assert got[4] == tail_ops
-    assert got[:4] == expect[:4]
-
-
-def _game_driver_stack(seed=9):
-    """One self-play worker + shared service, built exactly as the pool would."""
-    from repro.minigo.selfplay import GameDriver
-    from repro.minigo.workers import SelfPlayPool
-
-    pool = SelfPlayPool(num_workers=1, board_size=5, num_simulations=8,
-                        games_per_worker=1, leaf_batch=2, batched_inference=True,
-                        scheduler="event", seed=seed)
-    pool.inference_service = pool._build_service()
-    worker, profiler = pool._make_worker(0, None)
-    return GameDriver(worker, 1), pool.inference_service, profiler
-
-
-def _game_signature(driver, profiler):
-    trace = profiler.finalize()
-    ops = [(op.name, op.start_us, op.end_us, op.phase, op.metadata)
-           for op in trace.operations]
-    examples = [(e.features.tobytes(), e.policy_target.tobytes(), e.value_target)
-                for e in driver.result.examples]
-    return (examples, driver.result.moves, driver.result.black_wins,
-            driver.worker.system.clock.now_us, ops)
-
-
-def test_game_driver_snapshot_restore_roundtrip_mid_annotation():
-    from repro.minigo.selfplay import GameDriver
-
-    baseline_driver, baseline_service, baseline_profiler = _game_driver_stack()
-    _drive(baseline_driver, baseline_service)
-    expect = _game_signature(baseline_driver, baseline_profiler)
-
-    first, first_service, _ = _game_driver_stack()
-    _drive(first, first_service, stop_after_serves=5)
-    assert first.blocked  # mid-move: tree-search + expand_leaf ops both open
-    snap_us = first.now_us
-    blob = first.snapshot()
-
-    restored_driver, restored_service, profiler = _game_driver_stack()
-    restored = GameDriver.restore(restored_driver.worker, blob)
-    assert restored.blocked and restored.now_us == snap_us
-    # The snapshot's RNG stream is adopted wholesale, and the search tree's
-    # generator stays aliased to the worker's (one stream per worker).
-    assert restored._mcts.rng is restored.worker.rng
-    _drive(restored, restored_service)
-
-    got = _game_signature(restored, profiler)
-    tail_ops = [op for op in expect[4] if op[2] > snap_us]
-    assert got[4] == tail_ops
-    assert got[:4] == expect[:4]
-
-
-def test_env_driver_snapshot_restores_served_ticket():
-    # Snapshot *after* the serve but before the driver consumed the rows:
-    # the restored ticket must come back already done, rows intact.
-    driver, service, _ = _env_driver_stack()
-    _drive(driver, service, stop_after_serves=2)
-    service.serve_queued()
-    assert driver._ticket is not None and driver._ticket.done
-    blob = driver.snapshot()
-
-    pool = EnvRolloutPool("Pong", 1, steps_per_worker=6, seed=5, profile=True)
-    system, engine, env, profiler = pool._make_worker_stack(0)
-    fresh_service = pool._build_service(env)
-    client = fresh_service.connect(system, engine, worker=system.worker)
-    restored = EnvRolloutDriver.restore(env, client, blob, profiler=profiler)
-    assert restored._ticket is not None and restored._ticket.done
-    assert not restored.blocked
-    _drive(restored, fresh_service)
-    assert restored.finished and restored.result.steps == 6
