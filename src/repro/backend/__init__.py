@@ -16,7 +16,7 @@ from .engine import BackendEngine, BoundaryListener, CompiledFunction, NULL_BOUN
 from .graph import GraphEngine, GraphInfo
 from .layers import MLP, Dense, Module, hard_update, soft_update
 from .ops import OPS, OpDef, get_op
-from .optimizers import SGD, Adam, MPIAdam, Optimizer
+from .optimizers import Adam, MPIAdam, Optimizer
 from .tensor import Parameter, Tensor, assign_flat_params, flatten_params, parameter_count
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "OPS",
     "OpDef",
     "get_op",
-    "SGD",
     "Adam",
     "MPIAdam",
     "Optimizer",

@@ -16,7 +16,7 @@ Two implementations of Adam matter for the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -44,35 +44,6 @@ class Optimizer:
         for param, grad in zip(self.params, grads):
             if np.asarray(grad).shape != param.shape:
                 raise ValueError(f"gradient shape {np.asarray(grad).shape} != parameter shape {param.shape}")
-
-
-class SGD(Optimizer):
-    """Plain (optionally momentum) SGD with a fused device update."""
-
-    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self, grads: Sequence[np.ndarray]) -> None:
-        self._check_grads(grads)
-        engine = current_engine()
-        self.step_count += 1
-        with engine.native_scope("sgd_step"):
-            for param, grad in zip(self.params, grads):
-                engine.account_op("sgd_update", param.shape,
-                                  lambda: [optimizer_kernel(param.size, name="sgd_update")])
-                grad = np.asarray(grad, dtype=np.float32)
-                if self.momentum > 0:
-                    vel = self._velocity.get(param.id)
-                    if vel is None:
-                        vel = self._velocity[param.id] = np.zeros_like(param.data)
-                    vel *= self.momentum
-                    vel += grad
-                    update = vel
-                else:
-                    update = grad
-                param.assign(param.data - self.lr * update)
 
 
 class Adam(Optimizer):

@@ -41,6 +41,10 @@ OP_EXPAND_LEAF = "expand_leaf"
 #: Python units charged per MCTS node traversal (tree-walking work in Python).
 TREE_SEARCH_UNITS_PER_SIM = 1500.0
 
+#: Moves sampled at temperature 1 from the visit counts; later moves are
+#: played near-greedily (temperature 1e-6).
+TEMPERATURE_MOVES = 8
+
 #: Shared no-op context for unprofiled runs: ``nullcontext`` is stateless and
 #: re-entrant, so one module-level instance replaces a per-move allocation.
 _NULL_OPERATION = nullcontext()
@@ -104,7 +108,6 @@ class SelfPlayWorker:
         board_size: int = 9,
         num_simulations: int = 16,
         max_moves: Optional[int] = None,
-        temperature_moves: int = 8,
         seed: int = 0,
         leaf_batch: int = 1,
         inference: Optional[InferenceService] = None,
@@ -136,7 +139,6 @@ class SelfPlayWorker:
         self.board_size = board_size
         self.num_simulations = num_simulations
         self.max_moves = max_moves if max_moves is not None else 2 * board_size * board_size
-        self.temperature_moves = temperature_moves
         self.leaf_batch = leaf_batch
         self.transposition = transposition
         self.emit_state_keys = emit_state_keys
@@ -342,7 +344,7 @@ class GameDriver(StepwiseDriver):
 
     def _commit_move(self, root) -> None:
         worker = self.worker
-        temperature = 1.0 if self._move_number < worker.temperature_moves else 1e-6
+        temperature = 1.0 if self._move_number < TEMPERATURE_MOVES else 1e-6
         # policy_from_visits returns a normalised distribution (it guards
         # the all-zero and underflow cases itself).
         policy = self._mcts.policy_from_visits(root, temperature=temperature)

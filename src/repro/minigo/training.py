@@ -148,9 +148,6 @@ class MinigoConfig:
     #: dedupe and reuse rows across workers — and, in the evaluation
     #: phase, across concurrent games.
     cache_capacity: Optional[int] = None
-    #: "shared" (one service-wide cache) or "replica" (one per replica,
-    #: pairs with sticky routing).
-    cache_scope: str = "shared"
     #: When set, every phase streams its trace into one TraceDB store
     #: (per-worker shards) instead of keeping whole traces in memory.  Each
     #: round gets its own ``round_NNN`` store under this directory — worker
@@ -205,7 +202,6 @@ class MinigoTraining:
             flush_timeout_us=cfg.flush_timeout_us,
             transposition=cfg.transposition,
             cache_capacity=cfg.cache_capacity,
-            cache_scope=cfg.cache_scope,
         )
         runs = pool.run(self.current_weights)
         examples = pool.all_examples()
@@ -343,8 +339,7 @@ class MinigoTraining:
                                                 primary_device=device,
                                                 cost_config=self.cost_config,
                                                 seed=cfg.seed,
-                                                cache_capacity=cfg.cache_capacity,
-                                                cache_scope=cfg.cache_scope)
+                                                cache_capacity=cfg.cache_capacity)
                 current_client = eval_service.connect(system, engine, worker="evaluation_current")
                 candidate_client = eval_service.connect(system, engine, worker="evaluation_candidate",
                                                         network=candidate)

@@ -41,18 +41,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from ..tracedb.writer import StreamingTraceWriter
 
-from ..hw.costmodel import CostModelConfig
 from ..profiler.api import Profiler
-from ..rollout.inference import (
-    FLUSH_MAX_BATCH,
-    ROUTING_ROUND_ROBIN,
-    InferenceService,
-    RoutingPolicy,
-)
+from ..rollout.inference import InferenceService
 from ..rollout.pool import (  # the SCHEDULER* names and WorkerRun are re-exported
     SCHEDULER_EVENT,
     SCHEDULER_SEQUENTIAL,
     SCHEDULERS,
+    PoolConfig,
     WorkerPool,
     WorkerRun,
     WorkerStack,
@@ -71,85 +66,40 @@ class SelfPlayPool(WorkerPool):
     kind = "selfplay"
     worker_prefix = "selfplay_worker"
 
-    def __init__(
-        self,
-        num_workers: int = 16,
-        *,
-        board_size: int = 9,
-        num_simulations: int = 16,
-        games_per_worker: int = 1,
-        max_moves: Optional[int] = None,
-        hidden: tuple = (128, 128),
-        profile: bool = True,
-        cost_config: Optional[CostModelConfig] = None,
-        seed: int = 0,
-        trace_dir: Optional[str] = None,
-        store: Optional["StreamingTraceWriter"] = None,
-        chunk_events: int = 50_000,
-        batched_inference: bool = False,
-        leaf_batch: int = 1,
-        inference_max_batch: int = 64,
-        num_replicas: int = 1,
-        routing: "str | RoutingPolicy" = ROUTING_ROUND_ROBIN,
-        scheduler: str = SCHEDULER_SEQUENTIAL,
-        flush_policy: str = FLUSH_MAX_BATCH,
-        flush_timeout_us: Optional[float] = None,
-        num_processes: Optional[int] = None,
-        process_backend: str = "process",
-        fault_plan=None,
-        transposition: bool = False,
-        cache_capacity: Optional[int] = None,
-        cache_scope: str = "shared",
-    ) -> None:
-        """With ``batched_inference=True`` the pool creates one shared
-        :class:`~repro.rollout.inference.InferenceService` holding
-        ``num_replicas`` model replicas behind the ``routing`` policy
-        (``round-robin``, ``least-loaded``, ``sticky``, or a
-        :class:`~repro.rollout.inference.RoutingPolicy` instance); replica 0
-        shares the pool's primary GPU, further replicas each model an
-        additional inference GPU.  Every worker's MCTS collects up to
+    def __init__(self, num_workers: int = 16, *, board_size: int = 9,
+                 num_simulations: int = 16, games_per_worker: int = 1,
+                 max_moves: Optional[int] = None, hidden: tuple = (128, 128),
+                 leaf_batch: int = 1, transposition: bool = False, profile: bool = True,
+                 batched_inference: bool = False, inference_max_batch: int = 64,
+                 scheduler: str = SCHEDULER_SEQUENTIAL,
+                 store: Optional["StreamingTraceWriter"] = None, **options) -> None:
+        """Every worker plays ``games_per_worker`` games of ``board_size`` Go
+        with ``num_simulations`` MCTS simulations per move on a
+        ``hidden``-layer :class:`PolicyValueNet`.
+
+        With ``batched_inference=True`` every worker's MCTS collects up to
         ``leaf_batch`` in-flight leaves per wave for batched evaluation
-        through the service.  At ``leaf_batch=1`` the batched path
-        reproduces the legacy per-leaf game records move-for-move under
-        identical seeds, and at ``num_replicas=1`` (any routing) the sharded
-        service reproduces the single-replica timelines bit-for-bit.
-
-        ``scheduler`` picks the flush policy of the one scheduler loop a
-        batched pool runs (see the module docstring): ``sequential`` serves
-        each ticket alone, ``event`` (requires ``batched_inference``)
-        applies ``flush_policy`` (``max-batch``, ``timeout`` with
-        ``flush_timeout_us``, or ``unbatched``).  Both flush arguments are
-        validated whichever scheduler runs.
-
-        ``num_processes`` (requires the event scheduler) shards the workers
-        over that many real OS processes via :mod:`repro.parallel`: shards
-        advance their drivers between serves while the parent merges their
-        virtual timelines and runs the shared service — records, clocks,
-        scheduler decisions and service stats are bit-for-bit those of the
-        single-process event loop.  ``process_backend="inline"`` runs the
-        shards in-process (CI/debugging).
+        through one shared :class:`~repro.rollout.inference.InferenceService`.
+        At ``leaf_batch=1`` the batched path reproduces the legacy per-leaf
+        game records move-for-move under identical seeds, and at
+        ``num_replicas=1`` (any routing) the sharded service reproduces the
+        single-replica timelines bit-for-bit.  ``scheduler`` picks the flush
+        policy of the one scheduler loop a batched pool runs (see the module
+        docstring).
 
         ``transposition`` turns on each worker's per-search MCTS
-        transposition table; ``cache_capacity`` enables the shared
-        service's LRU evaluation cache (requires ``batched_inference``) and
-        makes every wave submission carry Zobrist position keys, with
-        ``cache_scope`` choosing one service-wide cache or one per replica.
-        Both default off, preserving today's runs bit-for-bit."""
-        self.board_size = board_size
-        self.num_simulations = num_simulations
-        self.games_per_worker = games_per_worker
-        self.max_moves = max_moves
-        self.hidden = hidden
-        self.leaf_batch = leaf_batch
-        self.transposition = transposition
+        transposition table; with ``cache_capacity`` set every wave
+        submission carries Zobrist position keys for the shared service's
+        cache.  Both default off, preserving today's runs bit-for-bit.
+        ``options`` are the other :class:`~repro.rollout.pool.PoolConfig`
+        fields."""
         super().__init__(
-            num_workers, profile=profile, cost_config=cost_config, seed=seed,
-            trace_dir=trace_dir, store=store, chunk_events=chunk_events,
-            inference_max_batch=inference_max_batch, num_replicas=num_replicas,
-            routing=routing, flush_policy=flush_policy, flush_timeout_us=flush_timeout_us,
-            num_processes=num_processes, process_backend=process_backend,
-            fault_plan=fault_plan, cache_capacity=cache_capacity, cache_scope=cache_scope,
-            batched_inference=batched_inference, scheduler=scheduler)
+            PoolConfig(num_workers, profile=profile, batched_inference=batched_inference,
+                       inference_max_batch=inference_max_batch, scheduler=scheduler,
+                       **options),
+            store, board_size=board_size, num_simulations=num_simulations,
+            games_per_worker=games_per_worker, max_moves=max_moves, hidden=hidden,
+            leaf_batch=leaf_batch, transposition=transposition)
 
     # ------------------------------------------------------------------ run
     def run(self, weights: Optional[List[np.ndarray]] = None) -> List[WorkerRun]:
@@ -157,12 +107,12 @@ class SelfPlayPool(WorkerPool):
         return self._run(weights)
 
     def _run_workers(self, weights: Optional[List[np.ndarray]]) -> List[WorkerRun]:
-        if self.batched_inference:
+        if self.config.batched_inference:
             return super()._run_workers(weights)
         # Per-worker path: each worker evaluates leaves with its own network
         # and plays to completion on its own timeline before the next starts.
         runs = []
-        for index in range(self.num_workers):
+        for index in range(self.config.num_workers):
             worker, profiler = self._make_worker(index, weights)
             result = worker.play_games(self.games_per_worker)
             runs.append(self._finish_worker(worker, profiler, result))
@@ -177,7 +127,7 @@ class SelfPlayPool(WorkerPool):
         from ..rollout.seeding import network_seed
 
         network = PolicyValueNet(self.board_size, self.hidden,
-                                 rng=np.random.default_rng(network_seed(self.seed)))
+                                 rng=np.random.default_rng(network_seed(self.config.seed)))
         return self._new_service(network, service_factory)
 
     def _build_workers(self, indices, weights=None,
@@ -196,18 +146,6 @@ class SelfPlayPool(WorkerPool):
                                      worker.system, worker._client, profiler))
         return built
 
-    def _child_config(self) -> dict:
-        return dict(super()._child_config(),
-                    board_size=self.board_size,
-                    num_simulations=self.num_simulations,
-                    games_per_worker=self.games_per_worker,
-                    max_moves=self.max_moves,
-                    hidden=self.hidden,
-                    batched_inference=True,
-                    leaf_batch=self.leaf_batch,
-                    scheduler=SCHEDULER_EVENT,
-                    transposition=self.transposition)
-
     def _make_worker(self, index: int, weights: Optional[List[np.ndarray]]
                      ) -> Tuple[SelfPlayWorker, Optional[Profiler]]:
         """Build one worker's system/engine/profiler stack (its "process")."""
@@ -218,7 +156,7 @@ class SelfPlayPool(WorkerPool):
             network = self.inference_service.network
         else:
             network = PolicyValueNet(self.board_size, self.hidden,
-                                     rng=np.random.default_rng(network_seed(self.seed)))
+                                     rng=np.random.default_rng(network_seed(self.config.seed)))
             if weights is not None:
                 network.load_state_dict(weights)
         profiler = self._worker_profiler(system, engine)
@@ -228,11 +166,11 @@ class SelfPlayPool(WorkerPool):
             board_size=self.board_size,
             num_simulations=self.num_simulations,
             max_moves=self.max_moves,
-            seed=worker_seed(self.seed, index),
+            seed=worker_seed(self.config.seed, index),
             leaf_batch=self.leaf_batch,
             inference=self.inference_service,
             transposition=self.transposition,
-            emit_state_keys=self.cache_capacity is not None,
+            emit_state_keys=self.config.cache_capacity is not None,
         )
         return worker, profiler
 

@@ -2,11 +2,12 @@
 
 A :class:`WorkerShard` owns a subset of a pool's workers inside one OS
 process.  It rebuilds the pool from a picklable :class:`ShardSpec` (pool
-class key, constructor kwargs, owned worker indices) and builds those
-workers through the pool's own ``_build_workers`` — the method the
-single-process run uses.  Every per-worker RNG stream is derived from
-``(seed, worker_index)`` (see :mod:`repro.rollout.seeding`), so a stack
-built here is bit-identical to the single-process pool's.
+class key, single-process :class:`~repro.rollout.pool.PoolConfig`, the pool
+class's own options, owned worker indices) and builds those workers through
+the pool's own ``_build_workers`` — the method the single-process run uses.
+Every per-worker RNG stream is derived from ``(seed, worker_index)`` (see
+:mod:`repro.rollout.seeding`), so a stack built here is bit-identical to the
+single-process pool's.
 
 Between inference serves the shard advances each owned driver on its own —
 :meth:`run_segment` steps a driver until it suspends at an inference
@@ -23,22 +24,28 @@ run's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..rollout.pool import PoolConfig
 
 
 @dataclass
 class ShardSpec:
     """Everything one shard process needs to rebuild its workers.
 
-    ``pool_config`` holds the owning pool's constructor kwargs (without the
-    multiprocess parameters); it must be picklable — pools with closure-based
-    ``policy_factory``/``forward`` callables cannot run multiprocess.
+    ``pool_config`` is the owning pool's config without ``num_processes``
+    and ``fault_plan`` (see :meth:`~repro.rollout.pool.WorkerPool._shard_specs`);
+    ``own_options`` are the pool class's own constructor options.  Both
+    must pickle, which is why a multiprocess env pool takes no
+    ``policy_factory``.
     """
 
     kind: str                       #: pool class key: "selfplay" | "envrollout"
-    pool_config: dict
+    pool_config: "PoolConfig"
+    own_options: dict
     worker_indices: List[int]       #: global worker indices owned by this shard
     weights: Optional[list] = field(default=None, repr=False)
 
@@ -59,7 +66,7 @@ class WorkerShard:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.pool = _pool_class(spec.kind)(**spec.pool_config)
+        self.pool = _pool_class(spec.kind)(**spec.own_options, **vars(spec.pool_config))
         built = self.pool._build_workers(spec.worker_indices, spec.weights)
         #: windex -> :class:`~repro.rollout.pool.WorkerStack`
         self.stacks = dict(zip(spec.worker_indices, built))

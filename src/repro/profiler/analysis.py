@@ -170,14 +170,13 @@ def multi_process_summary(traces: Mapping[str, EventTrace]) -> List[WorkerSummar
     return sorted(summaries, key=lambda s: s.worker)
 
 
-def multi_process_summary_db(source, *, max_workers: Optional[int] = None,
-                             mode: str = "thread") -> List[WorkerSummary]:
+def multi_process_summary_db(source) -> List[WorkerSummary]:
     """Per-worker summaries computed shard-parallel from a TraceDB store.
 
     ``source`` is a :class:`repro.tracedb.TraceDB` or a store directory.
     """
     from ..tracedb.mapreduce import parallel_worker_summaries
-    summaries = parallel_worker_summaries(source, max_workers=max_workers, mode=mode)
+    summaries = parallel_worker_summaries(source)
     return sorted(summaries, key=lambda s: s.worker)
 
 

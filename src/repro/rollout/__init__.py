@@ -44,7 +44,7 @@ from .inference import (
     StickyRouting,
     make_routing_policy,
 )
-from .pool import EnvRolloutPool, WorkerPool, WorkerRun
+from .pool import EnvRolloutPool, PoolConfig, WorkerPool, WorkerRun
 from .scheduler import PoolScheduler, SchedulerStats
 
 __all__ = [
@@ -81,6 +81,7 @@ __all__ = [
     "StickyRouting",
     "make_routing_policy",
     "EnvRolloutPool",
+    "PoolConfig",
     "WorkerPool",
     "WorkerRun",
     "PoolScheduler",

@@ -11,7 +11,8 @@ problem, solved without a synchronized invalidation pass).
 
 The cache is deliberately dumb: a plain ``OrderedDict`` in LRU order with
 hit/miss/eviction counters.  All policy — what goes into a key, which rows
-are eligible, shared vs per-replica scope — lives in the service.
+are eligible — lives in the service, which keeps one cache for all its
+replicas, so a ticket whose rows all hit is answered at submit.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ from collections import OrderedDict
 from typing import Hashable, Optional, Tuple
 
 import numpy as np
-
-#: Cache scopes understood by :class:`~repro.rollout.inference.InferenceService`.
-CACHE_SHARED = "shared"    #: one cache for the whole service (hits possible at submit)
-CACHE_REPLICA = "replica"  #: one cache per replica, consulted after routing
-CACHE_SCOPES = (CACHE_SHARED, CACHE_REPLICA)
 
 #: A cached evaluation: one output row (owned copy) plus its scalar value.
 CachedRow = Tuple[np.ndarray, float]

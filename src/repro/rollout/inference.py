@@ -20,7 +20,7 @@ expose (finding F.11).
 submit leaf-evaluation requests (a block of feature rows each) to a shared
 service holding a pool of :class:`ModelReplica`\\ s; the service coalesces
 everything pending into batched network calls of up to ``max_batch`` rows,
-routes each batch to a replica under a pluggable :class:`RoutingPolicy`,
+routes each batch to a replica under a named :class:`RoutingPolicy`,
 scatters the resulting policy/value rows back to the requesting workers, and
 charges each waiting worker's virtual clock for the batch it rode in.
 
@@ -66,7 +66,7 @@ import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from ..cuda.kernels import FLOAT_BYTES
 from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..system import System
-from .evalcache import CACHE_REPLICA, CACHE_SCOPES, CACHE_SHARED, CachedRow, EvalCache
+from .evalcache import CachedRow, EvalCache
 from .planner import (  # the FLUSH_* names are re-exported
     FLUSH_MAX_BATCH,
     FLUSH_POLICIES,
@@ -278,8 +278,8 @@ class InferenceStats:
 class RoutingPolicy:
     """Chooses which :class:`ModelReplica` serves each batch.
 
-    Policies are pluggable: pass an instance (or a name from
-    :data:`ROUTING_POLICIES`) to :class:`InferenceService`.  Every decision
+    :class:`InferenceService` builds one from a name in
+    :data:`ROUTING_POLICIES` (:func:`make_routing_policy`).  Every decision
     is counted by the chosen replica's own ``index`` in :attr:`decisions`
     (the candidates may be a healthy subset of the pool), so routing imbalance
     is visible in sweep reports.  With a single replica every policy
@@ -290,16 +290,6 @@ class RoutingPolicy:
     name = "base"
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Clear all routing state.
-
-        Called by :class:`InferenceService` when it adopts a policy, so a
-        policy instance reused across services (e.g. a pool re-run) starts
-        every run from the same state — run-to-run reproducibility depends
-        on it.  Subclasses with extra state must extend this.
-        """
         self.decisions: Dict[int, int] = {}
 
     def select(self, replicas: Sequence["ModelReplica"], *, host_worker: str,
@@ -319,8 +309,8 @@ class RoundRobinRouting(RoutingPolicy):
 
     name = ROUTING_ROUND_ROBIN
 
-    def reset(self) -> None:
-        super().reset()
+    def __init__(self) -> None:
+        super().__init__()
         self._next = 0
 
     def select(self, replicas, *, host_worker, depart_us):
@@ -353,8 +343,8 @@ class StickyRouting(RoundRobinRouting):
 
     name = ROUTING_STICKY
 
-    def reset(self) -> None:
-        super().reset()
+    def __init__(self) -> None:
+        super().__init__()
         self.assignments: Dict[str, int] = {}
 
     def select(self, replicas, *, host_worker, depart_us):
@@ -365,10 +355,8 @@ class StickyRouting(RoundRobinRouting):
         return index
 
 
-def make_routing_policy(routing: Union[str, RoutingPolicy]) -> RoutingPolicy:
-    """Build a routing policy from a name (or pass an instance through)."""
-    if isinstance(routing, RoutingPolicy):
-        return routing
+def make_routing_policy(routing: str) -> RoutingPolicy:
+    """Build a fresh routing policy from its name."""
     for policy in (RoundRobinRouting, LeastLoadedRouting, StickyRouting):
         if routing == policy.name:
             return policy()
@@ -410,8 +398,6 @@ class ModelReplica:
         self.down_us = 0.0           #: accumulated down-time over closed outages
         self.down_since_us: Optional[float] = None  #: start of the open outage
         self.stats = InferenceStats(capacity=capacity)
-        #: set by a cache-enabled service running with ``cache_scope="replica"``
-        self.eval_cache: Optional[EvalCache] = None
         self._compiled: Dict[Tuple[int, int], Tuple[CompiledFunction, object]] = {}
 
     @property
@@ -514,12 +500,11 @@ class InferenceService:
     """
 
     def __init__(self, network, *, max_batch: int = 64, name: str = "inference_service",
-                 num_replicas: int = 1, routing: Union[str, RoutingPolicy] = ROUTING_ROUND_ROBIN,
+                 num_replicas: int = 1, routing: str = ROUTING_ROUND_ROBIN,
                  primary_device: Optional[GPUDevice] = None,
                  cost_config: Optional[CostModelConfig] = None, seed: int = 0,
                  function_name: str = EVALUATE_FUNCTION_NAME,
-                 forward=None, cache_capacity: Optional[int] = None,
-                 cache_scope: str = CACHE_SHARED) -> None:
+                 forward=None, cache_capacity: Optional[int] = None) -> None:
         """``primary_device`` pins replica 0 to an existing device (the GPU
         the rest of the workload shares); further replicas always get fresh
         devices of their own.  ``cost_config``/``seed`` parameterize the
@@ -542,19 +527,13 @@ class InferenceService:
         at submit.  Cached rows skip the engine entirely, duplicate rows
         within one batch run once and fan out to all riders, and
         ``update_weights`` bumps :attr:`weight_version` so stale entries
-        become unreachable without an explicit flush.  ``cache_scope``
-        picks one shared cache for the service (hits can then answer a
-        whole ticket at submit) or one private cache per replica
-        (consulted only after routing — the cache-affinity configuration
-        for the sticky policy).  ``cache_capacity=None`` (the default)
-        disables every cache code path."""
+        become unreachable without an explicit flush; a ticket whose rows
+        all hit is answered at submit.  ``cache_capacity=None`` (the
+        default) disables every cache code path."""
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         if num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
-        if cache_scope not in CACHE_SCOPES:
-            raise ValueError(f"unknown cache scope {cache_scope!r}; "
-                             f"expected one of {CACHE_SCOPES}")
         if cache_capacity is not None and cache_capacity <= 0:
             raise ValueError("cache_capacity must be positive (or None to disable)")
         self.network = network
@@ -566,18 +545,11 @@ class InferenceService:
             # both are invoked as ``self._forward(network, features)``.
             self._forward = forward
         self.routing = make_routing_policy(routing)
-        # Adopting a policy resets it: a reused instance (e.g. a pool re-run
-        # passing the same object) must not carry decisions or cursor state
-        # from a previous service into this one.
-        self.routing.reset()
         self.cache_capacity = cache_capacity
-        self.cache_scope = cache_scope
         #: monotonic weight generation; part of every cache key, so entries
         #: written under old weights become unreachable after update_weights
         self.weight_version = 0
-        self.eval_cache: Optional[EvalCache] = None
-        if cache_capacity is not None and cache_scope == CACHE_SHARED:
-            self.eval_cache = EvalCache(cache_capacity)
+        self.eval_cache = EvalCache(cache_capacity) if cache_capacity is not None else None
         # Cache keys embed a per-service *registration token*, not
         # ``id(network)``: an id can be recycled the moment a network is
         # garbage collected, at which point a new network allocated at the
@@ -626,9 +598,6 @@ class InferenceService:
                 system.device.name = f"{system.device.name}/{replica_name}"
             self.replicas.append(ModelReplica(index, replica_name, system,
                                               capacity=max_batch, pinned=pinned))
-        if cache_capacity is not None and cache_scope == CACHE_REPLICA:
-            for replica in self.replicas:
-                replica.eval_cache = EvalCache(cache_capacity)
 
     @property
     def num_replicas(self) -> int:
@@ -888,9 +857,8 @@ class InferenceService:
 
         On a cache-enabled service, ``metadata["state_keys"]`` (one
         optional position key per feature row) makes the rows cacheable.
-        With the shared cache scope, a ticket whose rows *all* hit is
-        fulfilled right here — it never enters the queue and its caller
-        sees ``ticket.done`` immediately.
+        A ticket whose rows *all* hit is fulfilled right here — it never
+        enters the queue and its caller sees ``ticket.done`` immediately.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[0] == 0:
@@ -959,19 +927,12 @@ class InferenceService:
             return None
         return (self.weight_version, self._network_token(client.network), state_key)
 
-    def _cache_for(self, replica: ModelReplica) -> Optional[EvalCache]:
-        if self.cache_capacity is None:
-            return None
-        return self.eval_cache if self.cache_scope == CACHE_SHARED else replica.eval_cache
-
     def _fulfil_at_submit(self, ticket: InferenceTicket) -> bool:
-        """Answer a whole ticket from the shared cache, skipping the queue.
+        """Answer a whole ticket from the cache, skipping the queue.
 
-        Only the shared scope can do this (per-replica caches are consulted
-        after routing), and only when *every* row hits — partial hits wait
-        for batch planning, where :meth:`_run_batch` resolves them row by
-        row.  Submit-time hits land on the aggregate :attr:`stats` only: no
-        replica was involved.
+        Only when *every* row hits — partial hits wait for batch planning,
+        where :meth:`_run_batch` resolves them row by row.  Submit-time hits
+        land on the aggregate :attr:`stats` only: no replica was involved.
         """
         if self.eval_cache is None:
             return False
@@ -1180,7 +1141,7 @@ class InferenceService:
         when the cache is off, 0 for an all-hit chunk, which issues no
         engine call at all).
         """
-        cache = self._cache_for(replica)
+        cache = self.eval_cache
         if cache is None:
             priors, values, batch_time_us = self._execute(host, chunk, replica)
             return priors, values, batch_time_us, rows

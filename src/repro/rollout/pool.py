@@ -9,24 +9,25 @@ interleaved by the :class:`~repro.rollout.scheduler.PoolScheduler`.
 :class:`WorkerPool` is the core of :class:`EnvRolloutPool` (any
 ``repro.sim.registry`` environment behind a shared policy network) and of
 :class:`~repro.minigo.workers.SelfPlayPool`.  It owns argument validation
-(one table of rules, checked at construction), the trace-store lifecycle,
-the scheduler run loop and the multiprocess path: shard processes
-(:mod:`repro.parallel`) rebuild the pool from ``_child_config()`` and build
-their workers through the same ``_build_workers()`` the single-process run
-uses.  A pool class supplies only its service and how it builds a worker's
-driver, in its own order (self-play: service, then workers; env rollout:
-every worker's env, then the service sized from it) — the order fixes
-every RNG stream.
+(one table of rules over one :class:`PoolConfig`, checked at
+construction), the trace-store lifecycle, the scheduler run loop and the
+multiprocess path: shard processes (:mod:`repro.parallel`) rebuild the pool
+from its config and its own options, and build their workers through the
+same ``_build_workers()`` the single-process run uses.  A pool class
+supplies only its service and how it builds a worker's driver, in its own
+order (self-play: service, then workers; env rollout: every worker's env,
+then the service sized from it) — the order fixes every RNG stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.plan import FaultPlan
     from ..tracedb.store import TraceDB
     from ..tracedb.writer import StreamingTraceWriter
 
@@ -137,12 +138,67 @@ class WorkerStack(NamedTuple):
     profiler: Optional[Profiler]
 
 
+@dataclass(frozen=True)
+class PoolConfig:
+    """The options every worker pool shares, declared and documented once.
+
+    A pool checks them at construction (:meth:`WorkerPool._rules`), and a
+    shard process rebuilds its pool from a copy without the multiprocess
+    fields.  Every field is a plain value, so a config pickles.
+    """
+
+    #: how many workers (simulated processes) the pool runs
+    num_workers: int = 8
+    #: record every worker's trace with a full :class:`~repro.profiler.api.Profiler`
+    profile: bool = False
+    #: cost-model constants of every worker system (``None``: the defaults)
+    cost_config: Optional[CostModelConfig] = None
+    #: base seed; every per-worker RNG stream derives from ``(seed, worker index)``
+    seed: int = 0
+    #: stream every worker's trace into one TraceDB store in this directory
+    trace_dir: Optional[str] = None
+    #: records per streamed trace chunk
+    chunk_events: int = 50_000
+    #: rows per batched engine call; ``None`` is ``num_workers // num_replicas``
+    #: (floor 1): a full batch then forms as soon as one replica's fair share
+    #: of the fleet is waiting, which bounds batch size and lets the
+    #: replica-aware eager path fan full batches out while others still run
+    inference_max_batch: Optional[int] = None
+    #: model replicas behind the shared service; replica 0 shares the pool's
+    #: GPU, each further one models an additional inference GPU
+    num_replicas: int = 1
+    #: routing policy name (``round-robin``, ``least-loaded`` or ``sticky``)
+    routing: str = ROUTING_ROUND_ROBIN
+    #: flush policy of the event scheduler (``max-batch``, ``timeout`` with
+    #: ``flush_timeout_us``, or ``unbatched``); checked whichever scheduler runs
+    flush_policy: str = FLUSH_MAX_BATCH
+    flush_timeout_us: Optional[float] = None
+    #: shard the workers over this many OS processes (:mod:`repro.parallel`):
+    #: records, clocks and scheduler decisions stay bit-for-bit those of the
+    #: single-process event loop
+    num_processes: Optional[int] = None
+    #: ``process`` (real OS processes) or ``inline`` (the same shard logic
+    #: in-process, for tests and debugging)
+    process_backend: str = "process"
+    #: :class:`~repro.faults.plan.FaultPlan` of ``shard-crash`` events for the
+    #: multiprocess tier; the parent injects them, so shards never see it
+    fault_plan: Optional[FaultPlan] = None
+    #: rows of the service's weight-versioned LRU evaluation cache
+    #: (:mod:`repro.rollout.evalcache`); ``None`` turns every cache path off
+    cache_capacity: Optional[int] = None
+    #: evaluate through the shared :class:`InferenceService` (``False``: only
+    #: self-play, each worker with its own network on its own timeline)
+    batched_inference: bool = True
+    #: ``sequential`` serves every ticket alone on its worker's clock;
+    #: ``event`` applies ``flush_policy``, batching across workers
+    scheduler: str = SCHEDULER_EVENT
+
+
 class WorkerPool:
     """Core of a pool of workers sharing one GPU and one inference service.
 
-    Subclasses set :attr:`kind` and :attr:`worker_prefix`, assign their own
-    attributes before calling this constructor, implement
-    :meth:`_build_workers` and extend :meth:`_child_config`.
+    Subclasses set :attr:`kind` and :attr:`worker_prefix`, pass their own
+    options to this constructor and implement :meth:`_build_workers`.
     """
 
     #: :attr:`~repro.parallel.shard.ShardSpec.kind` naming this pool class
@@ -150,36 +206,14 @@ class WorkerPool:
     #: worker ``i`` is named ``f"{worker_prefix}_{i}"``
     worker_prefix = ""
 
-    def __init__(self, num_workers: int, *, profile: bool,
-                 cost_config: Optional[CostModelConfig], seed: int,
-                 trace_dir: Optional[str], store: Optional["StreamingTraceWriter"],
-                 chunk_events: int, inference_max_batch: Optional[int], num_replicas: int,
-                 routing, flush_policy: str, flush_timeout_us: Optional[float],
-                 num_processes: Optional[int], process_backend: str, fault_plan,
-                 cache_capacity: Optional[int], cache_scope: str,
-                 batched_inference: bool = True, scheduler: str = SCHEDULER_EVENT) -> None:
-        self.num_workers = num_workers
-        self.profile = profile
-        self.cost_config = cost_config
-        self.seed = seed
-        self.trace_dir = trace_dir
-        self.chunk_events = chunk_events
-        self.inference_max_batch = inference_max_batch
-        self.num_replicas = num_replicas
-        self.routing = routing
-        self.flush_policy = flush_policy
-        self.flush_timeout_us = flush_timeout_us
-        self.num_processes = num_processes
-        self.process_backend = process_backend
-        #: optional :class:`~repro.faults.plan.FaultPlan` for the multiprocess
-        #: tier (shard crashes -> respawn + journal replay).  Excluded from
-        #: :meth:`_child_config`: the parent injects faults, respawned shards
-        #: must never re-inject them.
-        self.fault_plan = fault_plan
-        self.cache_capacity = cache_capacity
-        self.cache_scope = cache_scope
-        self.batched_inference = batched_inference
-        self.scheduler = scheduler
+    def __init__(self, config: PoolConfig,
+                 store: Optional["StreamingTraceWriter"] = None, **own_options) -> None:
+        """``store`` is a live trace writer shared with other phases (or pass
+        ``config.trace_dir``).  ``own_options`` are the subclass's options:
+        each becomes an attribute, and a shard process gets them back."""
+        self.config = config
+        self.own_options = own_options
+        vars(self).update(own_options)
         for violated, message in self._rules(store):
             if violated:
                 raise ValueError(message)
@@ -193,55 +227,57 @@ class WorkerPool:
         self._store = store
         self._owns_store = False
         self._streamed = False
-        if store is None and trace_dir is not None:
+        if store is None and config.trace_dir is not None:
             from ..tracedb.writer import StreamingTraceWriter
-            self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
+            self._store = StreamingTraceWriter(config.trace_dir,
+                                               chunk_events=config.chunk_events)
             self._owns_store = True
 
     def _rules(self, store) -> List[Tuple[bool, str]]:
         """Every argument check of the pool, as ``(violated, message)`` rows."""
-        from .evalcache import CACHE_SCOPES
-
-        parallel = self.num_processes is not None
-        choices = [("scheduler", self.scheduler, SCHEDULERS),
-                   ("cache scope", self.cache_scope, CACHE_SCOPES)]
-        if isinstance(self.routing, str):
-            choices.append(("routing policy", self.routing, ROUTING_POLICIES))
+        config = self.config
+        parallel = config.num_processes is not None
+        choices = [("scheduler", config.scheduler, SCHEDULERS),
+                   ("routing policy", config.routing, ROUTING_POLICIES)]
         if parallel:
             from ..parallel.runner import BACKENDS
-            choices.append(("process backend", self.process_backend, BACKENDS))
-        unbatched = not self.batched_inference
-        flush_error = flush_policy_error(self.flush_policy, self.flush_timeout_us)
-        plan = self.fault_plan
+            choices.append(("process backend", config.process_backend, BACKENDS))
+        unbatched = not config.batched_inference
+        flush_error = flush_policy_error(config.flush_policy, config.flush_timeout_us)
+        plan = config.fault_plan
         crashes = plan is not None and not plan.empty
         shards, kinds, targets = 0, [], []
         if crashes:
             from ..faults.plan import SHARD_CRASH
             from ..parallel.runner import assign_workers
-            shards = len(assign_workers(self.num_workers, self.num_processes or 1))
+            shards = len(assign_workers(config.num_workers, config.num_processes or 1))
             kinds = sorted({event.kind for event in plan.events} - {SHARD_CRASH})
             targets = sorted({event.target for event in plan.of_kind(SHARD_CRASH)
                               if not 0 <= event.target < shards})
         return [
-            (self.num_workers <= 0, "num_workers must be positive"),
-            (self.num_replicas <= 0, "num_replicas must be positive"),
-            (parallel and self.num_processes <= 0, "num_processes must be positive"),
+            (config.num_workers <= 0, "num_workers must be positive"),
+            (config.num_replicas <= 0, "num_replicas must be positive"),
+            (config.inference_max_batch is not None and config.inference_max_batch <= 0,
+             "inference_max_batch must be positive (or None for the fleet share)"),
+            (config.cache_capacity is not None and config.cache_capacity <= 0,
+             "cache_capacity must be positive (or None to disable)"),
+            (parallel and config.num_processes <= 0, "num_processes must be positive"),
             *((value not in known, f"unknown {what} {value!r}; expected one of {known}")
               for what, value, known in choices),
             (flush_error is not None, flush_error),
-            (unbatched and self.num_replicas > 1,
+            (unbatched and config.num_replicas > 1,
              "num_replicas > 1 requires batched_inference=True "
              "(there is no inference service to shard otherwise)"),
-            (unbatched and self.scheduler == SCHEDULER_EVENT,
+            (unbatched and config.scheduler == SCHEDULER_EVENT,
              "the event-driven scheduler requires batched_inference=True "
              "(workers must block on a shared InferenceService)"),
-            (unbatched and self.cache_capacity is not None,
+            (unbatched and config.cache_capacity is not None,
              "cache_capacity requires batched_inference=True "
              "(the evaluation cache lives in the shared service)"),
-            (parallel and self.scheduler != SCHEDULER_EVENT,
+            (parallel and config.scheduler != SCHEDULER_EVENT,
              "num_processes requires the event scheduler "
              "(shards are merged at serve boundaries)"),
-            (parallel and self.cache_capacity is not None,
+            (parallel and config.cache_capacity is not None,
              "num_processes cannot be combined with the service evaluation "
              "cache: shards replay engine calls from their own pre-run "
              "timelines, so parent-side cache hits would desynchronize the "
@@ -249,7 +285,7 @@ class WorkerPool:
             (parallel and store is not None,
              "num_processes cannot share a live store object "
              "across processes; pass trace_dir instead"),
-            (crashes and not (parallel and self.process_backend == "process"),
+            (crashes and not (parallel and config.process_backend == "process"),
              "fault_plan requires num_processes and process_backend='process' "
              "(only shard processes are crashed and respawned)"),
             (bool(kinds), f"a pool fault_plan may hold only shard-crash events, not {kinds}"),
@@ -293,7 +329,7 @@ class WorkerPool:
         # A rerun restarts every worker clock at zero, so it also starts on
         # an idle device: its kernels must not queue behind the last run's.
         self.device = GPUDevice()
-        if self.num_processes is not None:
+        if self.config.num_processes is not None:
             self.runs = self._run_parallel(weights)
         else:
             self.runs = self._run_workers(weights)
@@ -302,17 +338,18 @@ class WorkerPool:
 
     def _run_workers(self, weights: Optional[list]) -> List[WorkerRun]:
         """Build every worker, then interleave their drivers under one scheduler."""
-        stacks = self._build_workers(range(self.num_workers), weights)
+        stacks = self._build_workers(range(self.config.num_workers), weights)
         self._schedule([stack.driver for stack in stacks])
         return [self._finish_worker(stack, stack.profiler, stack.driver.result)
                 for stack in stacks]
 
     def _schedule(self, drivers: Sequence[StepwiseDriver]) -> None:
-        flush_policy = (self.flush_policy if self.scheduler == SCHEDULER_EVENT
+        config = self.config
+        flush_policy = (config.flush_policy if config.scheduler == SCHEDULER_EVENT
                         else FLUSH_UNBATCHED)
         self.pool_scheduler = PoolScheduler(drivers, self.inference_service,
                                             flush_policy=flush_policy,
-                                            flush_timeout_us=self.flush_timeout_us)
+                                            flush_timeout_us=config.flush_timeout_us)
         self.pool_scheduler.run()
 
     def _run_parallel(self, weights: Optional[list]) -> List[WorkerRun]:
@@ -327,15 +364,12 @@ class WorkerPool:
         from functools import partial
 
         from ..parallel.proxy import MirrorInferenceService, ProxyDriver
-        from ..parallel.runner import ParallelRunner, assign_workers
-        from ..parallel.shard import ShardSpec
+        from ..parallel.runner import ParallelRunner
 
-        config = self._child_config()
-        specs = [ShardSpec(kind=self.kind, pool_config=config,
-                           worker_indices=indices, weights=weights)
-                 for indices in assign_workers(self.num_workers, self.num_processes)]
-        runner = ParallelRunner(specs, backend=self.process_backend,
-                                fault_plan=self.fault_plan)
+        num_workers = self.config.num_workers
+        runner = ParallelRunner(self._shard_specs(weights),
+                                backend=self.config.process_backend,
+                                fault_plan=self.config.fault_plan)
         self.parallel_runner = runner
         try:
             self._build_workers((), weights, service_factory=partial(MirrorInferenceService,
@@ -343,13 +377,31 @@ class WorkerPool:
             segments = runner.build()
             proxies = [ProxyDriver(runner, index, self._worker_name(index),
                                    self.inference_service, segments[index])
-                       for index in range(self.num_workers)]
+                       for index in range(num_workers)]
             runner.attach(proxies)
             self._schedule(proxies)
             finals = runner.finalize()
         finally:
             runner.stop()
-        return [finals[index] for index in range(self.num_workers)]
+        return [finals[index] for index in range(num_workers)]
+
+    def _shard_specs(self, weights: Optional[list]) -> list:
+        """One :class:`~repro.parallel.shard.ShardSpec` per shard process.
+
+        Each shard rebuilds this pool single-process: its config drops
+        ``num_processes`` and the ``fault_plan`` (the parent injects faults,
+        so a respawned shard must never re-inject them).  The rules already
+        force the event scheduler, batched inference and no evaluation cache
+        on a multiprocess pool, so the shard runs with the same values.
+        """
+        from ..parallel.runner import assign_workers
+        from ..parallel.shard import ShardSpec
+
+        config = replace(self.config, num_processes=None, fault_plan=None)
+        return [ShardSpec(kind=self.kind, pool_config=config, own_options=self.own_options,
+                          worker_indices=indices, weights=weights)
+                for indices in assign_workers(self.config.num_workers,
+                                              self.config.num_processes)]
 
     # ----------------------------------------------------------- pool hooks
     def _build_workers(self, indices: Sequence[int], weights: Optional[list] = None,
@@ -362,22 +414,6 @@ class WorkerPool:
         """
         raise NotImplementedError
 
-    def _child_config(self) -> dict:
-        """Constructor kwargs a shard process rebuilds this pool from."""
-        return dict(
-            num_workers=self.num_workers,
-            profile=self.profile,
-            cost_config=self.cost_config,
-            seed=self.seed,
-            trace_dir=self.trace_dir,
-            chunk_events=self.chunk_events,
-            inference_max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
-            flush_policy=self.flush_policy,
-            flush_timeout_us=self.flush_timeout_us,
-        )
-
     # ---------------------------------------------------------- worker parts
     def _worker_name(self, index: int) -> str:
         return f"{self.worker_prefix}_{index}"
@@ -387,8 +423,8 @@ class WorkerPool:
         from .seeding import system_seed
 
         system = System.create(
-            seed=system_seed(self.seed, index),
-            config=self.cost_config,
+            seed=system_seed(self.config.seed, index),
+            config=self.config.cost_config,
             device=self.device,
             worker=self._worker_name(index),
         )
@@ -397,7 +433,7 @@ class WorkerPool:
 
     def _worker_profiler(self, system: System, engine: GraphEngine,
                          envs: Sequence[object] = ()) -> Optional[Profiler]:
-        if not self.profile:
+        if not self.config.profile:
             return None
         profiler = Profiler(system, ProfilerConfig.full(), worker=system.worker,
                             store=self._store)
@@ -408,17 +444,20 @@ class WorkerPool:
         """The shared service around ``network``: ``num_replicas`` shards,
         replica 0 on the pool's primary GPU.  ``service_factory`` substitutes
         the class (the multiprocess path passes the parent-side mirror)."""
+        config = self.config
         factory = service_factory if service_factory is not None else InferenceService
-        if self.cache_capacity is not None:
-            kwargs.update(cache_capacity=self.cache_capacity, cache_scope=self.cache_scope)
+        max_batch = config.inference_max_batch
+        if max_batch is None:
+            max_batch = max(1, config.num_workers // config.num_replicas)
         return factory(
             network,
-            max_batch=self.inference_max_batch,
-            num_replicas=self.num_replicas,
-            routing=self.routing,
+            max_batch=max_batch,
+            num_replicas=config.num_replicas,
+            routing=config.routing,
             primary_device=self.device,
-            cost_config=self.cost_config,
-            seed=self.seed,
+            cost_config=config.cost_config,
+            seed=config.seed,
+            cache_capacity=config.cache_capacity,
             **kwargs,
         )
 
@@ -446,80 +485,39 @@ class EnvRolloutPool(WorkerPool):
     kind = "envrollout"
     worker_prefix = "rollout_worker"
 
-    def __init__(
-        self,
-        sim: str,
-        num_workers: int = 8,
-        *,
-        steps_per_worker: int = 32,
-        hidden: Tuple[int, ...] = (64, 64),
-        policy_factory=None,
-        profile: bool = False,
-        cost_config: Optional[CostModelConfig] = None,
-        seed: int = 0,
-        trace_dir: Optional[str] = None,
-        store: Optional["StreamingTraceWriter"] = None,
-        chunk_events: int = 50_000,
-        inference_max_batch: Optional[int] = None,
-        num_replicas: int = 1,
-        routing: str = ROUTING_ROUND_ROBIN,
-        flush_policy: str = FLUSH_MAX_BATCH,
-        flush_timeout_us: Optional[float] = None,
-        env_kwargs: Optional[dict] = None,
-        num_processes: Optional[int] = None,
-        process_backend: str = "process",
-        fault_plan=None,
-        cache_capacity: Optional[int] = None,
-        cache_scope: str = "shared",
-    ) -> None:
-        """Every worker's policy evaluations go through one shared
-        :class:`RolloutPolicyNet` (``hidden`` layers) with the env-appropriate
-        service forward: softmax rows for discrete envs, raw action rows for
-        continuous ones.  ``policy_factory(env, seed)`` builds one
+    def __init__(self, sim: str, num_workers: int = 8, *, steps_per_worker: int = 32,
+                 hidden: Tuple[int, ...] = (64, 64), env_kwargs: Optional[dict] = None,
+                 policy_factory=None, store: Optional["StreamingTraceWriter"] = None,
+                 **options) -> None:
+        """Every worker runs ``steps_per_worker`` steps of the registered
+        simulator ``sim`` (made with ``env_kwargs``), and every policy
+        evaluation goes through one shared :class:`RolloutPolicyNet`
+        (``hidden`` layers) with the env-appropriate service forward:
+        softmax rows for discrete envs, raw action rows for continuous ones.
+        ``policy_factory(env, seed)`` builds one
         :class:`~repro.rollout.envdriver.ActionPolicy` per worker (see
         ``repro.rl.zoo``); by default categorical sampling for discrete envs
-        and gaussian exploration noise for continuous ones.  Every worker
-        keeps its transitions in its run's result.
+        and gaussian exploration noise for continuous ones.  A multiprocess
+        pool needs the default policy: live objects cannot cross the process
+        boundary.  Every worker keeps its transitions in its run's result.
 
-        ``inference_max_batch`` defaults to ``num_workers // num_replicas``
-        (floor 1): with one row per blocked worker, a full batch then forms
-        as soon as one replica's fair share of the fleet is waiting, which
-        both bounds batch size and lets the replica-aware eager path fan
-        full batches out while other workers still run.
-
-        ``num_processes`` shards the workers over that many real OS
-        processes via :mod:`repro.parallel` (only with the default policy —
-        live objects cannot cross the process boundary): shards advance their
-        drivers between serves while the parent merges their virtual
-        timelines and runs the shared service, bit-for-bit reproducing the
-        single-process event loop.
-        ``process_backend="inline"`` runs the shards in-process.
-
-        ``cache_capacity`` turns on the service-side evaluation cache
-        (weight-versioned LRU; see :mod:`repro.rollout.evalcache`) for envs
-        whose :meth:`~repro.sim.base.Env.state_key` returns a stable hash;
-        keyless envs bypass it row-by-row.  ``cache_scope`` is ``"shared"``
-        (one cache over all replicas) or ``"replica"``.
+        ``options`` are :class:`PoolConfig` fields.  The evaluation cache
+        serves envs whose :meth:`~repro.sim.base.Env.state_key` returns a
+        stable hash; keyless envs bypass it row by row.
         """
-        self.sim = sim
-        self.steps_per_worker = steps_per_worker
-        self.hidden = hidden
-        self.env_kwargs = dict(env_kwargs or {})
         self._policy_factory = policy_factory
-        super().__init__(
-            num_workers, profile=profile, cost_config=cost_config, seed=seed,
-            trace_dir=trace_dir, store=store, chunk_events=chunk_events,
-            inference_max_batch=inference_max_batch, num_replicas=num_replicas,
-            routing=routing, flush_policy=flush_policy, flush_timeout_us=flush_timeout_us,
-            num_processes=num_processes, process_backend=process_backend,
-            fault_plan=fault_plan, cache_capacity=cache_capacity, cache_scope=cache_scope)
-        if inference_max_batch is None:
-            self.inference_max_batch = max(1, num_workers // num_replicas)
+        super().__init__(PoolConfig(num_workers, **options), store, sim=sim,
+                         steps_per_worker=steps_per_worker, hidden=hidden,
+                         env_kwargs=dict(env_kwargs or {}))
 
     def _rules(self, store) -> List[Tuple[bool, str]]:
         return super()._rules(store) + [
             (self.steps_per_worker <= 0, "steps_per_worker must be positive"),
-            (self.num_processes is not None and self._policy_factory is not None,
+            (not self.config.batched_inference or self.config.scheduler != SCHEDULER_EVENT,
+             "an env rollout pool requires batched_inference=True and the event "
+             "scheduler (its workers evaluate only through the shared service; "
+             "flush_policy='unbatched' serves each ticket alone)"),
+            (self.config.num_processes is not None and self._policy_factory is not None,
              "num_processes requires the default policy (live objects cannot cross "
              "the process boundary)"),
         ]
@@ -540,7 +538,7 @@ class EnvRolloutPool(WorkerPool):
         network = RolloutPolicyNet(
             probe_env.observation_dim, probe_env.action_dim, self.hidden,
             continuous=not probe_env.is_discrete,
-            rng=np.random.default_rng(network_seed(self.seed)),
+            rng=np.random.default_rng(network_seed(self.config.seed)),
             name=f"zoo_{self.sim}")
         forward = None if probe_env.is_discrete else continuous_actor_forward
         return self._new_service(network, service_factory,
@@ -559,16 +557,9 @@ class EnvRolloutPool(WorkerPool):
             client = self.inference_service.connect(system, engine, worker=system.worker)
             driver = EnvRolloutDriver(
                 env, client, self._make_policy(env, index), self.steps_per_worker,
-                seed=driver_seed(self.seed, index), profiler=profiler)
+                seed=driver_seed(self.config.seed, index), profiler=profiler)
             built.append(WorkerStack(driver, system, client, profiler))
         return built
-
-    def _child_config(self) -> dict:
-        return dict(super()._child_config(),
-                    sim=self.sim,
-                    steps_per_worker=self.steps_per_worker,
-                    hidden=self.hidden,
-                    env_kwargs=self.env_kwargs)
 
     def _probe_env(self):
         """A throwaway env instance for shapes only — no worker stream touched."""
@@ -580,13 +571,13 @@ class EnvRolloutPool(WorkerPool):
         from .seeding import worker_seed
 
         system, engine = self._worker_system(index)
-        env = registry.make(self.sim, system, seed=worker_seed(self.seed, index),
+        env = registry.make(self.sim, system, seed=worker_seed(self.config.seed, index),
                             **self.env_kwargs)
         return system, engine, env, self._worker_profiler(system, engine, envs=(env,))
 
     def _make_policy(self, env, index: int) -> ActionPolicy:
         if self._policy_factory is not None:
-            return self._policy_factory(env, driver_seed(self.seed, index))
+            return self._policy_factory(env, driver_seed(self.config.seed, index))
         return SampledDiscretePolicy() if env.is_discrete else GaussianNoisePolicy()
 
     # ------------------------------------------------------------- reporting

@@ -53,7 +53,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from ..rollout.inference import (
     InferenceService,
     InferenceTicket,
     ROUTING_ROUND_ROBIN,
-    RoutingPolicy,
 )
 from ..rollout.evalcache import EvalCache
 from ..rollout.planner import checked_timeout_us
@@ -223,7 +222,7 @@ class InferenceServer:
                  flush_policy: str = FLUSH_TIMEOUT,
                  flush_timeout_us: Optional[float] = 200.0,
                  num_replicas: int = 1,
-                 routing: Union[str, RoutingPolicy] = ROUTING_ROUND_ROBIN,
+                 routing: str = ROUTING_ROUND_ROBIN,
                  cost_config: Optional[CostModelConfig] = None,
                  seed: int = 0,
                  name: str = "inference_server",

@@ -11,7 +11,7 @@ Event kinds:
 * ``arrive`` — the load generator emits an arrival; the chosen client opens
   a request and its frame goes on the wire.  The *next* arrival is pushed
   lazily, so a million-arrival trace costs O(1) heap space for arrivals.
-* ``send`` — a request frame reaches the server (after ``wire_latency_us``).
+* ``send`` — a request frame reaches the server.
   The server's admission verdict may produce immediate shed replies and/or
   served batches; every reply frame is scheduled back toward its client.
 * ``timer`` — a partial-batch flush deadline fires.  Timers are scheduled
@@ -55,13 +55,10 @@ class ServingRunResult:
 
 
 def run_serving(server: InferenceServer, loadgen: LoadGenerator,
-                horizon_us: float, *, wire_latency_us: float = 0.0
-                ) -> ServingRunResult:
+                horizon_us: float) -> ServingRunResult:
     """Run open-loop load against a server until the trace drains."""
     if horizon_us <= 0:
         raise ValueError("horizon_us must be positive")
-    if wire_latency_us < 0:
-        raise ValueError("wire_latency_us must be non-negative")
     clients: Dict[str, ServingClient] = {
         client.client_id: client for client in loadgen.clients}
     heap: List[Tuple[float, int, int, object]] = []
@@ -72,7 +69,7 @@ def run_serving(server: InferenceServer, loadgen: LoadGenerator,
 
     def push_replies(replies: List[Tuple[bytes, float]]) -> None:
         for frame, at_us in replies:
-            push(at_us + wire_latency_us, _REPLY, frame)
+            push(at_us, _REPLY, frame)
 
     # Each distinct deadline is scheduled once: without the dedupe set, every
     # send would re-push the same deadline and every fired duplicate would
@@ -109,7 +106,7 @@ def run_serving(server: InferenceServer, loadgen: LoadGenerator,
         if kind == _ARRIVE:
             client = payload
             assert isinstance(client, ServingClient)
-            push(now_us + wire_latency_us, _SEND, client.new_request_frame(now_us))
+            push(now_us, _SEND, client.new_request_frame(now_us))
             upcoming = next(arrivals, None)
             if upcoming is not None:
                 push(upcoming[0], _ARRIVE, upcoming[1])
@@ -141,7 +138,7 @@ def run_serving(server: InferenceServer, loadgen: LoadGenerator,
             retry = clients[client_id].deliver(payload, now_us)
             if retry is not None:
                 resend_us, frame = retry
-                push(resend_us + wire_latency_us, _SEND, frame)
+                push(resend_us, _SEND, frame)
 
     # Arrivals exhausted and every timer fired: serve out held partials and
     # the blocked backlog.  Drain replies are all OK (nothing sheds while
@@ -149,10 +146,9 @@ def run_serving(server: InferenceServer, loadgen: LoadGenerator,
     for frame, at_us in server.drain(end_us):
         client_id, status = peek_reply(frame)
         assert status == STATUS_OK
-        delivered_us = at_us + wire_latency_us
-        end_us = max(end_us, delivered_us)
+        end_us = max(end_us, at_us)
         events += 1
-        clients[client_id].deliver(frame, delivered_us)
+        clients[client_id].deliver(frame, at_us)
     loadgen.close()
     return ServingRunResult(server=server, loadgen=loadgen,
                             horizon_us=horizon_us, end_us=end_us, events=events)

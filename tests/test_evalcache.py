@@ -18,7 +18,7 @@ from repro.backend import GraphEngine
 from repro.hw.gpu import GPUDevice
 from repro.minigo import MCTS, InferenceService, PolicyValueNet, SelfPlayPool
 from repro.rollout import EnvRolloutPool
-from repro.rollout.evalcache import CACHE_SCOPES, EvalCache
+from repro.rollout.evalcache import EvalCache
 from repro.sim.go import GoPosition
 from repro.system import System
 
@@ -100,9 +100,6 @@ def test_cache_validation_errors():
         EvalCache(0)
     with pytest.raises(ValueError):
         InferenceService(make_network(), cache_capacity=0)
-    with pytest.raises(ValueError, match="cache scope"):
-        InferenceService(make_network(), cache_capacity=8, cache_scope="bogus")
-    assert CACHE_SCOPES == ("shared", "replica")
 
 
 # ---------------------------------------------------------- service cache

@@ -201,8 +201,8 @@ def test_shard_timeline_divergence_fails_loudly():
     from repro.parallel.shard import ShardSpec
 
     pool = EnvRolloutPool("Pong", 2, steps_per_worker=3, seed=0)
-    config = pool._child_config()
-    spec = ShardSpec(kind="envrollout", pool_config=config, worker_indices=[0, 1])
+    spec = ShardSpec(kind="envrollout", pool_config=pool.config,
+                     own_options=pool.own_options, worker_indices=[0, 1])
     runner = ParallelRunner([spec], backend="inline")
     try:
         from functools import partial

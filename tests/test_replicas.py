@@ -61,8 +61,6 @@ def test_routing_policy_factory_and_validation():
     assert isinstance(make_routing_policy("round-robin"), RoundRobinRouting)
     assert isinstance(make_routing_policy("least-loaded"), LeastLoadedRouting)
     assert isinstance(make_routing_policy("sticky"), StickyRouting)
-    policy = LeastLoadedRouting()
-    assert make_routing_policy(policy) is policy   # instances pass through
     with pytest.raises(ValueError):
         make_routing_policy("bogus")
     with pytest.raises(ValueError):
@@ -91,21 +89,6 @@ def test_round_robin_cycles_and_least_loaded_picks_earliest_free():
     assert ll.choose(replicas, host_worker="w").index == 1
     replicas[1].free_us = 500.0
     assert ll.choose(replicas, host_worker="w").index == 2
-
-
-def test_reused_routing_policy_instance_is_reset_per_service():
-    """A policy object reused across services must not carry stale state."""
-    policy = StickyRouting()
-    first = InferenceService(make_network(), num_replicas=2, routing=policy)
-    policy.choose(first.replicas, host_worker="a")
-    policy.choose(first.replicas, host_worker="b")
-    assert policy.assignments and policy.decisions
-    # Adopting the same instance in a new service starts from scratch, so
-    # two identical runs route identically and routed counts match calls.
-    second = InferenceService(make_network(), num_replicas=2, routing=policy)
-    assert second.routing is policy
-    assert policy.assignments == {} and policy.decisions == {}
-    assert policy.choose(second.replicas, host_worker="z").index == 0
 
 
 def test_sticky_routing_pins_each_host_to_one_replica():

@@ -254,8 +254,6 @@ def test_env_rollout_pool_validates_arguments():
         EnvRolloutPool("Pong", 2, flush_policy="nonsense")
     with pytest.raises(ValueError):
         EnvRolloutPool("Pong", 2, routing="bogus")
-    with pytest.raises(ValueError):
-        EnvRolloutPool("Pong", 2, cache_scope="bogus")
     with pytest.raises(KeyError):
         EnvRolloutPool("NotARealSim", 2).run()
 
