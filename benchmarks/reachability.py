@@ -5,8 +5,9 @@
 Drives the repository's entry points in this one process under
 ``sys.setprofile`` (and ``threading.setprofile``): the four perfbench
 workloads at ``--size tiny``; every ``rls-experiment`` experiment but
-``findings`` on a small grid; ``rls-prof --streaming``; ``repro-trace
-summarize`` / ``query`` / ``compact`` on the store it wrote; and the five
+``findings`` on a small grid (``fig8`` also with a trace store); ``rls-prof``
+dumping its store at finalize and ``rls-prof --streaming``; ``repro-trace
+summarize`` / ``query`` / ``compact`` on the streamed store; and the five
 examples at reduced sizes.  Every report, ``--out`` file and trace store goes
 to a temporary directory, which is also the working directory while the
 entry points run, so the tree stays clean.
@@ -116,10 +117,12 @@ def _experiments(work: Path) -> None:
     for argv in EXPERIMENT_ARGS:
         cli.main(argv)
     # ``rls-experiment fig8`` runs the 16-worker default round; the same
-    # path at four workers, with the event scheduler over two replicas.
+    # path at four workers, with the event scheduler over two replicas, and
+    # once more streaming into a store (the store-derived Figure 8 summaries).
     small = MinigoConfig(num_workers=4, board_size=5, num_simulations=4, games_per_worker=1,
                          max_moves=6, sgd_steps=4, evaluation_games=2)
     run_fig8(small, scheduler="event", num_replicas=2).report()
+    run_fig8(small, trace_dir=str(work / "fig8")).report()
 
 
 def _profiler_and_trace_store(work: Path) -> None:
@@ -127,6 +130,8 @@ def _profiler_and_trace_store(work: Path) -> None:
     from repro.tracedb.cli import main as repro_trace
 
     store, compacted = str(work / "store"), str(work / "compacted")
+    rls_prof(["--algo", "TD3", "--simulator", "HalfCheetah", "--steps", "100",
+              "--trace-dir", str(work / "dumped")])
     rls_prof(["--algo", "TD3", "--simulator", "HalfCheetah", "--steps", "100",
               "--trace-dir", store, "--streaming"])
     repro_trace(["summarize", store])

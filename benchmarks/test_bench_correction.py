@@ -8,19 +8,18 @@ so the quadratic scan cannot silently return, and cross-checks the indexed
 answers against the obvious linear reference.
 """
 
+import sys
 import time
+from pathlib import Path
 
 from conftest import save_report
 from repro.profiler.calibration import CalibrationResult
 from repro.profiler.correction import OperationLocator, overhead_by_operation_category
-from repro.profiler.events import (
-    CATEGORY_OPERATION,
-    OVERHEAD_ANNOTATION,
-    Event,
-    EventTrace,
-    OverheadMarker,
-)
+from repro.profiler.events import CATEGORY_OPERATION, OVERHEAD_ANNOTATION, Event, OverheadMarker
 from repro.profiler.overlap import UNTRACKED
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.event_trace import EventTrace  # noqa: E402
 
 NUM_OPERATIONS = 20_000
 NUM_MARKERS = 40_000
@@ -50,7 +49,8 @@ def _linear_reference(operations, time_us):
 
 
 def test_bench_correction_long_trace(benchmark):
-    trace = _long_trace()
+    objects = _long_trace()
+    trace = objects.columnar()
     calibration = CalibrationResult(annotation_us=1.5)
 
     t0 = time.perf_counter()
@@ -65,8 +65,9 @@ def test_bench_correction_long_trace(benchmark):
     assert abs(total_markers - 1.5 * NUM_MARKERS) < 1e-6
 
     # Spot-check the indexed locator against the linear reference.
-    operations = list(trace.operations)
-    locator = OperationLocator(operations)
+    operations = list(objects.operations)
+    columns = trace.columns
+    locator = OperationLocator(columns.strings, columns.operations)
     for time_us in [0.0, 1.0, 2.0, 4.5, 7.0, 9.0, 9.5, 42.0, 12345.6,
                     (NUM_OPERATIONS // 2) * 10.0 - 0.5, 1e9]:
         assert locator.locate(time_us) == _linear_reference(operations, time_us)

@@ -51,16 +51,20 @@ def test_bench_tracedb_streaming_and_mapreduce(benchmark, tmp_path):
     json_dir.mkdir()
     json_bytes = 0
     peak_dump_records = 0
+    # The dumped records are the streamed store's, decoded: the same records
+    # the in-memory run holds.
+    store = TraceDB(str(streaming.store.directory))
     for worker, trace in in_memory.traces().items():
         path = json_dir / f"{worker}.json"
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"events": [e.to_dict() for e in trace.events],
-                       "operations": [op.to_dict() for op in trace.operations],
-                       "markers": [m.to_dict() for m in trace.markers],
+            json.dump({"events": [e.to_dict() for e in store.iter_events(worker=worker)],
+                       "operations": [op.to_dict()
+                                      for op in store.iter_operations(worker=worker)],
+                       "markers": [m.to_dict() for m in store.iter_markers(worker=worker)],
                        "metadata": dict(trace.metadata)}, handle)
         json_bytes += path.stat().st_size
-        peak_dump_records = max(peak_dump_records,
-                                trace.total_events() + len(trace.markers))
+        peak_dump_records = max(peak_dump_records, len(trace.events) + len(trace.operations)
+                                + len(trace.markers))
     stream_bytes = streaming.store.bytes_written()
     peak_stream_records = streaming.store.peak_buffered_records()
 
@@ -71,7 +75,7 @@ def test_bench_tracedb_streaming_and_mapreduce(benchmark, tmp_path):
     # --- overlap: single pass (load + compute) vs shard-parallel map-reduce.
     store_dir = str(streaming.store.directory)
     t0 = time.perf_counter()
-    single = compute_overlap(TraceDB(store_dir).to_event_trace())
+    single = compute_overlap(TraceDB(store_dir).columnar_trace())
     single_sec = time.perf_counter() - t0
     timings = {}
     for mode in ("serial", "thread", "process"):

@@ -46,7 +46,6 @@ from conftest import save_report
 from record import record
 from repro.minigo import selfplay as selfplay_mod
 from repro.minigo.workers import SelfPlayPool
-from repro.profiler.events import merge_traces
 from repro.profiler.overlap import OverlapResult, compute_overlap
 from repro.rollout.scheduler import PoolScheduler
 
@@ -54,6 +53,7 @@ QUICK = os.environ.get("WALLCLOCK_QUICK") == "1"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.event_trace import EventTrace, event_trace  # noqa: E402
 from oracles.go_reference import ReferenceGoPosition  # noqa: E402
 from oracles.overlap_loop import accumulate_columns_loop, accumulate_worker_loop  # noqa: E402
 from oracles.scalar_mcts import ScalarMCTS, ScalarSearchCursor  # noqa: E402
@@ -148,10 +148,9 @@ def _overlap_metrics():
 
     from repro.profiler import overlap as overlap_mod
     from repro.profiler.columns import TraceColumns
-    from repro.profiler.events import EventTrace
 
     pool, _ = _run_pool(profile=True)
-    merged = merge_traces(run.trace for run in pool.runs)
+    merged = event_trace(TraceColumns.concat([run.trace.columns for run in pool.runs]))
     shard_worker = merged.workers()[0]
     shard_events = [e for e in merged.events if e.worker == shard_worker]
     shard_ops = [op for op in merged.operations if op.worker == shard_worker]
@@ -171,16 +170,17 @@ def _overlap_metrics():
                         end_us=op.end_us + offset) for op in shard_ops)
     intervals = len(wide.events) + len(wide.operations)
     workers = wide.workers()
+    wide_trace = wide.columnar()
 
     single_pass_s = min(
-        _timed(lambda: compute_overlap(wide)) for _ in range(OVERLAP_REPEATS))
-    single_pass = compute_overlap(wide)
+        _timed(lambda: compute_overlap(wide_trace)) for _ in range(OVERLAP_REPEATS))
+    single_pass = compute_overlap(wide_trace)
 
     # The pre-optimization cost model: one full-trace filter per worker
     # (compute_overlap restricted to one worker scans everything it is fed).
     def refilter():
         return OverlapResult.merge(
-            compute_overlap(wide, workers=[worker]) for worker in workers)
+            compute_overlap(wide_trace, workers=[worker]) for worker in workers)
 
     refilter_s = min(_timed(refilter) for _ in range(OVERLAP_REPEATS))
     assert refilter().regions == single_pass.regions, \
@@ -194,7 +194,7 @@ def _overlap_metrics():
     vectorized_sweep = overlap_mod._accumulate_worker
     overlap_mod._accumulate_worker = accumulate_columns_loop
     try:
-        loop_result = compute_overlap(wide)
+        loop_result = compute_overlap(wide_trace)
     finally:
         overlap_mod._accumulate_worker = vectorized_sweep
     assert list(loop_result.regions) == list(single_pass.regions) and all(
@@ -206,12 +206,18 @@ def _overlap_metrics():
 
     events_by_worker = {w: [e for e in wide.events if e.worker == w] for w in workers}
     ops_by_worker = {w: [op for op in wide.operations if op.worker == w] for w in workers}
-    # The sweep runs on each worker's columns (built from the same objects
-    # inside the timed region), the loop on the objects themselves.
+    # Each side starts from what its profiler recorded during the run: the
+    # loop from the record objects, the sweep from the same records as rows
+    # in a profiler sink.  The sweep's timed region includes reading that
+    # sink back as columns (what finalize does), as the loop's excludes
+    # building the objects.
+    sinks = {worker: EventTrace(events=events_by_worker[worker],
+                                operations=ops_by_worker[worker]).sink()
+             for worker in workers}
+
     def sweep_all_columns():
         for worker in workers:
-            table = TraceColumns(source=EventTrace(events=events_by_worker[worker],
-                                                   operations=ops_by_worker[worker]))
+            table = sinks[worker].columnar_trace({}).columns
             vectorized_sweep(table.strings, table.events, table.operations,
                              defaultdict(float))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..minigo.workers import SelfPlayPool
-from ..profiler.events import merge_traces
+from ..profiler.columns import TraceColumns
 from ..profiler.overlap import (
     RESOURCE_CPU,
     RESOURCE_CPU_GPU,
@@ -147,7 +147,7 @@ class BatchSweepResult(SweepResult):
     def cell(self, leaf_batch: int) -> Dict[str, Any]:
         pool = run_pool(self.config, self.num_workers, leaf_batch=leaf_batch,
                         profile=True)
-        overlap = compute_overlap(merge_traces(run.trace for run in pool.runs))
+        overlap = compute_overlap(TraceColumns.concat([run.trace.columns for run in pool.runs]))
         busy = dict(cpu_only_us=RESOURCE_CPU, gpu_only_us=RESOURCE_GPU,
                     cpu_gpu_us=RESOURCE_CPU_GPU)
         return dict(pool_metrics(pool), **{

@@ -20,7 +20,7 @@ from ..hw.costmodel import CostModelConfig
 from ..profiler.analysis import WorkloadAnalysis, analyze, analyze_db
 from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.calibration import CalibrationResult, CalibrationRun, calibrate
-from ..profiler.events import EventTrace
+from ..profiler.columns import ColumnarTrace
 from ..rl import FrameworkAdapter, FrameworkSpec, STABLE_BASELINES, TrainResult, default_config, make_algorithm
 from ..sim import make as make_env
 from ..system import System
@@ -55,7 +55,7 @@ class WorkloadRun:
 
     spec: WorkloadSpec
     train_result: TrainResult
-    trace: EventTrace
+    trace: ColumnarTrace
     analysis: WorkloadAnalysis
     total_time_us: float
     profiler_config: ProfilerConfig

@@ -29,7 +29,7 @@ from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..hw.nvidia_smi import UtilizationReport, sample_utilization
 from ..profiler.api import Profiler, ProfilerConfig
-from ..profiler.events import EventTrace
+from ..profiler.columns import ColumnarTrace
 from ..rollout.driver import StepwiseDriver
 from ..rollout.inference import InferenceService, InferenceStats, InferenceTicket
 from ..rollout.scheduler import PoolScheduler, SchedulerStats
@@ -52,9 +52,9 @@ class MinigoRoundResult:
     """Everything produced by one Minigo training round."""
 
     worker_runs: List[WorkerRun]
-    trainer_trace: Optional[EventTrace]
+    trainer_trace: Optional[ColumnarTrace]
     trainer_time_us: float
-    evaluation_trace: Optional[EventTrace]
+    evaluation_trace: Optional[ColumnarTrace]
     evaluation_time_us: float
     candidate_wins: int
     evaluation_games: int
@@ -80,7 +80,7 @@ class MinigoRoundResult:
     #: each round, so the broadcast does not delay later rounds' timelines.
     weight_broadcast_us: float = 0.0
 
-    def traces(self) -> Dict[str, EventTrace]:
+    def traces(self) -> Dict[str, ColumnarTrace]:
         traces = {run.worker: run.trace for run in self.worker_runs if run.trace is not None}
         if self.trainer_trace is not None:
             traces["trainer"] = self.trainer_trace
@@ -285,8 +285,6 @@ class MinigoTraining:
             candidate_weights = network.state_dict()
 
         trace = profiler.finalize() if profiler is not None else None
-        if store is not None:
-            trace = None
         return candidate_weights, losses, trace, system.clock.now_us
 
     @staticmethod
@@ -397,8 +395,6 @@ class MinigoTraining:
             wins = sum(1 for driver in drivers if driver.candidate_won)
 
         trace = profiler.finalize() if profiler is not None else None
-        if store is not None:
-            trace = None
         eval_stats = eval_service.stats if eval_service is not None else None
         return wins, trace, system.clock.now_us, eval_stats
 

@@ -12,10 +12,14 @@ Public surface:
   the breakdowns, transition counts and multi-process summaries reported in
   the paper's figures.
 
-Traces are stored in :mod:`repro.tracedb`: a :class:`Profiler` given a
-``trace_dir`` writes a store (streamed during the run, or at finalize), and
-:class:`~repro.tracedb.TraceDB` reads it back, also serving the
-shard-parallel analysis behind :func:`analyze_db`.
+A :class:`Profiler` writes every record as a field row into one per-worker
+sink (:class:`~repro.tracedb.ShardWriter`).  Without a ``trace_dir``
+:meth:`Profiler.finalize` returns the trace as a
+:class:`~repro.profiler.columns.ColumnarTrace`, columns plus metadata, which
+:func:`analyze` reads; with one, the sink writes a :mod:`repro.tracedb`
+store (at finalize, or streamed during the run), and
+:class:`~repro.tracedb.TraceDB` reads it back as the same columns for
+:func:`analyze_db` and the shard-parallel analysis.
 """
 
 from .analysis import (
@@ -50,9 +54,7 @@ from .events import (
     CATEGORY_SIMULATOR,
     CPU_CATEGORIES,
     Event,
-    EventTrace,
     OverheadMarker,
-    merge_traces,
 )
 from .overlap import (
     RESOURCE_CPU,
@@ -91,9 +93,7 @@ __all__ = [
     "CATEGORY_SIMULATOR",
     "CPU_CATEGORIES",
     "Event",
-    "EventTrace",
     "OverheadMarker",
-    "merge_traces",
     "RESOURCE_CPU",
     "RESOURCE_CPU_GPU",
     "RESOURCE_GPU",

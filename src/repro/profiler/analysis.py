@@ -13,7 +13,7 @@ This module turns raw traces into the quantities the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .correction import (
     overhead_by_operation_category,
     trace_total_us,
 )
-from .events import CATEGORY_BACKEND, CATEGORY_CUDA_API, CATEGORY_SIMULATOR, EventTrace
+from .events import CATEGORY_BACKEND, CATEGORY_CUDA_API, CATEGORY_SIMULATOR
 from .overlap import RESOURCE_GPU, OverlapResult, compute_overlap
 
 #: Transition categories reported in Figures 4c/4d.
@@ -37,7 +37,7 @@ TRANSITION_CATEGORIES = (CATEGORY_SIMULATOR, CATEGORY_BACKEND, CATEGORY_CUDA_API
 class WorkloadAnalysis:
     """Analysis of one profiled workload run."""
 
-    trace: Union[EventTrace, ColumnarTrace]
+    trace: ColumnarTrace
     overlap: OverlapResult
     calibration: Optional[CalibrationResult] = None
     iterations: Optional[int] = None
@@ -125,7 +125,7 @@ class WorkloadAnalysis:
 
 
 def analyze(
-    trace: EventTrace,
+    trace: ColumnarTrace,
     *,
     calibration: Optional[CalibrationResult] = None,
     iterations: Optional[int] = None,
@@ -154,7 +154,7 @@ class WorkerSummary:
         return self.gpu_time_us / 1e6
 
 
-def summarize_worker_trace(worker: str, trace: Union[EventTrace, ColumnarTrace]) -> WorkerSummary:
+def summarize_worker_trace(worker: str, trace: ColumnarTrace) -> WorkerSummary:
     """One worker's Figure 8 summary: total span, CPU-bound time, GPU time."""
     overlap = compute_overlap(trace)
     total = trace_total_us(trace)
@@ -164,7 +164,7 @@ def summarize_worker_trace(worker: str, trace: Union[EventTrace, ColumnarTrace])
     return WorkerSummary(worker=worker, total_time_us=total, cpu_time_us=cpu, gpu_time_us=gpu)
 
 
-def multi_process_summary(traces: Mapping[str, EventTrace]) -> List[WorkerSummary]:
+def multi_process_summary(traces: Mapping[str, ColumnarTrace]) -> List[WorkerSummary]:
     """Summarise each worker's trace: total span, CPU-bound time, GPU time."""
     summaries = [summarize_worker_trace(worker, trace) for worker, trace in traces.items()]
     return sorted(summaries, key=lambda s: s.worker)
@@ -191,12 +191,9 @@ def analyze_db(
     The store's chunks are decoded into column arrays once
     (:meth:`repro.tracedb.TraceDB.columnar_trace`), and the overlap sweep,
     the overhead correction, the transition counts and the totals all run
-    on those arrays.  ``analysis.trace`` is a
-    :class:`~repro.profiler.columns.ColumnarTrace`: ``len()`` of its
-    ``events`` / ``operations`` / ``markers`` costs nothing, and the record
-    objects are built only if a caller reads them.  The result is
-    byte-identical to :func:`analyze` of the same records in memory, and its
-    overlap to :func:`repro.tracedb.parallel_overlap`.
+    on those arrays, as :func:`analyze` does on an in-memory trace: the
+    result is byte-identical to :func:`analyze` of the same records, and
+    its overlap to :func:`repro.tracedb.parallel_overlap`.
     """
     from ..tracedb.store import TraceDB
     db = source if isinstance(source, TraceDB) else TraceDB(str(source))

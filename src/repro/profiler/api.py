@@ -16,8 +16,12 @@ attached interception hooks record Backend / Simulator / CUDA / GPU events
 transparently; Python time is recorded as the gap between C-level events
 while at least one operation is open.  When book-keeping is enabled the
 profiler also *injects* its own overhead into the virtual clock and leaves an
-:class:`~repro.profiler.events.OverheadMarker` behind so offline correction
-can subtract it (Section 3.4).
+overhead marker behind so offline correction can subtract it (Section 3.4).
+
+Every record is a field row written into one per-worker
+:class:`~repro.tracedb.writer.ShardWriter` (:attr:`Profiler.sink`); the
+three modes differ only in that sink's flush policy (in memory, dumped to a
+store at :meth:`~Profiler.finalize`, or streamed).
 """
 
 from __future__ import annotations
@@ -25,21 +29,19 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from ..tracedb.writer import StreamingTraceWriter
 
 from ..backend.engine import BackendEngine
 from ..system import System
+from .columns import ColumnarTrace
 from .events import (
     CATEGORY_GPU,
     CATEGORY_OPERATION,
     CATEGORY_PYTHON,
     OVERHEAD_ANNOTATION,
-    Event,
-    EventTrace,
-    OverheadMarker,
 )
 from .interception import BackendInterception, CudaInterceptionHook, SimulatorInterception
 
@@ -86,39 +88,36 @@ class Profiler:
         chunk_events: int = 50_000,
         store: Optional["StreamingTraceWriter"] = None,
     ) -> None:
-        """With ``streaming=True`` (or an explicit shared ``store``) the
-        profiler flushes events incrementally into a :mod:`repro.tracedb`
-        store instead of holding the whole trace in memory: at most one
-        chunk of records stays buffered, and flushes cost zero virtual time.
-        The finalized analysis is then read back through
-        :meth:`open_tracedb` / :class:`repro.tracedb.TraceDB`.  Without
-        streaming, a ``trace_dir`` receives the whole in-memory trace at
-        :meth:`finalize`, in chunks of ``chunk_events`` records.
+        """Without ``trace_dir`` or ``store`` the trace stays in memory and
+        :meth:`finalize` returns it as a :class:`ColumnarTrace`.  With a
+        ``trace_dir`` the trace is written into a :mod:`repro.tracedb` store
+        there, in chunks of ``chunk_events`` records: at :meth:`finalize`, or,
+        with ``streaming=True`` (or an explicit shared ``store``), whenever a
+        chunk's worth is buffered, so at most one chunk of records stays in
+        memory.  Writes cost zero virtual time; read a store back through
+        :meth:`open_tracedb` / :class:`repro.tracedb.TraceDB`.
         """
+        from ..tracedb.writer import ShardWriter, StreamingTraceWriter
+
         self.system = system
         self.config = config if config is not None else ProfilerConfig.full()
         self.worker = worker if worker is not None else system.worker
-        if trace_dir is not None and chunk_events <= 0:
+        if chunk_events <= 0:
             raise ValueError("chunk_events must be positive")
-        self.trace_dir = trace_dir
-        self._chunk_events = chunk_events
-        self.streaming = bool(streaming or store is not None)
+        if streaming and store is None and trace_dir is None:
+            raise ValueError("streaming=True requires trace_dir (or an explicit store)")
+        spill = streaming or store is not None
+        self._owns_store = store is None and trace_dir is not None
+        if self._owns_store:
+            store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
         self._store = store
-        self._owns_store = False
-        if self.streaming:
-            if self._store is None:
-                if trace_dir is None:
-                    raise ValueError("streaming=True requires trace_dir (or an explicit store)")
-                from ..tracedb.writer import StreamingTraceWriter
-                self._store = StreamingTraceWriter(trace_dir, chunk_events=chunk_events)
-                self._owns_store = True
-            from ..tracedb.writer import SpillingEventTrace
-            self.trace: EventTrace = SpillingEventTrace(
-                self._store.shard(self.worker), metadata={"worker": self.worker})
-        else:
-            self.trace = EventTrace(metadata={"worker": self.worker})
+        #: The per-worker row sink every record is written into; only its
+        #: flush policy depends on the mode.
+        self.sink = (ShardWriter(None, self.worker, spill=False) if store is None
+                     else store.shard(self.worker, spill=spill))
+        self.metadata: Dict[str, object] = {"worker": self.worker}
+        self._trace: Optional[ColumnarTrace] = None
         self.phase = "default"
-        self._operation_stack: List[Event] = []
         self._operation_starts: List[float] = []
         self._operation_names: List[str] = []
         self._c_depth = 0
@@ -188,7 +187,7 @@ class Profiler:
             return
         clock = self.system.clock
         # Book-keeping overhead of recording the start timestamp.
-        self._inject_annotation_overhead()
+        self.inject_overhead(OVERHEAD_ANNOTATION, "annotation")
         if self._c_depth == 0:
             self._flush_python(clock.now_us)
             self._python_resume_us = clock.now_us
@@ -198,26 +197,22 @@ class Profiler:
         try:
             yield
         finally:
-            self._inject_annotation_overhead()
+            self.inject_overhead(OVERHEAD_ANNOTATION, "annotation")
             end = clock.now_us
             if self._c_depth == 0:
                 self._flush_python(end)
                 self._python_resume_us = end
             self._operation_names.pop()
-            op_start = self._operation_starts.pop()
-            self.trace.add_event(Event(
-                category=CATEGORY_OPERATION, name=name,
-                start_us=op_start, end_us=end,
-                worker=self.worker, phase=self.phase,
-                metadata=dict(metadata) if metadata else None,
-            ))
+            self.sink.add_operation((CATEGORY_OPERATION, name, self._operation_starts.pop(), end,
+                                     self.worker, self.phase,
+                                     dict(metadata) if metadata else None))
 
-    def _inject_annotation_overhead(self) -> None:
+    def inject_overhead(self, kind: str, cost: str) -> None:
+        """Leave a ``kind`` overhead marker now, then spend the ``cost``
+        book-keeping's duration on the virtual clock."""
         clock = self.system.clock
-        self.trace.add_marker(OverheadMarker(
-            kind=OVERHEAD_ANNOTATION, time_us=clock.now_us, worker=self.worker, phase=self.phase,
-        ))
-        clock.advance(self.system.cost_model.interception_overhead("annotation"))
+        self.sink.add_marker((kind, clock.now_us, None, self.worker, self.phase))
+        clock.advance(self.system.cost_model.interception_overhead(cost))
 
     # ---------------------------------------------------- python gap tracking
     def _flush_python(self, now_us: float) -> None:
@@ -227,11 +222,7 @@ class Profiler:
             self._python_resume_us = None
             return
         if now_us > resume:
-            self.trace.add_event(Event(
-                category=CATEGORY_PYTHON, name="python",
-                start_us=resume, end_us=now_us,
-                worker=self.worker, phase=self.phase,
-            ))
+            self.record_event(CATEGORY_PYTHON, "python", resume, now_us)
         self._python_resume_us = None
 
     # Called by the interception hooks.
@@ -255,50 +246,54 @@ class Profiler:
         if self._c_depth == 0:
             self._python_resume_us = self.system.clock.now_us
 
-    def record_event(self, event: Event) -> None:
-        self.trace.add_event(event)
-
-    def record_marker(self, marker: OverheadMarker) -> None:
-        self.trace.add_marker(marker)
+    def record_event(self, category: str, name: str, start_us: float, end_us: float) -> None:
+        """Record one stack event of this worker, in the current phase."""
+        self.sink.add_event((category, name, start_us, end_us, self.worker, self.phase, None))
 
     # -------------------------------------------------------------- finalize
-    def finalize(self) -> EventTrace:
-        """Close the session: collect GPU activity from CUPTI and return the trace."""
+    def finalize(self) -> Optional[ColumnarTrace]:
+        """Close the session: record GPU activity from CUPTI and seal the sink.
+
+        Returns the trace when the sink still holds every record (no store,
+        or a store written only now), and ``None`` after streaming: the
+        records are in the store, and nothing is decoded back.
+        """
         if self._finalized:
-            return self.trace
+            return self._trace
         self._flush_python(self.system.clock.now_us)
         if self.config.cupti:
-            cupti = self.system.cuda.cupti
-            worker = self.worker
-            gpu = [(name, start_us, end_us)
-                   for name, start_us, end_us, _, record_worker, _ in cupti.kernel_records
-                   if record_worker == worker]
-            gpu += [(f"memcpy_{direction}", start_us, end_us)
-                    for direction, start_us, end_us, _, record_worker, _ in cupti.memcpy_records
-                    if record_worker == worker]
-            self.trace.add_intervals(CATEGORY_GPU, gpu, worker, self.phase)
-        self.trace.metadata.setdefault("total_time_us", self.system.clock.now_us)
+            self._record_gpu_activity()
+        self.metadata.setdefault("total_time_us", self.system.clock.now_us)
         self.detach()
         self._finalized = True
-        if self.streaming:
-            assert self._store is not None
-            self._store.close_shard(self.worker, metadata=dict(self.trace.metadata))
+        if not self.sink.spill:
+            self._trace = self.sink.columnar_trace(dict(self.metadata))
+        if self._store is not None:
+            self._store.close_shard(self.worker, metadata=dict(self.metadata))
             if self._owns_store:
                 self._store.close()
-        elif self.trace_dir is not None:
-            from ..tracedb.writer import StreamingTraceWriter
-            StreamingTraceWriter(self.trace_dir, chunk_events=self._chunk_events).write_trace(
-                self.worker, self.trace)
-        return self.trace
+        return self._trace
+
+    def _record_gpu_activity(self) -> None:
+        """This worker's CUPTI kernel and memcpy records, as GPU events."""
+        cupti = self.system.cuda.cupti
+        worker = self.worker
+        gpu = [(name, start_us, end_us)
+               for name, start_us, end_us, _, record_worker, _ in cupti.kernel_records
+               if record_worker == worker]
+        gpu += [(f"memcpy_{direction}", start_us, end_us)
+                for direction, start_us, end_us, _, record_worker, _ in cupti.memcpy_records
+                if record_worker == worker]
+        self.sink.add_events(CATEGORY_GPU, gpu, worker, self.phase)
 
     @property
     def store(self) -> Optional["StreamingTraceWriter"]:
-        """The streaming store writer (None unless streaming mode is on)."""
+        """The trace store writer (None when the trace stays in memory)."""
         return self._store
 
     def open_tracedb(self):
-        """Open the finalized trace store for querying (streaming mode only)."""
+        """Open the trace store for querying (once it has been written)."""
         if self._store is None:
-            raise ValueError("no trace store: profiler was not created with streaming=True")
+            raise ValueError("no trace store: profiler was created without trace_dir or store")
         from ..tracedb.store import TraceDB
         return TraceDB(str(self._store.directory))

@@ -21,9 +21,8 @@ runs of the same workload, as in the paper.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .events import (
     OVERHEAD_CUDA_INTERCEPTION,
     OVERHEAD_CUPTI,
     OVERHEAD_PYPROF,
-    EventTrace,
-    OverheadMarker,
 )
 
 
@@ -45,7 +42,7 @@ class CalibrationRun:
     """Outcome of one workload execution under a particular profiler config."""
 
     total_time_us: float
-    trace: Optional[EventTrace] = None
+    trace: Optional[ColumnarTrace] = None
 
 
 #: A workload runner: executes the workload under ``config`` and reports the outcome.
@@ -62,10 +59,6 @@ class CalibrationResult:
     cupti_per_api_us: Dict[str, float] = field(default_factory=dict)
     details: Dict[str, float] = field(default_factory=dict)
 
-    def overhead_for_marker(self, marker: OverheadMarker) -> float:
-        """Estimated duration of the book-keeping behind one overhead marker."""
-        return self.overhead_for(marker.kind, marker.api_name)
-
     def overhead_for(self, kind: str, api_name: Optional[str] = None) -> float:
         """Estimated duration of one ``kind`` book-keeping (CUPTI: of ``api_name``)."""
         if kind == OVERHEAD_PYPROF:
@@ -80,8 +73,8 @@ class CalibrationResult:
             return self.details.get("cupti_default_us", 0.0)
         raise ValueError(f"unknown overhead marker kind: {kind!r}")
 
-    def marker_overheads_us(self, trace: Union[EventTrace, ColumnarTrace, TraceColumns]) -> np.ndarray:
-        """:meth:`overhead_for_marker` of every marker of ``trace``, in marker order.
+    def marker_overheads_us(self, trace: Union[ColumnarTrace, TraceColumns]) -> np.ndarray:
+        """:meth:`overhead_for` of every marker of ``trace``, in marker order.
 
         Evaluated once per distinct ``(kind, api_name)``, in first-occurrence
         order, so an unknown kind raises for the first marker that has it.
@@ -98,13 +91,13 @@ class CalibrationResult:
                 columns.strings[kind], None if api == 0 else columns.strings[api - 1])
         return values
 
-    def total_overhead_us(self, trace: Union[EventTrace, ColumnarTrace]) -> float:
+    def total_overhead_us(self, trace: ColumnarTrace) -> float:
         """Total estimated book-keeping time contained in ``trace``."""
         # The builtin sum over the values in marker order: the same sum, float
-        # for float, as summing overhead_for_marker over the markers.
+        # for float, as summing overhead_for over the markers one by one.
         return sum(self.marker_overheads_us(trace).tolist())
 
-    def overhead_by_kind_us(self, trace: Union[EventTrace, ColumnarTrace]) -> Dict[str, float]:
+    def overhead_by_kind_us(self, trace: ColumnarTrace) -> Dict[str, float]:
         columns = trace_columns(trace)
         values = self.marker_overheads_us(columns)
         return {columns.strings[kind]: sequential_sum(values[positions])
@@ -123,24 +116,23 @@ class CalibrationResult:
         )
 
 
-def _marker_count(trace: Optional[EventTrace], kind: str) -> int:
+def _marker_count(trace: Optional[ColumnarTrace], kind: str) -> int:
     if trace is None:
         return 0
-    return sum(1 for marker in trace.markers if marker.kind == kind)
+    columns = trace.columns
+    return int(np.count_nonzero(columns.markers.kind == columns.id_of(kind)))
 
 
-def _mean_api_durations(trace: Optional[EventTrace]) -> Dict[str, float]:
+def _mean_api_durations(trace: Optional[ColumnarTrace]) -> Dict[str, float]:
     """Average CPU duration of each CUDA API call in the trace."""
     if trace is None:
         return {}
-    totals: Dict[str, float] = defaultdict(float)
-    counts: Dict[str, int] = defaultdict(int)
-    for event in trace.events:
-        if event.category != CATEGORY_CUDA_API:
-            continue
-        totals[event.name] += event.duration_us
-        counts[event.name] += 1
-    return {name: totals[name] / counts[name] for name in totals}
+    columns = trace.columns
+    events = columns.events
+    calls = np.flatnonzero(events.label == columns.id_of(CATEGORY_CUDA_API))
+    durations = events.end[calls] - events.start[calls]
+    return {columns.strings[name]: sequential_sum(durations[positions]) / len(positions)
+            for name, positions in groups_first_seen(events.name[calls])}
 
 
 def delta_calibrate(

@@ -19,7 +19,15 @@ def _framework_by_label(label: str) -> FrameworkSpec:
     for spec in TABLE1:
         if spec.label.lower() == label.lower() or spec.key == label:
             return spec
-    raise SystemExit(f"unknown framework {label!r}; choose from {[s.label for s in TABLE1]}")
+    raise argparse.ArgumentTypeError(
+        f"unknown framework {label!r}; choose from {[s.label for s in TABLE1]}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,9 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--algo", default="PPO2", help="RL algorithm (DQN/DDPG/TD3/SAC/A2C/PPO2)")
     parser.add_argument("--simulator", default="Walker2D", help="simulator name (see repro.sim.available_simulators)")
-    parser.add_argument("--framework", default=STABLE_BASELINES.label,
+    parser.add_argument("--framework", default=STABLE_BASELINES.label, type=_framework_by_label,
                         help="framework configuration label from Table 1")
-    parser.add_argument("--steps", type=int, default=200, help="number of simulator steps to train for")
+    parser.add_argument("--steps", type=_positive_int, default=200,
+                        help="number of simulator steps to train for")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace-dir", default=None, help="directory to store RL-Scope trace files")
     parser.add_argument("--streaming", action="store_true",
@@ -42,8 +51,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parsed arguments; bad input is a usage error (exit 2) before anything runs."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    from ..rl import ALGORITHMS
+    from ..sim import available_simulators
+
+    if args.algo.upper() not in ALGORITHMS:
+        parser.error(f"argument --algo: unknown algorithm {args.algo!r}; "
+                     f"choose from {sorted(ALGORITHMS)}")
+    if args.simulator not in available_simulators():
+        parser.error(f"argument --simulator: unknown simulator {args.simulator!r}; "
+                     f"choose from {available_simulators()}")
+    if args.streaming and not args.trace_dir:
+        parser.error("argument --streaming: requires --trace-dir")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse(argv)
     # Imports are deferred so `rls-prof --help` stays fast.
     from ..experiments.common import WorkloadSpec, run_workload
     from ..profiler.api import ProfilerConfig
@@ -52,12 +79,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = WorkloadSpec(
         algo=args.algo.upper(),
         simulator=args.simulator,
-        framework=_framework_by_label(args.framework),
+        framework=args.framework,
         total_timesteps=args.steps,
         seed=args.seed,
     )
-    if args.streaming and not args.trace_dir:
-        raise SystemExit("--streaming requires --trace-dir")
     profiler_config = ProfilerConfig.uninstrumented() if args.uninstrumented else ProfilerConfig.full()
     run = run_workload(spec, profiler_config=profiler_config,
                        use_ground_truth_calibration=not args.no_correction,

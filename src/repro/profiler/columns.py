@@ -4,15 +4,16 @@ A :class:`TraceColumns` holds a trace's stack events, operations and
 overhead markers as NumPy columns over one string table: every category,
 name, worker, marker kind and CUPTI API name is an integer id into
 ``strings``.  The overlap sweep (:mod:`repro.profiler.overlap`), the
-overhead correction (:mod:`repro.profiler.correction`) and the transition
-counts (:mod:`repro.profiler.analysis`) all run on these columns, whatever
-the trace came from:
+overhead correction (:mod:`repro.profiler.correction`), the calibration
+counts and the transition counts (:mod:`repro.profiler.analysis`) all run
+on these columns, and only on them.  Every trace is a
+:class:`ColumnarTrace`, the columns plus the worker metadata, whatever it
+came from:
 
-* a store's ``.tdbc`` chunks decode straight into columns
-  (:meth:`repro.tracedb.TraceDB.columnar_trace`), and no record object is
-  built unless a caller asks for one (:class:`ColumnarTrace`);
-* an in-memory :class:`~repro.profiler.events.EventTrace` is turned into
-  the same columns on demand (:func:`trace_columns`), one part at a time.
+* the profiler's in-memory trace is its row sink's buffer read back as
+  columns (:meth:`repro.tracedb.ShardWriter.columnar_trace`);
+* a store's ``.tdbc`` chunks decode straight into the same columns
+  (:meth:`repro.tracedb.TraceDB.columnar_trace`).
 
 Every float reduction over the columns keeps the sequential order of the
 per-record loops it replaced: values are grouped by key in first-occurrence
@@ -23,13 +24,9 @@ with a pairwise :func:`numpy.sum`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
-from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from .events import EventTrace
 
 #: Id of an absent string (an overhead marker without a CUPTI API name, or
 #: a time no operation covers).
@@ -38,9 +35,10 @@ NO_ID = -1
 
 class IntervalColumns(NamedTuple):
     """Intervals as columns: ``label`` is the category id of a stack event
-    or the name id of an operation."""
+    or the name id of an operation (``name`` again, for an operation)."""
 
     label: np.ndarray   #: int64 string ids
+    name: np.ndarray    #: int64 string ids
     worker: np.ndarray  #: int64 string ids
     start: np.ndarray   #: float64 ``start_us``
     end: np.ndarray     #: float64 ``end_us``
@@ -59,24 +57,15 @@ class MarkerColumns(NamedTuple):
 
 
 class TraceColumns:
-    """A trace's records as columns over one string table.
+    """A trace's records as columns over one string table."""
 
-    Built from a store's chunks with every part present, or from an
-    :class:`EventTrace` (``source``), in which case each part is built from
-    the objects the first time it is read.
-    """
-
-    def __init__(self, strings: Sequence[str] = (), *,
-                 events: Optional[IntervalColumns] = None,
-                 operations: Optional[IntervalColumns] = None,
-                 markers: Optional[MarkerColumns] = None,
-                 source: Optional[EventTrace] = None) -> None:
+    def __init__(self, strings: Sequence[str], *, events: IntervalColumns,
+                 operations: IntervalColumns, markers: MarkerColumns) -> None:
         self.strings: List[str] = list(strings)
         self._ids: Dict[str, int] = {value: index for index, value in enumerate(self.strings)}
-        self._events = events
-        self._operations = operations
-        self._markers = markers
-        self._source = source
+        self.events = events
+        self.operations = operations
+        self.markers = markers
 
     # ------------------------------------------------------------ strings
     def intern(self, values: Sequence[Optional[str]]) -> np.ndarray:
@@ -93,44 +82,6 @@ class TraceColumns:
         """Id of ``value``, or :data:`NO_ID` when the trace never mentions it."""
         return self._ids.get(value, NO_ID)
 
-    # -------------------------------------------------------------- parts
-    @property
-    def events(self) -> IntervalColumns:
-        if self._events is None:
-            self._events = self._intervals(self._source.events, "category")
-        return self._events
-
-    @property
-    def operations(self) -> IntervalColumns:
-        if self._operations is None:
-            self._operations = self._intervals(self._source.operations, "name")
-        return self._operations
-
-    @property
-    def markers(self) -> MarkerColumns:
-        if self._markers is None:
-            markers = list(self._source.markers)
-            self._markers = MarkerColumns(
-                self.intern(list(map(attrgetter("kind"), markers))),
-                self.intern(list(map(attrgetter("api_name"), markers))),
-                self.intern(list(map(attrgetter("worker"), markers))),
-                np.array(list(map(attrgetter("time_us"), markers)), dtype=np.float64),
-            )
-        return self._markers
-
-    def _intervals(self, records: Sequence, label: str) -> IntervalColumns:
-        records = list(records)
-
-        def column(name: str) -> list:
-            return list(map(attrgetter(name), records))
-
-        return IntervalColumns(
-            self.intern(column(label)),
-            self.intern(column("worker")),
-            np.array(column("start_us"), dtype=np.float64),
-            np.array(column("end_us"), dtype=np.float64),
-        )
-
     # ------------------------------------------------------------ queries
     def workers(self) -> List[str]:
         """Sorted names of every worker with an event or operation."""
@@ -146,18 +97,18 @@ class TraceColumns:
     @classmethod
     def empty(cls) -> "TraceColumns":
         ids, times = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        return cls(events=IntervalColumns(ids, ids, times, times),
-                   operations=IntervalColumns(ids, ids, times, times),
+        return cls((), events=IntervalColumns(ids, ids, ids, times, times),
+                   operations=IntervalColumns(ids, ids, ids, times, times),
                    markers=MarkerColumns(ids, ids, ids, times))
 
     @classmethod
     def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
-        """One table over ``parts`` in order (e.g. a store's chunks)."""
+        """One table over ``parts`` in order (e.g. a store's chunks or workers)."""
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
-        out = cls()
+        out = cls.empty()
         # Each part's ids map into the joint table; the trailing NO_ID maps
         # a part's NO_ID (index -1) to NO_ID.
         remaps = [np.array(out.intern(part.strings).tolist() + [NO_ID], dtype=np.int64)
@@ -171,19 +122,15 @@ class TraceColumns:
                       for f in range(id_fields, len(kind._fields))]
             return kind(*ids, *floats)
 
-        out._events = join("events", 2, IntervalColumns)
-        out._operations = join("operations", 2, IntervalColumns)
-        out._markers = join("markers", 3, MarkerColumns)
+        out.events = join("events", 3, IntervalColumns)
+        out.operations = join("operations", 3, IntervalColumns)
+        out.markers = join("markers", 3, MarkerColumns)
         return out
 
 
-def trace_columns(trace: Union[EventTrace, "ColumnarTrace", TraceColumns]) -> TraceColumns:
-    """The columns of ``trace``: a store trace's own, else built from its objects."""
-    if isinstance(trace, TraceColumns):
-        return trace
-    if isinstance(trace, ColumnarTrace):
-        return trace.columns
-    return TraceColumns(source=trace)
+def trace_columns(trace: Union["ColumnarTrace", TraceColumns]) -> TraceColumns:
+    """The columns of ``trace`` (a :class:`ColumnarTrace`, or columns already)."""
+    return trace if isinstance(trace, TraceColumns) else trace.columns
 
 
 # --------------------------------------------------------------- reductions
@@ -209,72 +156,31 @@ def sequential_sum(values: np.ndarray, seed: float = 0.0) -> float:
     return float(np.add.accumulate(np.concatenate(([seed], values)))[-1])
 
 
-# ------------------------------------------------------------- store trace
-class _Loader:
-    """Builds the :class:`EventTrace` on first call and keeps it.
-
-    The records sequences share this cell instead of pointing back at their
-    :class:`ColumnarTrace`, so a dropped trace is freed at once rather than
-    at the next cycle collection.
-    """
-
-    def __init__(self, load: Callable[[], EventTrace]) -> None:
-        self._load = load
-        self._trace: Optional[EventTrace] = None
-
-    def __call__(self) -> EventTrace:
-        if self._trace is None:
-            self._trace = self._load()
-        return self._trace
-
-
-class _LazyRecords(SequenceABC):
-    """One record list of a :class:`ColumnarTrace`: ``len()`` from the
-    columns, items from the objects built on first access."""
-
-    def __init__(self, loader: _Loader, field: str, length: int) -> None:
-        self._loader = loader
-        self._field = field
-        self._length = length
-
-    def _records(self) -> list:
-        return getattr(self._loader(), self._field)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        return self._records()[index]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._records())
-
-
+# -------------------------------------------------------------------- trace
 class ColumnarTrace:
-    """A trace read from a store: column arrays now, record objects on demand.
+    """A trace: its records as :class:`TraceColumns` plus the worker metadata.
 
-    ``events``, ``operations`` and ``markers`` are sequences whose ``len()``
-    costs nothing; the first item access builds every record object once
-    (``load`` returns the :class:`EventTrace`).  ``metadata`` is the merged
-    worker metadata, shared with the loaded trace.  Analysis functions read
-    :attr:`columns` instead of the objects.
+    ``events``, ``operations`` and ``markers`` are the record indices of
+    each part, so their ``len()`` is the record count.  Plain arrays and
+    dicts, so a trace pickles (a shard process sends its workers' traces to
+    the parent this way).
     """
 
-    def __init__(self, columns: TraceColumns, metadata: Dict[str, object],
-                 load: Callable[[], EventTrace]) -> None:
+    def __init__(self, columns: TraceColumns, metadata: Dict[str, object]) -> None:
         self.columns = columns
         self.metadata = metadata
-        self._loader = loader = _Loader(load)
-        self.events = _LazyRecords(loader, "events", len(columns.events.start))
-        self.operations = _LazyRecords(loader, "operations", len(columns.operations.start))
-        self.markers = _LazyRecords(loader, "markers", len(columns.markers.time))
 
-    def to_event_trace(self) -> EventTrace:
-        """The records as objects, built on first call."""
-        return self._loader()
+    @property
+    def events(self) -> range:
+        return range(len(self.columns.events.start))
 
-    def workers(self) -> List[str]:
-        return self.columns.workers()
+    @property
+    def operations(self) -> range:
+        return range(len(self.columns.operations.start))
+
+    @property
+    def markers(self) -> range:
+        return range(len(self.columns.markers.time))
 
     def span_us(self) -> float:
         return self.columns.span_us()

@@ -19,7 +19,7 @@ loop this replaced is kept as the test oracle
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +33,8 @@ from .columns import (
     sequential_sum,
     trace_columns,
 )
-from .events import OVERHEAD_CATEGORY, Event, EventTrace
+from .events import OVERHEAD_CATEGORY
 from .overlap import UNTRACKED, OverlapResult
-
-Trace = Union[EventTrace, ColumnarTrace]
 
 
 class OperationLocator:
@@ -53,19 +51,8 @@ class OperationLocator:
     from the answer in the open segment that follows it; both are stored.
     """
 
-    def __init__(self, operations: Sequence[Event]) -> None:
-        columns = TraceColumns(source=EventTrace(operations=list(operations)))
-        self._index(columns.strings, columns.operations)
-
-    @classmethod
-    def from_columns(cls, strings: Sequence[str],
-                     operations: IntervalColumns) -> "OperationLocator":
+    def __init__(self, strings: Sequence[str], operations: IntervalColumns) -> None:
         """A locator over one worker's operation columns (names index ``strings``)."""
-        locator = cls.__new__(cls)
-        locator._index(strings, operations)
-        return locator
-
-    def _index(self, strings: Sequence[str], operations: IntervalColumns) -> None:
         self._strings = strings
         points = np.unique(np.concatenate((operations.start, operations.end)))
         self._points = points
@@ -114,15 +101,14 @@ def locate_operations(columns: TraceColumns, workers: np.ndarray,
     out = np.full(times.size, untracked, dtype=np.int64)
     for worker, positions in groups_first_seen(workers):
         if worker in by_worker:
-            locator = OperationLocator.from_columns(
-                columns.strings, operations.take(by_worker[worker]))
+            locator = OperationLocator(columns.strings, operations.take(by_worker[worker]))
             names = locator.locate_ids(times[positions])
             out[positions] = np.where(names == NO_ID, untracked, names)
     return out
 
 
 def overhead_by_operation_category(
-    trace: Trace,
+    trace: ColumnarTrace,
     calibration: CalibrationResult,
 ) -> Dict[Tuple[str, str], float]:
     """Estimated book-keeping time per (operation, category) bucket.
@@ -176,7 +162,7 @@ def corrected_category_breakdown(
     return corrected
 
 
-def trace_total_us(trace: Trace) -> float:
+def trace_total_us(trace: ColumnarTrace) -> float:
     """The trace's recorded ``total_time_us``, else its span (scanned only then)."""
     metadata = trace.metadata
     if "total_time_us" in metadata:
@@ -184,14 +170,14 @@ def trace_total_us(trace: Trace) -> float:
     return float(trace.span_us())
 
 
-def corrected_total_us(trace: Trace, calibration: CalibrationResult, *, total_us: Optional[float] = None) -> float:
+def corrected_total_us(trace: ColumnarTrace, calibration: CalibrationResult, *, total_us: Optional[float] = None) -> float:
     """Corrected total training time: instrumented total minus estimated overhead."""
     if total_us is None:
         total_us = trace_total_us(trace)
     return max(total_us - calibration.total_overhead_us(trace), 0.0)
 
 
-def corrected_overlap_total_us(overlap: OverlapResult, trace: Trace, calibration: CalibrationResult) -> float:
+def corrected_overlap_total_us(overlap: OverlapResult, trace: ColumnarTrace, calibration: CalibrationResult) -> float:
     """Corrected total of the overlap regions (tracked time only)."""
     overheads = overhead_by_operation_category(trace, calibration)
     tracked_overhead = sum(v for (op, _), v in overheads.items() if op != UNTRACKED)

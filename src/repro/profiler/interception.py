@@ -10,10 +10,9 @@ tool:
 * :class:`CudaInterceptionHook` — the ``librlscope.so`` CUPTI-callback hook
   that records CUDA API calls.
 
-Each hook records events into the owning profiler's trace and, because
-book-keeping is not free, injects its own overhead into the virtual clock
-while leaving an :class:`~repro.profiler.events.OverheadMarker` behind for
-offline correction.
+Each hook records events as field rows into the owning profiler's sink and,
+because book-keeping is not free, injects its own overhead into the virtual
+clock while leaving an overhead marker row behind for offline correction.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from .events import (
     OVERHEAD_CUDA_INTERCEPTION,
     OVERHEAD_CUPTI,
     OVERHEAD_PYPROF,
-    Event,
-    OverheadMarker,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,14 +44,7 @@ class BackendInterception(BoundaryListener):
         self._span_names: List[str] = []
 
     def _inject_overhead(self) -> None:
-        profiler = self.profiler
-        profiler.record_marker(OverheadMarker(
-            kind=OVERHEAD_PYPROF,
-            time_us=profiler.system.clock.now_us,
-            worker=profiler.worker,
-            phase=profiler.phase,
-        ))
-        profiler.system.clock.advance(profiler.system.cost_model.interception_overhead("pyprof"))
+        self.profiler.inject_overhead(OVERHEAD_PYPROF, "pyprof")
 
     def enter(self, engine: BackendEngine, call_name: str) -> None:
         # Wrapper book-keeping runs in Python before crossing into C.
@@ -68,11 +58,7 @@ class BackendInterception(BoundaryListener):
         end = profiler.system.clock.now_us
         start = self._span_starts.pop() if self._span_starts else end
         name = self._span_names.pop() if self._span_names else call_name
-        profiler.record_event(Event(
-            category=self.category, name=name,
-            start_us=start, end_us=end,
-            worker=profiler.worker, phase=profiler.phase,
-        ))
+        profiler.record_event(self.category, name, start, end)
         profiler.on_c_exit()
         # Wrapper book-keeping on the way back to Python.
         self._inject_overhead()
@@ -89,7 +75,7 @@ class CudaInterceptionHook:
 
     Each intercepted call becomes one CUDA-API event plus its interception
     marker and, while CUPTI is enabled, its CUPTI marker, written with one
-    :meth:`~repro.profiler.events.EventTrace.add_api_call`.
+    :meth:`~repro.tracedb.writer.ShardWriter.add_api_call`.
     """
 
     _HOOK_ONLY = (OVERHEAD_CUDA_INTERCEPTION,)
@@ -112,5 +98,5 @@ class CudaInterceptionHook:
         profiler = self.profiler
         if worker != profiler.worker:
             return
-        profiler.trace.add_api_call(api_name, start_us, end_us, worker, profiler.phase,
+        profiler.sink.add_api_call(api_name, start_us, end_us, worker, profiler.phase,
                                     self._WITH_CUPTI if self._cupti.enabled else self._HOOK_ONLY)

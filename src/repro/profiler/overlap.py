@@ -12,9 +12,8 @@ and sums the region durations per ``(operation, category-set)`` key.  All of
 the paper's breakdowns (Figures 4, 5, 7, 8) are reductions of this map.
 
 The walk is one vectorized numpy sweep per worker over the trace's column
-arrays (:mod:`repro.profiler.columns`): a store's trace is swept straight
-from its decoded ``.tdbc`` columns, an in-memory trace is turned into the
-same columns first.  The per-boundary Python loop the sweep replaced is
+arrays (:mod:`repro.profiler.columns`), the same for a store's decoded
+``.tdbc`` columns and for the profiler's in-memory trace.  The per-boundary Python loop the sweep replaced is
 kept as a test oracle (``tests/oracles/overlap_loop.py``) and pinned
 byte-identical to it, region order and float bits included.
 """
@@ -30,6 +29,7 @@ import numpy as np
 from .columns import (
     ColumnarTrace,
     IntervalColumns,
+    TraceColumns,
     groups_first_seen,
     sequential_sum,
     trace_columns,
@@ -39,7 +39,6 @@ from .events import (
     CATEGORY_OPERATION,
     CPU_CATEGORIES,
     CPU_CATEGORY_PRIORITY,
-    EventTrace,
 )
 
 #: Key of one overlap bucket: (operation name, active category set).
@@ -168,7 +167,7 @@ class OverlapResult:
 
 
 def compute_overlap(
-    trace: Union[EventTrace, ColumnarTrace],
+    trace: Union[ColumnarTrace, TraceColumns],
     *,
     workers: Optional[Iterable[str]] = None,
 ) -> OverlapResult:
@@ -176,9 +175,8 @@ def compute_overlap(
 
     When ``workers`` is given, each worker's events are processed against its
     own operations and the region durations are summed (per-process critical
-    paths, as in the multi-process Minigo view).  A store trace
-    (:class:`~repro.profiler.columns.ColumnarTrace`) is swept from its column
-    arrays; an :class:`EventTrace` is first turned into the same columns.
+    paths, as in the multi-process Minigo view).  The sweep runs on the
+    trace's column arrays.
     """
     columns = trace_columns(trace)
     if workers is None:

@@ -37,7 +37,7 @@ from ..backend.tensor import Parameter, Tensor
 from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..profiler.api import Profiler, ProfilerConfig
-from ..profiler.events import EventTrace
+from ..profiler.columns import ColumnarTrace
 from ..sim import registry
 from ..system import System
 from .driver import StepwiseDriver
@@ -123,7 +123,7 @@ class WorkerRun:
 
     worker: str
     result: Any
-    trace: Optional[EventTrace]
+    trace: Optional[ColumnarTrace]
     total_time_us: float
     system: Optional[System] = field(repr=False, default=None)
 
@@ -463,15 +463,13 @@ class WorkerPool:
 
     def _finish_worker(self, worker, profiler: Optional[Profiler], result) -> WorkerRun:
         """One worker's run record; ``worker`` is anything carrying its ``system``."""
+        # A streaming profiler's finalize returns None: the trace is in the store.
         trace = profiler.finalize() if profiler is not None else None
-        if self.streaming:
-            # The trace lives in the store's shard; keep runs lightweight.
-            trace = None
         return WorkerRun(worker=worker.system.worker, result=result, trace=trace,
                          total_time_us=worker.system.clock.now_us, system=worker.system)
 
     # ------------------------------------------------------------- reporting
-    def traces(self) -> Dict[str, EventTrace]:
+    def traces(self) -> Dict[str, ColumnarTrace]:
         return {run.worker: run.trace for run in self.runs if run.trace is not None}
 
     def collection_span_us(self) -> float:

@@ -17,7 +17,7 @@ of that pipeline:
   phases, categories and record counts, so queries can skip whole shards.
 * :class:`TraceDB` — the query/aggregation engine: lazy chunk loading with
   an LRU cache, filtered scans (worker / phase / category / time window)
-  and whole-store materialisation.
+  and whole-store column reads.
 * :func:`parallel_overlap` / :func:`map_shards` — map-reduce analysis:
   per-shard :func:`~repro.profiler.overlap.compute_overlap` fanned out via
   :mod:`concurrent.futures`, reduced with
@@ -27,10 +27,11 @@ of that pipeline:
 * ``repro-trace`` (:mod:`repro.tracedb.cli`) — ``summarize`` / ``query`` /
   ``compact`` commands over a store directory.
 
-This package is the profiler's only trace store: a non-streaming
-:class:`~repro.profiler.api.Profiler` with a ``trace_dir`` writes its
-in-memory trace through :meth:`StreamingTraceWriter.write_trace` at
-finalize.  It reads ``tracedb-v2`` stores, the only format it writes.
+This package is the profiler's only trace sink: every
+:class:`~repro.profiler.api.Profiler` writes its records as field rows into
+a :class:`ShardWriter`, which keeps them in memory, writes them into a store
+at finalize, or streams them during the run.  It reads ``tracedb-v2``
+stores, the only format it writes.
 """
 
 from .format import (
@@ -40,7 +41,7 @@ from .format import (
     ChunkMeta,
     ChunkPayload,
 )
-from .writer import ShardWriter, SpillingEventTrace, StreamingTraceWriter
+from .writer import ShardWriter, StreamingTraceWriter
 from .store import TraceDB
 from .mapreduce import map_shards, parallel_overlap, parallel_worker_summaries
 
@@ -51,7 +52,6 @@ __all__ = [
     "ChunkMeta",
     "ChunkPayload",
     "ShardWriter",
-    "SpillingEventTrace",
     "StreamingTraceWriter",
     "TraceDB",
     "map_shards",

@@ -111,7 +111,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_compact(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .format import DEFAULT_CHUNK_EVENTS
+    from .format import DEFAULT_CHUNK_EVENTS, interval_row, marker_row
     from .store import TraceDB
     from .writer import StreamingTraceWriter
 
@@ -127,7 +127,13 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         # Stream one input chunk at a time so compaction stays bounded-memory.
         for meta in db.chunks(worker):
             in_chunks += 1
-            shard.add_records(db.chunk_payload(meta))
+            payload = db.chunk_payload(meta)
+            for event in payload.events:
+                shard.add_event(interval_row(event))
+            for operation in payload.operations:
+                shard.add_operation(interval_row(operation))
+            for marker in payload.markers:
+                shard.add_marker(marker_row(marker))
         writer.close_shard(worker, metadata=db.metadata(worker))
     writer.close()
     out_db = TraceDB(args.out)

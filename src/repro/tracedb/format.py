@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,17 +181,6 @@ class ChunkBuffer:
         self.event_metadata: List[Tuple[int, Mapping[str, object]]] = []
         self.operation_metadata: List[Tuple[int, Mapping[str, object]]] = []
 
-    @classmethod
-    def from_payload(cls, payload: "ChunkPayload") -> "ChunkBuffer":
-        buffer = cls()
-        for event in payload.events:
-            buffer.add_event(interval_row(event))
-        for operation in payload.operations:
-            buffer.add_operation(interval_row(operation))
-        for marker in payload.markers:
-            buffer.add_marker(marker_row(marker))
-        return buffer
-
     # ------------------------------------------------------------------- add
     def add_event(self, row: IntervalRow) -> None:
         self._add_interval(row, self.events, self.event_times, self.event_metadata)
@@ -235,6 +224,25 @@ class ChunkBuffer:
             self.markers.extend((intern[kind], name_id, worker_id, phase_id))
             self.marker_times.append(end_us)
 
+    def cut(self, start: int, stop: int) -> "ChunkBuffer":
+        """Records ``start:stop`` of every event, then every operation, then
+        every marker, as a buffer sharing this one's string ids."""
+        num_events = len(self.event_times) // 2
+        num_intervals = num_events + len(self.operation_times) // 2
+        e0, e1 = _clip(start, stop, 0, num_events)
+        o0, o1 = _clip(start, stop, num_events, num_intervals)
+        m0, m1 = _clip(start, stop, num_intervals, num_intervals + len(self.marker_times))
+        part = ChunkBuffer()
+        part.ids = self.ids
+        part.events, part.event_times = self.events[4 * e0:4 * e1], self.event_times[2 * e0:2 * e1]
+        part.operations = self.operations[4 * o0:4 * o1]
+        part.operation_times = self.operation_times[2 * o0:2 * o1]
+        part.markers, part.marker_times = self.markers[4 * m0:4 * m1], self.marker_times[m0:m1]
+        part.event_metadata = [(i - e0, meta) for i, meta in self.event_metadata if e0 <= i < e1]
+        part.operation_metadata = [(i - o0, meta) for i, meta in self.operation_metadata
+                                   if o0 <= i < o1]
+        return part
+
     # --------------------------------------------------------------- columns
     def columns(self) -> "ChunkColumns":
         """The buffered records as ``.tdbc`` columns (see :class:`ChunkColumns`)."""
@@ -273,6 +281,11 @@ class ChunkBuffer:
         )
 
 
+def _clip(start: int, stop: int, lo: int, hi: int) -> Tuple[int, int]:
+    """``start:stop`` restricted to records ``lo:hi``, counted from ``lo``."""
+    return min(max(start, lo), hi) - lo, min(max(stop, lo), hi) - lo
+
+
 @dataclass
 class ChunkPayload:
     """Decoded contents of one chunk file."""
@@ -280,13 +293,6 @@ class ChunkPayload:
     events: List[Event] = field(default_factory=list)
     operations: List[Event] = field(default_factory=list)
     markers: List[OverheadMarker] = field(default_factory=list)
-
-    def columns(self) -> "ChunkColumns":
-        """The records as ``.tdbc`` columns."""
-        return ChunkBuffer.from_payload(self).columns()
-
-
-Chunk = Union[ChunkBuffer, ChunkPayload]
 
 
 # ------------------------------------------------------------------- chunks
@@ -419,34 +425,17 @@ class ChunkColumns:
         start, end = self.times
         return TraceColumns(
             self.strings,
-            events=IntervalColumns(ids[0, :split], ids[2, :split], start[:split], end[:split]),
-            operations=IntervalColumns(ids[1, split:], ids[2, split:], start[split:], end[split:]),
+            events=IntervalColumns(ids[0, :split], ids[1, :split], ids[2, :split],
+                                   start[:split], end[:split]),
+            operations=IntervalColumns(ids[1, split:], ids[1, split:], ids[2, split:],
+                                       start[split:], end[split:]),
             markers=MarkerColumns(kind, api, worker, self.marker_time),
         )
 
 
-def encode_chunk(chunk: Chunk) -> bytes:
-    """Encode one chunk's records as compressed columns (see the module docstring)."""
-    return chunk.columns().encode()
-
-
-def decode_columns(data: bytes) -> ChunkColumns:
-    """Decode bytes produced by :func:`encode_chunk` into columns."""
-    return ChunkColumns.from_bytes(zlib.decompress(data))
-
-
-def decode_chunk(data: bytes) -> ChunkPayload:
-    """Decode bytes produced by :func:`encode_chunk` into record objects."""
-    return decode_columns(data).payload()
-
-
-def write_chunk(path: Path, chunk: Chunk) -> None:
-    path.write_bytes(encode_chunk(chunk))
-
-
 def read_columns(path: Path) -> ChunkColumns:
     """Read one chunk file as columns."""
-    return decode_columns(path.read_bytes())
+    return ChunkColumns.from_bytes(zlib.decompress(path.read_bytes()))
 
 
 # -------------------------------------------------------------------- index

@@ -20,7 +20,7 @@ result is byte-identical to the single-pass result on the same store.
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, TypeVar, Union
 
 from ..profiler.overlap import OverlapResult, compute_overlap
@@ -41,6 +41,9 @@ def _as_db(source: Union[TraceDB, str]) -> TraceDB:
 
 def _make_executor(mode: str, max_workers: int) -> Executor:
     if mode == MODE_PROCESS:
+        # Imported on use: it loads multiprocessing, which an in-memory
+        # profiler (it imports this package for its row sink) never needs.
+        from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor(max_workers=max_workers)
     return ThreadPoolExecutor(max_workers=max_workers)
 
@@ -102,7 +105,7 @@ def parallel_overlap(
 ) -> OverlapResult:
     """Map-reduce overlap over a store: per-shard overlap, ordered merge.
 
-    Byte-identical to ``compute_overlap(db.to_event_trace())`` — see the
+    Byte-identical to ``compute_overlap(db.columnar_trace())`` — see the
     module docstring.
     """
     results = map_shards(source, shard_overlap, workers=workers,

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..profiler.columns import ColumnarTrace, TraceColumns
-from ..profiler.events import Event, EventTrace, OverheadMarker, merge_traces
+from ..profiler.events import Event, OverheadMarker
 from .format import ChunkColumns, ChunkMeta, ChunkPayload, read_columns, read_index
 
 CategoryFilter = Union[str, Sequence[str], None]
@@ -185,24 +185,15 @@ class TraceDB:
                         yield marker
 
     # --------------------------------------------------------- materialising
-    def read_worker(self, worker: str) -> EventTrace:
-        """Materialise one worker's full shard as an in-memory trace."""
-        entry = self._entry(worker)
-        trace = EventTrace(metadata=dict(entry.metadata))
-        for meta in entry.chunks:
-            payload = self._payload(meta)
-            trace.events.extend(payload.events)
-            trace.operations.extend(payload.operations)
-            trace.markers.extend(payload.markers)
-        return trace
+    def read_worker(self, worker: str) -> ColumnarTrace:
+        """One worker's full shard as a trace."""
+        return self.columnar_trace([worker])
 
     def columnar_trace(self, workers: Optional[Iterable[str]] = None) -> ColumnarTrace:
         """(A subset of) the store as one trace held in column arrays.
 
-        The same records, in the same order and with the same merged
-        metadata, as :meth:`to_event_trace`; the record objects are built
-        only when the returned trace's ``events`` / ``operations`` /
-        ``markers`` are read, from the chunks decoded here.
+        Workers in sorted order, each worker's chunks in order; the metadata
+        is every selected worker's, merged (the first worker's value wins).
         """
         names = sorted(workers) if workers is not None else self.workers()
         chunks = [self._columns(meta) for name in names for meta in self._entry(name).chunks]
@@ -210,26 +201,8 @@ class TraceDB:
         for name in names:
             for key, value in self._entry(name).metadata.items():
                 metadata.setdefault(key, value)
-
-        def load() -> EventTrace:
-            trace = EventTrace(metadata=metadata)
-            for chunk in chunks:
-                payload = chunk.payload()
-                trace.events.extend(payload.events)
-                trace.operations.extend(payload.operations)
-                trace.markers.extend(payload.markers)
-            return trace
-
-        columns = TraceColumns.concat([chunk.trace_columns() for chunk in chunks])
-        return ColumnarTrace(columns, metadata, load)
-
-    def read_all(self) -> Dict[str, EventTrace]:
-        return {worker: self.read_worker(worker) for worker in self.workers()}
-
-    def to_event_trace(self, workers: Optional[Iterable[str]] = None) -> EventTrace:
-        """Materialise (a subset of) the store as one merged trace."""
-        names = sorted(workers) if workers is not None else self.workers()
-        return merge_traces(self.read_worker(name) for name in names)
+        return ColumnarTrace(TraceColumns.concat([chunk.trace_columns() for chunk in chunks]),
+                             metadata)
 
     # ---------------------------------------------------------------- summary
     def summary(self) -> Dict[str, Dict[str, object]]:

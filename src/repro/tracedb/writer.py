@@ -1,27 +1,30 @@
-"""Streaming trace writing: bounded buffers, per-worker shards, one store.
+"""Trace writing: the profiler's per-worker row sink, shards and one store.
 
-The writer mirrors the paper's off-critical-path trace aggregation: the
-profiler appends records as they are produced; whenever a shard's buffer
-reaches ``chunk_events`` records it is flushed to a compressed columnar
-chunk file and the buffer is emptied, so at most one chunk of records is
-ever held in memory per worker.  Flushing performs only host-side I/O — it never touches
-the virtual clock, so streaming adds zero virtual time to the profiled
-workload.
+Every record the profiler makes goes into one :class:`ShardWriter` as a
+field row: an interval as ``(category, name, start_us, end_us, worker,
+phase, metadata)``, a marker as ``(kind, time_us, api_name, worker,
+phase)``, or, on the profiler's hot paths, one CUDA API call's fields
+(:meth:`ShardWriter.add_api_call`) or a batch of same-category events
+(:meth:`ShardWriter.add_events`).  A shard buffers columns, not record
+objects: a :class:`~repro.tracedb.format.ChunkBuffer` interns each row's
+strings as it arrives and keeps ids and times in flat lists, and the chunk
+encoder turns those into the ``.tdbc`` columns.  However records arrive,
+chunk boundaries fall after the same records as if each had been added on
+its own.
 
-A shard buffers columns, not record objects: a
-:class:`~repro.tracedb.format.ChunkBuffer` interns each record's strings as
-it arrives and keeps ids and times in flat lists, and the chunk encoder turns
-those into the ``.tdbc`` columns.  Records arrive as field rows — an
-interval as ``(category, name, start_us, end_us, worker, phase, metadata)``,
-a marker as ``(kind, time_us, api_name, worker, phase)`` — or, on the
-profiler's hot paths, as one CUDA API call's fields
-(:meth:`SpillingEventTrace.add_api_call`) or a batch of same-category
-events (:meth:`SpillingEventTrace.add_intervals`), so the profiler's
-per-CUDA-call records never become objects in streaming mode; records that
-arrive as :class:`~repro.profiler.events.Event` /
-:class:`~repro.profiler.events.OverheadMarker` objects are converted to rows
-on the way in.  However records arrive, chunk boundaries fall after the
-same records as if each had been added on its own.
+Only the flush policy differs between the profiler's three modes:
+
+* in memory (no store), the buffer is never flushed, and ``finalize`` reads
+  it back as columns (:meth:`ShardWriter.columnar_trace`);
+* dumped (a store, ``spill=False``), the whole buffer is written when the
+  shard closes, cut every ``chunk_events`` records: every event, then every
+  operation, then every marker;
+* streamed (``spill=True``), a chunk is written each time the buffer holds
+  ``chunk_events`` records, so at most one chunk is ever held in memory per
+  worker, mirroring the paper's off-critical-path trace aggregation.
+
+Writing performs only host-side I/O — it never touches the virtual clock,
+so a store adds zero virtual time to the profiled workload.
 
 Several profilers (e.g. the 16 Minigo self-play workers plus the trainer
 and evaluator) can share one :class:`StreamingTraceWriter`, each writing its
@@ -32,44 +35,54 @@ same directory (read-modify-write index merging).
 
 from __future__ import annotations
 
+import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..profiler.events import CATEGORY_CUDA_API, CATEGORY_OPERATION, Event, EventTrace, OverheadMarker
+from ..profiler.columns import ColumnarTrace
+from ..profiler.events import CATEGORY_CUDA_API
 from .format import (
     DEFAULT_CHUNK_EVENTS,
     ChunkBuffer,
     ChunkMeta,
-    ChunkPayload,
     IntervalRow,
     MarkerRow,
     WorkerEntry,
     chunk_filename,
-    interval_row,
-    marker_row,
     read_index,
     write_index,
 )
 
 
 class ShardWriter:
-    """One worker's shard: a bounded buffer flushed as compressed chunks."""
+    """One worker's shard: the profiler's row sink, a buffer written as chunks.
+
+    The flush policy is the only thing that differs between the profiler's
+    modes.  A spilling shard (``spill=True``) flushes a chunk each time its
+    buffer holds ``chunk_events`` records, so at most one chunk is ever
+    buffered; otherwise the buffer keeps every record until :meth:`flush` (at
+    :meth:`close`), which cuts them into ``chunk_events`` chunks, or is only
+    read back with :meth:`columnar_trace` (``directory=None``: no store).
+    """
 
     def __init__(
         self,
-        directory: Path,
+        directory: Optional[Union[str, Path]],
         worker: str,
         *,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
+        spill: bool = True,
         start_seq: int = 0,
         on_chunk: Optional[Callable[[ChunkMeta], None]] = None,
     ) -> None:
         if chunk_events <= 0:
             raise ValueError("chunk_events must be positive")
-        self.directory = Path(directory)
+        self.directory = None if directory is None else Path(directory)
         self.worker = worker
         self.chunk_events = chunk_events
+        self.spill = spill
+        self._flush_at = chunk_events if spill else sys.maxsize
         self.seq = start_seq
         self.chunks: List[ChunkMeta] = []
         self.closed = False
@@ -89,44 +102,25 @@ class ShardWriter:
     def buffered_records(self) -> int:
         return self._buffered
 
-    def add_event(self, event: Event) -> None:
-        self.add_event_row(interval_row(event))
-
-    def add_operation(self, operation: Event) -> None:
-        self.add_operation_row(interval_row(operation))
-
-    def add_marker(self, marker: OverheadMarker) -> None:
-        self.add_marker_row(marker_row(marker))
-
-    def add_records(self, records: Union[EventTrace, ChunkPayload]) -> None:
-        """Append every event, then every operation, then every marker."""
-        for event in records.events:
-            self.add_event(event)
-        for operation in records.operations:
-            self.add_operation(operation)
-        for marker in records.markers:
-            self.add_marker(marker)
-
-    # A closed shard rejects a row before touching the buffer or totals.
-    def add_event_row(self, row: IntervalRow) -> None:
-        if self.closed:
-            self._reject()
+    # A row is rejected (closed shard, or an interval ending before it
+    # starts) before it touches the buffer or the totals.
+    def add_event(self, row: IntervalRow) -> None:
+        self._check(row)
         self._buffer.add_event(row)
         self.total_events += 1
         if row[3] > self.max_end_us:
             self.max_end_us = row[3]
         self._after_add()
 
-    def add_operation_row(self, row: IntervalRow) -> None:
-        if self.closed:
-            self._reject()
+    def add_operation(self, row: IntervalRow) -> None:
+        self._check(row)
         self._buffer.add_operation(row)
         self.total_operations += 1
         if row[3] > self.max_end_us:
             self.max_end_us = row[3]
         self._after_add()
 
-    def add_marker_row(self, row: MarkerRow) -> None:
+    def add_marker(self, row: MarkerRow) -> None:
         if self.closed:
             self._reject()
         self._buffer.add_marker(row)
@@ -136,12 +130,12 @@ class ShardWriter:
     def add_events(self, category: str, intervals: Sequence[Tuple[str, float, float]],
                    worker: str, phase: str) -> None:
         """Append ``(name, start_us, end_us)`` stack events that share the other fields."""
-        if self.closed:
-            self._reject()
+        for name, start_us, end_us in intervals:
+            self._check((category, name, start_us, end_us, worker, phase, None))
         start = 0
         while start < len(intervals):
             # Room is at least one row: a full buffer is flushed on the add that fills it.
-            batch = intervals[start:start + self.chunk_events - self._buffered]
+            batch = intervals[start:start + self._flush_at - self._buffered]
             start += len(batch)
             self._buffer.add_events(category, batch, worker, phase)
             self.total_events += len(batch)
@@ -157,13 +151,13 @@ class ShardWriter:
         When a flush falls between the rows, they are appended one at a time,
         so chunk boundaries are those of separate adds.
         """
-        if self.closed:
-            self._reject()
+        row = (CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase, None)
+        self._check(row)
         count = 1 + len(marker_kinds)
-        if self._buffered + count > self.chunk_events:
-            self.add_event_row((CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase, None))
+        if self._buffered + count > self._flush_at:
+            self.add_event(row)
             for kind in marker_kinds:
-                self.add_marker_row((kind, end_us, api_name, worker, phase))
+                self.add_marker((kind, end_us, api_name, worker, phase))
             return
         self._buffer.add_api_call(CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase,
                                   marker_kinds)
@@ -173,6 +167,12 @@ class ShardWriter:
             self.max_end_us = end_us
         self._after_add(count)
 
+    def _check(self, row: IntervalRow) -> None:
+        if self.closed:
+            self._reject()
+        if row[3] < row[2]:
+            raise ValueError(f"event ends before it starts: {row}")
+
     def _reject(self) -> None:
         raise RuntimeError(f"shard for worker {self.worker!r} is closed")
 
@@ -180,22 +180,34 @@ class ShardWriter:
         self._buffered = buffered = self._buffered + count
         if buffered > self.peak_buffered:
             self.peak_buffered = buffered
-        if buffered >= self.chunk_events:
+        if buffered >= self._flush_at:
             self.flush()
 
+    # ------------------------------------------------------------------ read
+    def columnar_trace(self, metadata: Dict[str, object]) -> ColumnarTrace:
+        """The buffered records as an in-memory trace with ``metadata``."""
+        return ColumnarTrace(self._buffer.columns().trace_columns(), metadata)
+
     # ----------------------------------------------------------------- flush
-    def flush(self) -> Optional[ChunkMeta]:
-        """Write the buffered records as one chunk; no-op on an empty buffer."""
-        if self._buffered == 0:
-            return None
+    def flush(self) -> List[ChunkMeta]:
+        """Write the buffered records as chunks of at most ``chunk_events``
+        records: every event, then every operation, then every marker."""
+        buffer, total, size = self._buffer, self._buffered, self.chunk_events
+        if total == 0:
+            return []
+        parts = [buffer] if total <= size else [
+            buffer.cut(start, start + size) for start in range(0, total, size)]
+        self._buffer = ChunkBuffer()
+        self._buffered = 0
+        return [self._write(part) for part in parts]
+
+    def _write(self, buffer: ChunkBuffer) -> ChunkMeta:
         name = chunk_filename(self.worker, self.seq)
-        columns = self._buffer.columns()
+        columns = buffer.columns()
         (self.directory / name).write_bytes(columns.encode())
         meta = columns.meta(name, self.worker, self.seq)
         self.seq += 1
         self.chunks.append(meta)
-        self._buffer = ChunkBuffer()
-        self._buffered = 0
         if self._on_chunk is not None:
             self._on_chunk(meta)
         return meta
@@ -230,8 +242,11 @@ class StreamingTraceWriter:
         self._shard_peaks: Dict[str, int] = {}
 
     # ---------------------------------------------------------------- shards
-    def shard(self, worker: str) -> ShardWriter:
-        """The open shard for ``worker`` (created, or reopened after a close)."""
+    def shard(self, worker: str, *, spill: bool = True) -> ShardWriter:
+        """The open shard for ``worker`` (created, or reopened after a close).
+
+        ``spill`` is a new shard's flush policy (see :class:`ShardWriter`).
+        """
         if self.closed:
             raise RuntimeError("trace store writer is closed")
         existing = self._open_shards.get(worker)
@@ -242,20 +257,12 @@ class StreamingTraceWriter:
             self.directory,
             worker,
             chunk_events=self.chunk_events,
+            spill=spill,
             start_seq=self._next_seq.get(worker, 0),
             on_chunk=metas.append,
         )
         self._open_shards[worker] = shard
         return shard
-
-    def write_trace(self, worker: str, trace: EventTrace) -> None:
-        """Write an in-memory trace as ``worker``'s next chunks and index it.
-
-        The one path from a finished :class:`EventTrace` to a store; calling
-        it again for the same worker appends further chunks.
-        """
-        self.shard(worker).add_records(trace)
-        self.close_shard(worker, metadata=dict(trace.metadata))
 
     def set_metadata(self, worker: str, metadata: Dict[str, object]) -> None:
         self._metadata[worker] = dict(metadata)
@@ -317,73 +324,3 @@ class StreamingTraceWriter:
     def _note_peak(self, shard: ShardWriter) -> None:
         if shard.peak_buffered > self._shard_peaks.get(shard.worker, 0):
             self._shard_peaks[shard.worker] = shard.peak_buffered
-
-
-class SpillingEventTrace(EventTrace):
-    """An :class:`EventTrace` facade that spills records into a shard.
-
-    Used by the profiler in streaming mode: the in-memory lists stay empty —
-    every record goes straight into the shard's bounded buffer — while the
-    metadata dict behaves as usual and is persisted when the shard closes.
-    """
-
-    def __init__(self, shard: ShardWriter, *, metadata: Optional[Dict[str, object]] = None) -> None:
-        super().__init__(metadata=dict(metadata) if metadata else {})
-        self._shard = shard
-
-    def add_event(self, event: Event) -> None:
-        if event.end_us < event.start_us:
-            raise ValueError(f"event ends before it starts: {event}")
-        if event.category == CATEGORY_OPERATION:
-            self._shard.add_operation(event)
-        else:
-            self._shard.add_event(event)
-
-    def add_marker(self, marker: OverheadMarker) -> None:
-        self._shard.add_marker(marker)
-
-    def add_interval(self, category: str, name: str, start_us: float, end_us: float,
-                     worker: str, phase: str) -> None:
-        if end_us < start_us:
-            raise ValueError("event ends before it starts: "
-                             f"{Event(category, name, start_us, end_us, worker, phase)}")
-        row = (category, name, start_us, end_us, worker, phase, None)
-        if category == CATEGORY_OPERATION:
-            self._shard.add_operation_row(row)
-        else:
-            self._shard.add_event_row(row)
-
-    def add_marker_at(self, kind: str, time_us: float, api_name: Optional[str],
-                      worker: str, phase: str) -> None:
-        self._shard.add_marker_row((kind, time_us, api_name, worker, phase))
-
-    def add_api_call(self, api_name: str, start_us: float, end_us: float, worker: str,
-                     phase: str, marker_kinds: Sequence[str]) -> None:
-        if end_us < start_us:
-            raise ValueError("event ends before it starts: "
-                             f"{Event(CATEGORY_CUDA_API, api_name, start_us, end_us, worker, phase)}")
-        self._shard.add_api_call(api_name, start_us, end_us, worker, phase, marker_kinds)
-
-    def add_intervals(self, category: str, intervals: Iterable[Tuple[str, float, float]],
-                      worker: str, phase: str) -> None:
-        if category == CATEGORY_OPERATION:
-            super().add_intervals(category, intervals, worker, phase)
-            return
-        intervals = list(intervals)
-        for name, start_us, end_us in intervals:
-            if end_us < start_us:
-                raise ValueError("event ends before it starts: "
-                                 f"{Event(category, name, start_us, end_us, worker, phase)}")
-        self._shard.add_events(category, intervals, worker, phase)
-
-    # Counting queries reflect everything spilled so far; the record lists
-    # themselves are on disk — query them through :class:`~repro.tracedb.TraceDB`.
-    def total_events(self) -> int:
-        return self._shard.total_events + self._shard.total_operations
-
-    def span_us(self) -> float:
-        return self._shard.max_end_us
-
-    @property
-    def shard(self) -> ShardWriter:
-        return self._shard

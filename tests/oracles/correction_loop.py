@@ -30,10 +30,11 @@ from repro.profiler.events import (
     OVERHEAD_CUPTI,
     OVERHEAD_PYPROF,
     Event,
-    EventTrace,
     OverheadMarker,
 )
 from repro.profiler.overlap import UNTRACKED
+
+from .event_trace import EventTrace
 
 
 class OperationLocator:

@@ -19,8 +19,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List
 
-from repro.profiler.events import CATEGORY_OPERATION, Event, EventTrace
+from repro.profiler.events import CATEGORY_OPERATION, Event
 from repro.profiler.overlap import UNTRACKED, OverlapKey, OverlapResult
+
+from .event_trace import EventTrace
 
 
 def innermost_operation(active_ops: List[Event]) -> str:

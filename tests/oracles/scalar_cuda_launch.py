@@ -6,10 +6,12 @@ This is the simulated CUDA path as it was before it was batched:
   ``Generator.normal(0.0, jitter)`` call;
 * :class:`ScalarCudaRuntime` launches an op's kernels one
   ``launch_kernel`` call at a time;
-* :class:`ObjectProfiler` (with :class:`ObjectInterceptionHook`) records
+* :class:`ObjectProfiler` (with :class:`ObjectInterceptionHook`) builds
   every CUDA API event, overhead marker and GPU event as an
-  :class:`~repro.profiler.events.Event` / ``OverheadMarker`` object through
-  ``record_event`` / ``record_marker`` / ``add_event``.
+  :class:`~repro.profiler.events.Event` / ``OverheadMarker`` object and
+  writes it into the profiler's sink as one row at a time, instead of the
+  fused :meth:`~repro.tracedb.writer.ShardWriter.add_api_call` and
+  :meth:`~repro.tracedb.writer.ShardWriter.add_events`.
 
 Build a worker with :func:`scalar_system` instead of ``System.create`` and
 profile it with :class:`ObjectProfiler` instead of ``Profiler``: clocks,
@@ -34,11 +36,11 @@ from repro.profiler.events import (
     OVERHEAD_CUDA_INTERCEPTION,
     OVERHEAD_CUPTI,
     Event,
-    EventTrace,
     OverheadMarker,
 )
 from repro.profiler.interception import CudaInterceptionHook
 from repro.system import System
+from repro.tracedb.format import interval_row, marker_row
 
 
 class ScalarCostModel(CostModel):
@@ -113,24 +115,25 @@ class ObjectInterceptionHook(CudaInterceptionHook):
         profiler = self.profiler
         if record.worker != profiler.worker:
             return
-        profiler.record_event(Event(
+        sink = profiler.sink
+        sink.add_event(interval_row(Event(
             category=CATEGORY_CUDA_API, name=record.api_name,
             start_us=record.start_us, end_us=record.end_us,
             worker=profiler.worker, phase=profiler.phase,
-        ))
-        profiler.record_marker(OverheadMarker(
+        )))
+        sink.add_marker(marker_row(OverheadMarker(
             kind=OVERHEAD_CUDA_INTERCEPTION, time_us=record.end_us,
             api_name=record.api_name, worker=profiler.worker, phase=profiler.phase,
-        ))
+        )))
         if profiler.system.cuda.cupti.enabled:
-            profiler.record_marker(OverheadMarker(
+            sink.add_marker(marker_row(OverheadMarker(
                 kind=OVERHEAD_CUPTI, time_us=record.end_us,
                 api_name=record.api_name, worker=profiler.worker, phase=profiler.phase,
-            ))
+            )))
 
 
 class ObjectProfiler(Profiler):
-    """A profiler whose CUDA hook and ``finalize`` build one object per record."""
+    """A profiler whose CUDA hook and GPU activity write one object per record."""
 
     def attach(self, **kwargs) -> "ObjectProfiler":
         super().attach(**kwargs)
@@ -140,38 +143,21 @@ class ObjectProfiler(Profiler):
             self.system.cuda.add_hook(self._cuda_hook)
         return self
 
-    def finalize(self) -> EventTrace:
-        if self._finalized:
-            return self.trace
-        self._flush_python(self.system.clock.now_us)
-        if self.config.cupti:
-            cupti = self.system.cuda.cupti
-            for record in cupti.kernel_records:
-                if record.worker != self.worker:
-                    continue
-                self.trace.add_event(Event(
-                    category=CATEGORY_GPU, name=record.kernel_name,
-                    start_us=record.start_us, end_us=record.end_us,
-                    worker=self.worker, phase=self.phase,
-                ))
-            for record in cupti.memcpy_records:
-                if record.worker != self.worker:
-                    continue
-                self.trace.add_event(Event(
-                    category=CATEGORY_GPU, name=f"memcpy_{record.direction}",
-                    start_us=record.start_us, end_us=record.end_us,
-                    worker=self.worker, phase=self.phase,
-                ))
-        self.trace.metadata.setdefault("total_time_us", self.system.clock.now_us)
-        self.detach()
-        self._finalized = True
-        if self.streaming:
-            assert self._store is not None
-            self._store.close_shard(self.worker, metadata=dict(self.trace.metadata))
-            if self._owns_store:
-                self._store.close()
-        elif self.trace_dir is not None:
-            from repro.tracedb.writer import StreamingTraceWriter
-            StreamingTraceWriter(self.trace_dir, chunk_events=self._chunk_events).write_trace(
-                self.worker, self.trace)
-        return self.trace
+    def _record_gpu_activity(self) -> None:
+        cupti = self.system.cuda.cupti
+        for record in cupti.kernel_records:
+            if record.worker != self.worker:
+                continue
+            self.sink.add_event(interval_row(Event(
+                category=CATEGORY_GPU, name=record.kernel_name,
+                start_us=record.start_us, end_us=record.end_us,
+                worker=self.worker, phase=self.phase,
+            )))
+        for record in cupti.memcpy_records:
+            if record.worker != self.worker:
+                continue
+            self.sink.add_event(interval_row(Event(
+                category=CATEGORY_GPU, name=f"memcpy_{record.direction}",
+                start_us=record.start_us, end_us=record.end_us,
+                worker=self.worker, phase=self.phase,
+            )))

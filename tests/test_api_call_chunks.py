@@ -42,7 +42,7 @@ def _streamed(make_system, make_profiler, *, seed, profiler, chunk_events, ops, 
         else:
             getattr(system.cuda, name)(*args)
     prof.finalize()
-    shard = prof.trace.shard
+    shard = prof.sink
     return {
         "clock": system.clock.now_us,
         "totals": (shard.total_events, shard.total_operations, shard.total_markers),

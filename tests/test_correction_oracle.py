@@ -4,9 +4,10 @@ Overhead attribution, the total overhead, the transition counts and the
 overlap sweep run on column arrays (:mod:`repro.profiler.columns`).  The
 original loops over record objects are kept in
 ``tests/oracles/correction_loop.py`` and ``tests/oracles/overlap_loop.py``;
-on random traces both must give the same keys in the same order with the
-same float bits, for an in-memory trace and for the same records read back
-from a multi-chunk store by ``analyze_db``.
+on random traces (built as objects in ``tests/oracles/event_trace.py`` and
+passed through the profiler's sink into columns) both must give the same
+keys in the same order with the same float bits, for an in-memory trace and
+for the same records read back from a multi-chunk store by ``analyze_db``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from oracles.correction_loop import (
     total_overhead_loop,
     transition_counts_loop,
 )
+from oracles.event_trace import EventTrace, resolved
 from oracles.overlap_loop import compute_overlap_loop
 from repro.profiler import WorkloadAnalysis, analyze, analyze_db
 from repro.profiler.calibration import CalibrationResult
@@ -39,7 +41,6 @@ from repro.profiler.events import (
     CATEGORY_SIMULATOR,
     OVERHEAD_KINDS,
     Event,
-    EventTrace,
     OverheadMarker,
 )
 from repro.profiler.overlap import OverlapResult, compute_overlap
@@ -132,11 +133,10 @@ def _store(trace: EventTrace, directory) -> TraceDB:
     """The trace's records written per worker, in small chunks."""
     writer = StreamingTraceWriter(str(directory), chunk_events=7)
     for worker in _store_workers(trace):
-        shard = writer.shard(worker)
-        shard.add_records(EventTrace(
-            events=[e for e in trace.events if e.worker == worker],
-            operations=[op for op in trace.operations if op.worker == worker],
-            markers=[m for m in trace.markers if m.worker == worker]))
+        EventTrace(events=[e for e in trace.events if e.worker == worker],
+                   operations=[op for op in trace.operations if op.worker == worker],
+                   markers=[m for m in trace.markers if m.worker == worker]
+                   ).sink(writer.shard(worker))
         writer.close_shard(worker, metadata=dict(trace.metadata))
     writer.close()
     return TraceDB(str(directory))
@@ -153,7 +153,8 @@ def _reordered(trace: EventTrace) -> EventTrace:
 
 
 def _assert_matches_loops(trace, calibration, oracle_trace):
-    """Every column result on ``trace`` equals the loop on ``oracle_trace``."""
+    """Every column result on ``trace`` (a ColumnarTrace) equals the loop on
+    ``oracle_trace`` (an EventTrace)."""
     assert _items(overhead_by_operation_category(trace, calibration)) == \
         _items(overhead_by_operation_category_loop(oracle_trace, calibration))
     assert _bits(calibration.total_overhead_us(trace)) == \
@@ -170,13 +171,12 @@ def _assert_matches_loops(trace, calibration, oracle_trace):
 @settings(max_examples=150, deadline=None)
 @given(trace=traces(), calibration=calibrations)
 def test_columns_match_the_loops_in_memory(trace, calibration):
-    _assert_matches_loops(trace, calibration, trace)
+    _assert_matches_loops(trace.columnar(), calibration, trace)
 
 
 
 def test_a_dropped_store_trace_is_freed_without_a_cycle_collection(tmp_path):
-    """The lazy record lists share a loader with their trace instead of
-    pointing back at it, so dropping the trace frees its columns at once."""
+    """A trace holds no reference cycle, so dropping it frees its columns at once."""
     trace = EventTrace()
     trace.add_marker(OverheadMarker("annotation", 1.0, worker="w0"))
     db = _store(trace, tmp_path)
@@ -184,12 +184,13 @@ def test_a_dropped_store_trace_is_freed_without_a_cycle_collection(tmp_path):
     gc.disable()
     try:
         stored = db.columnar_trace()
-        assert list(stored.markers) == db.to_event_trace().markers
+        assert resolved(stored) == resolved(trace.columnar())
         columns = weakref.ref(stored.columns)
         del stored
         assert columns() is None
     finally:
         gc.enable()
+
 
 @settings(max_examples=40, deadline=None)
 @given(trace=traces(), calibration=calibrations)
@@ -198,17 +199,16 @@ def test_columns_match_the_loops_on_a_store(tmp_path_factory, trace, calibration
     stored = db.columnar_trace()
     oracle = _reordered(trace)
     _assert_matches_loops(stored, calibration, oracle)
-    # The lazy records are the store's objects, in to_event_trace order.
+    # The store's columns hold the records in the store's order.
+    in_memory_trace = oracle.columnar()
     assert (len(stored.events), len(stored.operations), len(stored.markers)) == \
         (len(oracle.events), len(oracle.operations), len(oracle.markers))
-    assert stored.workers() == db.to_event_trace().workers()
-    assert stored.span_us() == db.to_event_trace().span_us()
-    assert list(stored.markers) == db.to_event_trace().markers
-    assert list(stored.events) == db.to_event_trace().events
-    assert stored.operations[:] == db.to_event_trace().operations
+    assert resolved(stored) == resolved(in_memory_trace)
+    assert stored.columns.workers() == oracle.workers()
+    assert stored.span_us() == in_memory_trace.span_us()
     # analyze_db equals analyze of the same records, bit for bit.
     from_db = analyze_db(db, calibration=calibration)
-    in_memory = analyze(oracle, calibration=calibration)
+    in_memory = analyze(in_memory_trace, calibration=calibration)
     for method in ("category_breakdown_us", "resource_breakdown_us", "overheads",
                    "transition_counts"):
         assert _items(getattr(from_db, method)()) == _items(getattr(in_memory, method)())
@@ -228,7 +228,9 @@ def test_locator_matches_the_heap_sweep(data):
         end = start + data.draw(st.one_of(st.just(0.0), grid))
         operations.append(Event(CATEGORY_OPERATION, data.draw(st.sampled_from("abcd")),
                                 start, end))
-    shipped, loop = OperationLocator(operations), LoopLocator(operations)
+    columns = EventTrace(operations=operations).columnar().columns
+    shipped = OperationLocator(columns.strings, columns.operations)
+    loop = LoopLocator(operations)
     queries = [t for op in operations for t in (op.start_us, op.end_us, op.start_us - 0.5,
                                                  op.end_us + 0.5)]
     queries += data.draw(st.lists(st.floats(-5.0, 70.0, allow_nan=False), max_size=20))
@@ -259,7 +261,7 @@ def test_markers_at_boundaries_and_without_operations():
                                     cuda_interception_us=3.0,
                                     cupti_per_api_us={"cudaLaunchKernel": 9.0},
                                     details={"cupti_default_us": 0.25})
-    overheads = overhead_by_operation_category(trace, calibration)
+    overheads = overhead_by_operation_category(trace.columnar(), calibration)
     assert overheads == overhead_by_operation_category_loop(trace, calibration)
     assert list(overheads.items()) == [
         (("tied", CATEGORY_PYTHON), 4.0),        # 0.0 and 5.0: "tied" is later in trace order
@@ -267,4 +269,4 @@ def test_markers_at_boundaries_and_without_operations():
         (("outer", CATEGORY_CUDA_API), 3.0),     # exactly at the end: closed interval
         (("<untracked>", CATEGORY_PYTHON), 3.0),  # after every op; the idle worker
     ]
-    _assert_matches_loops(trace, calibration, trace)
+    _assert_matches_loops(trace.columnar(), calibration, trace)

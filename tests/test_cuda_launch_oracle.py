@@ -13,10 +13,12 @@ activity, in-memory trace records and streamed store bytes.
 from __future__ import annotations
 
 import random
+import zlib
 from pathlib import Path
 
 import pytest
 
+from oracles.event_trace import resolved
 from oracles.scalar_cuda_launch import ObjectProfiler, scalar_system
 from repro.cuda.cupti import Cupti
 from repro.cuda.kernels import KernelSpec
@@ -28,11 +30,10 @@ from repro.hw.costmodel import (
 )
 from repro.hw.gpu import GPUDevice
 from repro.profiler.api import Profiler, ProfilerConfig
-from repro.profiler.events import EventTrace
 from repro.system import System
-from repro.tracedb.format import ChunkPayload, decode_chunk, encode_chunk
+from repro.tracedb.format import ChunkColumns
 from repro.tracedb.store import TraceDB
-from repro.tracedb.writer import ShardWriter, SpillingEventTrace
+from repro.tracedb.writer import ShardWriter
 
 KERNEL_NAMES = ("volta_sgemm", "elementwise", "reduce", "adam_update")
 PHASES = ("data_collection", "sgd_updates")
@@ -95,8 +96,9 @@ def random_ops(rng: random.Random, count: int, workers: int):
 
 
 def run(make_system, make_profiler, *, seed, cost_config, profiler_config, streaming,
-        workers, ops, store_root: Path):
-    """Run ``ops`` on ``workers`` systems (sharing one device and CUPTI if > 1)."""
+        workers, ops, store_root: Path, dump=False):
+    """Run ``ops`` on ``workers`` systems (sharing one device and CUPTI if > 1);
+    the profilers stream into ``store_root``, or with ``dump`` write it at finalize."""
     shared_device = shared_cupti = None
     if workers > 1:
         shared_device = GPUDevice(cost_model=CostModel(cost_config, seed=seed + 100))
@@ -108,7 +110,7 @@ def run(make_system, make_profiler, *, seed, cost_config, profiler_config, strea
     if profiler_config is not None:
         for system in systems:
             profiler = make_profiler(system, profiler_config,
-                                     trace_dir=str(store_root) if streaming else None,
+                                     trace_dir=str(store_root) if streaming or dump else None,
                                      streaming=streaming)
             profilers.append(profiler.attach())
     results = []
@@ -131,10 +133,10 @@ def run(make_system, make_profiler, *, seed, cost_config, profiler_config, strea
         "cupti": [(list(c.api_records), list(c.kernel_records), list(c.memcpy_records))
                   for c in {id(s.cuda.cupti): s.cuda.cupti for s in systems}.values()],
         "activity": [d.activity for d in {id(s.device): s.device for s in systems}.values()],
-        "traces": [(trace.events, trace.operations, trace.markers, trace.metadata)
+        "traces": [None if trace is None else (resolved(trace), trace.metadata)
                    for trace in traces],
         "store": {path.name: path.read_bytes() for path in sorted(store_root.iterdir())}
-        if streaming else None,
+        if streaming or dump else None,
     }
 
 
@@ -184,30 +186,38 @@ def test_empty_kernel_list_leaves_no_trace():
 
 
 def test_streamed_chunk_equals_object_encoding_of_in_memory_trace(tmp_path):
-    """Rows appended by the hook and finalize encode like the objects they replace."""
+    """The hook's and finalize's rows give one store in every sink mode, and
+    the in-memory trace holds the records that store decodes to."""
     ops = random_ops(random.Random(99), 300, 1)
     kwargs = dict(seed=99, cost_config=CostModelConfig(), profiler_config=ProfilerConfig.full(),
                   workers=1, ops=ops)
-    in_memory = run(System.create, Profiler, streaming=False, store_root=tmp_path, **kwargs)
+    in_memory = run(System.create, Profiler, streaming=False, store_root=tmp_path / "m", **kwargs)
+    dumped = run(System.create, Profiler, streaming=False, dump=True,
+                 store_root=tmp_path / "d", **kwargs)
     streamed = run(System.create, Profiler, streaming=True, store_root=tmp_path / "s", **kwargs)
-    events, operations, markers, _ = in_memory["traces"][0]
+    assert dumped["store"] == streamed["store"]
     (chunk_name,) = [name for name in streamed["store"] if name.endswith(".tdbc")]
-    payload = ChunkPayload(events=events, operations=operations, markers=markers)
-    assert encode_chunk(payload) == streamed["store"][chunk_name]
-    decoded = decode_chunk(streamed["store"][chunk_name])
-    assert (decoded.events, decoded.markers) == (events, markers)
-    assert TraceDB(str(tmp_path / "s")).read_worker("worker_0").events == events
+    chunk = streamed["store"][chunk_name]
+    assert ChunkColumns.from_bytes(zlib.decompress(chunk)).encode() == chunk
+    records, metadata = in_memory["traces"][0]
+    assert dumped["traces"][0] == (records, metadata)
+    assert resolved(TraceDB(str(tmp_path / "s")).read_worker("worker_0")) == records
 
 
 @pytest.mark.parametrize("spilling", [False, True])
 def test_add_interval_rejects_an_event_ending_before_it_starts(tmp_path, spilling):
-    shard = ShardWriter(tmp_path, "worker_0", chunk_events=4)
-    trace = SpillingEventTrace(shard) if spilling else EventTrace()
-    trace.add_interval("CUDA", "cudaLaunchKernel", 1.0, 2.0, "worker_0", "p")
-    with pytest.raises(ValueError, match="ends before it starts"):
-        trace.add_interval("CUDA", "cudaLaunchKernel", 5.0, 4.0, "worker_0", "p")
-    trace.add_marker_at("cupti", 2.0, "cudaLaunchKernel", "worker_0", "p")
-    if spilling:
-        assert (shard.total_events, shard.total_markers, shard.buffered_records) == (1, 1, 2)
-    else:
-        assert (len(trace.events), len(trace.markers)) == (1, 1)
+    shard = ShardWriter(tmp_path, "worker_0", chunk_events=4, spill=spilling)
+    shard.add_event(("CUDA", "cudaLaunchKernel", 1.0, 2.0, "worker_0", "p", None))
+    for add in (lambda: shard.add_event(("CUDA", "cudaLaunchKernel", 5.0, 4.0, "worker_0", "p",
+                                         None)),
+                lambda: shard.add_operation(("Operation", "step", 5.0, 4.0, "worker_0", "p",
+                                             None)),
+                lambda: shard.add_api_call("cudaLaunchKernel", 5.0, 4.0, "worker_0", "p",
+                                           ("cupti",)),
+                lambda: shard.add_events("GPU", [("k", 1.0, 2.0), ("k", 5.0, 4.0)],
+                                         "worker_0", "p")):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            add()
+    shard.add_marker(("cupti", 2.0, "cudaLaunchKernel", "worker_0", "p"))
+    assert (shard.total_events, shard.total_operations, shard.total_markers,
+            shard.buffered_records, shard.max_end_us) == (1, 0, 1, 2, 2.0)

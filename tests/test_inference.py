@@ -302,12 +302,15 @@ def test_larger_leaf_batch_reduces_engine_calls():
 
 
 def test_batched_pool_records_expand_leaf_attribution_metadata(tmp_path):
+    # Operation metadata is kept in the store's records (the in-memory
+    # trace holds only the analysis columns).
     pool = SelfPlayPool(2, profile=True, batched_inference=True, leaf_batch=4,
-                        **POOL_KWARGS)
+                        trace_dir=str(tmp_path), **POOL_KWARGS)
     pool.run()
+    db = pool.tracedb()
     tagged = []
-    for run in pool.runs:
-        for op in run.trace.operations:
+    for worker in db.workers():
+        for op in db.iter_operations(worker=worker):
             if op.name == OP_EXPAND_LEAF:
                 assert op.metadata is not None
                 assert op.metadata["inference_service"] == pool.inference_service.name

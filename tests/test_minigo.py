@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.event_trace import resolved
 from repro.backend import GraphEngine, use_engine
 from repro.hw.nvidia_smi import sample_utilization
 from repro.minigo import (
@@ -101,7 +102,7 @@ def test_selfplay_worker_generates_examples_and_operations():
         assert example.features.shape == (75,)
         assert example.policy_target.shape == (26,)
         assert example.value_target in (-1.0, 1.0)
-    op_names = {op.name for op in trace.operations}
+    op_names = {name for name, *_ in resolved(trace)[1]}
     assert {OP_TREE_SEARCH, OP_EXPAND_LEAF} <= op_names
 
 

@@ -11,6 +11,7 @@ OS processes end-to-end, including the streamed-trace shard merge.
 import numpy as np
 import pytest
 
+from oracles.event_trace import resolved
 from repro.minigo.workers import SelfPlayPool
 from repro.parallel import assign_workers
 from repro.rollout import EnvRolloutPool
@@ -51,8 +52,8 @@ def _selfplay_signature(pool):
 
 
 def _trace_signature(pool):
-    return {run.worker: [(op.name, op.start_us, op.end_us, op.phase, op.metadata)
-                         for op in run.trace.operations]
+    """Every record of every worker's in-memory trace, strings resolved."""
+    return {run.worker: (resolved(run.trace), run.trace.metadata)
             for run in pool.runs if run.trace is not None}
 
 

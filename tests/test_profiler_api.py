@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.event_trace import resolved
 from repro.backend import GraphEngine, MLP, use_engine
 from repro.backend.tensor import Tensor
 from repro.profiler import (
@@ -14,18 +15,26 @@ from repro.profiler import (
     Profiler,
     ProfilerConfig,
     analyze,
-    merge_traces,
 )
+from repro.profiler.columns import TraceColumns
 from repro.profiler.events import OVERHEAD_ANNOTATION, OVERHEAD_CUDA_INTERCEPTION, OVERHEAD_CUPTI, OVERHEAD_PYPROF
 from repro.sim import make
 from repro.system import System
 
 
-def _profiled_session(config=None):
+def _categories(trace):
+    return {category for category, *_ in resolved(trace)[0]}
+
+
+def _marker_kinds(trace):
+    return {kind for kind, *_ in resolved(trace)[2]}
+
+
+def _profiled_session(config=None, **options):
     system = System.create(seed=0)
     engine = GraphEngine(system)
     env = make("Walker2D", system, seed=0)
-    profiler = Profiler(system, config or ProfilerConfig.full())
+    profiler = Profiler(system, config or ProfilerConfig.full(), **options)
     profiler.attach(engine=engine, envs=[env])
     with use_engine(engine):
         net = MLP(env.observation_dim, [32, 32], env.action_dim, out_activation="tanh",
@@ -43,15 +52,14 @@ def _profiled_session(config=None):
     return system, profiler
 
 
-def test_full_profile_collects_all_categories():
-    _, profiler = _profiled_session()
+def test_full_profile_collects_all_categories(tmp_path):
+    _, profiler = _profiled_session(trace_dir=str(tmp_path))
     trace = profiler.finalize()
-    categories = {event.category for event in trace.events}
-    assert {CATEGORY_PYTHON, CATEGORY_BACKEND, CATEGORY_SIMULATOR, CATEGORY_CUDA_API, CATEGORY_GPU} <= categories
-    assert {op.name for op in trace.operations} == {"inference", "simulation"}
-    assert all(op.phase == "data_collection" for op in trace.operations)
-    kinds = {marker.kind for marker in trace.markers}
-    assert {OVERHEAD_ANNOTATION, OVERHEAD_PYPROF, OVERHEAD_CUDA_INTERCEPTION, OVERHEAD_CUPTI} <= kinds
+    assert {CATEGORY_PYTHON, CATEGORY_BACKEND, CATEGORY_SIMULATOR, CATEGORY_CUDA_API, CATEGORY_GPU} <= _categories(trace)
+    assert {name for name, *_ in resolved(trace)[1]} == {"inference", "simulation"}
+    # Phases are in the store's records, not in the analysis columns.
+    assert all(op.phase == "data_collection" for op in profiler.open_tracedb().iter_operations())
+    assert {OVERHEAD_ANNOTATION, OVERHEAD_PYPROF, OVERHEAD_CUDA_INTERCEPTION, OVERHEAD_CUPTI} <= _marker_kinds(trace)
 
 
 def test_operations_nest_and_scope_correctly():
@@ -76,31 +84,29 @@ def test_finalize_is_idempotent_and_records_total_time():
 def test_uninstrumented_profiler_records_nothing():
     _, profiler = _profiled_session(ProfilerConfig.uninstrumented())
     trace = profiler.finalize()
-    assert trace.events == []
-    assert trace.operations == []
-    assert trace.markers == []
+    assert (len(trace.events), len(trace.operations), len(trace.markers)) == (0, 0, 0)
 
 
 def test_partial_config_only_pyprof():
     _, profiler = _profiled_session(ProfilerConfig.only(pyprof=True))
     trace = profiler.finalize()
-    categories = {event.category for event in trace.events}
+    categories = _categories(trace)
     assert CATEGORY_BACKEND in categories
     assert CATEGORY_CUDA_API not in categories
     assert CATEGORY_GPU not in categories
-    assert {marker.kind for marker in trace.markers} == {OVERHEAD_PYPROF}
+    assert _marker_kinds(trace) == {OVERHEAD_PYPROF}
     # No annotations -> no operations and no Python gap events.
-    assert trace.operations == []
+    assert len(trace.operations) == 0
     assert CATEGORY_PYTHON not in categories
 
 
 def test_partial_config_cuda_without_cupti():
     _, profiler = _profiled_session(ProfilerConfig.only(cuda_interception=True))
     trace = profiler.finalize()
-    categories = {event.category for event in trace.events}
+    categories = _categories(trace)
     assert CATEGORY_CUDA_API in categories
     assert CATEGORY_GPU not in categories
-    assert {marker.kind for marker in trace.markers} == {OVERHEAD_CUDA_INTERCEPTION}
+    assert _marker_kinds(trace) == {OVERHEAD_CUDA_INTERCEPTION}
 
 
 def test_profiling_inflates_runtime():
@@ -118,30 +124,30 @@ def test_detach_restores_components():
 
 def test_python_gap_events_only_inside_operations():
     _, profiler = _profiled_session()
-    trace = profiler.finalize()
-    python_events = trace.events_by_category(CATEGORY_PYTHON)
+    events, operations, _ = resolved(profiler.finalize())
+    python_events = [event for event in events if event[0] == CATEGORY_PYTHON]
     assert python_events
-    operations = trace.operations
-    for event in python_events:
-        assert any(op.start_us <= event.start_us and event.end_us <= op.end_us + 1e-6 for op in operations)
+    for *_, start, end in python_events:
+        assert any(op_start <= start and end <= op_end + 1e-6
+                   for *_, op_start, op_end in operations)
 
 
 def test_merge_traces_combines_workers():
+    """Per-worker traces merge by concatenating their columns (as batchsweep does)."""
     _, profiler_a = _profiled_session()
     trace_a = profiler_a.finalize()
-    _, profiler_b = _profiled_session()
+    _, profiler_b = _profiled_session(worker="worker_1")
     trace_b = profiler_b.finalize()
-    merged = merge_traces([trace_a, trace_b])
-    assert merged.total_events() == trace_a.total_events() + trace_b.total_events()
+    merged = TraceColumns.concat([trace_a.columns, trace_b.columns])
+    assert merged.workers() == ["worker_0", "worker_1"]
+    assert resolved(merged) == tuple(a + b for a, b in zip(resolved(trace_a), resolved(trace_b)))
 
 
 def test_event_trace_queries():
     _, profiler = _profiled_session()
     trace = profiler.finalize()
     assert trace.span_us() > 0
-    assert trace.workers() == ["worker_0"]
-    counts = trace.marker_counts()
-    assert counts[OVERHEAD_ANNOTATION] == 2 * len(trace.operations)
-    filtered = trace.filter_worker("worker_0")
-    assert filtered.total_events() == trace.total_events()
-    assert trace.filter_worker("other").total_events() == 0
+    assert trace.columns.workers() == ["worker_0"]
+    kinds = [kind for kind, *_ in resolved(trace)[2]]
+    assert kinds.count(OVERHEAD_ANNOTATION) == 2 * len(trace.operations)
+    assert len(trace.markers) == len(kinds)

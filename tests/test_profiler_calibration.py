@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.event_trace import EventTrace, resolved
 from repro.experiments.common import WorkloadSpec, calibrate_workload, calibration_runner, run_workload
 from repro.profiler import (
     CalibrationResult,
@@ -25,7 +26,6 @@ from repro.profiler.events import (
     OVERHEAD_CUPTI,
     OVERHEAD_PYPROF,
     Event,
-    EventTrace,
     OverheadMarker,
 )
 from repro.hw.costmodel import CostModelConfig
@@ -57,12 +57,11 @@ def test_calibration_details_record_counts(calibration):
 
 
 def test_overhead_for_marker_dispatch(calibration):
-    assert calibration.overhead_for_marker(OverheadMarker(OVERHEAD_PYPROF, 0.0)) == calibration.pyprof_us
-    assert calibration.overhead_for_marker(
-        OverheadMarker(OVERHEAD_CUPTI, 0.0, api_name="cudaLaunchKernel")
-    ) == calibration.cupti_per_api_us["cudaLaunchKernel"]
+    assert calibration.overhead_for(OVERHEAD_PYPROF) == calibration.pyprof_us
+    assert calibration.overhead_for(OVERHEAD_CUPTI, "cudaLaunchKernel") == \
+        calibration.cupti_per_api_us["cudaLaunchKernel"]
     with pytest.raises(ValueError):
-        calibration.overhead_for_marker(OverheadMarker("bogus", 0.0))
+        calibration.overhead_for("bogus")
 
 
 def test_correction_brings_total_close_to_uninstrumented(calibration):
@@ -104,7 +103,7 @@ def test_calibrate_with_synthetic_runner():
                                       i * 10.0, i * 10.0 + duration))
             if config.cupti:
                 total += 3.0 * counts["cuda_interception"]
-        return CalibrationRun(total_time_us=total, trace=trace)
+        return CalibrationRun(total_time_us=total, trace=trace.columnar())
 
     result = calibrate(runner)
     assert result.pyprof_us == pytest.approx(2.0)
@@ -123,7 +122,7 @@ def test_overhead_by_operation_category_localises_markers():
     trace.add_marker(OverheadMarker(OVERHEAD_PYPROF, 500.0))  # outside any operation
     calib = CalibrationResult(pyprof_us=2.0, annotation_us=1.0, cuda_interception_us=3.0,
                               cupti_per_api_us={"cudaLaunchKernel": 4.0})
-    overheads = overhead_by_operation_category(trace, calib)
+    overheads = overhead_by_operation_category(trace.columnar(), calib)
     assert overheads[("inference", CATEGORY_PYTHON)] == pytest.approx(2.0)
     assert overheads[("backpropagation", CATEGORY_CUDA_API)] == pytest.approx(3.0)
     assert overheads[("<untracked>", CATEGORY_PYTHON)] == pytest.approx(2.0)
@@ -143,7 +142,7 @@ def test_corrected_total_never_negative():
     for i in range(100):
         trace.add_marker(OverheadMarker(OVERHEAD_PYPROF, float(i)))
     calib = CalibrationResult(pyprof_us=5.0)
-    assert corrected_total_us(trace, calib) == 0.0
+    assert corrected_total_us(trace.columnar(), calib) == 0.0
 
 
 # -------------------------------------------------------------------- analysis
@@ -165,20 +164,17 @@ def test_multi_process_summary_totals():
 
 # ----------------------------------------------------------------- trace store
 def test_trace_dump_and_reload_roundtrip(tmp_path):
-    run = run_workload(SMALL_SPEC)
-    StreamingTraceWriter(str(tmp_path), chunk_events=500).write_trace("worker_0", run.trace)
+    run = run_workload(SMALL_SPEC, trace_dir=str(tmp_path))
     db = TraceDB(str(tmp_path))
     assert len(db.chunks()) >= 1
     assert db.workers() == ["worker_0"]
     loaded = db.read_worker("worker_0")
-    assert loaded.total_events() == run.trace.total_events()
-    assert len(loaded.markers) == len(run.trace.markers)
+    assert resolved(loaded) == resolved(run.trace)
+    assert loaded.metadata == run.trace.metadata
     # The reloaded trace analyses identically.
     original = analyze(run.trace).category_breakdown_us(corrected=False)
     reloaded = analyze(loaded).category_breakdown_us(corrected=False)
-    for op, categories in original.items():
-        for category, value in categories.items():
-            assert reloaded[op][category] == pytest.approx(value, rel=1e-9)
+    assert reloaded == original
 
 
 def test_trace_reader_missing_directory(tmp_path):
@@ -203,13 +199,17 @@ def _linear_locate(operations, time_us):
     return best.name if best is not None else UNTRACKED
 
 
+def _locator(operations):
+    from repro.profiler.correction import OperationLocator
+
+    columns = EventTrace(operations=operations).columnar().columns
+    return OperationLocator(columns.strings, columns.operations)
+
+
 def test_operation_locator_matches_linear_scan_on_randomized_trace():
     """The interval-indexed locator must answer exactly like the linear scan,
     including at interval boundaries, on nested/overlapping/duplicate ops."""
-    import numpy as np
-
-    from repro.profiler.correction import OperationLocator
-    from repro.profiler.events import CATEGORY_OPERATION, Event
+    from repro.profiler.events import CATEGORY_OPERATION
 
     rng = np.random.default_rng(42)
     operations = []
@@ -220,7 +220,7 @@ def test_operation_locator_matches_linear_scan_on_randomized_trace():
     # Exact duplicates and shared boundaries exercise the tie-breaking rules.
     operations.extend(operations[:20])
 
-    locator = OperationLocator(operations)
+    locator = _locator(operations)
     queries = list(rng.uniform(-10.0, 600.0, size=300))
     for op in operations[:50]:
         queries.extend([op.start_us, op.end_us, op.start_us - 1e-9, op.end_us + 1e-9])
@@ -229,12 +229,11 @@ def test_operation_locator_matches_linear_scan_on_randomized_trace():
 
 
 def test_operation_locator_empty_and_single():
-    from repro.profiler.correction import OperationLocator
-    from repro.profiler.events import CATEGORY_OPERATION, Event
+    from repro.profiler.events import CATEGORY_OPERATION
     from repro.profiler.overlap import UNTRACKED
 
-    assert OperationLocator([]).locate(10.0) == UNTRACKED
-    locator = OperationLocator([Event(CATEGORY_OPERATION, "only", 5.0, 15.0)])
+    assert _locator([]).locate(10.0) == UNTRACKED
+    locator = _locator([Event(CATEGORY_OPERATION, "only", 5.0, 15.0)])
     assert locator.locate(4.999) == UNTRACKED
     assert locator.locate(5.0) == "only"
     assert locator.locate(10.0) == "only"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.event_trace import EventTrace
 from oracles.overlap_loop import accumulate_columns_loop
 from repro.profiler.events import (
     CATEGORY_BACKEND,
@@ -13,7 +14,6 @@ from repro.profiler.events import (
     CATEGORY_PYTHON,
     CATEGORY_SIMULATOR,
     Event,
-    EventTrace,
 )
 from repro.profiler.overlap import (
     RESOURCE_CPU,
@@ -46,7 +46,7 @@ def paper_figure3_trace() -> EventTrace:
 
 
 def test_figure3_example_scoping():
-    overlap = compute_overlap(paper_figure3_trace())
+    overlap = compute_overlap(paper_figure3_trace().columnar())
     breakdown = overlap.full_breakdown()
     # Pure-Python time belongs to the outer operation.
     assert breakdown[("mcts_tree_search", CATEGORY_PYTHON, RESOURCE_CPU)] == pytest.approx(1250.0 + 200.0)
@@ -58,7 +58,7 @@ def test_figure3_example_scoping():
 
 
 def test_gpu_time_and_category_times():
-    overlap = compute_overlap(paper_figure3_trace())
+    overlap = compute_overlap(paper_figure3_trace().columnar())
     assert overlap.gpu_time_us() == pytest.approx(1700.0)
     assert overlap.category_time_us(CATEGORY_PYTHON) == pytest.approx(1450.0)
     assert overlap.category_time_us(CATEGORY_BACKEND) == pytest.approx(2550.0)
@@ -71,7 +71,7 @@ def test_cuda_priority_over_backend():
     trace.add_event(_event(CATEGORY_OPERATION, 0, 100, "backpropagation"))
     trace.add_event(_event(CATEGORY_BACKEND, 0, 100))
     trace.add_event(_event(CATEGORY_CUDA_API, 20, 50))
-    breakdown = compute_overlap(trace).category_breakdown()
+    breakdown = compute_overlap(trace.columnar()).category_breakdown()
     assert breakdown["backpropagation"][CATEGORY_CUDA_API] == pytest.approx(30.0)
     assert breakdown["backpropagation"][CATEGORY_BACKEND] == pytest.approx(70.0)
 
@@ -81,9 +81,9 @@ def test_gpu_only_region_labelled_gpu():
     trace.add_event(_event(CATEGORY_OPERATION, 0, 100, "inference"))
     trace.add_event(_event(CATEGORY_BACKEND, 0, 40))
     trace.add_event(_event(CATEGORY_GPU, 60, 90))
-    breakdown = compute_overlap(trace).category_breakdown()
+    breakdown = compute_overlap(trace.columnar()).category_breakdown()
     assert breakdown["inference"][CATEGORY_GPU] == pytest.approx(30.0)
-    resources = compute_overlap(trace).resource_breakdown()
+    resources = compute_overlap(trace.columnar()).resource_breakdown()
     assert resources["inference"][RESOURCE_GPU] == pytest.approx(30.0)
     assert resources["inference"][RESOURCE_CPU] == pytest.approx(40.0)
 
@@ -93,7 +93,7 @@ def test_events_outside_operations_are_untracked():
     trace.add_event(_event(CATEGORY_SIMULATOR, 0, 50))
     trace.add_event(_event(CATEGORY_OPERATION, 100, 200, "simulation"))
     trace.add_event(_event(CATEGORY_SIMULATOR, 100, 200))
-    overlap = compute_overlap(trace)
+    overlap = compute_overlap(trace.columnar())
     assert overlap.total_us(include_untracked=False) == pytest.approx(100.0)
     assert overlap.total_us(include_untracked=True) == pytest.approx(150.0)
     assert (UNTRACKED, frozenset({CATEGORY_SIMULATOR})) in overlap.regions
@@ -104,13 +104,13 @@ def test_multi_worker_traces_are_independent():
     for worker in ("w0", "w1"):
         trace.add_event(_event(CATEGORY_OPERATION, 0, 100, "inference", worker))
         trace.add_event(_event(CATEGORY_BACKEND, 0, 100, None, worker))
-    overlap = compute_overlap(trace)
+    overlap = compute_overlap(trace.columnar())
     # Two workers each contribute 100us of backend time.
     assert overlap.total_us() == pytest.approx(200.0)
 
 
 def test_empty_trace_gives_empty_result():
-    overlap = compute_overlap(EventTrace())
+    overlap = compute_overlap(EventTrace().columnar())
     assert overlap.regions == {}
     assert overlap.total_us() == 0.0
     assert overlap.gpu_time_us() == 0.0
@@ -136,9 +136,9 @@ def cpu_gpu_trace(draw):
 @given(cpu_gpu_trace())
 def test_overlap_invariants(trace):
     """Property: regions are a partition of the covered span of the operation."""
-    overlap = compute_overlap(trace)
+    overlap = compute_overlap(trace.columnar())
     total = overlap.total_us()
-    op_span = trace.operations[0].duration_us
+    op_span = trace.operations[0].end_us - trace.operations[0].start_us
     # Regions never exceed the covering operation's span and are non-negative.
     assert total <= op_span + 1e-6
     assert all(duration >= 0 for duration in overlap.regions.values())
@@ -178,7 +178,7 @@ def test_union_of_single_category_equals_interval_union(intervals):
             current_start, current_end = start, end
     if current_start is not None:
         union += current_end - current_start
-    overlap = compute_overlap(trace)
+    overlap = compute_overlap(trace.columnar())
     assert overlap.total_us() == pytest.approx(union, rel=1e-9, abs=1e-6)
 
 
@@ -192,6 +192,7 @@ def test_duplicate_identical_operations_keep_innermost_attribution(tmp_path):
     identity; single-pass and map-reduce results must agree bit-for-bit.
     """
     from repro.tracedb import StreamingTraceWriter, TraceDB, parallel_overlap
+    from repro.tracedb.format import interval_row
 
     trace = EventTrace()
     workers = ("w0", "w1")
@@ -203,7 +204,7 @@ def test_duplicate_identical_operations_keep_innermost_attribution(tmp_path):
         trace.operations.append(Event(CATEGORY_OPERATION, "inner", 40.0, 60.0, worker=worker))
         trace.events.append(Event(CATEGORY_PYTHON, "python", 0.0, 100.0, worker=worker))
 
-    single = compute_overlap(trace)
+    single = compute_overlap(trace.columnar())
     python = frozenset({CATEGORY_PYTHON})
     # [0,40) and [60,100) belong to "step", [40,60) to the innermost "inner".
     assert single.regions[("step", python)] == pytest.approx(80.0 * len(workers))
@@ -214,10 +215,10 @@ def test_duplicate_identical_operations_keep_innermost_attribution(tmp_path):
         shard = writer.shard(worker)
         for op in trace.operations:
             if op.worker == worker:
-                shard.add_operation(op)
+                shard.add_operation(interval_row(op))
         for event in trace.events:
             if event.worker == worker:
-                shard.add_event(event)
+                shard.add_event(interval_row(event))
         writer.close_shard(worker)
     writer.close()
     mapreduce = parallel_overlap(TraceDB(str(tmp_path)))
@@ -231,7 +232,7 @@ def test_operation_event_metadata_does_not_change_overlap():
     for trace, metadata in ((plain, None), (tagged, {"batch_rows": 16, "rows": 4})):
         trace.add_event(Event(CATEGORY_OPERATION, "expand_leaf", 0.0, 50.0, metadata=metadata))
         trace.add_event(Event(CATEGORY_PYTHON, "python", 0.0, 50.0))
-    assert compute_overlap(plain).regions == compute_overlap(tagged).regions
+    assert compute_overlap(plain.columnar()).regions == compute_overlap(tagged.columnar()).regions
 
 
 # ------------------------------------------- vectorized sweep byte-identity
@@ -249,7 +250,7 @@ def _compute_with(vectorized: bool, trace, **kwargs):
     if not vectorized:
         overlap_mod._accumulate_worker = accumulate_columns_loop
     try:
-        return compute_overlap(trace, **kwargs)
+        return compute_overlap(trace.columnar(), **kwargs)
     finally:
         overlap_mod._accumulate_worker = saved
 

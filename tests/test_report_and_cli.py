@@ -14,7 +14,7 @@ from repro.experiments.cli import main as experiment_main
 from repro.experiments.common import WorkloadSpec, run_workload
 from repro.profiler import analyze, report
 from repro.profiler.cli import main as prof_main
-from repro.profiler.events import Event, EventTrace, OverheadMarker
+from repro.profiler.events import Event, OverheadMarker
 
 
 # -------------------------------------------------------------------- report
@@ -73,13 +73,14 @@ def test_event_serialisation_roundtrip():
 
 
 def test_event_validation():
-    trace = EventTrace()
-    with pytest.raises(ValueError):
-        trace.add_event(Event("Python", "x", 10.0, 5.0))
-    event = Event("Python", "x", 0.0, 5.0)
-    other = Event("GPU", "y", 4.0, 6.0)
-    assert event.overlaps(other)
-    assert not event.overlaps(Event("GPU", "z", 5.0, 6.0))
+    # Every profiler mode writes through a ShardWriter, which rejects an
+    # interval ending before it starts before counting it.
+    from repro.tracedb import ShardWriter
+
+    sink = ShardWriter(None, "w0", spill=False)
+    with pytest.raises(ValueError, match="ends before it starts"):
+        sink.add_event(("Python", "x", 10.0, 5.0, "w0", "default", None))
+    assert (sink.total_events, sink.buffered_records) == (0, 0)
 
 
 # ------------------------------------------------------------------------ CLI
@@ -105,6 +106,21 @@ def test_rls_prof_cli_uninstrumented_and_trace_dir(tmp_path, capsys):
 def test_rls_prof_cli_unknown_framework():
     with pytest.raises(SystemExit):
         prof_main(["--framework", "NotAFramework", "--steps", "8"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algo", "bogus"],
+    ["--simulator", "Bogus"],
+    ["--steps", "0"],
+    ["--framework", "nope"],
+    ["--streaming"],
+], ids=lambda argv: argv[0])
+def test_rls_prof_cli_reports_bad_input_as_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        prof_main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {argv[0]}" in captured.err
 
 
 def test_rls_experiment_cli_table1(capsys):

@@ -9,6 +9,7 @@ heap-vs-scan scheduler identity.
 import numpy as np
 import pytest
 
+from oracles.event_trace import resolved
 from oracles.scan_scheduler import run_scan
 from repro.backend.graph import GraphEngine
 from repro.hw.gpu import GPUDevice
@@ -146,11 +147,12 @@ def test_annotation_reopens_across_suspension():
     scheduler.run()
     for driver, profiler in zip(drivers, profilers):
         trace = profiler.finalize()
-        ops = [op for op in trace.operations if op.name == "inference"]
+        ops = [(start, end) for name, _, _, start, end in resolved(trace)[1]
+               if name == "inference"]
         assert len(ops) == driver.rounds
-        for op, submitted in zip(ops, driver.submit_times):
-            assert op.start_us <= submitted
-            assert op.end_us > submitted  # stayed open across the suspension
+        for (start, end), submitted in zip(ops, driver.submit_times):
+            assert start <= submitted
+            assert end > submitted  # stayed open across the suspension
 
 
 def test_heap_and_scan_schedules_identical():
@@ -223,10 +225,9 @@ def test_env_rollout_profile_traces_inference_and_simulation():
                           profile=True)
     pool.run()
     for run in pool.runs:
-        names = {op.name for op in run.trace.operations}
-        assert names == {"inference", "simulation"}
-        infer_ops = [op for op in run.trace.operations if op.name == "inference"]
-        assert len(infer_ops) == 4  # one inference boundary per env step
+        names = [name for name, *_ in resolved(run.trace)[1]]
+        assert set(names) == {"inference", "simulation"}
+        assert names.count("inference") == 4  # one inference boundary per env step
 
 
 def test_env_rollout_driver_rejects_step_while_blocked():

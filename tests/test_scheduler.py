@@ -12,7 +12,7 @@ from repro.minigo import (
     SelfPlayPool,
 )
 from repro.minigo.mcts import MCTS, LeafEvalRequest
-from repro.profiler import multi_process_summary
+from repro.profiler import multi_process_summary, multi_process_summary_db
 from repro.sim.go import GoPosition
 
 POOL_KWARGS = dict(board_size=5, num_simulations=6, games_per_worker=1,
@@ -160,20 +160,23 @@ def test_event_scheduler_batches_across_workers():
     assert 0.0 < ev_stats.mean_occupancy <= 1.0
 
 
-def test_event_scheduler_profiled_run_attributes_wait_inside_operations():
+def test_event_scheduler_profiled_run_attributes_wait_inside_operations(tmp_path):
     """Suspended waits land inside the worker's own operation annotations."""
     pool = SelfPlayPool(3, profile=True, batched_inference=True, leaf_batch=4,
-                        scheduler="event", **POOL_KWARGS)
+                        scheduler="event", trace_dir=str(tmp_path), **POOL_KWARGS)
     pool.run()
-    summaries = multi_process_summary(pool.traces())
+    db = pool.tracedb()
+    summaries = multi_process_summary_db(db)
     for run, summary in zip(pool.runs, summaries):
         # Everything the worker was charged — including queueing delay and
         # shared batch time — is covered by its recorded events: the trace's
         # span matches the clock, and no negative/overflowed times appear.
         assert summary.total_time_us == pytest.approx(run.total_time_us)
         assert summary.cpu_time_us <= summary.total_time_us + 1e-6
+    # Operation metadata is kept in the store's records.
     for run in pool.runs:
-        expand_ops = [op for op in run.trace.operations if op.name == "expand_leaf"]
+        expand_ops = [op for op in db.iter_operations(worker=run.worker)
+                      if op.name == "expand_leaf"]
         assert expand_ops
         assert all(op.metadata is not None and op.metadata.get("batch_rows", 0) >= 1
                    for op in expand_ops)

@@ -4,21 +4,15 @@ import warnings
 
 import pytest
 
+from oracles.event_trace import resolved
 from repro.minigo.workers import SelfPlayPool, WorkerRun
 from repro.minigo.selfplay import SelfPlayResult
 from repro.profiler import analyze, analyze_db, multi_process_summary, multi_process_summary_db
 from repro.profiler.api import Profiler, ProfilerConfig
-from repro.profiler.events import (
-    CATEGORY_BACKEND,
-    CATEGORY_GPU,
-    OVERHEAD_ANNOTATION,
-    Event,
-    EventTrace,
-    OverheadMarker,
-)
+from repro.profiler.events import CATEGORY_BACKEND, CATEGORY_GPU, OVERHEAD_ANNOTATION
 from repro.profiler.overlap import OverlapResult, compute_overlap
 from repro.system import System
-from repro.tracedb import SpillingEventTrace, StreamingTraceWriter, TraceDB, parallel_overlap
+from repro.tracedb import StreamingTraceWriter, TraceDB, parallel_overlap
 from repro.tracedb.cli import main as trace_main
 
 
@@ -34,9 +28,7 @@ def run_profiled_session(system: System, *, trace_dir=None, streaming=False,
             profiler.on_c_enter()
             start = system.clock.now_us
             system.clock.advance(100.0)
-            profiler.record_event(Event(category="Simulator", name="step",
-                                        start_us=start, end_us=system.clock.now_us,
-                                        worker=profiler.worker, phase=profiler.phase))
+            profiler.record_event("Simulator", "step", start, system.clock.now_us)
             profiler.on_c_exit()
     profiler.set_phase("sgd_updates")
     for _ in range(20):
@@ -44,9 +36,7 @@ def run_profiled_session(system: System, *, trace_dir=None, streaming=False,
             profiler.on_c_enter()
             start = system.clock.now_us
             system.clock.advance(50.0)
-            profiler.record_event(Event(category="Backend", name="session_run",
-                                        start_us=start, end_us=system.clock.now_us,
-                                        worker=profiler.worker, phase=profiler.phase))
+            profiler.record_event("Backend", "session_run", start, system.clock.now_us)
             profiler.on_c_exit()
     profiler.finalize()
     return profiler
@@ -68,10 +58,10 @@ def test_streaming_flush_bounds_buffer_and_costs_zero_virtual_time(tmp_path):
     assert len(db.chunks()) > 1  # flushed incrementally, not one dump at end
     # The streamed store holds exactly the records the in-memory trace holds.
     trace = db.read_worker(prof_b.worker)
-    assert trace.total_events() == prof_a.trace.total_events()
-    assert len(trace.markers) == len(prof_a.trace.markers)
-    assert [e.to_dict() for e in trace.events] == [e.to_dict() for e in prof_a.trace.events]
-    assert trace.metadata["total_time_us"] == prof_a.trace.metadata["total_time_us"]
+    in_memory = prof_a.finalize()
+    assert prof_b.finalize() is None  # nothing is decoded back after streaming
+    assert resolved(trace) == resolved(in_memory)
+    assert trace.metadata["total_time_us"] == in_memory.metadata["total_time_us"]
 
 
 def test_streaming_requires_trace_dir():
@@ -89,9 +79,7 @@ def test_in_memory_profiler_dump_honours_chunk_events(tmp_path):
     assert len(db.chunks()) == len(streamed.open_tracedb().chunks()) > 1
     assert all(meta.num_events + meta.num_operations + meta.num_markers <= 8
                for meta in db.chunks())
-    loaded = db.read_worker(dumped.worker)
-    assert loaded.total_events() == dumped.trace.total_events()
-    assert len(loaded.markers) == len(dumped.trace.markers)
+    assert resolved(db.read_worker(dumped.worker)) == resolved(dumped.finalize())
     # A bad chunk size fails at construction, not after the whole run.
     with pytest.raises(ValueError):
         Profiler(System.create(seed=0), trace_dir=str(tmp_path / "bad"), chunk_events=0)
@@ -103,7 +91,7 @@ def test_analyze_db_matches_in_memory_analysis(tmp_path):
     sys_b = System.create(seed=0)
     prof_b = run_profiled_session(sys_b, trace_dir=str(tmp_path), streaming=True,
                                   chunk_events=64)
-    base = analyze(prof_a.trace)
+    base = analyze(prof_a.finalize())
     from_db = analyze_db(prof_b.open_tracedb())
     assert from_db.category_breakdown_us(corrected=False) == base.category_breakdown_us(corrected=False)
     assert from_db.transition_counts() == base.transition_counts()
@@ -118,9 +106,8 @@ def populated_store(tmp_path):
         for i in range(8):
             phase = "collect" if i < 4 else "train"
             category = CATEGORY_BACKEND if i % 2 == 0 else CATEGORY_GPU
-            shard.add_event(Event(category=category, name=f"e{i}",
-                                  start_us=100.0 * i, end_us=100.0 * i + 50.0,
-                                  worker=worker, phase=phase))
+            shard.add_event((category, f"e{i}", 100.0 * i, 100.0 * i + 50.0, worker, phase,
+                             None))
         writer.close_shard(worker, metadata={"worker": worker})
     writer.close()
     return TraceDB(str(tmp_path))
@@ -149,9 +136,8 @@ def test_chunk_skipping_uses_index_statistics(tmp_path):
     shard = writer.shard("w0")
     for i in range(16):
         phase = f"phase_{i // 4}"  # each chunk covers exactly one phase
-        shard.add_event(Event(category=CATEGORY_BACKEND, name=f"e{i}",
-                              start_us=100.0 * i, end_us=100.0 * i + 50.0,
-                              worker="w0", phase=phase))
+        shard.add_event((CATEGORY_BACKEND, f"e{i}", 100.0 * i, 100.0 * i + 50.0, "w0", phase,
+                         None))
     writer.close_shard("w0")
     writer.close()
 
@@ -171,18 +157,13 @@ def test_overlap_merge_associative_and_matches_single_pass(tmp_path):
     for index, worker in enumerate(("w0", "w1", "w2")):
         shard = writer.shard(worker)
         offset = 37.0 * index
-        shard.add_operation(Event(category="Operation", name="step",
-                                  start_us=offset, end_us=offset + 500.0,
-                                  worker=worker, phase="p"))
+        shard.add_operation(("Operation", "step", offset, offset + 500.0, worker, "p", None))
         for i in range(20):
-            shard.add_event(Event(category=CATEGORY_BACKEND, name="run",
-                                  start_us=offset + 25.0 * i, end_us=offset + 25.0 * i + 13.0,
-                                  worker=worker, phase="p"))
+            shard.add_event((CATEGORY_BACKEND, "run", offset + 25.0 * i,
+                             offset + 25.0 * i + 13.0, worker, "p", None))
             if i % 3 == 0:
-                shard.add_event(Event(category=CATEGORY_GPU, name="kernel",
-                                      start_us=offset + 25.0 * i + 5.0,
-                                      end_us=offset + 25.0 * i + 20.0,
-                                      worker=worker, phase="p"))
+                shard.add_event((CATEGORY_GPU, "kernel", offset + 25.0 * i + 5.0,
+                                 offset + 25.0 * i + 20.0, worker, "p", None))
         writer.close_shard(worker)
     writer.close()
     db = TraceDB(str(tmp_path))
@@ -195,7 +176,7 @@ def test_overlap_merge_associative_and_matches_single_pass(tmp_path):
         assert left.regions[key] == pytest.approx(value, rel=1e-12)
         assert right.regions[key] == pytest.approx(value, rel=1e-12)
 
-    single = compute_overlap(db.to_event_trace())
+    single = compute_overlap(db.columnar_trace())
     for mode in ("serial", "thread"):
         parallel = parallel_overlap(db, mode=mode)
         # Byte-identical, not merely approximately equal.
@@ -301,26 +282,31 @@ def test_on_c_exit_warns_once_on_underflow():
 
 def test_closed_shard_rejects_records_without_counting_them(tmp_path):
     writer = StreamingTraceWriter(str(tmp_path))
-    trace = SpillingEventTrace(writer.shard("w0"))
-    shard = trace.shard
-    trace.add_event(Event(category=CATEGORY_BACKEND, name="run", start_us=0.0, end_us=10.0,
-                          worker="w0"))
-    trace.add_event(Event(category="Operation", name="step", start_us=0.0, end_us=12.0,
-                          worker="w0"))
-    trace.add_marker(OverheadMarker(kind=OVERHEAD_ANNOTATION, time_us=1.0, worker="w0"))
+    shard = writer.shard("w0")
+    shard.add_event((CATEGORY_BACKEND, "run", 0.0, 10.0, "w0", "default", None))
+    shard.add_operation(("Operation", "step", 0.0, 12.0, "w0", "default", None))
+    shard.add_marker((OVERHEAD_ANNOTATION, 1.0, None, "w0", "default"))
     shard.close()
-    late = Event(category=CATEGORY_BACKEND, name="late", start_us=50.0, end_us=99.0, worker="w0")
     with pytest.raises(RuntimeError, match="closed"):
-        trace.add_event(late)
+        shard.add_event((CATEGORY_BACKEND, "late", 50.0, 99.0, "w0", "default", None))
     with pytest.raises(RuntimeError, match="closed"):
-        shard.add_operation(Event(category="Operation", name="late", start_us=50.0,
-                                  end_us=99.0, worker="w0"))
+        shard.add_operation(("Operation", "late", 50.0, 99.0, "w0", "default", None))
     with pytest.raises(RuntimeError, match="closed"):
-        trace.add_marker(OverheadMarker(kind=OVERHEAD_ANNOTATION, time_us=99.0, worker="w0"))
+        shard.add_marker((OVERHEAD_ANNOTATION, 99.0, None, "w0", "default"))
     assert (shard.total_events, shard.total_operations, shard.total_markers) == (1, 1, 1)
     assert shard.max_end_us == 12.0 and shard.buffered_records == 0
-    assert trace.total_events() == 2 and trace.span_us() == 12.0
     assert shard.peak_buffered == 3 and len(shard.chunks) == 1
+
+
+def test_open_tracedb_after_a_dump_finalize(tmp_path):
+    """A profiler that dumps its trace at finalize opens the store it wrote."""
+    profiler = run_profiled_session(System.create(seed=0), trace_dir=str(tmp_path))
+    assert profiler.store is not None and profiler.store.closed
+    db = profiler.open_tracedb()
+    assert db.workers() == [profiler.worker]
+    assert resolved(db.read_worker(profiler.worker)) == resolved(profiler.finalize())
+    with pytest.raises(ValueError, match="no trace store"):
+        Profiler(System.create(seed=0)).open_tracedb()
 
 
 def test_worker_run_system_is_optional():

@@ -14,6 +14,7 @@ import zlib
 
 import pytest
 
+from oracles.event_trace import EventTrace, resolved
 from oracles.record_dicts import json_round_trip
 from repro.hw.costmodel import CostModelConfig
 from repro.profiler import analyze_db
@@ -31,10 +32,11 @@ from repro.tracedb.cli import main as trace_main
 from repro.tracedb.format import (
     CHUNK_SUFFIX,
     INDEX_FILE,
+    ChunkBuffer,
+    ChunkColumns,
     ChunkPayload,
-    decode_chunk,
-    encode_chunk,
-    write_chunk,
+    interval_row,
+    marker_row,
 )
 
 NAMES = ("step", "session_run", "naïve_kernel", "カーネル", "launch ✓", "", "cudaLaunchKernel")
@@ -101,6 +103,22 @@ def _assert_float_times(payload: ChunkPayload) -> None:
 
 
 # ------------------------------------------------------------------- codec
+def encode_chunk(payload: ChunkPayload) -> bytes:
+    """The records as one compressed chunk, added as rows as a shard adds them."""
+    buffer = ChunkBuffer()
+    for event in payload.events:
+        buffer.add_event(interval_row(event))
+    for operation in payload.operations:
+        buffer.add_operation(interval_row(operation))
+    for marker in payload.markers:
+        buffer.add_marker(marker_row(marker))
+    return buffer.columns().encode()
+
+
+def decode_chunk(data: bytes) -> ChunkPayload:
+    return ChunkColumns.from_bytes(zlib.decompress(data)).payload()
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_columnar_round_trip_matches_jsonl_oracle(seed, tmp_path):
     payload = random_payload(random.Random(seed))
@@ -116,8 +134,8 @@ def test_columnar_round_trip_matches_jsonl_oracle(seed, tmp_path):
     # from an independent copy and through the file path.
     assert encode_chunk(copy.deepcopy(payload)) == encoded
     first, second = tmp_path / f"a{CHUNK_SUFFIX}", tmp_path / f"b{CHUNK_SUFFIX}"
-    write_chunk(first, payload)
-    write_chunk(second, copy.deepcopy(payload))
+    first.write_bytes(encode_chunk(payload))
+    second.write_bytes(encode_chunk(copy.deepcopy(payload)))
     assert first.read_bytes() == second.read_bytes() == encoded
     assert decode_chunk(first.read_bytes()) == oracle
 
@@ -195,7 +213,7 @@ def _write_store(directory, shards):
     for worker, (payloads, metadata) in shards.items():
         shard = writer.shard(worker)
         for payload in payloads:
-            shard.add_records(payload)
+            EventTrace(payload.events, payload.operations, payload.markers).sink(shard)
             shard.flush()
         writer.close_shard(worker, metadata=metadata)
     writer.close()
@@ -220,7 +238,11 @@ def test_compact_rechunks_a_store_losslessly(seed, tmp_path, capsys):
         full, rest = divmod(sum(map(_records_in, source.chunks(worker))), 7)
         assert (list(map(_records_in, compacted.chunks(worker)))
                 == [7] * full + ([rest] if rest else []))
-        assert compacted.read_worker(worker) == source.read_worker(worker)
+        assert resolved(compacted.read_worker(worker)) == resolved(source.read_worker(worker))
+        assert list(compacted.iter_events(worker=worker)) == list(source.iter_events(worker=worker))
+        assert (list(compacted.iter_operations(worker=worker))
+                == list(source.iter_operations(worker=worker)))
+        assert list(compacted.iter_markers(worker=worker)) == list(source.iter_markers(worker=worker))
         assert compacted.metadata(worker) == source.metadata(worker)
     assert _breakdowns(compacted) == _breakdowns(source)
 
