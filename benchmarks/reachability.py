@@ -33,7 +33,7 @@ import runpy
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -121,8 +121,9 @@ def _experiments(work: Path) -> None:
     # once more streaming into a store (the store-derived Figure 8 summaries).
     small = MinigoConfig(num_workers=4, board_size=5, num_simulations=4, games_per_worker=1,
                          max_moves=6, sgd_steps=4, evaluation_games=2)
-    run_fig8(small, scheduler="event", num_replicas=2).report()
-    run_fig8(small, trace_dir=str(work / "fig8")).report()
+    run_fig8(replace(small, scheduler="event", batched_inference=True,
+                     num_replicas=2)).report()
+    run_fig8(replace(small, trace_dir=str(work / "fig8"))).report()
 
 
 def _profiler_and_trace_store(work: Path) -> None:

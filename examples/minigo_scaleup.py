@@ -30,6 +30,7 @@ def main(num_workers: int = 16, scheduler: str = "sequential", num_replicas: int
     if num_replicas > 1 and scheduler != "event":
         raise SystemExit("num_replicas > 1 requires the event scheduler: "
                          "python examples/minigo_scaleup.py [workers] event [replicas]")
+    event = scheduler == "event"
     config = MinigoConfig(
         num_workers=num_workers,
         board_size=5,
@@ -39,10 +40,12 @@ def main(num_workers: int = 16, scheduler: str = "sequential", num_replicas: int
         sgd_steps=16,
         evaluation_games=2,
         hidden=(64, 64),
+        scheduler=scheduler,
+        batched_inference=event,
+        leaf_batch=8 if event else 1,
+        num_replicas=num_replicas,
     )
-    result = run_fig8(config, scheduler=scheduler if scheduler != "sequential" else None,
-                      leaf_batch=8 if scheduler == "event" else None,
-                      num_replicas=num_replicas if num_replicas > 1 else None)
+    result = run_fig8(config)
     print(result.report())
     print()
     check = check_f11_misleading_gpu_utilization(result)

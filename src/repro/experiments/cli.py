@@ -46,6 +46,8 @@ from . import (
     run_sched_sweep, run_serve_sweep, run_table1, run_zoo_sweep, table1,
 )
 from ..rl.zoo import ZOO_ALGORITHMS
+from ..rollout import FLUSH_POLICIES, ROUTING_POLICIES
+from ..rollout.pool import SCHEDULER_EVENT, SCHEDULERS
 from ..serving import OVERLOAD_POLICIES
 from ..sim.registry import available_simulators
 from .common import DEFAULT_TIMESTEPS
@@ -102,6 +104,14 @@ def _findings(timesteps: int = DEFAULT_TIMESTEPS, seed: int = 0) -> str:
     return "\n".join(str(finding) for finding in checks.values())
 
 
+def _fig8(**fields):
+    """Figure 8 with each flag set on its ``MinigoConfig`` field;
+    ``--scheduler event`` also turns on batched inference, which it needs."""
+    if fields.get("scheduler") == SCHEDULER_EVENT:
+        fields["batched_inference"] = True
+    return run_fig8(replace(DEFAULT_MINIGO_CONFIG, **fields))
+
+
 def _flags(*same: str, **renamed: str) -> Dict[str, str]:
     """Flag destinations mapped to the keyword argument each one sets."""
     return {**{name: name for name in same}, **renamed}
@@ -127,7 +137,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig4": Experiment(run_fig4, _flags("algo", "timesteps", "seed")),
     "fig5": Experiment(run_fig5, _flags("timesteps", "seed")),
     "fig7": Experiment(run_fig7, _flags("timesteps", "seed")),
-    "fig8": Experiment(run_fig8, _flags(
+    "fig8": Experiment(_fig8, _flags(
         "scheduler", "flush_policy", "routing", timeout_us="flush_timeout_us",
         replicas="num_replicas")),
     "fig11a": Experiment(run_fig11a, _flags("timesteps", "seed")),
@@ -192,11 +202,11 @@ FLAGS: Dict[str, dict] = {
     "--workers": dict(type=int, help="self-play workers"),
     "--replicas": dict(type=_number_list(int, "replica counts"),
                        help="inference replica counts, comma-separated"),
-    "--routing": dict(choices=["round-robin", "least-loaded", "sticky"],
+    "--routing": dict(choices=ROUTING_POLICIES,
                       help="replica routing policy (replicasweep: all unless given)"),
-    "--scheduler": dict(choices=["sequential", "event"],
+    "--scheduler": dict(choices=SCHEDULERS,
                         help="self-play scheduler (event implies batched inference)"),
-    "--flush-policy": dict(choices=["max-batch", "timeout", "unbatched"],
+    "--flush-policy": dict(choices=FLUSH_POLICIES,
                            help="how the event-driven scheduler departs inference batches"),
     "--timeout-us": dict(type=float,
                          help="partial-batch deadline in virtual us (flush policy 'timeout')"),

@@ -8,7 +8,7 @@ data-collection window — the contrast behind finding F.11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..hw.nvidia_smi import UtilizationReport
@@ -74,46 +74,19 @@ class Fig8Result:
         return "\n".join(lines)
 
 
-def run_fig8(
-    config: Optional[MinigoConfig] = None,
-    *,
-    sample_period_us: float = 250_000.0,
-    trace_dir: Optional[str] = None,
-    scheduler: Optional[str] = None,
-    leaf_batch: Optional[int] = None,
-    flush_policy: Optional[str] = None,
-    flush_timeout_us: Optional[float] = None,
-    num_replicas: Optional[int] = None,
-    routing: Optional[str] = None,
-) -> Fig8Result:
-    """Run one Minigo round and compute the Figure 8 quantities.
+def run_fig8(config: Optional[MinigoConfig] = None, *,
+             sample_period_us: float = 250_000.0) -> Fig8Result:
+    """Run one Minigo round of ``config`` (default :data:`DEFAULT_MINIGO_CONFIG`)
+    and compute the Figure 8 quantities.
 
-    With ``trace_dir`` the round streams every phase's trace into one
+    With ``config.trace_dir`` the round streams every phase's trace into one
     TraceDB store (bounded memory during profiling) and the per-worker
     summaries are computed shard-parallel from that store — byte-identical
-    to the in-memory path.  ``scheduler="event"`` switches the self-play
-    phase to the event-driven virtual-time pool (implies batched inference,
-    with ``leaf_batch`` leaves per MCTS wave, departing batches under
-    ``flush_policy``/``flush_timeout_us``).  ``num_replicas``/``routing``
-    shard the inference service across that many model replicas (each
-    beyond the first modelling an additional inference GPU).
+    to the in-memory path.  Every pool option (scheduler, flush policy,
+    replicas, routing, ...) is a :class:`~repro.minigo.MinigoConfig` field:
+    pass ``replace(config, ...)``.
     """
     config = config if config is not None else DEFAULT_MINIGO_CONFIG
-    if trace_dir is not None:
-        config = replace(config, trace_dir=trace_dir)
-    if scheduler is not None:
-        config = replace(config, scheduler=scheduler,
-                         batched_inference=config.batched_inference or scheduler == "event")
-    if leaf_batch is not None:
-        config = replace(config, leaf_batch=leaf_batch)
-    if flush_policy is not None:
-        config = replace(config, flush_policy=flush_policy)
-    if flush_timeout_us is not None:
-        config = replace(config, flush_timeout_us=flush_timeout_us)
-    if num_replicas is not None:
-        config = replace(config, num_replicas=num_replicas)
-    if routing is not None:
-        config = replace(config, routing=routing)
     training = MinigoTraining(config)
     round_result = training.run_round()
     if round_result.trace_dir is not None:

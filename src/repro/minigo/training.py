@@ -25,13 +25,13 @@ from ..backend.context import use_engine
 from ..backend.graph import GraphEngine
 from ..backend.optimizers import Adam
 from ..backend.tensor import Tensor
-from ..hw.costmodel import CostModelConfig
 from ..hw.gpu import GPUDevice
 from ..hw.nvidia_smi import UtilizationReport, sample_utilization
 from ..profiler.api import Profiler, ProfilerConfig
 from ..profiler.columns import ColumnarTrace
 from ..rollout.driver import StepwiseDriver
 from ..rollout.inference import InferenceService, InferenceStats, InferenceTicket
+from ..rollout.pool import PoolConfig, new_service
 from ..rollout.scheduler import PoolScheduler, SchedulerStats
 from ..sim.go import GoPosition
 from ..system import System
@@ -97,71 +97,54 @@ class MinigoRoundResult:
                                   sample_period_us=sample_period_us)
 
 
-@dataclass
-class MinigoConfig:
-    """Scale parameters of one training round (defaults are reproduction-sized)."""
+@dataclass(frozen=True)
+class MinigoConfig(PoolConfig):
+    """One training round: its self-play pool's options plus Minigo's own.
+
+    Every :class:`~repro.rollout.pool.PoolConfig` field configures the
+    self-play pool (and the evaluation phase's service and scheduler) as
+    documented there; the five redeclared below are
+    :class:`~repro.minigo.workers.SelfPlayPool`'s defaults.  ``trace_dir``
+    differs in one way: each round streams every phase into its own
+    ``round_NNN`` store under it, because worker clocks restart at zero
+    every round and rounds must not share shards.  Defaults are
+    reproduction-sized.
+    """
 
     num_workers: int = 16
+    profile: bool = True
+    batched_inference: bool = False
+    inference_max_batch: Optional[int] = 64
+    scheduler: str = SCHEDULER_SEQUENTIAL
     board_size: int = 5
     num_simulations: int = 8
     games_per_worker: int = 1
     max_moves: Optional[int] = None
     hidden: Tuple[int, int] = (128, 128)
+    #: in-flight leaves each MCTS wave collects per batched evaluation
+    #: (1 reproduces the legacy per-leaf search decision-for-decision)
+    leaf_batch: int = 1
+    #: per-search MCTS transposition table: DAG-share identical positions
+    #: reached by different move orders inside one search
+    transposition: bool = False
     sgd_steps: int = 32
     sgd_batch_size: int = 32
     learning_rate: float = 1e-2
     evaluation_games: int = 2
     acceptance_threshold: float = 0.55
-    profile: bool = True
-    seed: int = 0
-    #: Route self-play leaf evaluation through one shared batched
-    #: InferenceService instead of per-worker engines calling per leaf.
-    batched_inference: bool = False
-    #: In-flight leaves each MCTS wave collects per batched evaluation
-    #: (1 reproduces the legacy per-leaf search decision-for-decision).
-    leaf_batch: int = 1
-    #: Largest row count the inference service packs into one engine call.
-    inference_max_batch: int = 64
-    #: Number of model replicas the inference service shards across (each
-    #: replica beyond the first models an additional inference GPU).
-    num_replicas: int = 1
-    #: How batches are routed to replicas: "round-robin", "least-loaded" or
-    #: "sticky" (cache-affinity: each batch host pins to one replica).
-    routing: str = "round-robin"
-    #: Flush policy selector of the batched self-play pool (every batched
-    #: pool runs under the PoolScheduler): "sequential" serves each ticket
-    #: alone (the "unbatched" policy); "event" applies flush_policy so the
-    #: shared service batches across workers (requires batched_inference).
-    scheduler: str = SCHEDULER_SEQUENTIAL
-    #: How the event-driven scheduler departs batches: "max-batch" (wait
-    #: until full or everyone blocks), "timeout" (partial batches depart
-    #: flush_timeout_us after their first request), or "unbatched" (one
-    #: ticket per call — the determinism baseline).
-    flush_policy: str = "max-batch"
-    flush_timeout_us: Optional[float] = None
-    #: Per-search MCTS transposition table: DAG-share identical positions
-    #: reached by different move orders inside one search.
-    transposition: bool = False
-    #: Row capacity of the service-side evaluation cache (None = off, the
-    #: bit-for-bit baseline).  Requires batched_inference: workers then
-    #: attach Zobrist state keys to every wave so the shared service can
-    #: dedupe and reuse rows across workers — and, in the evaluation
-    #: phase, across concurrent games.
-    cache_capacity: Optional[int] = None
-    #: When set, every phase streams its trace into one TraceDB store
-    #: (per-worker shards) instead of keeping whole traces in memory.  Each
-    #: round gets its own ``round_NNN`` store under this directory — worker
-    #: clocks restart at zero every round, so rounds must not share shards.
-    trace_dir: Optional[str] = None
+
+
+#: ``MinigoConfig`` fields only the training and evaluation phases read;
+#: every other field is a :class:`SelfPlayPool` keyword.
+_TRAINING_FIELDS = ("sgd_steps", "sgd_batch_size", "learning_rate", "evaluation_games",
+                    "acceptance_threshold")
 
 
 class MinigoTraining:
     """Drives one (or more) Minigo training rounds."""
 
-    def __init__(self, config: Optional[MinigoConfig] = None,
-                 cost_config: Optional[CostModelConfig] = None) -> None:
+    def __init__(self, config: Optional[MinigoConfig] = None) -> None:
         self.config = config if config is not None else MinigoConfig()
-        self.cost_config = cost_config
         rng = np.random.default_rng(self.config.seed + 7)
         self.current_weights = PolicyValueNet(self.config.board_size, self.config.hidden,
                                               rng=rng).state_dict()
@@ -179,30 +162,11 @@ class MinigoTraining:
             from ..tracedb.writer import StreamingTraceWriter
             round_dir = os.path.join(cfg.trace_dir, f"round_{self._round_counter:03d}")
             self._round_counter += 1
-            store = StreamingTraceWriter(round_dir)
+            store = StreamingTraceWriter(round_dir, chunk_events=cfg.chunk_events)
         # Phase 1: parallel self-play data collection.
-        pool = SelfPlayPool(
-            cfg.num_workers,
-            board_size=cfg.board_size,
-            num_simulations=cfg.num_simulations,
-            games_per_worker=cfg.games_per_worker,
-            max_moves=cfg.max_moves,
-            hidden=cfg.hidden,
-            profile=cfg.profile,
-            cost_config=self.cost_config,
-            seed=cfg.seed,
-            store=store,
-            batched_inference=cfg.batched_inference,
-            leaf_batch=cfg.leaf_batch,
-            inference_max_batch=cfg.inference_max_batch,
-            num_replicas=cfg.num_replicas,
-            routing=cfg.routing,
-            scheduler=cfg.scheduler,
-            flush_policy=cfg.flush_policy,
-            flush_timeout_us=cfg.flush_timeout_us,
-            transposition=cfg.transposition,
-            cache_capacity=cfg.cache_capacity,
-        )
+        options = {name: value for name, value in vars(cfg).items()
+                   if name not in _TRAINING_FIELDS}
+        pool = SelfPlayPool(**dict(options, trace_dir=None), store=store)
         runs = pool.run(self.current_weights)
         examples = pool.all_examples()
 
@@ -254,7 +218,7 @@ class MinigoTraining:
     # ----------------------------------------------------------------- phase 2
     def _train_candidate(self, examples: List[SelfPlayExample], device: GPUDevice, store=None):
         cfg = self.config
-        system = System.create(seed=cfg.seed + 5, config=self.cost_config,
+        system = System.create(seed=cfg.seed + 5, config=cfg.cost_config,
                                device=device, worker="trainer")
         system.cuda.default_stream = cfg.num_workers + 1
         engine = GraphEngine(system, flavor="tensorflow")
@@ -303,7 +267,7 @@ class MinigoTraining:
     # ----------------------------------------------------------------- phase 3
     def _evaluate_candidate(self, candidate_weights: List[np.ndarray], device: GPUDevice, store=None):
         cfg = self.config
-        system = System.create(seed=cfg.seed + 6, config=self.cost_config,
+        system = System.create(seed=cfg.seed + 6, config=cfg.cost_config,
                                device=device, worker="evaluate_candidate_model")
         system.cuda.default_stream = cfg.num_workers + 2
         engine = GraphEngine(system, flavor="tensorflow")
@@ -330,14 +294,7 @@ class MinigoTraining:
             eval_service: Optional[InferenceService] = None
             current_client = candidate_client = None
             if cfg.batched_inference:
-                eval_service = InferenceService(current, max_batch=cfg.inference_max_batch,
-                                                name="evaluation_inference",
-                                                num_replicas=cfg.num_replicas,
-                                                routing=cfg.routing,
-                                                primary_device=device,
-                                                cost_config=self.cost_config,
-                                                seed=cfg.seed,
-                                                cache_capacity=cfg.cache_capacity)
+                eval_service = new_service(cfg, current, device, name="evaluation_inference")
                 current_client = eval_service.connect(system, engine, worker="evaluation_current")
                 candidate_client = eval_service.connect(system, engine, worker="evaluation_candidate",
                                                         network=candidate)

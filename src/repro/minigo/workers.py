@@ -51,6 +51,7 @@ from ..rollout.pool import (  # the SCHEDULER* names and WorkerRun are re-export
     WorkerPool,
     WorkerRun,
     WorkerStack,
+    new_service,
 )
 from .selfplay import GameDriver, PolicyValueNet, SelfPlayWorker
 
@@ -92,7 +93,9 @@ class SelfPlayPool(WorkerPool):
         submission carries Zobrist position keys for the shared service's
         cache.  Both default off, preserving today's runs bit-for-bit.
         ``options`` are the other :class:`~repro.rollout.pool.PoolConfig`
-        fields."""
+        fields.  Every keyword here is a
+        :class:`~repro.minigo.training.MinigoConfig` field of the same name
+        and default, which is how a training round builds its pool."""
         super().__init__(
             PoolConfig(num_workers, profile=profile, batched_inference=batched_inference,
                        inference_max_batch=inference_max_batch, scheduler=scheduler,
@@ -128,7 +131,7 @@ class SelfPlayPool(WorkerPool):
 
         network = PolicyValueNet(self.board_size, self.hidden,
                                  rng=np.random.default_rng(network_seed(self.config.seed)))
-        return self._new_service(network, service_factory)
+        return new_service(self.config, network, self.device, service_factory)
 
     def _build_workers(self, indices, weights=None,
                        service_factory=None) -> List[WorkerStack]:

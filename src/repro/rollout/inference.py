@@ -363,6 +363,12 @@ def make_routing_policy(routing: str) -> RoutingPolicy:
     raise ValueError(f"unknown routing policy {routing!r}; expected one of {ROUTING_POLICIES}")
 
 
+def softmax_forward(network, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The default service forward: softmax policy rows plus value rows."""
+    logits, value = network(Tensor(features))
+    return F.softmax(logits).numpy(), value.numpy().reshape(-1)
+
+
 class ModelReplica:
     """One model replica pinned to its own device/system.
 
@@ -540,10 +546,10 @@ class InferenceService:
         self.max_batch = max_batch
         self.name = name
         self.function_name = function_name
-        if forward is not None:
-            # Shadow the default method with the caller's plain callable;
-            # both are invoked as ``self._forward(network, features)``.
-            self._forward = forward
+        # A plain function, never a bound method: each replica caches a
+        # compiled evaluator closing over it, and a bound method would tie
+        # the service into a reference cycle through its own replicas.
+        self._forward = forward or softmax_forward
         self.routing = make_routing_policy(routing)
         self.cache_capacity = cache_capacity
         #: monotonic weight generation; part of every cache key, so entries
@@ -613,11 +619,6 @@ class InferenceService:
         """Register a worker; returns its client handle."""
         return InferenceClient(self, system, engine, worker or system.worker,
                                network=network)
-
-    def _forward(self, network, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        logits, value = network(Tensor(features))
-        priors = F.softmax(logits)
-        return priors.numpy(), value.numpy().reshape(-1)
 
     # ---------------------------------------------------------------- weights
     def update_weights(self, weights, *, charge: bool = True) -> float:

@@ -194,6 +194,29 @@ class PoolConfig:
     scheduler: str = SCHEDULER_EVENT
 
 
+def new_service(config: PoolConfig, network, device: Optional[GPUDevice],
+                service_factory=None, **kwargs) -> InferenceService:
+    """The shared service ``config`` describes around ``network``:
+    ``num_replicas`` shards, replica 0 on ``device``.  ``service_factory``
+    substitutes the class (the multiprocess path passes the parent-side
+    mirror); ``kwargs`` go to it as they are."""
+    factory = service_factory if service_factory is not None else InferenceService
+    max_batch = config.inference_max_batch
+    if max_batch is None:
+        max_batch = max(1, config.num_workers // config.num_replicas)
+    return factory(
+        network,
+        max_batch=max_batch,
+        num_replicas=config.num_replicas,
+        routing=config.routing,
+        primary_device=device,
+        cost_config=config.cost_config,
+        seed=config.seed,
+        cache_capacity=config.cache_capacity,
+        **kwargs,
+    )
+
+
 class WorkerPool:
     """Core of a pool of workers sharing one GPU and one inference service.
 
@@ -440,27 +463,6 @@ class WorkerPool:
         profiler.attach(engine=engine, envs=envs)
         return profiler
 
-    def _new_service(self, network, service_factory=None, **kwargs) -> InferenceService:
-        """The shared service around ``network``: ``num_replicas`` shards,
-        replica 0 on the pool's primary GPU.  ``service_factory`` substitutes
-        the class (the multiprocess path passes the parent-side mirror)."""
-        config = self.config
-        factory = service_factory if service_factory is not None else InferenceService
-        max_batch = config.inference_max_batch
-        if max_batch is None:
-            max_batch = max(1, config.num_workers // config.num_replicas)
-        return factory(
-            network,
-            max_batch=max_batch,
-            num_replicas=config.num_replicas,
-            routing=config.routing,
-            primary_device=self.device,
-            cost_config=config.cost_config,
-            seed=config.seed,
-            cache_capacity=config.cache_capacity,
-            **kwargs,
-        )
-
     def _finish_worker(self, worker, profiler: Optional[Profiler], result) -> WorkerRun:
         """One worker's run record; ``worker`` is anything carrying its ``system``."""
         # A streaming profiler's finalize returns None: the trace is in the store.
@@ -539,8 +541,8 @@ class EnvRolloutPool(WorkerPool):
             rng=np.random.default_rng(network_seed(self.config.seed)),
             name=f"zoo_{self.sim}")
         forward = None if probe_env.is_discrete else continuous_actor_forward
-        return self._new_service(network, service_factory,
-                                 function_name=POLICY_FUNCTION_NAME, forward=forward)
+        return new_service(self.config, network, self.device, service_factory,
+                           function_name=POLICY_FUNCTION_NAME, forward=forward)
 
     def _build_workers(self, indices, weights=None,
                        service_factory=None) -> List[WorkerStack]:

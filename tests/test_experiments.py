@@ -1,5 +1,7 @@
 """Integration tests: the experiment harness regenerates the paper's figures (small scale)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.experiments import (
     validate_workload,
 )
 from repro.experiments import findings, table1
-from repro.experiments.fig8 import Fig8Result
+from repro.experiments.fig8 import DEFAULT_MINIGO_CONFIG, Fig8Result
 from repro.minigo import MinigoConfig
 from repro.profiler import ProfilerConfig
 from repro.rl.frameworks import STABLE_BASELINES, TF_AGENTS_AUTOGRAPH, TF_AGENTS_EAGER
@@ -138,7 +140,7 @@ def test_fig8_replicas_without_batched_inference_rejected_by_the_pool(monkeypatc
     monkeypatch.setattr(SelfPlayPool, "run", no_work)
     monkeypatch.setattr(MinigoTraining, "_train_candidate", no_work)
     with pytest.raises(ValueError, match=r"num_replicas > 1 requires batched_inference=True"):
-        run_fig8(num_replicas=2)
+        run_fig8(replace(DEFAULT_MINIGO_CONFIG, num_replicas=2))
 
 
 # ------------------------------------------------------------------- figure 11

@@ -437,3 +437,22 @@ def test_drop_pending_calls_predicate_once_per_ticket():
     service.drop_pending(lambda t: seen.append(id(t)) is None and len(seen) <= 2)
     assert len(seen) == 5, "one predicate call per pending ticket"
     assert service.pending_tickets == 3
+
+
+def test_finished_pool_service_is_freed_without_the_cycle_collector():
+    """The service's default forward is a plain function, so the compiled
+    evaluators its replicas cache do not point back at the service: a
+    finished pool, its service and its worker systems are freed on ``del``."""
+    import gc
+    import weakref
+
+    pool = SelfPlayPool(3, board_size=BOARD, num_simulations=4, max_moves=4, hidden=(8, 8),
+                        leaf_batch=2, batched_inference=True, scheduler="event")
+    gc.disable()
+    try:
+        pool.run()
+        refs = [weakref.ref(pool.inference_service), weakref.ref(pool.runs[0].system)]
+        del pool
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

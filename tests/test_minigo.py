@@ -261,3 +261,63 @@ def test_concurrent_evaluation_pins_sequential_win_statistics(
                             batched=True) == expected_wins
     assert _evaluation_wins(evaluation_games=evaluation_games,
                             batched=True, cache=True) == expected_wins
+
+
+# ------------------------------------------------------------- one config
+ROUND = dict(num_workers=3, board_size=5, num_simulations=4, games_per_worker=1,
+             max_moves=6, sgd_steps=2, evaluation_games=2, hidden=(8, 8),
+             batched_inference=True, scheduler="event", leaf_batch=2)
+
+
+def test_every_pool_field_of_a_round_reaches_its_pool_and_evaluation_service(
+        monkeypatch, tmp_path):
+    """A round builds its self-play pool from the config's ``PoolConfig``
+    fields (its own store in place of ``trace_dir``) and its evaluation
+    service from the same fields."""
+    from dataclasses import fields, replace
+
+    from repro.hw.costmodel import CostModelConfig
+    from repro.minigo import training as training_mod
+    from repro.rollout import PoolConfig
+
+    config = MinigoConfig(**ROUND, seed=3, routing="sticky", num_replicas=2,
+                          flush_policy="timeout", flush_timeout_us=40.0,
+                          inference_max_batch=4, cache_capacity=64,
+                          cost_config=CostModelConfig(python_op_us=1.1),
+                          trace_dir=str(tmp_path), chunk_events=500)
+    pools, services = [], []
+    run = SelfPlayPool.run
+    monkeypatch.setattr(SelfPlayPool, "run",
+                        lambda pool, weights=None: pools.append(pool) or run(pool, weights))
+    build = training_mod.new_service
+    monkeypatch.setattr(training_mod, "new_service",
+                        lambda *args, **kwargs: services.append(build(*args, **kwargs))
+                        or services[-1])
+    MinigoTraining(config).run_round()
+
+    (pool,), (service,) = pools, services
+    pool_part = PoolConfig(**{f.name: getattr(config, f.name) for f in fields(PoolConfig)})
+    assert type(pool.config) is PoolConfig
+    assert pool.config == replace(pool_part, trace_dir=None)
+    assert pool.store.chunk_events == 500
+    assert all(run.system.cost_model.config is config.cost_config for run in pool.runs)
+    assert (service.name, service.max_batch, service.num_replicas, service.routing.name,
+            service.cache_capacity) == ("evaluation_inference", 4, 2, "sticky", 64)
+    assert all(replica.system.cost_model.config is config.cost_config
+               for replica in service.replicas)
+
+
+def _round_signature(result):
+    runs = [(run.worker, run.total_time_us, run.result.moves,
+             [(e.features.tobytes(), e.policy_target.tobytes(), e.value_target)
+              for e in run.result.examples])
+            for run in result.worker_runs]
+    return runs, result.losses, result.candidate_wins
+
+
+def test_a_round_sharded_over_processes_reproduces_the_single_process_round():
+    config = MinigoConfig(**ROUND, seed=5, profile=False)
+    sharded = MinigoConfig(**ROUND, seed=5, profile=False, num_processes=2,
+                           process_backend="inline")
+    assert _round_signature(MinigoTraining(sharded).run_round()) == \
+        _round_signature(MinigoTraining(config).run_round())

@@ -17,7 +17,9 @@ how the pools are built or run must leave all of them byte-identical:
 * one small CLI run per pool-sweep flag that the runs above leave unread
   (``--routing``, ``--flush-policy``, ``--timeout-us``, ``--sims``,
   ``--algos`` and ``--trace-dir``), digests recorded before the sweeps
-  moved onto one runner.
+  moved onto one runner;
+* two ``fig8`` runs through its pool flags, digests recorded before those
+  flags became :class:`~repro.minigo.MinigoConfig` fields.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ FLAG_STDOUT_SHA256 = {
         "8cb6163cc9c1af312841fe12be68ded138a18f34393b86000a00788f738970d0",
     "replicasweep-routing-flush":
         "6877074e4cb57c16c4678ad6785124fa21d03488f8feb478544eb36dbf654e06",
+    "fig8-event-replicas":
+        "64bc9ce4da067530080fc4fa8b123ac52d35d1a3fd79a9042092c34550a1cd36",
+    "fig8-event-timeout-sticky":
+        "7cc9a88e5fda44d467ae4704a12146cc20d2b8decf5e03b82abc1e53b3ae9cea",
 }
 FLAG_ARGV = {
     "schedsweep-routing-flush": ["schedsweep", "--workers", "2", "--leaf-batches", "2",
@@ -70,6 +76,9 @@ FLAG_ARGV = {
     "replicasweep-routing-flush": ["replicasweep", "--replicas", "2", "--workers", "2",
                                    "--routing", "sticky", "--flush-policy", "max-batch",
                                    "--leaf-batches", "4"],
+    "fig8-event-replicas": ["fig8", "--scheduler", "event", "--replicas", "2"],
+    "fig8-event-timeout-sticky": ["fig8", "--scheduler", "event", "--flush-policy", "timeout",
+                                  "--timeout-us", "500", "--routing", "sticky"],
 }
 #: SHA-256 of the ``zoosweep --sims --algos --trace-dir`` report followed by
 #: every file of the trace stores it writes (see :func:`tree_digest`).
