@@ -44,6 +44,7 @@ from pathlib import Path
 
 from conftest import save_report
 from record import record
+from repro.minigo import mcts as mcts_mod
 from repro.minigo import selfplay as selfplay_mod
 from repro.minigo.workers import SelfPlayPool
 from repro.profiler.overlap import OverlapResult, compute_overlap
@@ -56,7 +57,7 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 from oracles.event_trace import EventTrace, event_trace  # noqa: E402
 from oracles.go_reference import ReferenceGoPosition  # noqa: E402
 from oracles.overlap_loop import accumulate_columns_loop, accumulate_worker_loop  # noqa: E402
-from oracles.scalar_mcts import ScalarMCTS, ScalarSearchCursor  # noqa: E402
+from oracles.scalar_mcts import ScalarMCTS, ScalarSearchCursor, stack_each_features  # noqa: E402
 from oracles.scan_scheduler import run_scan  # noqa: E402
 
 NUM_WORKERS = 8
@@ -94,16 +95,17 @@ MIN_OVERLAP_VECTOR_SPEEDUP = 5.0
 def pre_optimization_harness():
     """Swap the preserved original implementations in for one run."""
     saved = (selfplay_mod.GoPosition, selfplay_mod.MCTS, selfplay_mod.SearchCursor,
-             PoolScheduler.run)
+             mcts_mod.stacked_features, PoolScheduler.run)
     selfplay_mod.GoPosition = ReferenceGoPosition
     selfplay_mod.MCTS = ScalarMCTS
     selfplay_mod.SearchCursor = ScalarSearchCursor
+    mcts_mod.stacked_features = stack_each_features
     PoolScheduler.run = run_scan
     try:
         yield
     finally:
         (selfplay_mod.GoPosition, selfplay_mod.MCTS, selfplay_mod.SearchCursor,
-         PoolScheduler.run) = saved
+         mcts_mod.stacked_features, PoolScheduler.run) = saved
 
 
 def _run_pool(**overrides):

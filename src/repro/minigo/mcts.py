@@ -19,6 +19,10 @@ With ``leaf_batch > 1`` the search runs in *waves*: up to ``leaf_batch``
 leaves are selected per wave under a virtual loss (each in-flight leaf is
 temporarily scored as a loss along its path, steering later selections away
 from it), then evaluated in one batched network call and backed up together.
+A wave is also expanded as one block: one unpack of the leaves' feature
+planes builds the request, one unpack of their legality bitboards and one
+set of (k, moves) array ops expand every evaluated leaf, and each leaf keeps
+row views into the wave's blocks — bit-identical to expanding leaf by leaf.
 A wave of one leaf applies and removes its virtual loss before any other
 selection happens, so ``leaf_batch=1`` reproduces the classic per-leaf search
 decision-for-decision.
@@ -38,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.go import GoPosition, Move
+from ..sim.go import GoPosition, Move, legal_masks, stacked_features
 
 #: Evaluates a batch of positions -> (policy priors [N, num_moves], values [N]).
 NetworkEvaluator = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -296,15 +300,21 @@ class MCTS:
 
     def _finish_wave(self, wave: List[WaveEntry],
                      evaluated: Dict[int, Tuple[np.ndarray, float]]) -> int:
-        """Revert virtual losses, expand evaluated leaves, back values up.
+        """Expand the evaluated leaves, then revert virtual losses and back up.
 
-        ``evaluated`` maps each pending wave slot to its (priors, value)."""
+        ``evaluated`` maps each pending wave slot to its (priors, value).
+        All evaluated leaves are expanded in one :meth:`_expand_rows` block
+        before any backup.  That is the per-leaf order's result exactly:
+        expansion writes only the leaf's own new arrays, no leaf of a wave is
+        another's ancestor (selection descends only through expanded nodes),
+        and the ancestors' arrays are updated in selection order as before."""
+        slots = [slot for slot, (_, value) in enumerate(wave) if value is None]
+        if slots:
+            self._expand_rows([wave[slot][0] for slot in slots],
+                              np.stack([evaluated[slot][0] for slot in slots]))
         for slot, (node, value) in enumerate(wave):
             self._remove_virtual_loss(node)
-            if value is None:
-                node_priors, value = evaluated[slot]
-                self._expand_with_priors(node, node_priors, add_noise=False)
-            self._backup(node, value)
+            self._backup(node, evaluated[slot][1] if value is None else value)
         return len(wave)
 
     @staticmethod
@@ -324,32 +334,48 @@ class MCTS:
         node._root_VL -= 1
 
     def _expand_with_priors(self, node: MCTSNode, priors: np.ndarray, *, add_noise: bool) -> None:
-        """Store the node's child arrays from an already-computed prior row.
-
-        No child object and no child board is built here: a child exists
-        only once selection picks it (see :class:`MCTSNode`).
-        """
-        legal = node.position.legal_mask()
-        masked = np.maximum(priors, 1e-8)
-        masked *= legal
-        masked /= masked.sum()
-
+        """Store one node's child arrays from an already-computed prior row:
+        the one-row :meth:`_expand_rows`, plus root Dirichlet noise."""
+        self._expand_rows([node], priors[None, :])
         if add_noise:
+            legal = node.legal
             num_legal = int(np.count_nonzero(legal))
             if num_legal > 1:
+                masked = node.child_prior
                 noise = self.rng.dirichlet([self.dirichlet_alpha] * num_legal)
                 masked[legal] = (
                     (1 - self.exploration_fraction) * masked[legal]
                     + self.exploration_fraction * noise
                 )
+                node.child_U = np.where(legal, self.c_puct * masked, -math.inf)
 
-        num_moves = len(masked)
-        node.legal = legal
-        node.child_prior = masked
-        node.child_U = np.where(legal, self.c_puct * masked, -math.inf)
-        node.child_N = np.zeros(num_moves, dtype=np.int64)
-        node.child_W = np.zeros(num_moves, dtype=np.float64)
-        node.child_VL = np.zeros(num_moves, dtype=np.int64)
+    def _expand_rows(self, nodes: List[MCTSNode], priors: np.ndarray) -> None:
+        """Store the child arrays of ``nodes`` from their (k, moves) prior rows.
+
+        Every array op runs once on the whole block, and each node keeps row
+        views into one block each of priors, ``child_U``, N, W and VL.  Row
+        ``i`` is bit-identical to expanding node ``i`` on its own: every op
+        is elementwise but the row sum, which runs NumPy's pairwise loop on
+        each contiguous row as a 1-D ``sum()`` does.  No child object and no
+        child board is built here: a child exists only once selection picks
+        it (see :class:`MCTSNode`).
+        """
+        legal = legal_masks([node.position for node in nodes])
+        masked = np.maximum(priors, 1e-8)
+        masked *= legal
+        masked /= masked.sum(axis=1, keepdims=True)
+        child_U = np.where(legal, self.c_puct * masked, -math.inf)
+        child_N = np.zeros(masked.shape, dtype=np.int64)
+        child_W = np.zeros(masked.shape, dtype=np.float64)
+        child_VL = np.zeros(masked.shape, dtype=np.int64)
+        for node, legal_row, prior, U, N, W, VL in zip(
+                nodes, legal, masked, child_U, child_N, child_W, child_VL):
+            node.legal = legal_row
+            node.child_prior = prior
+            node.child_U = U
+            node.child_N = N
+            node.child_W = W
+            node.child_VL = VL
 
     @staticmethod
     def _backup(node: MCTSNode, value: float) -> None:
@@ -501,7 +527,7 @@ class SearchCursor:
                 self._pending_hits = hits or None
                 leaves = [wave[slot][0].position for slot in pending]
                 self.request = LeafEvalRequest(
-                    np.stack([position.features() for position in leaves]),
+                    stacked_features(leaves),
                     [position.transposition_key() for position in leaves]
                     if mcts.emit_state_keys else None)
                 return self.request

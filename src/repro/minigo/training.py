@@ -79,6 +79,8 @@ class MinigoRoundResult:
     #: between-round accounting; collection-phase clocks restart at zero
     #: each round, so the broadcast does not delay later rounds' timelines.
     weight_broadcast_us: float = 0.0
+    #: Shard processes the self-play phase ran in (None: this process).
+    selfplay_processes: Optional[int] = None
 
     def traces(self) -> Dict[str, ColumnarTrace]:
         traces = {run.worker: run.trace for run in self.worker_runs if run.trace is not None}
@@ -89,9 +91,19 @@ class MinigoRoundResult:
         return traces
 
     def utilization(self, *, sample_period_us: float = 250_000.0) -> UtilizationReport:
-        """nvidia-smi style utilization over the parallel data-collection window."""
+        """nvidia-smi style utilization over the parallel data-collection window.
+
+        Only a single-process round has one: a sharded round's self-play
+        kernels ran on the shards' devices, and merging their activity lists
+        would not reproduce one shared device's stream queueing.
+        """
         if self.device is None:
             raise ValueError("no device recorded for this round")
+        if self.selfplay_processes is not None:
+            raise ValueError(
+                f"the self-play kernels ran in {self.selfplay_processes} shard "
+                "processes, so this round's device holds only the trainer and "
+                "evaluation kernels; run the round without num_processes")
         window_end = max((run.total_time_us for run in self.worker_runs), default=0.0)
         return sample_utilization(self.device, window_end_us=window_end,
                                   sample_period_us=sample_period_us)
@@ -213,6 +225,7 @@ class MinigoTraining:
                 [replica.stats for replica in pool.inference_service.replicas]
                 if pool.inference_service is not None else None),
             weight_broadcast_us=broadcast_us,
+            selfplay_processes=cfg.num_processes,
         )
 
     # ----------------------------------------------------------------- phase 2

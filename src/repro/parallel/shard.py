@@ -28,6 +28,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+# Every shard's profilers write through the trace sink.  Importing it here,
+# in a module the parent loads before it forks its shards, lets each fresh
+# shard inherit the module instead of importing it again.
+from ..tracedb import writer as _trace_sink  # noqa: F401
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rollout.pool import PoolConfig
 

@@ -15,21 +15,23 @@ scan of the original implementation (preserved verbatim as a test oracle
 in ``tests/oracles/`` and pinned equivalent by the random-game oracle in
 ``tests/test_go_oracle.py``).  The board also keeps **bitboards** (Python
 ints, bit ``row * size + col``) of its empty, black and white points.
-:meth:`GoBoard.legal_mask` finds every empty point with an empty neighbor
-by four shifts of the empty bitboard, checks only the few fully surrounded
-empty points one by one, and unpacks the result into a bool array in a
-single NumPy call; ``legal_moves`` is a view of that mask, and
-:meth:`GoPosition.features` is one unpack of the own, opponent and turn
-planes.  :class:`GoPosition` is immutable, so its ``legal_mask()``/
-``legal_moves()``/``features()`` are computed once and cached per instance —
-MCTS expansion and self-play record collection hit the cache instead of
-re-deriving them per call.
+:meth:`GoBoard.legal_bits` finds every empty point with an empty neighbor
+by four shifts of the empty bitboard and checks only the few fully
+surrounded empty points one by one; :meth:`GoBoard.legal_mask` unpacks that
+bitboard into a bool array in a single NumPy call, ``legal_moves`` is a view
+of that mask, and :meth:`GoPosition.features` is one unpack of the own,
+opponent and turn planes.  :class:`GoPosition` is immutable, so its
+``legal_mask()``/``legal_moves()``/``features()`` are computed once and
+cached per instance.  :func:`legal_masks` and :func:`stacked_features` do
+the same for a list of positions with one unpack per list (an MCTS wave's
+leaves), storing each row as that position's cached array; the
+one-position methods are their one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -100,10 +102,12 @@ def _edge_masks(size: int) -> Tuple[int, int]:
     return edges
 
 
-def _unpack(bits: int, count: int) -> np.ndarray:
-    """The low ``count`` bits of ``bits`` as a uint8 0/1 array, bit 0 first."""
-    return np.unpackbits(np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8),
-                         count=count, bitorder="little")
+def _unpack_rows(bits: List[int], count: int) -> np.ndarray:
+    """The low ``count`` bits of each int in ``bits``, bit 0 first, as the
+    uint8 0/1 rows of one block: one ``np.unpackbits`` for every row."""
+    width = (count + 7) // 8
+    raw = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in bits]), np.uint8)
+    return np.unpackbits(raw.reshape(len(bits), width), axis=1, count=count, bitorder="little")
 
 
 def _zobrist_tables(size: int) -> Tuple[List[List[int]], List[int], int]:
@@ -157,7 +161,8 @@ class GoBoard:
     ``play``, ``legal_moves``, ``group_and_liberties``, ``area_score``) is
     identical to the reference implementation; the random-game oracle test
     pins the two move-for-move.  Additionally :meth:`legal_mask` gives the
-    legal moves as a bool mask over move indices, and :attr:`zobrist` exposes
+    legal moves as a bool mask over move indices (:meth:`legal_bits` as a
+    bitboard), and :attr:`zobrist` exposes
     the incrementally-maintained hash of the stone configuration.
     ``_empty``/``_black``/``_white`` are bitboards (bit ``row * size + col``)
     kept in lockstep with ``board`` and the group map.
@@ -371,14 +376,17 @@ class GoBoard:
         return captured
 
     def legal_mask(self, color: int) -> np.ndarray:
-        """Legality of every move index for ``color``: row-major points, then pass.
+        """Legality of every move index for ``color``: row-major points, then pass."""
+        return _unpack_rows([self.legal_bits(color)], self.size * self.size + 1)[0].view(bool)
+
+    def legal_bits(self, color: int) -> int:
+        """:meth:`legal_mask` as a bitboard: bit ``index`` set iff that move is legal.
 
         Four shifts of the empty bitboard mark each empty point that has an
         empty neighbor (always legal: the neighbor is a liberty of the new
         stone); the edge masks drop shifts that wrapped around a row end.
         Only the few fully surrounded empty points fall back to
-        :meth:`_legal_at_empty`.  The ko point is cleared, the pass bit set,
-        and the bitboard unpacked into a bool array in one call.
+        :meth:`_legal_at_empty`.  The ko point is cleared and the pass bit set.
         """
         size = self.size
         not_left, not_right = self._edges
@@ -395,8 +403,7 @@ class GoBoard:
         ko = self.ko_point
         if ko is not None:
             legal &= ~(1 << (ko[0] * size + ko[1]))
-        legal |= 1 << (size * size)  # passing is always legal
-        return _unpack(legal, size * size + 1).view(bool)
+        return legal | 1 << (size * size)  # passing is always legal
 
     def legal_moves(self, color: int, *, include_pass: bool = True) -> List[Move]:
         """The legal moves in :meth:`legal_mask` order (pass last, if included)."""
@@ -447,8 +454,11 @@ class GoPosition:
 
     Positions never change after construction, so the expensive derived
     quantities — the legality mask, the legal-move list and the network
-    feature planes — are computed once and cached on the instance.  Callers
-    treat the returned list/arrays as read-only (the mask is flagged so).
+    feature planes — are computed once and cached on the instance (the
+    arrays may be rows of a block that :func:`legal_masks` or
+    :func:`stacked_features` unpacked for several positions at once).
+    Callers treat the returned list/arrays as read-only (the mask is flagged
+    so).
     """
 
     board: GoBoard
@@ -473,12 +483,9 @@ class GoPosition:
 
     def legal_mask(self) -> np.ndarray:
         """Read-only bool legality mask over move indices (cached)."""
-        mask = self._legal_mask
-        if mask is None:
-            mask = self.board.legal_mask(self.to_play)
-            mask.flags.writeable = False
-            self._legal_mask = mask
-        return mask
+        if self._legal_mask is None:
+            legal_masks([self])
+        return self._legal_mask
 
     def legal_moves(self) -> List[Move]:
         moves = self._legal_moves
@@ -510,16 +517,18 @@ class GoPosition:
 
     def features(self) -> np.ndarray:
         """Flat feature vector for the policy/value network (cached)."""
-        features = self._features
-        if features is None:
-            board = self.board
-            points = self._pass_index
-            if self.to_play == BLACK:  # own stones, opponent stones, turn plane
-                bits = board._black | board._white << points | ((1 << points) - 1) << 2 * points
-            else:
-                bits = board._white | board._black << points
-            features = self._features = _unpack(bits, 3 * points).astype(np.float32)
-        return features
+        if self._features is None:
+            stacked_features([self])
+        return self._features
+
+    def _feature_bits(self) -> int:
+        """The own-stone, opponent-stone and turn planes as one bitboard (the
+        turn plane is all ones when Black is to play)."""
+        board = self.board
+        points = self._pass_index
+        if self.to_play == BLACK:
+            return board._black | board._white << points | ((1 << points) - 1) << 2 * points
+        return board._white | board._black << points
 
     def transposition_key(self) -> int:
         """Zobrist key of (stones, ko point, side to move) — O(1) per call."""
@@ -534,6 +543,39 @@ class GoPosition:
         if index == self._pass_index:
             return None
         return divmod(index, self._size)
+
+
+def legal_masks(positions: Sequence[GoPosition]) -> np.ndarray:
+    """The (len(positions), moves) bool block of one board size's legality masks.
+
+    One unpack covers every position whose mask is not cached yet, and each
+    of those rows becomes that position's cached, read-only
+    :meth:`GoPosition.legal_mask`.
+    """
+    missing = [position for position in positions if position._legal_mask is None]
+    if missing:
+        rows = _unpack_rows([position.board.legal_bits(position.to_play) for position in missing],
+                            missing[0]._pass_index + 1).view(bool)
+        rows.flags.writeable = False
+        for position, row in zip(missing, rows):
+            position._legal_mask = row
+        if len(missing) == len(positions):
+            return rows
+    return np.stack([position._legal_mask for position in positions])
+
+
+def stacked_features(positions: Sequence[GoPosition]) -> np.ndarray:
+    """The (len(positions), features) float32 block of one board size's
+    :meth:`GoPosition.features`, unpacked and cached like :func:`legal_masks`."""
+    missing = [position for position in positions if position._features is None]
+    if missing:
+        rows = _unpack_rows([position._feature_bits() for position in missing],
+                            3 * missing[0]._pass_index).astype(np.float32)
+        for position, row in zip(missing, rows):
+            position._features = row
+        if len(missing) == len(positions):
+            return rows
+    return np.stack([position._features for position in positions])
 
 
 class GoEnv(Env):

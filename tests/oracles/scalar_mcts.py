@@ -9,7 +9,8 @@ machine (waves, transposition table, pickling) through the same hooks, so a
 the same seed must agree bit for bit: visit counts, policies, RNG draws.
 
 Use :class:`ScalarMCTS` wherever ``MCTS`` is constructed and
-:class:`ScalarSearchCursor` wherever ``SearchCursor`` is.
+:class:`ScalarSearchCursor` wherever ``SearchCursor`` is.  Its
+``_expand_rows`` expands a wave's leaves one at a time.
 """
 
 from __future__ import annotations
@@ -141,6 +142,10 @@ class ScalarMCTS(MCTS):
                                          prior=float(masked[index]))
         node.is_expanded = True
 
+    def _expand_rows(self, nodes: List[ScalarNode], priors: np.ndarray) -> None:
+        for node, row in zip(nodes, priors):
+            self._expand_with_priors(node, row, add_noise=False)
+
     @staticmethod
     def _backup(node: ScalarNode, value: float) -> None:
         current: Optional[ScalarNode] = node
@@ -185,6 +190,14 @@ class ScalarSearchCursor(SearchCursor):
     def __init__(self, mcts: MCTS, position: GoPosition, *, add_noise: bool = True) -> None:
         super().__init__(mcts, position, add_noise=add_noise)
         self.root = ScalarNode(position=position)
+
+
+def stack_each_features(positions) -> np.ndarray:
+    """The request block as it was built before :func:`repro.sim.go.stacked_features`:
+    one ``features()`` call per leaf.  Assign it over
+    ``repro.minigo.mcts.stacked_features`` to search positions of an engine
+    without bitboards (``oracles.go_reference``)."""
+    return np.stack([position.features() for position in positions])
 
 
 def root_visits(root) -> np.ndarray:

@@ -14,7 +14,8 @@ implementation (``tests/oracles/go_reference.py``):
 * the bitboard legality mask (``legal_mask``) against the reference legal
   moves on every position, ko, suicide and capture-to-live points included,
   at board sizes 3 to 19, and the bitboard feature planes against the
-  reference NumPy construction;
+  reference NumPy construction, one position at a time and batched
+  (``legal_masks``, ``stacked_features``);
 * the empty/black/white bitboards against the board array after every move,
   and across a pickle round trip;
 * the MCTS materializes only the children it selects, each equal to the
@@ -28,7 +29,8 @@ from hypothesis import strategies as st
 
 from oracles.go_reference import (ReferenceGoBoard, ReferenceGoPosition,
                                   bitboards_from_scratch, zobrist_from_scratch)
-from repro.sim.go import BLACK, EMPTY, WHITE, GoBoard, GoPosition
+from repro.sim.go import (BLACK, EMPTY, WHITE, GoBoard, GoPosition, legal_masks,
+                          stacked_features)
 
 #: The acceptance bar: at least this many full 9x9 oracle games.
 ORACLE_GAMES = 200
@@ -380,6 +382,94 @@ def test_legal_mask_ko_suicide_and_capture_to_live_points():
     for point in [(0, 1), (1, 0)]:
         board.play(point, BLACK)
     assert not board.legal_mask(WHITE)[0]
+
+
+def _uncached(position: GoPosition) -> GoPosition:
+    """The same position with empty legality and feature caches."""
+    return GoPosition(board=position.board, to_play=position.to_play,
+                      consecutive_passes=position.consecutive_passes,
+                      move_count=position.move_count)
+
+
+def _ko_and_surrounded_positions():
+    """The hand-built ko and surrounded-point boards above, both colors to move."""
+    ko = GoBoard(5)
+    for point in [(0, 1), (1, 0), (2, 1)]:
+        ko.play(point, BLACK)
+    for point in [(0, 2), (1, 1), (2, 2), (1, 3)]:
+        ko.play(point, WHITE)
+    ko.play((1, 2), BLACK)
+    surrounded = GoBoard(5)
+    for point in [(0, 1), (1, 0)]:
+        surrounded.play(point, BLACK)
+    for point in [(0, 2), (1, 1), (2, 0)]:
+        surrounded.play(point, WHITE)
+    return [GoPosition(board=board.copy(), to_play=color)
+            for board in (ko, surrounded) for color in (BLACK, WHITE)]
+
+
+def test_batched_unpacking_matches_the_per_position_engine():
+    """``legal_masks`` and ``stacked_features`` unpack a list of positions
+    with one ``np.unpackbits`` each.  On random dense positions at sizes 3
+    to 19 (ko and fully surrounded points included) every row equals the
+    one-position unpack (whose bits the tests above pin to the reference
+    engine) and the reference feature planes.  Each row becomes that
+    position's cached mask (read-only) and features, and a later call
+    returns the cached rows without unpacking again."""
+    ko_points = surrounded = 0
+    for size in (3, 5, 7, 9, 13, 19):
+        rng = np.random.default_rng(8200 + size)
+        positions, references = [], []
+        if size == 5:
+            positions += _ko_and_surrounded_positions()
+            references += [None] * len(positions)
+        for _ in range(4 if size <= 9 else 1):
+            position = GoPosition.initial(size)
+            reference = ReferenceGoPosition.initial(size)
+            for _ in range(3 * size * size // 2):
+                if position.is_over:
+                    break
+                positions.append(position)
+                references.append(reference)
+                board_moves = position.legal_moves()[:-1]
+                if not board_moves or rng.random() < 0.03:
+                    move = None
+                else:
+                    move = board_moves[rng.integers(0, len(board_moves))]
+                position, reference = position.play(move), reference.play(move)
+        for start in range(0, len(positions), 16):
+            fresh = [_uncached(position) for position in positions[start:start + 16]]
+            mixed = [_uncached(position) for position in fresh]
+            for position in mixed[::3]:  # cached first through the one-row path
+                position.legal_mask()
+                position.features()
+            held = [(position.legal_mask(), position.features()) for position in mixed[::3]]
+
+            masks, features = legal_masks(fresh), stacked_features(fresh)
+            assert masks.dtype == bool and features.dtype == np.float32
+            assert masks.shape == (len(fresh), size * size + 1)
+            assert features.shape == (len(fresh), 3 * size * size)
+            assert np.array_equal(legal_masks(mixed), masks)
+            assert stacked_features(mixed).tobytes() == features.tobytes()
+            assert all(position.legal_mask() is mask and position.features() is planes
+                       for position, (mask, planes) in zip(mixed[::3], held))
+            for index, position in enumerate(fresh):
+                board = position.board
+                reference = references[start + index]
+                assert np.array_equal(masks[index], board.legal_mask(position.to_play))
+                if reference is not None:
+                    assert features[index].tobytes() == reference.features().tobytes()
+                mask = position.legal_mask()
+                assert np.shares_memory(mask, masks) and not mask.flags.writeable
+                assert np.shares_memory(position.features(), features)
+                ko_points += board.ko_point is not None
+                surrounded += int(np.count_nonzero(_surrounded_empty(board.board)))
+            cached = [(position.legal_mask(), position.features()) for position in fresh]
+            assert np.array_equal(legal_masks(fresh), masks)
+            assert stacked_features(fresh).tobytes() == features.tobytes()
+            assert all(position.legal_mask() is mask and position.features() is planes
+                       for position, (mask, planes) in zip(fresh, cached))
+    assert ko_points > 0 and surrounded > 0
 
 
 # ------------------------------------------------------ selected MCTS children

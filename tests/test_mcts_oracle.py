@@ -14,7 +14,7 @@ import pytest
 
 from oracles.scalar_mcts import ScalarMCTS, root_visits
 from repro.minigo.mcts import MCTS, MCTSNode
-from repro.sim.go import GoPosition
+from repro.sim.go import BLACK, WHITE, GoBoard, GoPosition
 
 #: Random positions searched per (board size, leaf_batch, transposition,
 #: add_noise) combination.
@@ -85,14 +85,22 @@ def _search(mcts_cls, position, *, size, seed, add_noise, **kwargs):
     return mcts, root, requests, recorder
 
 
-@pytest.mark.parametrize("size,num_simulations", [(5, 40), (9, 24)])
-def test_array_search_matches_scalar_oracle(size, num_simulations):
+@pytest.mark.parametrize("size,num_simulations,leaf_batches,positions_per_case", [
+    pytest.param(5, 40, (1, 3, 8), POSITIONS_PER_CASE, id="5-40"),
+    pytest.param(9, 24, (1, 3, 8), POSITIONS_PER_CASE, id="9-24"),
+    # Other board widths, where a wave's block rows are other lengths.
+    pytest.param(7, 48, (3, 8), 3, id="7-48"),
+    pytest.param(13, 64, (4, 8), 2, id="13-64"),
+    pytest.param(19, 64, (4, 8), 2, id="19-64"),
+])
+def test_array_search_matches_scalar_oracle(size, num_simulations, leaf_batches,
+                                            positions_per_case):
     rng = np.random.default_rng(1000 + size)
     terminal_leaves = early_stops = transposition_hits = 0
-    for leaf_batch in (1, 3, 8):
+    for leaf_batch in leaf_batches:
         for transposition in (False, True):
             for add_noise in (False, True):
-                for _ in range(POSITIONS_PER_CASE):
+                for _ in range(positions_per_case):
                     position = _random_position(rng, size)
                     seed = int(rng.integers(0, 2 ** 31))
                     kwargs = dict(size=size, seed=seed, add_noise=add_noise,
@@ -120,6 +128,67 @@ def test_array_search_matches_scalar_oracle(size, num_simulations):
     assert terminal_leaves > 0
     assert early_stops > 0
     assert transposition_hits > 0
+
+
+def _pass_only_position(size: int) -> GoPosition:
+    """White to move on a board Black fills but for isolated one-point eyes:
+    every empty point is suicide for White, so passing is its only legal move."""
+    board = GoBoard(size)
+    for row in range(size):
+        for col in range(size):
+            if not (row % 2 and col % 2):
+                board.play((row, col), BLACK)
+    return GoPosition(board=board, to_play=WHITE)
+
+
+def _uncached(position: GoPosition) -> GoPosition:
+    """The same position with empty legality and feature caches."""
+    return GoPosition(board=position.board, to_play=position.to_play,
+                      consecutive_passes=position.consecutive_passes,
+                      move_count=position.move_count)
+
+
+@pytest.mark.parametrize("size", [5, 7, 9, 13, 19])
+def test_block_expansion_is_bit_identical_to_per_row_expansion(size):
+    """``_expand_rows`` normalizes a wave's (k, moves) prior block with one
+    row sum per row; every row must keep the exact bits of expanding that
+    row alone with a 1-D ``sum()``, as the search did leaf by leaf.  The
+    blocks include priors under the 1e-8 floor, rows whose only legal move
+    is pass and float32 network rows converted to float64, over positions
+    with and without a cached legality mask."""
+    rng = np.random.default_rng(9000 + size)
+    pool = [_random_position(rng, size) for _ in range(4)] + [_pass_only_position(size)]
+    num_moves = size * size + 1
+    assert np.flatnonzero(_uncached(pool[-1]).legal_mask()).tolist() == [num_moves - 1]
+    pass_only_rows = 0
+    for k in range(1, 17):
+        c_puct = float(rng.choice([0.7, 1.5, 4.0]))
+        mcts = MCTS(_linear_evaluator(size, k), c_puct=c_puct)
+        picks = rng.integers(0, len(pool), size=k)
+        positions = [pool[i] if rng.random() < 0.3 else _uncached(pool[i]) for i in picks]
+        pass_only_rows += int(np.count_nonzero(picks == len(pool) - 1))
+        priors = rng.random((k, num_moves))
+        if k % 2:  # a network's float32 rows, converted once per wave
+            priors = (priors / priors.sum(axis=1, keepdims=True)).astype(np.float32)
+            priors = np.asarray(priors, dtype=np.float64)
+        tiny = rng.random((k, num_moves)) < 0.2
+        priors[tiny] = rng.choice([0.0, 1e-12, 5e-9, 1e-8], size=int(tiny.sum()))
+
+        nodes = [MCTSNode(position=position) for position in positions]
+        mcts._expand_rows(nodes, priors)
+        for node, row in zip(nodes, priors):
+            position = node.position
+            legal = position.board.legal_mask(position.to_play)
+            masked = np.maximum(row, 1e-8)
+            masked *= legal
+            masked /= masked.sum()
+            assert np.array_equal(node.legal, legal)
+            assert node.child_prior.tobytes() == masked.tobytes()
+            assert node.child_U.tobytes() == np.where(legal, c_puct * masked,
+                                                      -np.inf).tobytes()
+            for counts in (node.child_N, node.child_W, node.child_VL):
+                assert counts.shape == (num_moves,) and not counts.any()
+    assert pass_only_rows > 0
 
 
 def _textbook_puct(node, c_puct):

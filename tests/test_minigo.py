@@ -319,5 +319,16 @@ def test_a_round_sharded_over_processes_reproduces_the_single_process_round():
     config = MinigoConfig(**ROUND, seed=5, profile=False)
     sharded = MinigoConfig(**ROUND, seed=5, profile=False, num_processes=2,
                            process_backend="inline")
-    assert _round_signature(MinigoTraining(sharded).run_round()) == \
-        _round_signature(MinigoTraining(config).run_round())
+    single_round = MinigoTraining(config).run_round()
+    sharded_round = MinigoTraining(sharded).run_round()
+    assert _round_signature(sharded_round) == _round_signature(single_round)
+
+    # Figure 8's utilization needs every self-play kernel on the one device:
+    # a single-process round reports it (values recorded before sharded
+    # rounds refused), a sharded round refuses to.
+    report = single_round.utilization(sample_period_us=2000.0)
+    assert (report.reported_utilization_pct, report.true_busy_pct,
+            report.window_end_us, len(report.samples)) == (
+        68.42105263157895, 3.1973426847338344, 36108.64434596016, 19)
+    with pytest.raises(ValueError, match="2 shard processes"):
+        sharded_round.utilization()

@@ -195,6 +195,39 @@ def test_multiprocess_validations():
                        store=StreamingTraceWriter("/tmp/unused-store-dir"))
 
 
+_SHARD_IMPORT_PROBE = """
+import sys
+import repro.parallel.runner
+from repro.minigo.workers import SelfPlayPool
+from repro.parallel.shard import WorkerShard
+pool = SelfPlayPool(num_workers=2, board_size=5, num_simulations=2, games_per_worker=1,
+                    max_moves=2, hidden=(8,), seed=0, batched_inference=True,
+                    scheduler="event", num_processes=2, process_backend="inline")
+spec = pool._shard_specs(None)[0]
+before = set(sys.modules)
+WorkerShard(spec)
+print(sorted(name for name in set(sys.modules) - before if name.startswith("repro")))
+"""
+
+
+def test_a_forked_shard_imports_no_repro_module():
+    """A shard process is forked from a parent that has built no workers of
+    its own; whatever the shard's build imports, every fresh shard imports
+    again.  Building a ``WorkerShard`` after the parent's imports must load
+    no ``repro`` module (the trace sink used to be one)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SHARD_IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_shard_timeline_divergence_fails_loudly():
     # Corrupt a shard segment record: the proxy must refuse to merge it.
     from repro.parallel.proxy import ProxyDriver
